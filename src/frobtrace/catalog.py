@@ -1,5 +1,5 @@
-"""Variety catalog: dataclasses, JSON (de)serialization, evaluation, and
-singular point search.
+"""Variety catalog: dataclasses, JSON (de)serialization, evaluation, dense
+F_p / F_{p^2} chart evaluation, and singular point search.
 
 A variety is a list of equations over an ambient space; each equation is a
 list of integer monomials.  The shipped catalog lives in data/catalog.json
@@ -240,24 +240,6 @@ def evaluate(spec, point, p):
     return tuple(out)
 
 
-def evaluate_ext(spec, point):
-    """Evaluate at a point whose coordinates are field elements
-    (FpElement or Fp2Element); returns a tuple of field elements."""
-    out = []
-    for eq in spec.equations:
-        s = None
-        for mono in eq:
-            t = None
-            for x, e in zip(point, mono.exponents):
-                if e:
-                    xe = x ** e
-                    t = xe if t is None else t * xe
-            term = mono.coefficient * t if t is not None else mono.coefficient * (point[0] ** 0)
-            s = term if s is None else s + term
-        out.append(s)
-    return tuple(out)
-
-
 def _partial(eq, var):
     """Formal partial derivative of an equation (monomial list)."""
     out = []
@@ -271,8 +253,13 @@ def _partial(eq, var):
     return tuple(out)
 
 
-def _eval_dense(eq, coords, p):
-    """Evaluate a monomial list on numpy coordinate arrays mod p."""
+_MAX_EXT_CELLS = 60_000_000      # largest F_{p^2} chart, p^(2 (nvars-1))
+
+
+def _eval_mono_list(eq, coords, p):
+    """Values mod p of a monomial list on numpy coordinate arrays; the
+    empty list is the zero polynomial.  Coordinates are residues < p < 2^31,
+    so no product exceeds p^2 < 2^62."""
     total = None
     for mono in eq:
         t = np.full_like(coords[0], mono.coefficient % p)
@@ -280,19 +267,18 @@ def _eval_dense(eq, coords, p):
             for _ in range(e):
                 t = t * x % p
         total = t if total is None else (total + t) % p
-    return total % p
+    return np.zeros_like(coords[0]) if total is None else total
 
 
-def _chart_coords(p, nvars, lead, sub):
-    """Coordinate arrays for the chart x_lead = 1, x_i = 0 for i < lead,
-    with x_{lead+1} fixed to the value sub when not None."""
+def _chart_arrays(p, nvars, lead, sub):
+    """Coordinate arrays over F_p for the chart x_lead = 1, x_i = 0 for
+    i < lead, with x_{lead+1} fixed to sub when sub is not None."""
     free = nvars - lead - 1
-    shape_dims = free - (1 if sub is not None and free > 0 else 0)
-    grids = np.meshgrid(*[np.arange(p, dtype=np.int64)] * shape_dims,
-                        indexing="ij") if shape_dims else []
+    mesh_dims = free - (1 if sub is not None else 0)
+    grids = np.meshgrid(*[np.arange(p, dtype=np.int64)] * mesh_dims,
+                        indexing="ij") if mesh_dims else []
     shape = grids[0].shape if grids else ()
-    coords = []
-    gi = 0
+    coords, gi = [], 0
     for i in range(nvars):
         if i < lead:
             coords.append(np.zeros(shape, dtype=np.int64))
@@ -303,6 +289,53 @@ def _chart_coords(p, nvars, lead, sub):
         else:
             coords.append(grids[gi])
             gi += 1
+    return coords
+
+
+def _eval_mono_list_ext(eq, coords, p, n):
+    """Values of a monomial list over F_{p^2} = F_p[s]/(s^2 - n): each
+    coordinate and the result are (a, b) pairs of arrays for a + b s.
+    Products reach n p^2 < p^3, which the chart bound keeps below 2^63."""
+    tr = ti = None
+    for mono in eq:
+        mr = np.full_like(coords[0][0], mono.coefficient % p)
+        mi = np.zeros_like(mr)
+        for (xa, xb), e in zip(coords, mono.exponents):
+            for _ in range(e):
+                mr, mi = (mr * xa + n * mi * xb) % p, (mr * xb + mi * xa) % p
+        if tr is None:
+            tr, ti = mr, mi
+        else:
+            tr, ti = (tr + mr) % p, (ti + mi) % p
+    if tr is None:
+        return np.zeros_like(coords[0][0]), np.zeros_like(coords[0][0])
+    return tr, ti
+
+
+def _chart_arrays_ext(p, nvars, lead):
+    """Coordinate (a, b) array pairs over F_{p^2} for the chart x_lead = 1,
+    x_i = 0 for i < lead.  Refuses charts beyond _MAX_EXT_CELLS cells."""
+    if p ** (2 * (nvars - 1)) > _MAX_EXT_CELLS:
+        raise ValidationError(
+            f"degree-2 count infeasible for p={p}, {nvars} variables")
+    mesh_dims = 2 * (nvars - lead - 1)
+    if mesh_dims:
+        grids = np.meshgrid(*[np.arange(p, dtype=np.int64)] * mesh_dims,
+                            indexing="ij")
+        shape = grids[0].shape
+    else:
+        grids, shape = [], ()
+    coords, gi = [], 0
+    for i in range(nvars):
+        if i < lead:
+            coords.append((np.zeros(shape, dtype=np.int64),
+                           np.zeros(shape, dtype=np.int64)))
+        elif i == lead:
+            coords.append((np.ones(shape, dtype=np.int64),
+                           np.zeros(shape, dtype=np.int64)))
+        else:
+            coords.append((grids[gi], grids[gi + 1]))
+            gi += 2
     return coords
 
 
@@ -331,13 +364,13 @@ def singular_points(spec, p, max_cells=40_000_000):
         free = nv - lead - 1
         subs = [None] if p ** free <= max_cells else range(p)
         for sub in subs:
-            coords = _chart_coords(p, nv, lead, None if sub is None else sub)
-            mask = _eval_dense(eq, coords, p) == 0
+            coords = _chart_arrays(p, nv, lead, sub)
+            mask = _eval_mono_list(eq, coords, p) == 0
             for part in parts:
                 if not mask.any():
                     break
                 if part:
-                    mask &= _eval_dense(part, coords, p) == 0
+                    mask &= _eval_mono_list(part, coords, p) == 0
             idx = np.argwhere(mask)
             for row in idx:
                 pt = tuple(int(c[tuple(row)]) if c.shape else int(c)

@@ -330,17 +330,8 @@ def run_manifest(manifest, outdir=None):
     for op in manifest.get("operations", []):
         kind = op["op"]
         if kind == "count":
-            spec = cat.variety(op["variety"])
-            if spec.ambient.kind == "projective":
-                rec = counting.count_projective(spec, op["p"],
-                                                op.get("degree", 1))
-            elif spec.ambient.kind == "weighted_projective":
-                rec = counting.count_weighted(spec, op["p"])
-            elif spec.ambient.kind == "torus":
-                known = spec.known or {}
-                rec = counting.count_torus(known["a"], known["t"], op["p"])
-            else:
-                rec = counting.count_double_cover(spec, op["p"])
+            rec = counting.count(cat.variety(op["variety"]), op["p"],
+                                 op.get("degree", 1))
             results.append({"op": kind, "record": asdict(rec)})
         elif kind == "twisted_count":
             spec = cat.variety(op["variety"])
@@ -432,16 +423,7 @@ def _cmd_catalog(args):
 
 def _cmd_count(args):
     cat = load_catalog()
-    spec = cat.variety(args.variety)
-    if spec.ambient.kind == "projective":
-        rec = counting.count_projective(spec, args.p, args.degree)
-    elif spec.ambient.kind == "weighted_projective":
-        rec = counting.count_weighted(spec, args.p)
-    elif spec.ambient.kind == "torus":
-        known = spec.known or {}
-        rec = counting.count_torus(known["a"], known["t"], args.p)
-    else:
-        rec = counting.count_double_cover(spec, args.p)
+    rec = counting.count(cat.variety(args.variety), args.p, args.degree)
     if args.out:
         with open(args.out, "a") as fh:
             counting.write_records([rec], fh)

@@ -1,10 +1,12 @@
 """Point counting over F_p and F_{p^2}.
 
-Counts are exact integers.  The generic counter enumerates affine charts
-with numpy; the two nodal-quintic models additionally get an O(p^3)
-histogram counter that makes p in the hundreds cheap.  Worker parallelism
-is controlled by FROBTRACE_THREADS and never changes any count: work is
-split into a chunk list that depends only on p, and partial sums are
+Counts are exact integers.  The generic counters enumerate affine charts
+with numpy, through the dense F_p and F_{p^2} chart builders and
+monomial-list evaluators of the catalog module; the two nodal-quintic models
+additionally get an O(p^3) histogram counter that makes p in the hundreds
+cheap.  count() picks the counter for a variety's ambient space.  Worker
+parallelism is controlled by FROBTRACE_THREADS and never changes any count:
+work is split into a chunk list that depends only on p, and partial sums are
 reduced in chunk order.
 """
 from __future__ import annotations
@@ -17,8 +19,9 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .catalog import Monomial
-from .errors import RefusalError, ValidationError
+from .catalog import (Monomial, _chart_arrays, _chart_arrays_ext,
+                      _eval_mono_list, _eval_mono_list_ext)
+from .errors import FrobtraceError, RefusalError, ValidationError
 from .ffield import PrimeField, is_prime
 
 _MAX_DENSE_CELLS = 4_000_000       # cells evaluated per slab
@@ -70,17 +73,6 @@ def _require_prime(p):
 
 # ------------------------------------------------------------------ generic
 
-def _eval_mono_list(eq, coords, p):
-    total = None
-    for mono in eq:
-        t = np.full_like(coords[0], mono.coefficient % p)
-        for x, e in zip(coords, mono.exponents):
-            for _ in range(e):
-                t = t * x % p
-        total = t if total is None else (total + t) % p
-    return total
-
-
 def _chart_chunks(p, nvars):
     """Chunks (lead, sub) covering the charts of P^{nvars-1}; sub fixes the
     first free coordinate when the chart alone is too large."""
@@ -92,26 +84,6 @@ def _chart_chunks(p, nvars):
         else:
             chunks.extend((lead, s) for s in range(p))
     return chunks
-
-
-def _chart_arrays(p, nvars, lead, sub):
-    free = nvars - lead - 1
-    mesh_dims = free - (1 if sub is not None else 0)
-    grids = np.meshgrid(*[np.arange(p, dtype=np.int64)] * mesh_dims,
-                        indexing="ij") if mesh_dims else []
-    shape = grids[0].shape if grids else ()
-    coords, gi = [], 0
-    for i in range(nvars):
-        if i < lead:
-            coords.append(np.zeros(shape, dtype=np.int64))
-        elif i == lead:
-            coords.append(np.ones(shape, dtype=np.int64))
-        elif i == lead + 1 and sub is not None:
-            coords.append(np.full(shape, sub, dtype=np.int64))
-        else:
-            coords.append(grids[gi])
-            gi += 1
-    return coords
 
 
 def _count_dense(spec, p, chunks):
@@ -167,7 +139,9 @@ def _quintic_histogram_count(p, n, chunks_wanted=32):
         return sub
 
     affine = sum(_run_chunks(worker, chunks))
-    assert (affine - 1) % (p - 1) == 0
+    if (affine - 1) % (p - 1):
+        raise FrobtraceError(f"nodal quintic at p={p}: affine count - 1 is "
+                             f"{(affine - 1) % (p - 1)} mod p-1, not 0")
     return (affine - 1) // (p - 1), n_chunks
 
 
@@ -177,50 +151,8 @@ def _is_schoen_model(spec):
 
 # -------------------------------------------------------------- F_{p^2}
 
-def _chart_arrays_ext(p, nvars, lead):
-    """Chart coordinate arrays over F_{p^2}: each coordinate is an (a, b)
-    pair of arrays for a + b s."""
-    free = nvars - lead - 1
-    mesh_dims = 2 * free
-    if mesh_dims:
-        grids = np.meshgrid(*[np.arange(p, dtype=np.int64)] * mesh_dims,
-                            indexing="ij")
-        shape = grids[0].shape
-    else:
-        grids, shape = [], ()
-    coords, gi = [], 0
-    for i in range(nvars):
-        if i < lead:
-            coords.append((np.zeros(shape, dtype=np.int64),
-                           np.zeros(shape, dtype=np.int64)))
-        elif i == lead:
-            coords.append((np.ones(shape, dtype=np.int64),
-                           np.zeros(shape, dtype=np.int64)))
-        else:
-            coords.append((grids[gi], grids[gi + 1]))
-            gi += 2
-    return coords
-
-
-def _eval_mono_list_ext(eq, coords, p, n):
-    tr = ti = None
-    for mono in eq:
-        mr = np.full_like(coords[0][0], mono.coefficient % p)
-        mi = np.zeros_like(mr)
-        for (xa, xb), e in zip(coords, mono.exponents):
-            for _ in range(e):
-                mr, mi = (mr * xa + n * mi * xb) % p, (mr * xb + mi * xa) % p
-        if tr is None:
-            tr, ti = mr, mi
-        else:
-            tr, ti = (tr + mr) % p, (ti + mi) % p
-    return tr, ti
-
-
 def _count_dense_ext(spec, p):
     nv = spec.ambient.nvars
-    if p ** (2 * (nv - 1)) > 60_000_000:
-        raise ValidationError(f"degree-2 count infeasible for p={p}, {nv} variables")
     n = PrimeField(p).nonresidue
     total = 0
     for lead in range(nv):
@@ -395,7 +327,9 @@ def count_weighted(spec, p):
         return int(stab[mask & nonzero].sum())
 
     total = sum(_run_chunks(worker, chunks))
-    assert total % (p - 1) == 0
+    if total % (p - 1):
+        raise FrobtraceError(f"{spec.id} at p={p}: stabilizer-weighted total is "
+                             f"{total % (p - 1)} mod p-1, not 0")
     return CountRecord(spec.id, p, 1, None, total // (p - 1), len(chunks),
                        time.perf_counter() - t0)
 
@@ -432,7 +366,7 @@ def count_torus(a, t, p):
             if j != i:
                 pi = pi * xs[j] % p
         s2 = (s2 + pi) % p
-    ok = (s1 * s2 - t * prod) % p == 0
+    ok = (s1 * s2 - (t % p) * prod) % p == 0
     cnt = int(np.count_nonzero(ok))
     vid = "hulek_verrill[a=%s;t=%d]" % (",".join(str(x) for x in a), t)
     return CountRecord(vid, p, 1, None, cnt, 1, time.perf_counter() - t0)
@@ -466,6 +400,26 @@ def count_double_cover(spec, p):
     cnt = sum(_run_chunks(worker, chunks))
     return CountRecord(spec.id, p, 1, None, cnt, len(chunks),
                        time.perf_counter() - t0)
+
+
+def count(spec, p, degree=1):
+    """#X(F_{p^degree}) with the counter for the ambient space of spec.
+
+    Torus varieties are counted at the (a, t) stored under spec.known.  Only
+    projective varieties are counted over F_{p^2}.
+    """
+    kind = spec.ambient.kind
+    if kind == "projective":
+        return count_projective(spec, p, degree)
+    if degree != 1:
+        raise ValidationError(
+            f"{spec.id}: ambient {kind} is counted over F_p only")
+    if kind == "weighted_projective":
+        return count_weighted(spec, p)
+    if kind == "torus":
+        known = spec.known or {}
+        return count_torus(known["a"], known["t"], p)
+    return count_double_cover(spec, p)
 
 
 # ------------------------------------------------------------------ JSONL

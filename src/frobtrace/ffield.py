@@ -1,12 +1,12 @@
-"""Prime fields, quadratic extensions, and the Kronecker symbol.
+"""Primality, the Kronecker symbol, and prime-field data.
 
-Everything here is exact integer arithmetic.  Field elements are small frozen
-dataclasses; the heavy lifting in the counting module works on raw residues
-instead, so these classes only need to be correct, not fast.
+Everything here is exact integer arithmetic on Python ints.  PrimeField
+gives square roots mod p and the distinguished non-residue n that defines
+F_{p^2} = F_p[s]/(s^2 - n).  Elements of F_p and F_{p^2} are not objects:
+they are residues, and (a, b) pairs of numpy arrays for a + b s, as the
+chart evaluators of the catalog module compute them.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import ValidationError
 
@@ -95,15 +95,6 @@ class PrimeField:
     def __repr__(self):
         return f"PrimeField({self.p})"
 
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("PrimeField", self.p))
-
-    def __call__(self, value):
-        return FpElement(value % self.p, self)
-
     @property
     def nonresidue(self):
         """Smallest positive quadratic non-residue mod p (p odd)."""
@@ -115,12 +106,6 @@ class PrimeField:
                     self._nonres = n
                     break
         return self._nonres
-
-    def inv(self, a):
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError(f"inverse of 0 in F_{self.p}")
-        return pow(a, self.p - 2, self.p)
 
     def sqrt(self, a):
         """A square root of a mod p, or None if a is a non-residue."""
@@ -150,129 +135,3 @@ class PrimeField:
             m, c = i, b * b % p
             t, r = t * c % p, r * b % p
         return r
-
-
-@dataclass(frozen=True)
-class FpElement:
-    value: int
-    field: PrimeField
-
-    def _coerce(self, other):
-        if isinstance(other, FpElement):
-            if other.field != self.field:
-                raise ValidationError("mixed fields in F_p arithmetic")
-            return other.value
-        return int(other) % self.field.p
-
-    def __add__(self, other):
-        return FpElement((self.value + self._coerce(other)) % self.field.p, self.field)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return FpElement((self.value - self._coerce(other)) % self.field.p, self.field)
-
-    def __rsub__(self, other):
-        return FpElement((self._coerce(other) - self.value) % self.field.p, self.field)
-
-    def __mul__(self, other):
-        return FpElement(self.value * self._coerce(other) % self.field.p, self.field)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FpElement(-self.value % self.field.p, self.field)
-
-    def __pow__(self, e):
-        if e < 0:
-            return FpElement(pow(self.field.inv(self.value), -e, self.field.p), self.field)
-        return FpElement(pow(self.value, e, self.field.p), self.field)
-
-    def inverse(self):
-        return FpElement(self.field.inv(self.value), self.field)
-
-    def is_zero(self):
-        return self.value == 0
-
-    def __repr__(self):
-        return f"{self.value} (mod {self.field.p})"
-
-
-@dataclass(frozen=True)
-class Fp2Element:
-    """a + b*s with s^2 = n, n the distinguished non-residue of the field."""
-    a: int
-    b: int
-    field: PrimeField
-
-    def _parts(self, other):
-        if isinstance(other, Fp2Element):
-            if other.field != self.field:
-                raise ValidationError("mixed fields in F_{p^2} arithmetic")
-            return other.a, other.b
-        return int(other) % self.field.p, 0
-
-    def __add__(self, other):
-        oa, ob = self._parts(other)
-        p = self.field.p
-        return Fp2Element((self.a + oa) % p, (self.b + ob) % p, self.field)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        oa, ob = self._parts(other)
-        p = self.field.p
-        return Fp2Element((self.a - oa) % p, (self.b - ob) % p, self.field)
-
-    def __rsub__(self, other):
-        oa, ob = self._parts(other)
-        p = self.field.p
-        return Fp2Element((oa - self.a) % p, (ob - self.b) % p, self.field)
-
-    def __mul__(self, other):
-        oa, ob = self._parts(other)
-        p, n = self.field.p, self.field.nonresidue
-        return Fp2Element((self.a * oa + n * self.b * ob) % p,
-                          (self.a * ob + self.b * oa) % p, self.field)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        p = self.field.p
-        return Fp2Element(-self.a % p, -self.b % p, self.field)
-
-    def __pow__(self, e):
-        if e < 0:
-            return self.inverse() ** (-e)
-        r = Fp2Element(1, 0, self.field)
-        base = self
-        while e:
-            if e & 1:
-                r = r * base
-            base = base * base
-            e >>= 1
-        return r
-
-    def norm(self):
-        """a^2 - n b^2, the norm down to F_p."""
-        p, n = self.field.p, self.field.nonresidue
-        return (self.a * self.a - n * self.b * self.b) % p
-
-    def inverse(self):
-        nm = self.norm()
-        if nm == 0:
-            raise ZeroDivisionError("inverse of 0 in F_{p^2}")
-        inv = self.field.inv(nm)
-        p = self.field.p
-        return Fp2Element(self.a * inv % p, -self.b * inv % p, self.field)
-
-    def is_zero(self):
-        return self.a == 0 and self.b == 0
-
-    def __repr__(self):
-        return f"{self.a} + {self.b}s (mod {self.field.p}, s^2={self.field.nonresidue})"
-
-
-def fp2_frobenius(x):
-    """The p-power Frobenius of F_{p^2}, i.e. conjugation a + bs -> a - bs."""
-    return Fp2Element(x.a, -x.b % x.field.p, x.field)

@@ -6,15 +6,16 @@ nodal plane quintic's elliptic normalization.
 from __future__ import annotations
 
 import csv
-import itertools
 from dataclasses import dataclass
 from math import comb
 
 import numpy as np
 
-from .catalog import singular_points, _eval_dense, _chart_coords, _partial
+from .catalog import (Monomial, singular_points, _chart_arrays,
+                      _chart_arrays_ext, _eval_mono_list, _eval_mono_list_ext,
+                      _partial)
 from .errors import RefusalError, ValidationError
-from .ffield import Fp2Element, PrimeField, kronecker
+from .ffield import PrimeField, kronecker
 
 
 def trace_h3(n_p, p, b2, correction):
@@ -216,38 +217,34 @@ def read_trace_table(fh, variety_id=""):
 
 # --------------------------------------------- elliptic curve normalization
 
-def _quad_part_field(eq, pt, chart, nvars):
-    """Quadratic part of f at a point with field-element coordinates."""
-    one = pt[chart] ** 0
-    q = {}
+# b^2 - 4ac as a monomial list in (a, b, c)
+_DISCRIMINANT = (Monomial(1, (0, 2, 0)), Monomial(-4, (1, 0, 1)))
+
+
+def _second_taylor(eq, i, j):
+    """The coefficient of h_i h_j in f(x + h), as a monomial list in x: a
+    monomial c x^e gives c C(e_i, 2) x^e / x_i^2 for i = j and
+    c e_i e_j x^e / (x_i x_j) otherwise."""
+    out = []
     for mono in eq:
-        ranges = [range(min(e, 2) + 1) for e in mono.exponents]
-        for k in itertools.product(*ranges):
-            if sum(k) != 2 or k[chart] != 0:
-                continue
-            t = one * mono.coefficient
-            for i, (e, ki) in enumerate(zip(mono.exponents, k)):
-                t = t * comb(e, ki)
-                t = t * pt[i] ** (e - ki)
-            key = tuple(sorted(i for i in range(nvars) for _ in range(k[i])))
-            q[key] = q.get(key, t * 0) + t
-    return q
-
-
-def _is_square(x):
-    """Square test for FpElement/Fp2Element via the character exponent."""
-    f = x.field
-    if isinstance(x, Fp2Element):
-        e = (f.p * f.p - 1) // 2
-    else:
-        e = (f.p - 1) // 2
-    return x ** e == x ** 0
+        e = list(mono.exponents)
+        c = mono.coefficient * (comb(e[i], 2) if i == j else e[i] * e[j])
+        if c:
+            e[i] -= 1
+            e[j] -= 1
+            out.append(Monomial(c, tuple(e)))
+    return tuple(out)
 
 
 def elliptic_ap(spec, p, degree=1):
     """a_p (or a_{p^degree}) of the normalization of a nodal plane curve:
     q + 1 minus the count of smooth points plus two branch points for each
-    rational node whose tangent cone splits over F_q."""
+    rational node whose tangent cone splits over F_q.
+
+    In the chart x_lead = 1 the cone at a node is a h_i^2 + b h_i h_j +
+    c h_j^2, which splits when b^2 - 4ac is a square.  Over F_{p^2} a
+    nonzero value is a square exactly when its norm is a square mod p.
+    """
     if p in spec.bad_primes:
         raise RefusalError(f"{spec.id}: {p} is a bad prime")
     if degree not in (1, 2):
@@ -255,79 +252,35 @@ def elliptic_ap(spec, p, degree=1):
     if spec.ambient.kind != "projective" or len(spec.equations) != 1 \
             or spec.ambient.n != 2:
         raise ValidationError(f"{spec.id}: need a plane curve")
-    eq = spec.equations[0]
-    field = PrimeField(p)
-    if degree == 1:
-        smooth, nodes = _plane_points_deg1(spec, p)
-        pts = [tuple(field(c) for c in nd) for nd in nodes]
-        q = p
-    else:
-        smooth, pts = _plane_points_deg2(spec, field)
-        q = p * p
-    branches = 0
-    for nd in pts:
-        chart = next(i for i in range(3) if not nd[i].is_zero())
-        quad = _quad_part_field(eq, nd, chart, 3)
-        free = [i for i in range(3) if i != chart]
-        i, j = free
-        zero = nd[chart] * 0
-        a = quad.get((i, i), zero)
-        b = quad.get((i, j), zero)
-        c = quad.get((j, j), zero)
-        disc = b * b - 4 * a * c
-        if disc.is_zero():
-            raise ValidationError(f"{spec.id}: singular point at p={p} is not a node")
-        if _is_square(disc):
-            branches += 2
-    return q + 1 - (smooth + branches)
-
-
-def _plane_points_deg1(spec, p):
+    field = PrimeField(p)                       # refuses composite p
+    n = field.nonresidue if degree == 2 else None
     eq = spec.equations[0]
     parts = [_partial(eq, v) for v in range(3)]
-    smooth = 0
-    nodes = []
+    smooth = branches = 0
     for lead in range(3):
-        coords = _chart_coords(p, 3, lead, None)
-        on = _eval_dense(eq, coords, p) == 0
-        gz = on.copy()
-        for part in parts:
-            if part:
-                gz &= _eval_dense(part, coords, p) == 0
-        smooth += int(np.count_nonzero(on & ~gz))
-        for row in np.argwhere(gz):
-            nodes.append(tuple(int(c[tuple(row)]) if c.shape else int(c)
-                               for c in coords))
-    return smooth, nodes
-
-
-def _plane_points_deg2(spec, field):
-    p = field.p
-    eq = spec.equations[0]
-    parts = [_partial(eq, v) for v in range(3)]
-    els = [Fp2Element(a, b, field) for a in range(p) for b in range(p)]
-    zero = Fp2Element(0, 0, field)
-    one = Fp2Element(1, 0, field)
-    smooth = 0
-    nodes = []
-
-    def ev(mlist, pt):
-        s = zero
-        for mono in mlist:
-            t = one * mono.coefficient
-            for x, e in zip(pt, mono.exponents):
-                if e:
-                    t = t * x ** e
-            s = s + t
-        return s
-
-    for lead in range(3):
-        for rest in itertools.product(els, repeat=2 - lead):
-            pt = (zero,) * lead + (one,) + rest
-            if not ev(eq, pt).is_zero():
-                continue
-            if any(part and not ev(part, pt).is_zero() for part in parts):
-                smooth += 1
-            else:
-                nodes.append(pt)
-    return smooth, nodes
+        i, j = (v for v in range(3) if v != lead)
+        cone = [_second_taylor(eq, *ij) for ij in ((i, i), (i, j), (j, j))]
+        if degree == 1:
+            coords = _chart_arrays(p, 3, lead, None)
+            zero = [_eval_mono_list(f, coords, p) == 0 for f in (eq, *parts)]
+            node = np.logical_and.reduce(zero)
+            at = [x[node] for x in coords]
+            abc = [_eval_mono_list(f, at, p) for f in cone]
+            disc = _eval_mono_list(_DISCRIMINANT, abc, p)
+        else:
+            coords = _chart_arrays_ext(p, 3, lead)
+            vals = [_eval_mono_list_ext(f, coords, p, n) for f in (eq, *parts)]
+            zero = [(a == 0) & (b == 0) for a, b in vals]
+            node = np.logical_and.reduce(zero)
+            at = [(a[node], b[node]) for a, b in coords]
+            abc = [_eval_mono_list_ext(f, at, p, n) for f in cone]
+            dr, di = _eval_mono_list_ext(_DISCRIMINANT, abc, p, n)
+            disc = (dr * dr - n * di * di) % p              # its norm
+        smooth += int(np.count_nonzero(zero[0] & ~node))
+        for d in disc:
+            if d == 0:
+                raise ValidationError(
+                    f"{spec.id}: singular point at p={p} is not a node")
+            if kronecker(int(d), p) == 1:
+                branches += 2
+    return p ** degree + 1 - (smooth + branches)

@@ -1,12 +1,16 @@
 import random
 from importlib import resources
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frobtrace.catalog import (Ambient, InvolutionSpec, Monomial, VarietySpec,
-                               evaluate, load_catalog, save_catalog,
-                               singular_points)
+                               _chart_arrays, _chart_arrays_ext,
+                               _eval_mono_list, _eval_mono_list_ext, evaluate,
+                               load_catalog, save_catalog, singular_points)
 from frobtrace.errors import RefusalError, ValidationError
+from frobtrace.ffield import PrimeField
 
 CAT = load_catalog()
 
@@ -129,3 +133,66 @@ def test_singular_points_guards():
     w = VarietySpec("w", amb, eq, 1, frozenset({2}), "test")
     with pytest.raises(ValidationError):
         singular_points(w, 3)
+
+
+# ------------------------------------------- dense chart evaluators (numpy)
+
+@st.composite
+def _homogeneous(draw):
+    """A random homogeneous monomial list in 3 or 4 variables."""
+    nvars = draw(st.integers(3, 4))
+    deg = draw(st.integers(1, 5))
+    eq = []
+    for _ in range(draw(st.integers(1, 4))):
+        cuts = sorted(draw(st.integers(0, deg)) for _ in range(nvars - 1))
+        exps = tuple(b - a for a, b in zip([0] + cuts, cuts + [deg]))
+        eq.append(Monomial(draw(st.integers(-60, 60)), exps))
+    return VarietySpec("random", Ambient("projective", n=nvars - 1),
+                       (tuple(eq),), nvars - 2, frozenset({2}), "test")
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_homogeneous(), st.sampled_from((2, 3, 5, 7, 11)), st.data())
+def test_chart_evaluator_matches_evaluate(spec, p, data):
+    nv = spec.ambient.nvars
+    lead = data.draw(st.integers(0, nv - 1))
+    sub = None
+    if lead < nv - 1:
+        sub = data.draw(st.none() | st.integers(0, p - 1))
+    coords = _chart_arrays(p, nv, lead, sub)
+    vals = _eval_mono_list(spec.equations[0], coords, p)
+    for idx in np.ndindex(vals.shape):
+        pt = tuple(int(c[idx]) for c in coords)
+        assert pt[:lead + 1] == (0,) * lead + (1,)
+        if sub is not None:
+            assert pt[lead + 1] == sub
+        assert (int(vals[idx]),) == evaluate(spec, pt, p)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(_homogeneous(), st.sampled_from((3, 5, 7)), st.data())
+def test_ext_evaluator_restricts_to_fp(spec, p, data):
+    # on points with every s-part 0 the F_{p^2} values are the F_p values
+    nv = spec.ambient.nvars
+    lead = data.draw(st.integers(0, nv - 1))
+    coords = _chart_arrays_ext(p, nv, lead)
+    tr, ti = _eval_mono_list_ext(spec.equations[0], coords, p,
+                                 PrimeField(p).nonresidue)
+    rational = np.logical_and.reduce([b == 0 for _, b in coords])
+    assert np.count_nonzero(rational) == p ** (nv - 1 - lead)
+    assert not ti[rational].any()
+    fp = _eval_mono_list(spec.equations[0], [a[rational] for a, _ in coords], p)
+    assert (tr[rational] == fp).all()
+
+
+def test_ext_evaluator_frobenius():
+    # x^p is the conjugation a + bs -> a - bs, and x^(p^2) = x
+    for p in (3, 7, 11, 13):
+        a, b = np.meshgrid(np.arange(p), np.arange(p), indexing="ij")
+        n = PrimeField(p).nonresidue
+        assert all((r == w).all() for r, w in zip(
+            _eval_mono_list_ext((Monomial(1, (p,)),), [(a, b)], p, n),
+            (a, -b % p)))
+        assert all((r == w).all() for r, w in zip(
+            _eval_mono_list_ext((Monomial(1, (p * p,)),), [(a, b)], p, n),
+            (a, b)))

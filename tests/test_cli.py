@@ -51,6 +51,8 @@ def test_betti_report_small_prime_caveat():
 
 def test_exit_codes(capsys):
     assert main(["count", "--variety", "schoen_x", "--p", "10"]) == 1
+    assert main(["count", "--variety", "schoen_quotient", "--p", "3",
+                 "--degree", "2"]) == 1
     assert main(["trace", "--variety", "schoen_x", "--p", "5", "--b2", "1"]) == 2
     assert main(["livne", "--bad-primes", "2,5",
                  "--check-set", "3,7,11"]) == 3

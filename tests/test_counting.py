@@ -6,11 +6,12 @@ import pytest
 
 from frobtrace.catalog import (Ambient, InvolutionSpec, Monomial, VarietySpec,
                                load_catalog)
-from frobtrace.counting import (count_double_cover, count_projective,
+from frobtrace import counting
+from frobtrace.counting import (count, count_double_cover, count_projective,
                                 count_torus, count_twisted, count_weighted,
                                 check_preserves, quotient_weighted_correction,
                                 read_records, write_records)
-from frobtrace.errors import RefusalError, ValidationError
+from frobtrace.errors import FrobtraceError, RefusalError, ValidationError
 
 CAT = load_catalog()
 
@@ -89,6 +90,7 @@ def test_torus_counts():
     assert count_torus((1, 1, 1, 1, 1), 25, 3).count == 11
     assert count_torus((1, 1, 1, 1, 1), 25, 7).count == 201
     assert count_torus((1, 1, 1, 9, 9), 9, 7).count == 153
+    assert count_torus((1, 1, 1, 1, 1), 25 + 7 * 2 ** 60, 7).count == 201
     with pytest.raises(ValidationError):
         count_torus((1, 1, 1), 25, 7)
 
@@ -120,6 +122,35 @@ def test_ambient_dispatch_errors():
         count_double_cover(CAT.variety("schoen_x"), 3)
     with pytest.raises(ValidationError):
         count_projective(CAT.variety("schoen_x"), 10)
+
+
+def test_count_dispatch_by_ambient():
+    assert count(CAT.variety("schoen_x"), 3).count == SCHOEN_N[3]
+    assert count(CAT.variety("schoen_x"), 3, degree=2).count == 816
+    assert count(CAT.variety("schoen_quotient"), 3).count == QUOTIENT_W[3]
+    assert count(CAT.variety("double_octic_template"), 3).count == 41
+    hv = CAT.variety("hulek_verrill")
+    got, want = count(hv, 7), count_torus(hv.known["a"], hv.known["t"], 7)
+    assert (got.variety_id, got.count) == (want.variety_id, want.count)
+    for vid in ("schoen_quotient", "double_octic_template", "hulek_verrill"):
+        with pytest.raises(ValidationError):
+            count(CAT.variety(vid), 3, degree=2)
+
+
+def test_counter_invariants_raise(monkeypatch):
+    # a lost or doubled cell breaks the divisibility by p - 1 of the affine
+    # and orbit-weighted totals; the counters raise, also under python -O
+    run = counting._run_chunks
+
+    def off_by_one(worker, chunks):
+        parts = run(worker, chunks)
+        return [parts[0] + 1] + parts[1:]
+
+    monkeypatch.setattr(counting, "_run_chunks", off_by_one)
+    with pytest.raises(FrobtraceError, match="p=7.* 1 mod p-1"):
+        count_projective(CAT.variety("schoen_x"), 7)
+    with pytest.raises(FrobtraceError, match="p=3.* 1 mod p-1"):
+        count_weighted(CAT.variety("schoen_quotient"), 3)
 
 
 def test_equation_degenerate_mod_p():

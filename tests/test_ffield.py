@@ -1,8 +1,7 @@
 import pytest
 
 from frobtrace.errors import ValidationError
-from frobtrace.ffield import (Fp2Element, PrimeField, fp2_frobenius, is_prime,
-                              kronecker)
+from frobtrace.ffield import PrimeField, is_prime, kronecker
 
 
 def test_is_prime_basics():
@@ -74,44 +73,3 @@ def test_nonresidue_minimal():
     assert PrimeField(421).nonresidue == 2
     with pytest.raises(ValidationError):
         PrimeField(2).nonresidue
-
-
-def test_fp_arith():
-    f = PrimeField(13)
-    a, b = f(7), f(9)
-    assert (a + b).value == 3
-    assert (a - b).value == 11
-    assert (a * b).value == 63 % 13
-    assert (a ** -1 * a).value == 1
-    assert (-a).value == 6
-    assert (2 + a).value == 9
-    assert a.inverse().value * 7 % 13 == 1
-    with pytest.raises(ValidationError):
-        a + PrimeField(7)(1)
-
-
-def test_fp2_arith_and_norm():
-    f = PrimeField(7)
-    x = Fp2Element(2, 3, f)
-    y = Fp2Element(5, 1, f)
-    assert (x * y).a == (2 * 5 + 3 * 3 * 1) % 7
-    assert (x * y).b == (2 * 1 + 3 * 5) % 7
-    assert (x * x.inverse()) == Fp2Element(1, 0, f)
-    # norm is multiplicative
-    assert (x * y).norm() == x.norm() * y.norm() % 7
-    assert (x - x).is_zero()
-
-
-def test_fp2_frobenius_is_p_power():
-    for p in (3, 7, 11, 13):
-        f = PrimeField(p)
-        for a in range(p):
-            for b in range(p):
-                x = Fp2Element(a, b, f)
-                assert x ** p == fp2_frobenius(x), (p, a, b)
-
-
-def test_fp2_frobenius_involutive():
-    f = PrimeField(11)
-    x = Fp2Element(4, 9, f)
-    assert fp2_frobenius(fp2_frobenius(x)) == x

@@ -2,7 +2,7 @@ import io
 
 import pytest
 
-from frobtrace.catalog import load_catalog
+from frobtrace.catalog import Ambient, Monomial, VarietySpec, load_catalog
 from frobtrace.errors import RefusalError, ValidationError
 from frobtrace.ffield import is_prime
 from frobtrace.lefschetz import (LedgerMove, TraceRow, TraceTable, base_chi,
@@ -104,9 +104,10 @@ def test_elliptic_ap_degree_two():
     ep = CAT.variety("e_plane")
     assert elliptic_ap(ep, 3, degree=2) == -5
     assert elliptic_ap(ep, 7, degree=2) == -10
-    # a over F_{p^2} determined by a over F_p: a' = a^2 - 2p
-    assert elliptic_ap(ep, 3, degree=2) == E_PLANE_AP[3] ** 2 - 2 * 3
-    assert elliptic_ap(ep, 7, degree=2) == E_PLANE_AP[7] ** 2 - 2 * 7
+    # a over F_{p^2} determined by a over F_p: a' = a^2 - 2p; at 19 four of
+    # the five nodes are defined over F_{p^2} only
+    for p in (3, 7, 11, 19):
+        assert elliptic_ap(ep, p, degree=2) == E_PLANE_AP[p] ** 2 - 2 * p
 
 
 def test_elliptic_ap_weil_bound():
@@ -126,6 +127,16 @@ def test_elliptic_ap_guards():
         elliptic_ap(ep, 7, degree=3)
     with pytest.raises(ValidationError):
         elliptic_ap(CAT.variety("schoen_x"), 7)
+    with pytest.raises(ValidationError):
+        elliptic_ap(ep, 9)
+    with pytest.raises(ValidationError):
+        elliptic_ap(ep, 89, degree=2)       # F_{p^2} charts beyond the bound
+    cusp = VarietySpec("cusp", Ambient("projective", n=2),
+                       ((Monomial(1, (3, 0, 0)), Monomial(-1, (0, 2, 1))),),
+                       1, frozenset({2, 3}), "test")
+    for degree in (1, 2):
+        with pytest.raises(ValidationError, match="not a node"):
+            elliptic_ap(cusp, 7, degree)
 
 
 def test_trace_table_round_trip():
