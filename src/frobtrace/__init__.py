@@ -10,4 +10,12 @@ from .lefschetz import (trace_h3, node_correction, solve_betti,    # noqa: F401
                         euler_ledger, elliptic_ap)
 from .qexp import eta, f25, coefficient                            # noqa: F401
 from .livne import build_basis, check_cover, livne_compare         # noqa: F401
-from .cli import match_pipeline, run_manifest                      # noqa: F401
+
+
+def __getattr__(name):
+    # cli is loaded on first use, so that `python -m frobtrace.cli` does not
+    # find it already imported by the package (PEP 562)
+    if name in ("match_pipeline", "run_manifest"):
+        from . import cli
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -3,11 +3,12 @@
 Counts are exact integers.  The generic counters enumerate affine charts
 with numpy, through the dense F_p and F_{p^2} chart builders and
 monomial-list evaluators of the catalog module; the two nodal-quintic models
-additionally get an O(p^3) histogram counter that makes p in the hundreds
-cheap.  count() picks the counter for a variety's ambient space.  Worker
-parallelism is controlled by FROBTRACE_THREADS and never changes any count:
-work is split into a chunk list that depends only on p, and partial sums are
-reduced in chunk order.
+additionally get an O(p^2) joint-histogram counter that makes p in the
+hundreds cheap and is refused for p^2 beyond a stated cell budget.  count()
+picks the counter for a variety's ambient space.  Worker parallelism is
+controlled by FROBTRACE_THREADS and never changes any count: work is split
+into a chunk list that depends only on p, and partial sums are reduced in
+chunk order.
 """
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ from .ffield import PrimeField, is_prime
 
 _MAX_DENSE_CELLS = 4_000_000       # cells evaluated per slab
 _MAX_DENSE_TOTAL = 600_000_000     # refuse larger dense enumerations
+_MAX_HIST_CELLS = 4_000_000        # p^2 cells per nodal-quintic table (p < 2000)
 
 
 @dataclass(frozen=True)
@@ -108,8 +110,33 @@ def _quintic_histogram_count(p, n, chunks_wanted=32):
     With w_i = t_i + t_{5-i} s the equation reads
     16 t0^5 + Re(w1^5) + Re(w2^5) = 5 t0 Nm(w1) Nm(w2); for n = 1 this is
     the straight count, for n a non-residue it is the count of the twisted
-    form (Frobenius composed with the sign involution).  Cost O(p^3).
+    form (Frobenius composed with the sign involution).
+
+    The equation is homogeneous of degree 5 under (t0, w) -> (l t0, l w), so
+    the affine cone has (p - 1) N1 + Z points, N1 on the slice t0 = 1 and Z
+    on t0 = 0 (origin included).  With the joint histogram
+    J[r, m] = #{w : Re(w^5) = r, Nm(w) = m} and H[r] = sum_m J[r, m],
+
+        N1 = sum_mu sum_r J[r, mu] Phi_{5 mu}[-16 - r],
+        Phi_lam[c] = #{w : Re(w^5) - lam Nm(w) = c},
+        Z = sum_c H[c] H[-c].
+
+    Substituting w -> w / b for b in F_p^* gives
+    Phi_{lam b^3}[c] = Phi_lam[c b^-5], so only one row Phi_rho per class
+    of F_p^* modulo cubes (one or three) and the row of lam = 0 are built.
+    Cost O(p^2).
+
+    All arithmetic is exact int64.  Residue products stay below p^3, and
+    the largest values are the cone sum Z and the dot product of one mu,
+    counts of pairs (w1, w2) and so at most p^4: the kernel is exact for
+    p < 2^15.  The p^2-cell tables are refused beyond _MAX_HIST_CELLS
+    cells (p < 2000), well inside that; at that bound they take about
+    300 MB.
     """
+    if p * p > _MAX_HIST_CELLS:
+        raise ValidationError(
+            f"nodal-quintic histogram at p={p} needs p^2 = {p * p} cells, "
+            f"over the budget of {_MAX_HIST_CELLS}")
     u = np.repeat(np.arange(p, dtype=np.int64), p)
     v = np.tile(np.arange(p, dtype=np.int64), p)
     nn = n % p
@@ -118,12 +145,28 @@ def _quintic_histogram_count(p, n, chunks_wanted=32):
     w4r = (w2r * w2r + nn * w2i * w2i) % p
     w4i = (2 * w2r * w2i) % p
     re5 = (w4r * u + nn * w4i * v) % p
-    nrm = (u * u - n * v * v) % p
+    nrm = (u * u - nn * v * v) % p
+    del u, v, w2r, w2i, w4r, w4i
+    joint = np.bincount(re5 * p + nrm, minlength=p * p).reshape(p, p)
+    hist = joint.sum(axis=1)
+    cone = int(hist @ hist[-np.arange(p) % p])
 
-    # Phi[lam, c] = #{w : Re(w^5) - lam Nm(w) = c}
-    phi = np.empty((p, p), dtype=np.int64)
-    for lam in range(p):
-        phi[lam] = np.bincount((re5 - lam * nrm) % p, minlength=p)
+    # lam = rho b^3 reads row rho of phi at c b^-5
+    row = np.full(p, -1, dtype=np.int64)
+    shift = np.ones(p, dtype=np.int64)
+    cubes = np.arange(1, p, dtype=np.int64) ** 3 % p
+    inv5 = np.array([pow(b, -5, p) for b in range(1, p)], dtype=np.int64)
+    reps = [0]
+    row[0] = 0
+    for lam in range(1, p):
+        if row[lam] < 0:
+            orbit = lam * cubes % p
+            row[orbit] = len(reps)
+            shift[orbit] = inv5
+            reps.append(lam)
+    phi = np.stack([np.bincount((re5 - rho * nrm) % p, minlength=p)
+                    for rho in reps])
+    target = (-16 - np.arange(p)) % p
 
     n_chunks = min(p, chunks_wanted)
     bounds = [(c * p) // n_chunks for c in range(n_chunks + 1)]
@@ -132,11 +175,10 @@ def _quintic_histogram_count(p, n, chunks_wanted=32):
     def worker(rng):
         lo, hi = rng
         sub = 0
-        for t0 in range(lo, hi):
-            lam = (5 * t0 % p) * nrm % p
-            tgt = (-16 * pow(t0, 5, p) - re5) % p
-            sub += int(phi[lam, tgt].sum())
-        return sub
+        for mu in range(lo, hi):
+            lam = 5 * mu % p
+            sub += int(joint[:, mu] @ phi[row[lam], target * shift[lam] % p])
+        return (p - 1) * sub + (cone if lo == 0 else 0)
 
     affine = sum(_run_chunks(worker, chunks))
     if (affine - 1) % (p - 1):

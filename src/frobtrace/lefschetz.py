@@ -243,7 +243,9 @@ def elliptic_ap(spec, p, degree=1):
 
     In the chart x_lead = 1 the cone at a node is a h_i^2 + b h_i h_j +
     c h_j^2, which splits when b^2 - 4ac is a square.  Over F_{p^2} a
-    nonzero value is a square exactly when its norm is a square mod p.
+    nonzero value is a square exactly when its norm is a square mod p.  In
+    characteristic 2 the discriminant is b^2, so a node has b = 1 and its
+    cone splits exactly when ac = 0.
     """
     if p in spec.bad_primes:
         raise RefusalError(f"{spec.id}: {p} is a bad prime")
@@ -277,10 +279,13 @@ def elliptic_ap(spec, p, degree=1):
             dr, di = _eval_mono_list_ext(_DISCRIMINANT, abc, p, n)
             disc = (dr * dr - n * di * di) % p              # its norm
         smooth += int(np.count_nonzero(zero[0] & ~node))
-        for d in disc:
-            if d == 0:
-                raise ValidationError(
-                    f"{spec.id}: singular point at p={p} is not a node")
-            if kronecker(int(d), p) == 1:
-                branches += 2
+        if np.any(disc == 0):
+            raise ValidationError(
+                f"{spec.id}: singular point at p={p} is not a node")
+        if p == 2:
+            # b = 1: a h^2 + h k + c k^2 splits iff a c = 0 (Artin-Schreier)
+            split = abc[0] * abc[2] % 2 == 0
+        else:
+            split = [kronecker(int(d), p) == 1 for d in disc]
+        branches += 2 * int(np.count_nonzero(split))
     return p ** degree + 1 - (smooth + branches)

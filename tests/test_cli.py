@@ -153,22 +153,23 @@ def test_run_manifest_unknown_op():
         run_manifest({"operations": [{"op": "teleport"}]})
 
 
-def _run_module(*args):
-    """Run ``python -m frobtrace ARGS`` in a child process that imports the
+def _run_module(*args, module="frobtrace"):
+    """Run ``python -m MODULE ARGS`` in a child process that imports the
     same frobtrace package as this test, installed or not."""
     env = dict(os.environ)
     src = str(Path(frobtrace.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "frobtrace", *args],
+    return subprocess.run([sys.executable, "-m", module, *args],
                           capture_output=True, text=True, env=env)
 
 
 def test_console_script_smoke():
-    res = _run_module("ap", "--form", "f25", "--p", "3")
-    assert res.returncode == 0
-    assert json.loads(res.stdout)["ap"] == 7
-    assert "RuntimeWarning" not in res.stderr
+    for module in ("frobtrace", "frobtrace.cli"):
+        res = _run_module("ap", "--form", "f25", "--p", "3", module=module)
+        assert res.returncode == 0
+        assert json.loads(res.stdout)["ap"] == 7
+        assert "RuntimeWarning" not in res.stderr
     # main()'s return code reaches the shell: 5 is a bad prime, a refusal
     res = _run_module("trace", "--variety", "schoen_x", "--p", "5",
                       "--b2", "25")

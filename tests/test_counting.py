@@ -12,6 +12,7 @@ from frobtrace.counting import (count, count_double_cover, count_projective,
                                 check_preserves, quotient_weighted_correction,
                                 read_records, write_records)
 from frobtrace.errors import FrobtraceError, RefusalError, ValidationError
+from frobtrace.ffield import is_prime
 
 CAT = load_catalog()
 
@@ -21,6 +22,9 @@ SCHOEN_NT = {3: 36, 7: 401, 11: 1452, 13: 2421, 17: 5146, 19: 9840}
 HM_N = {3: 41, 7: 406, 11: 1401}
 CS_N = {3: 40, 7: 400, 11: 3076}
 QUOTIENT_W = {3: 40, 7: 409, 11: 2388}
+SCHOEN_Y_LARGE = {211: (10481550, 9433302), 419: (73729356, 75127140),
+                  421: (79011175, 74797807)}
+SMALL_PRIMES = [p for p in range(3, 24) if is_prime(p)]
 
 
 def test_schoen_counts():
@@ -30,10 +34,33 @@ def test_schoen_counts():
 
 
 def test_schoen_histogram_matches_dense():
-    # strip the id so the generic chart counter runs, then compare
-    sx = dataclasses.replace(CAT.variety("schoen_x"), id="schoen_x_dense")
-    for p in (3, 7, 11):
-        assert count_projective(sx, p).count == SCHOEN_N[p]
+    # strip the id so the generic chart counter runs, then compare; p = 5
+    # has lambda = 5 mu = 0 on every row of the histogram counter
+    sx = CAT.variety("schoen_x")
+    dense = dataclasses.replace(sx, id="schoen_x_dense")
+    for p in SMALL_PRIMES:
+        assert count_projective(dense, p).count == \
+            count_projective(sx, p).count, p
+
+
+def test_schoen_histogram_large_primes():
+    # F_p^* has three classes modulo cubes at 211 and 421 and one at 419,
+    # so the counter builds four rows of Phi there and two here
+    sy = CAT.variety("schoen_y")
+    iy = CAT.involution("iota_y")
+    for p, (n, nt) in SCHOEN_Y_LARGE.items():
+        assert count_projective(sy, p).count == n
+        assert count_twisted(sy, iy, p).count == nt
+
+
+def test_schoen_histogram_cell_budget():
+    # 2003 is the first prime over the budget; refused before any p^2
+    # table is allocated
+    assert 1999 ** 2 <= counting._MAX_HIST_CELLS < 2003 ** 2
+    with pytest.raises(ValidationError, match="cells"):
+        count_projective(CAT.variety("schoen_y"), 2003)
+    with pytest.raises(ValidationError, match="cells"):
+        count_twisted(CAT.variety("schoen_y"), CAT.involution("iota_y"), 2003)
 
 
 def test_twisted_counts():
@@ -47,8 +74,10 @@ def test_twisted_substitution_matches_engine():
     sy = dataclasses.replace(CAT.variety("schoen_y"), id="schoen_y_dense")
     iy = CAT.involution("iota_y")
     phi = InvolutionSpec("iota_y_dense", sy.id, iy.matrix)
-    for p in (3, 7, 11, 13):
-        assert count_twisted(sy, phi, p).count == SCHOEN_NT[p]
+    engine = CAT.variety("schoen_y")
+    for p in SMALL_PRIMES:
+        assert count_twisted(sy, phi, p).count == \
+            count_twisted(engine, iy, p).count, p
 
 
 def test_other_quintic_counts():

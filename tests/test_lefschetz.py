@@ -139,6 +139,26 @@ def test_elliptic_ap_guards():
             elliptic_ap(cusp, 7, degree)
 
 
+def _plane_cubic(vid, *terms):
+    eq = tuple(Monomial(1, e) for e in terms)
+    return VarietySpec(vid, Ambient("projective", n=2), (eq,), 1,
+                       frozenset({3}), "test")
+
+
+def test_elliptic_ap_nodal_cubics():
+    # a rational nodal cubic has normalization P^1, so a_p = 0 whether its
+    # node splits or not; in characteristic 2 every node has b^2 - 4ac = 1
+    # and splitting is decided by ac (x^2 + xy + y^2 has no root over F_2)
+    nonsplit = _plane_cubic("nodal_cubic", (2, 0, 1), (1, 1, 1), (0, 2, 1),
+                            (3, 0, 0))
+    split = _plane_cubic("split_cubic", (1, 1, 1), (3, 0, 0), (0, 3, 0))
+    for p in (2, 5, 7, 11, 13):
+        assert elliptic_ap(nonsplit, p) == 0, p
+    assert elliptic_ap(split, 2) == 0
+    with pytest.raises(ValidationError):
+        elliptic_ap(nonsplit, 2, degree=2)
+
+
 def test_trace_table_round_trip():
     rows = (TraceRow(3, 36, 1, -3, 7, 7, True),
             TraceRow(7, 401, 1, -7, 6, 6, True))
