@@ -5,7 +5,10 @@ newform coefficients.  Free parameters of the resolution bookkeeping (the
 splitting discriminant of the node quadrics and the number of Galois-gated
 divisor classes) are calibrated at a single prime and then frozen for all
 other rows, which is what makes the agreement at the remaining primes a
-check rather than a fit.
+check rather than a fit.  Each pipeline is a model (its counts, rational
+nodes, base b2 and target trace at a prime); one calibration and one
+freeze serve the rigid match, the quotient match and the Betti count,
+which takes its frozen values from the quotient calibration at p = 11.
 """
 from __future__ import annotations
 
@@ -13,6 +16,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, asdict
+from typing import Callable, NamedTuple
 
 from . import counting, lefschetz, livne, qexp
 from .catalog import load_catalog, singular_points
@@ -71,13 +75,143 @@ def _require_good(spec, p):
         raise RefusalError(f"{spec.id}: {p} is a bad prime")
 
 
-def _rigid_counts(cat, variety_id, primes):
+# ------------------------------------------------- calibrate, then freeze
+
+class _Counts(NamedTuple):
+    """What a pipeline knows at one good prime before calibration."""
+    count: int      # point count before the nodes are resolved
+    nodes: int      # F_p-rational nodes taking the resolution
+    b2: int         # H^2 classes that are Frobenius invariant at every prime
+
+
+class _Model(NamedTuple):
+    counts: Callable        # (cat, variety_id, p) -> _Counts
+    target: Callable        # (cat, nform, p) -> the candidate trace
+    companion: str | None
+    correction: dict        # the static part of calibrated["correction"]
+    resolved_n_p: bool      # rows report the resolved count as n_p
+
+
+def _freeze(model, frozen, p, c, target):
+    """The MatchRow at p under a frozen correction, which fixes the
+    splitting discriminant and the number of gated divisor classes (those
+    are Frobenius invariant exactly when p = 1 mod 5)."""
+    corr = lefschetz.node_correction(None, p, frozen["resolution"],
+                                     frozen["splitting_discriminant"],
+                                     n_rational=c.nodes)
+    b2 = c.b2 + (frozen["gated_classes"] if p % 5 == 1 else 0)
+    t3 = lefschetz.trace_h3(c.count, p, b2, corr)
+    n_p = c.count + corr if model.resolved_n_p else c.count
+    return MatchRow(p, n_p, corr, b2, t3, target, t3 == target)
+
+
+def _calibrate(model, p0, c, target):
+    """The report's `calibrated` dict: the first discriminant in
+    DISC_CANDIDATES, with its number of gated classes, whose freeze gives
+    the target trace at p0.  Each H^2 class adds p0 + p0^2 to t3."""
+    step = p0 + p0 * p0
+    rejected = []
+    for d in DISC_CANDIDATES:
+        if d % p0 == 0:
+            rejected.append(f"D={d}: p={p0} divides D")
+            continue
+        trial = {**model.correction, "splitting_discriminant": d,
+                 "gated_classes": 0}
+        row = _freeze(model, trial, p0, c, target)
+        gated, rem = divmod(target - row.t3, step)
+        if rem:
+            rejected.append(f"D={d}: b2 = {row.b2 * step + target - row.t3}"
+                            f"/{step} is not an integer")
+        elif gated < 0:
+            rejected.append(f"D={d}: b2 = {row.b2 + gated} is below the "
+                            f"base {row.b2}")
+        elif gated and p0 % 5 != 1:
+            rejected.append(f"D={d}: {gated} gated classes at p={p0}, "
+                            f"which is not 1 mod 5")
+        else:
+            trial["gated_classes"] = gated
+            return {"b2": row.b2 + gated, "correction": trial}
+    raise ValidationError(f"calibration at p={p0} admits no integer "
+                          f"solution: {'; '.join(rejected)}")
+
+
+def _match(model, variety_id, primes, calibration_prime, cat, nform):
+    """Calibrate at one prime, freeze, and compare every row's trace with
+    its target; the calibration row itself does not count as a check."""
+    p0 = calibration_prime
+    gated_rows = sorted({p for p in primes if p % 5 == 1})
+    if p0 % 5 != 1 and gated_rows:
+        raise RefusalError(
+            f"calibration at p={p0} cannot determine the gated divisor "
+            f"classes, which are Frobenius invariant only at p = 1 mod 5, "
+            f"so the rows at {gated_rows} cannot be checked; use a "
+            f"calibration prime = 1 mod 5, such as 11")
+    cat = cat or load_catalog()
+    primes = sorted(primes if p0 in primes else set(primes) | {p0})
+    if nform is None:
+        nform = qexp.f25(max(primes))
+    counts = {p: model.counts(cat, variety_id, p) for p in primes}
+    targets = {p: model.target(cat, nform, p) for p in primes}
+    calibrated = _calibrate(model, p0, counts[p0], targets[p0])
+    rows = tuple(_freeze(model, calibrated["correction"], p, counts[p],
+                         targets[p]) for p in primes)
+    ok = all(r.equal for r in rows if r.p != p0)
+    return MatchReport(variety_id, "f25", model.companion, p0, calibrated,
+                       rows, ok)
+
+
+# ---------------------------------------------------------- the pipelines
+
+def _rigid_counts(cat, variety_id, p):
     spec = cat.variety(variety_id)
-    out = {}
-    for p in primes:
-        _require_good(spec, p)
-        out[p] = counting.count_projective(spec, p)
-    return out
+    _require_good(spec, p)
+    return _Counts(counting.count_projective(spec, p).count,
+                   _schoen_rational_nodes(p), 1)
+
+
+def _quotient_counts(cat, variety_id, p):
+    """The Burnside orbit count, with the fixed line image and the fixed
+    curve replaced by the conic bundles that the blowup inserts over them.
+    The big resolution takes the 60 free node-pair images when the fifth
+    roots of unity are rational, plus two nodes over each rational curve
+    node when sqrt(-1) is rational."""
+    _require_good(cat.variety(variety_id), p)
+    if p % 5 == 4:
+        raise RefusalError(
+            "quotient assembly not validated for p = 4 mod 5 "
+            "(node pairs swapped by Frobenius)")
+    sy = cat.variety("schoen_y")
+    ep = cat.variety("e_plane")
+    n_plain = counting.count_projective(sy, p).count
+    n_twist = counting.count_twisted(sy, cat.involution("iota_y"), p).count
+    e_count = counting.count_projective(ep, p).count
+    e_nodes = len(singular_points(ep, p))
+    base = ((n_plain + n_twist) // 2 - (p + 1) - e_count
+            + (p + 1) * (p + 1) + (p + 1) * e_count)
+    big = ((60 if p % 5 == 1 else 0)
+           + (2 * e_nodes if kronecker(-1, p) == 1 else 0))
+    return _Counts(base, big, 3 + big)
+
+
+def _quotient_target(cat, nform, p):
+    ap_e = lefschetz.elliptic_ap(cat.variety("e_plane"), p)
+    return qexp.coefficient(nform, p) + qexp.tensor_ap(p, ap_e)
+
+
+_RIGID = _Model(
+    _rigid_counts, lambda cat, nform, p: qexp.coefficient(nform, p), None,
+    {"resolution": "small",
+     "per_rational_node": "kronecker(D, p) * p",
+     "rational_nodes": "125 if p = 1 mod 5 else 1"},
+    resolved_n_p=False)
+_QUOTIENT = _Model(
+    _quotient_counts, _quotient_target, "e_plane",
+    {"resolution": "big",
+     "per_rational_node": "p^2 + 2p if kronecker(D,p) = 1 else p^2",
+     "base_classes": 3},
+    resolved_n_p=True)
+_MODELS = {"schoen_x": _RIGID, "schoen_y": _RIGID,
+           "schoen_quotient": _QUOTIENT}
 
 
 def match_rigid(variety_id, primes, calibration_prime, cat=None, nform=None):
@@ -89,91 +223,7 @@ def match_rigid(variety_id, primes, calibration_prime, cat=None, nform=None):
     node.  b2 splits as 1 + (b2-1): the hyperplane class plus classes
     supported on the node web, rational exactly when p = 1 mod 5.
     """
-    cat = cat or load_catalog()
-    if calibration_prime not in primes:
-        primes = sorted(set(primes) | {calibration_prime})
-    if nform is None:
-        nform = qexp.f25(max(primes))
-    recs = _rigid_counts(cat, variety_id, primes)
-    p0 = calibration_prime
-    n0 = recs[p0].count
-    target0 = qexp.coefficient(nform, p0)
-    calibrated = None
-    for d in DISC_CANDIDATES:
-        if d % p0 == 0:
-            continue
-        corr = _schoen_rational_nodes(p0) * kronecker(d, p0) * p0
-        num = target0 + n0 + corr - 1 - p0 ** 3
-        if num % (p0 + p0 * p0) != 0:
-            continue
-        b2 = num // (p0 + p0 * p0)
-        if b2 < 1:
-            continue
-        gated = b2 - 1
-        if gated and p0 % 5 != 1:
-            continue
-        calibrated = {"b2": b2, "correction": {
-            "resolution": "small",
-            "splitting_discriminant": d,
-            "per_rational_node": "kronecker(D, p) * p",
-            "rational_nodes": "125 if p = 1 mod 5 else 1",
-            "gated_classes": gated,
-        }}
-        break
-    if calibrated is None:
-        raise ValidationError(
-            f"calibration at p={p0} admits no integer solution")
-    d = calibrated["correction"]["splitting_discriminant"]
-    gated = calibrated["correction"]["gated_classes"]
-    rows = []
-    ok = True
-    for p in sorted(primes):
-        corr = _schoen_rational_nodes(p) * kronecker(d, p) * p
-        b2 = 1 + (gated if p % 5 == 1 else 0)
-        t3 = lefschetz.trace_h3(recs[p].count, p, b2, corr)
-        cand = qexp.coefficient(nform, p)
-        eq = t3 == cand
-        rows.append(MatchRow(p, recs[p].count, corr, b2, t3, cand, eq))
-        if p != p0 and not eq:
-            ok = False
-    return MatchReport(variety_id, "f25", None, p0, calibrated, tuple(rows), ok)
-
-
-# ------------------------------------------------------- quotient pipeline
-
-def _quotient_inputs(cat, p):
-    """Counts and node data feeding the quotient assembly at a good prime."""
-    sy = cat.variety("schoen_y")
-    iy = cat.involution("iota_y")
-    ep = cat.variety("e_plane")
-    _require_good(cat.variety("schoen_quotient"), p)
-    if p % 5 == 4:
-        raise RefusalError(
-            "quotient assembly not validated for p = 4 mod 5 "
-            "(node pairs swapped by Frobenius)")
-    n_plain = counting.count_projective(sy, p)
-    n_twist = counting.count_twisted(sy, iy, p)
-    e_count = counting.count_projective(ep, p)
-    e_nodes = len(singular_points(ep, p))
-    return n_plain, n_twist, e_count, e_nodes
-
-
-def _quotient_base(p, n_plain, n_twist, e_count):
-    """Resolved count before the big node resolutions: the Burnside orbit
-    count with the fixed line image and the fixed curve replaced by the
-    conic bundles that the blowup inserts over them."""
-    coarse = (n_plain + n_twist) // 2
-    return (coarse - (p + 1) - e_count
-            + (p + 1) * (p + 1) + (p + 1) * e_count)
-
-
-def _quotient_big_nodes(p, e_nodes):
-    """Rational nodes taking a big resolution on the quotient: the 60 free
-    node-pair images when the fifth roots of unity are rational, plus two
-    nodes over each rational curve node when sqrt(-1) is rational."""
-    free = 60 if p % 5 == 1 else 0
-    over_e = 2 * e_nodes if kronecker(-1, p) == 1 else 0
-    return free + over_e
+    return _match(_RIGID, variety_id, primes, calibration_prime, cat, nform)
 
 
 def match_quotient(primes, calibration_prime, cat=None, nform=None):
@@ -182,62 +232,10 @@ def match_quotient(primes, calibration_prime, cat=None, nform=None):
     Same calibration contract as the rigid match: the splitting
     discriminant of the exceptional quadrics and the number of
     Galois-gated invariant classes are fixed at one prime; every other row
-    is then parameter free.
+    is then parameter free.  A row reports the resolved count as n_p.
     """
-    cat = cat or load_catalog()
-    if calibration_prime not in primes:
-        primes = sorted(set(primes) | {calibration_prime})
-    if nform is None:
-        nform = qexp.f25(max(primes))
-    ep = cat.variety("e_plane")
-    data = {p: _quotient_inputs(cat, p) for p in sorted(primes)}
-    eap = {p: lefschetz.elliptic_ap(ep, p) for p in primes}
-    p0 = calibration_prime
-    n1, n2, ec, en = data[p0]
-    base0 = _quotient_base(p0, n1.count, n2.count, ec.count)
-    big0 = _quotient_big_nodes(p0, en)
-    target0 = qexp.coefficient(nform, p0) + qexp.tensor_ap(p0, eap[p0])
-    calibrated = None
-    for d in DISC_CANDIDATES:
-        if d % p0 == 0:
-            continue
-        extra = big0 * (p0 * p0 + (2 * p0 if kronecker(d, p0) == 1 else 0))
-        num = target0 + base0 + extra - 1 - p0 ** 3
-        if num % (p0 + p0 * p0) != 0:
-            continue
-        g = num // (p0 + p0 * p0)
-        gated = g - 3 - big0
-        if gated < 0 or (gated and p0 % 5 != 1):
-            continue
-        calibrated = {"b2": g, "correction": {
-            "resolution": "big",
-            "splitting_discriminant": d,
-            "per_rational_node": "p^2 + 2p if kronecker(D,p) = 1 else p^2",
-            "base_classes": 3,
-            "gated_classes": gated,
-        }}
-        break
-    if calibrated is None:
-        raise ValidationError(
-            f"calibration at p={p0} admits no integer solution")
-    d = calibrated["correction"]["splitting_discriminant"]
-    gated = calibrated["correction"]["gated_classes"]
-    rows = []
-    ok = True
-    for p in sorted(primes):
-        n1, n2, ec, en = data[p]
-        base = _quotient_base(p, n1.count, n2.count, ec.count)
-        big = _quotient_big_nodes(p, en)
-        extra = big * (p * p + (2 * p if kronecker(d, p) == 1 else 0))
-        g = 3 + (gated if p % 5 == 1 else 0) + big
-        t3 = lefschetz.trace_h3(base + extra, p, g, 0)
-        cand = qexp.coefficient(nform, p) + qexp.tensor_ap(p, eap[p])
-        eq = t3 == cand
-        rows.append(MatchRow(p, base + extra, extra, g, t3, cand, eq))
-        if p != p0 and not eq:
-            ok = False
-    return MatchReport("schoen_quotient", "f25", "e_plane", p0, calibrated,
-                       tuple(rows), ok)
+    return _match(_QUOTIENT, "schoen_quotient", primes, calibration_prime,
+                  cat, nform)
 
 
 def report_to_table(rep):
@@ -252,39 +250,37 @@ def match_pipeline(variety_id, form, companion, primes, calibration_prime,
                    cat=None):
     if form != "f25":
         raise ValidationError(f"no matcher for form {form!r}")
-    if variety_id in ("schoen_x", "schoen_y"):
-        if companion:
-            raise ValidationError(f"{variety_id}: no companion factor expected")
-        return match_rigid(variety_id, primes, calibration_prime, cat=cat)
-    if variety_id == "schoen_quotient":
-        if companion not in (None, "e_plane"):
-            raise ValidationError(f"unsupported companion {companion!r}")
-        return match_quotient(primes, calibration_prime, cat=cat)
-    raise ValidationError(f"no match pipeline for {variety_id!r}")
+    model = _MODELS.get(variety_id)
+    if model is None:
+        raise ValidationError(f"no match pipeline for {variety_id!r}")
+    if companion not in (None, model.companion):
+        raise ValidationError(
+            f"{variety_id}: unsupported companion {companion!r}")
+    return _match(model, variety_id, primes, calibration_prime, cat, None)
 
 
-QUOTIENT_SPLITTING_DISC = 5   # calibrated value, see match_quotient
-QUOTIENT_FULL_B2 = 85         # 3 base + 12 gated + 70 node classes
+CALIBRATION_PRIME = 11        # calibration prime of the Betti count
+QUOTIENT_FULL_B2 = 85         # b2 of the resolved quotient: chi 168, b3 4
 
 
 def quotient_resolved_count(p, adjusted=False, cat=None):
-    """Point count of the big resolution of the quotient.
+    """Point count of the big resolution of the quotient, and its b2 at p.
 
-    With adjusted=True the count is shifted by (85 - g)(p + p^2), modelling
-    a prime where all 85 divisor classes are Frobenius invariant; the
-    unadjusted count is the honest one.
+    The splitting discriminant and the gated classes are frozen by the
+    calibration of match_quotient at CALIBRATION_PRIME.  With adjusted=True
+    the count is shifted by (85 - g)(p + p^2), modelling a prime where all
+    85 divisor classes are Frobenius invariant; the unadjusted count is the
+    honest one.
     """
     cat = cat or load_catalog()
-    n1, n2, ec, en = _quotient_inputs(cat, p)
-    base = _quotient_base(p, n1.count, n2.count, ec.count)
-    big = _quotient_big_nodes(p, en)
-    d = QUOTIENT_SPLITTING_DISC
-    extra = big * (p * p + (2 * p if kronecker(d, p) == 1 else 0))
-    g = 3 + (12 if p % 5 == 1 else 0) + big
-    count = base + extra
-    if adjusted:
-        count += (QUOTIENT_FULL_B2 - g) * (p + p * p)
-    return count, g
+    c = _quotient_counts(cat, "schoen_quotient", p)
+    p0 = CALIBRATION_PRIME
+    calibrated = _calibrate(_QUOTIENT, p0,
+                            _quotient_counts(cat, "schoen_quotient", p0),
+                            _quotient_target(cat, qexp.f25(p0), p0))
+    row = _freeze(_QUOTIENT, calibrated["correction"], p, c, None)
+    shift = (QUOTIENT_FULL_B2 - row.b2) * (p + p * p) if adjusted else 0
+    return row.n_p + shift, row.b2
 
 
 def betti_report(p, chi, adjusted=False, cat=None):

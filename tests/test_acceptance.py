@@ -1,5 +1,6 @@
 """End-to-end checks: each test pins one headline result of the package,
 with the runtime envelopes the implementation is expected to meet."""
+import hashlib
 import time
 from pathlib import Path
 
@@ -137,8 +138,20 @@ def test_double_cover_closed_form():
         assert count_double_cover(spec, p).count == 2 * p ** 3 + p * p + p + 1
 
 
-def test_shipped_manifests_reproduce():
-    for name in ("rigid_match.json", "quotient_match.json",
-                 "betti_421.json", "betti_211.json"):
-        doc, ok = run_manifest(str(MANIFESTS / name))
+# sha256 of each shipped manifest's manifest_result.json, as written at
+# commit b4de266; a change to any reported number or key changes the digest
+MANIFEST_DIGESTS = {
+    "rigid_match": "9ca007c5828240e671ea7ca24eb43e27297f9a6e7119beaa2593051da8c387ab",
+    "quotient_match": "dd76a7385e3d7598c0ade39a67f3d840bd0ddafdab0041c04d07e51a08b70424",
+    "betti_421": "37fb073039df04fc92d2b94ef2bbc62f5df4ea93dc6d92261a6a7b6d10ec1fc8",
+    "betti_211": "670a7c64952aa2f640660a6837c3419375eabedd442587f81f8722494de6baba",
+}
+
+
+def test_shipped_manifests_reproduce(tmp_path):
+    for name, digest in MANIFEST_DIGESTS.items():
+        doc, ok = run_manifest(str(MANIFESTS / f"{name}.json"),
+                               str(tmp_path / name))
         assert ok, f"{name}: {doc['id']}"
+        written = (tmp_path / name / "manifest_result.json").read_bytes()
+        assert hashlib.sha256(written).hexdigest() == digest, name

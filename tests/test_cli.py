@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import frobtrace
-from frobtrace.cli import (betti_report, main, quotient_resolved_count,
-                           run_manifest)
+from frobtrace import cli, qexp
+from frobtrace.cli import (DISC_CANDIDATES, betti_report, main, match_quotient,
+                           match_rigid, quotient_resolved_count, run_manifest)
 from frobtrace.errors import RefusalError, ValidationError
 from frobtrace.lefschetz import read_trace_table
 
@@ -27,6 +28,50 @@ def test_quotient_refusals():
         quotient_resolved_count(5)
     with pytest.raises(RefusalError):
         quotient_resolved_count(19)     # 4 mod 5: node pairs not rational
+
+
+def test_betti_count_uses_the_match_freeze():
+    for p in (3, 7, 11, 13, 31):
+        row = next(r for r in match_quotient([p], 11).rows if r.p == p)
+        assert quotient_resolved_count(p) == (row.n_p, row.b2)
+    for p0 in (11, 31, 41):
+        for rep, gated in ((match_rigid("schoen_x", [p0], p0), 24),
+                           (match_quotient([p0], p0), 12)):
+            frozen = rep.calibrated["correction"]
+            assert frozen["splitting_discriminant"] == 5, (p0, rep.variety_id)
+            assert frozen["gated_classes"] == gated, (p0, rep.variety_id)
+
+
+def test_calibration_refuses_when_gated_classes_are_invisible(capsys):
+    # gated classes are Frobenius invariant only at p = 1 mod 5, so a
+    # calibration elsewhere cannot fix them for the rows that need them
+    for variety in ("schoen_x", "schoen_quotient"):
+        assert main(["match", "--variety", variety, "--primes", "3,7,11",
+                     "--calibration-prime", "3"]) == 2
+        assert "such as 11" in capsys.readouterr().err
+        assert main(["match", "--variety", variety, "--primes", "3,7,13",
+                     "--calibration-prime", "3"]) == 0
+        capsys.readouterr()
+
+
+def test_failed_calibration_says_why():
+    with pytest.raises(ValidationError) as err:
+        match_rigid("schoen_x", [3, 7, 11], 11, nform=qexp.eta(1, 40))
+    msg = str(err.value)
+    assert all(f"D={d}: " in msg for d in DISC_CANDIDATES), msg
+    assert msg.count("is not an integer") == 5
+    # the other three reasons, at p0 = 5 with a count of 156 and one node:
+    # D = -1 gives t3 = -5 before any gated class, D = 2 and -2 give 5
+    counts = cli._Counts(156, 1, 1)
+    with pytest.raises(ValidationError) as err:
+        cli._calibrate(cli._RIGID, 5, counts, 25)
+    msg = str(err.value)
+    assert "D=5: p=5 divides D" in msg and "D=-5: p=5 divides D" in msg
+    assert "D=-1: 1 gated classes at p=5, which is not 1 mod 5" in msg
+    assert "D=2: b2 = 50/30 is not an integer" in msg
+    with pytest.raises(ValidationError, match="D=-1: b2 = 0 is below the "
+                                              "base 1"):
+        cli._calibrate(cli._RIGID, 5, counts, -35)
 
 
 def test_betti_report_shrinks_with_p():
