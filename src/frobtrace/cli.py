@@ -8,7 +8,7 @@ other rows, which is what makes the agreement at the remaining primes a
 check rather than a fit.  Each pipeline is a model (its counts, rational
 nodes, base b2 and target trace at a prime); one calibration and one
 freeze serve the rigid match, the quotient match and the Betti count,
-which takes its frozen values from the quotient calibration at p = 11.
+whose frozen values are those the quotient calibration gives at p = 11.
 """
 from __future__ import annotations
 
@@ -88,36 +88,38 @@ class _Model(NamedTuple):
     counts: Callable        # (cat, variety_id, p) -> _Counts
     target: Callable        # (cat, nform, p) -> the candidate trace
     companion: str | None
-    correction: dict        # the static part of calibrated["correction"]
+    resolution: str         # "small" or "big", as node_correction takes it
+    described: dict         # the per-node terms of calibrated["correction"]
     resolved_n_p: bool      # rows report the resolved count as n_p
 
 
+class _Frozen(NamedTuple):
+    """The free parameters that calibration fixes for every other row."""
+    disc: int       # splitting discriminant D of the node quadrics
+    gated: int      # divisor classes Frobenius invariant only at p = 1 mod 5
+
+
 def _freeze(model, frozen, p, c, target):
-    """The MatchRow at p under a frozen correction, which fixes the
-    splitting discriminant and the number of gated divisor classes (those
-    are Frobenius invariant exactly when p = 1 mod 5)."""
-    corr = lefschetz.node_correction(None, p, frozen["resolution"],
-                                     frozen["splitting_discriminant"],
+    """The MatchRow at p under the frozen parameters."""
+    corr = lefschetz.node_correction(None, p, model.resolution, frozen.disc,
                                      n_rational=c.nodes)
-    b2 = c.b2 + (frozen["gated_classes"] if p % 5 == 1 else 0)
+    b2 = c.b2 + (frozen.gated if p % 5 == 1 else 0)
     t3 = lefschetz.trace_h3(c.count, p, b2, corr)
     n_p = c.count + corr if model.resolved_n_p else c.count
     return MatchRow(p, n_p, corr, b2, t3, target, t3 == target)
 
 
 def _calibrate(model, p0, c, target):
-    """The report's `calibrated` dict: the first discriminant in
-    DISC_CANDIDATES, with its number of gated classes, whose freeze gives
-    the target trace at p0.  Each H^2 class adds p0 + p0^2 to t3."""
+    """The first discriminant in DISC_CANDIDATES, with its number of gated
+    classes, whose freeze gives the target trace at p0.  Each H^2 class
+    adds p0 + p0^2 to t3."""
     step = p0 + p0 * p0
     rejected = []
     for d in DISC_CANDIDATES:
         if d % p0 == 0:
             rejected.append(f"D={d}: p={p0} divides D")
             continue
-        trial = {**model.correction, "splitting_discriminant": d,
-                 "gated_classes": 0}
-        row = _freeze(model, trial, p0, c, target)
+        row = _freeze(model, _Frozen(d, 0), p0, c, target)
         gated, rem = divmod(target - row.t3, step)
         if rem:
             rejected.append(f"D={d}: b2 = {row.b2 * step + target - row.t3}"
@@ -129,8 +131,7 @@ def _calibrate(model, p0, c, target):
             rejected.append(f"D={d}: {gated} gated classes at p={p0}, "
                             f"which is not 1 mod 5")
         else:
-            trial["gated_classes"] = gated
-            return {"b2": row.b2 + gated, "correction": trial}
+            return _Frozen(d, gated)
     raise ValidationError(f"calibration at p={p0} admits no integer "
                           f"solution: {'; '.join(rejected)}")
 
@@ -147,14 +148,19 @@ def _match(model, variety_id, primes, calibration_prime, cat, nform):
             f"so the rows at {gated_rows} cannot be checked; use a "
             f"calibration prime = 1 mod 5, such as 11")
     cat = cat or load_catalog()
-    primes = sorted(primes if p0 in primes else set(primes) | {p0})
+    primes = sorted(set(primes) | {p0})
     if nform is None:
         nform = qexp.f25(max(primes))
     counts = {p: model.counts(cat, variety_id, p) for p in primes}
     targets = {p: model.target(cat, nform, p) for p in primes}
-    calibrated = _calibrate(model, p0, counts[p0], targets[p0])
-    rows = tuple(_freeze(model, calibrated["correction"], p, counts[p],
-                         targets[p]) for p in primes)
+    frozen = _calibrate(model, p0, counts[p0], targets[p0])
+    calibrated = {"b2": counts[p0].b2 + frozen.gated, "correction": {
+        "resolution": model.resolution,
+        "splitting_discriminant": frozen.disc,
+        **model.described,
+        "gated_classes": frozen.gated}}
+    rows = tuple(_freeze(model, frozen, p, counts[p], targets[p])
+                 for p in primes)
     ok = all(r.equal for r in rows if r.p != p0)
     return MatchReport(variety_id, "f25", model.companion, p0, calibrated,
                        rows, ok)
@@ -200,15 +206,13 @@ def _quotient_target(cat, nform, p):
 
 _RIGID = _Model(
     _rigid_counts, lambda cat, nform, p: qexp.coefficient(nform, p), None,
-    {"resolution": "small",
-     "per_rational_node": "kronecker(D, p) * p",
-     "rational_nodes": "125 if p = 1 mod 5 else 1"},
+    "small", {"per_rational_node": "kronecker(D, p) * p",
+              "rational_nodes": "125 if p = 1 mod 5 else 1"},
     resolved_n_p=False)
 _QUOTIENT = _Model(
     _quotient_counts, _quotient_target, "e_plane",
-    {"resolution": "big",
-     "per_rational_node": "p^2 + 2p if kronecker(D,p) = 1 else p^2",
-     "base_classes": 3},
+    "big", {"per_rational_node": "p^2 + 2p if kronecker(D,p) = 1 else p^2",
+            "base_classes": 3},
     resolved_n_p=True)
 _MODELS = {"schoen_x": _RIGID, "schoen_y": _RIGID,
            "schoen_quotient": _QUOTIENT}
@@ -253,32 +257,31 @@ def match_pipeline(variety_id, form, companion, primes, calibration_prime,
     model = _MODELS.get(variety_id)
     if model is None:
         raise ValidationError(f"no match pipeline for {variety_id!r}")
-    if companion not in (None, model.companion):
-        raise ValidationError(
-            f"{variety_id}: unsupported companion {companion!r}")
+    if model.companion is None and companion:
+        raise ValidationError(f"{variety_id}: no companion factor expected")
+    if model.companion is not None and companion not in (None, model.companion):
+        raise ValidationError(f"unsupported companion {companion!r}")
     return _match(model, variety_id, primes, calibration_prime, cat, None)
 
 
-CALIBRATION_PRIME = 11        # calibration prime of the Betti count
+# What match_quotient calibrates at p = 11, as the Betti count uses it; the
+# Tier-1 tests check the two agree.  Taken as data, so that the Betti count
+# makes point counts at its own prime only.
+QUOTIENT_FROZEN = _Frozen(disc=5, gated=12)
 QUOTIENT_FULL_B2 = 85         # b2 of the resolved quotient: chi 168, b3 4
 
 
 def quotient_resolved_count(p, adjusted=False, cat=None):
-    """Point count of the big resolution of the quotient, and its b2 at p.
+    """Point count of the big resolution of the quotient, and its b2 at p,
+    under the freeze of match_quotient at p = 11 (QUOTIENT_FROZEN).
 
-    The splitting discriminant and the gated classes are frozen by the
-    calibration of match_quotient at CALIBRATION_PRIME.  With adjusted=True
-    the count is shifted by (85 - g)(p + p^2), modelling a prime where all
-    85 divisor classes are Frobenius invariant; the unadjusted count is the
-    honest one.
+    With adjusted=True the count is shifted by (85 - g)(p + p^2), modelling
+    a prime where all 85 divisor classes are Frobenius invariant; the
+    unadjusted count is the honest one.
     """
     cat = cat or load_catalog()
     c = _quotient_counts(cat, "schoen_quotient", p)
-    p0 = CALIBRATION_PRIME
-    calibrated = _calibrate(_QUOTIENT, p0,
-                            _quotient_counts(cat, "schoen_quotient", p0),
-                            _quotient_target(cat, qexp.f25(p0), p0))
-    row = _freeze(_QUOTIENT, calibrated["correction"], p, c, None)
+    row = _freeze(_QUOTIENT, QUOTIENT_FROZEN, p, c, None)
     shift = (QUOTIENT_FULL_B2 - row.b2) * (p + p * p) if adjusted else 0
     return row.n_p + shift, row.b2
 

@@ -9,8 +9,9 @@ import pytest
 
 import frobtrace
 from frobtrace import cli, qexp
-from frobtrace.cli import (DISC_CANDIDATES, betti_report, main, match_quotient,
-                           match_rigid, quotient_resolved_count, run_manifest)
+from frobtrace.cli import (DISC_CANDIDATES, betti_report, main, match_pipeline,
+                           match_quotient, match_rigid,
+                           quotient_resolved_count, run_manifest)
 from frobtrace.errors import RefusalError, ValidationError
 from frobtrace.lefschetz import read_trace_table
 
@@ -31,6 +32,10 @@ def test_quotient_refusals():
 
 
 def test_betti_count_uses_the_match_freeze():
+    # the Betti count's frozen values are the quotient calibration at 11
+    frozen = match_quotient([11], 11).calibrated["correction"]
+    assert cli.QUOTIENT_FROZEN == (frozen["splitting_discriminant"],
+                                   frozen["gated_classes"])
     for p in (3, 7, 11, 13, 31):
         row = next(r for r in match_quotient([p], 11).rows if r.p == p)
         assert quotient_resolved_count(p) == (row.n_p, row.b2)
@@ -153,6 +158,18 @@ def test_match_command_csv(tmp_path, capsys):
     assert all(r.match for r in table.rows)
     doc = json.loads(out_path.read_text())
     assert doc["overall"] and doc["calibrated"]["b2"] == 25
+
+
+def test_match_pipeline_rows_and_companions():
+    # a repeated prime gives one row, whether or not p0 is in the list
+    for primes in ([3, 3, 11], [3, 3, 7]):
+        rep = match_pipeline("schoen_x", "f25", None, primes, 11)
+        assert [r.p for r in rep.rows] == sorted(set(primes) | {11})
+    assert match_pipeline("schoen_x", "f25", "", [3], 11).overall
+    with pytest.raises(ValidationError, match="no companion factor expected"):
+        match_pipeline("schoen_x", "f25", "e_plane", [3], 11)
+    with pytest.raises(ValidationError, match="unsupported companion ''"):
+        match_pipeline("schoen_quotient", "f25", "", [3], 11)
 
 
 def test_livne_traces_flag_validation(capsys):
