@@ -13,6 +13,7 @@ whose frozen values are those the quotient calibration gives at p = 11.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from dataclasses import dataclass, asdict
@@ -21,7 +22,7 @@ from typing import Callable, NamedTuple
 from . import counting, lefschetz, livne, qexp
 from .catalog import load_catalog, singular_points
 from .errors import FrobtraceError, RefusalError, ValidationError
-from .ffield import kronecker
+from .ffield import is_prime, kronecker
 
 # Candidate splitting discriminants, tried in this order during
 # calibration.  The list covers the square classes supported on the bad
@@ -181,11 +182,18 @@ def _quotient_counts(cat, variety_id, p):
     The big resolution takes the 60 free node-pair images when the fifth
     roots of unity are rational, plus two nodes over each rational curve
     node when sqrt(-1) is rational."""
-    _require_good(cat.variety(variety_id), p)
+    spec = cat.variety(variety_id)
+    _require_good(spec, p)
     if p % 5 == 4:
+        def accepted(q):
+            return is_prime(q) and q % 5 != 4 and q not in spec.bad_primes
+        below = next((q for q in range(p - 1, 1, -1) if accepted(q)), None)
+        above = next(q for q in itertools.count(p + 1) if accepted(q))
+        near = ", ".join(str(q) for q in (below, above) if q)
         raise RefusalError(
-            "quotient assembly not validated for p = 4 mod 5 "
-            "(node pairs swapped by Frobenius)")
+            f"quotient assembly not validated for p = 4 mod 5 (node pairs "
+            f"swapped by Frobenius): p = {p} refused; nearest accepted good "
+            f"primes: {near}")
     sy = cat.variety("schoen_y")
     ep = cat.variety("e_plane")
     n_plain = counting.count_projective(sy, p).count
@@ -501,6 +509,8 @@ def _cmd_ap(args):
     if args.form:
         if args.form != "f25":
             raise ValidationError(f"unknown form {args.form!r}")
+        if not is_prime(args.p):
+            raise ValidationError(f"{args.p} is not prime")
         s = qexp.f25(args.p + 1)
         print(json.dumps({"form": "f25", "p": args.p,
                           "ap": qexp.coefficient(s, args.p)}))

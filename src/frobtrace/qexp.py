@@ -5,10 +5,19 @@ coefficients at unit q-steps from there, which is exactly the grid eta
 quotients live on.  All arithmetic is integer arithmetic; precision is
 tracked so that asking past the truncation errors instead of returning a
 silent zero.
+
+Eta products are built sparse: by Euler's pentagonal theorem eta(mz) has
+O(sqrt(n/m)) nonzero terms below q^n, so `eta_product` multiplies each
+factor into a dense int64 array with one shifted add per term.  Every
+product is checked against the int64 range first and falls back to Python
+ints when it could leave it.  `qs_mul` and `qs_pow` are the dense
+reference products the tests compare against.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -27,6 +36,20 @@ def qs_one(n):
     return QSeries(0, (1,) + (0,) * (n - 1))
 
 
+def _pentagonal(m, n):
+    """The nonzero terms (e, sign) of prod_{k>=1} (1 - q^{mk}) below q^n:
+    e = m j(3j-1)/2 over j in Z, sign (-1)^j (Euler's pentagonal theorem)."""
+    terms = [(0, 1)]
+    j = 1
+    while m * (j * (3 * j - 1) // 2) < n:
+        sign = -1 if j % 2 else 1
+        for e in (m * (j * (3 * j - 1) // 2), m * (j * (3 * j + 1) // 2)):
+            if e < n:
+                terms.append((e, sign))
+        j += 1
+    return terms
+
+
 def eta(m, n):
     """q^{m/24} prod_{k>=1} (1 - q^{mk}), truncated to n coefficients.
 
@@ -36,17 +59,8 @@ def eta(m, n):
     if m < 1 or n < 1:
         raise ValidationError("eta needs m >= 1, n >= 1")
     coeffs = [0] * n
-    j = 0
-    while True:
-        placed = False
-        for jj in ((j, -j) if j else (0,)):
-            e = m * (jj * (3 * jj - 1) // 2)
-            if e < n:
-                coeffs[e] += 1 if jj % 2 == 0 else -1
-                placed = True
-        if not placed and j:
-            break
-        j += 1
+    for e, sign in _pentagonal(m, n):
+        coeffs[e] = sign
     return QSeries(m, tuple(coeffs))
 
 
@@ -93,6 +107,77 @@ def qs_pow(a, k):
     return r
 
 
+# Largest |value| a product may reach and stay on the int64 path.
+_INT64_LIMIT = 2**63 - 1
+
+
+def _times_eta(d, m):
+    """The dense array d times the series part of eta(mz), as a new array:
+    one shifted add of the old d per pentagonal term.  Every partial sum
+    of an output value adds at most len(terms) values of d, so the product
+    stays in int64 while len(terms) * max|d| <= _INT64_LIMIT; past that it
+    is done in Python ints (an object array), which then carry on."""
+    n = len(d)
+    terms = _pentagonal(m, n)
+    if d.dtype != object and len(terms) * int(np.abs(d).max()) > _INT64_LIMIT:
+        d = d.astype(object)
+    out = np.zeros_like(d)
+    for e, sign in terms:
+        if sign > 0:
+            out[e:] += d[:n - e]
+        else:
+            out[e:] -= d[:n - e]
+    return out
+
+
+def eta_combination(terms, n):
+    """sum c prod_m eta(mz)^k over the pairs (c, {m: k}) of terms, each
+    product truncated to n coefficients, summed with qs_add.
+
+    A product is built one eta factor at a time, in the order its map
+    lists them.  The longest partial product each later term starts with
+    is kept, so products that begin alike share that work.  The sum is in
+    Python ints and the coefficients are Python ints, whichever path a
+    product took.
+    """
+    if n < 1:
+        raise ValidationError("need at least one coefficient")
+    if not terms:
+        raise ValidationError("need at least one eta product")
+    for _, exponents in terms:
+        for m, k in exponents.items():
+            if m < 1 or k < 0:
+                raise ValidationError(
+                    f"eta products need m >= 1 and k >= 0, got eta({m}z)^{k}")
+    paths = [tuple(m for m, k in exponents.items() for _ in range(k))
+             for _, exponents in terms]
+    unit = np.zeros(n, dtype=np.int64)
+    unit[0] = 1
+    partial = {(): unit}
+
+    def longest(path):
+        return max((key for key in partial if path[:len(key)] == key), key=len)
+
+    total = None
+    for j, ((c, _), path) in enumerate(zip(terms, paths)):
+        key = longest(path)
+        d = partial[key]
+        for m in path[len(key):]:
+            key += (m,)
+            d = partial[key] = _times_eta(d, m)
+        keep = {longest(later) for later in paths[j + 1:]}
+        partial = {key: partial[key] for key in keep}
+        t = qs_scale(QSeries(sum(path), tuple(d.tolist())), c)
+        total = t if total is None else qs_add(total, t)
+    return total
+
+
+def eta_product(exponents, n):
+    """prod_m eta(mz)^k over exponents = {m: k}, truncated to n
+    coefficients: the qs_pow/qs_mul chain of eta factors, built sparse."""
+    return eta_combination([(1, exponents)], n)
+
+
 def coefficient(s, n):
     """Coefficient of q^n (integer n).  Exponents below the lead or off the
     grid are exact zeros; exponents past the truncation raise."""
@@ -109,22 +194,22 @@ def coefficient(s, n):
     return s.coeffs[idx]
 
 
+# f25 = sum_i c_i eta(z)^{4-i} eta(5z)^4 eta(25z)^i.  Each map lists
+# eta(5z)^4 first, so the five products share it and the eta(z)^k chain.
+F25_TERMS = tuple((c, {5: 4, 1: 4 - i, 25: i})
+                  for i, c in enumerate((1, 5, 20, 25, 25)))
+
+
 def f25(n):
-    """Weight-4 level-25 newform as a five-term eta combination:
-    sum_i c_i eta(z)^{4-i} eta(5z)^4 eta(25z)^i, c = (1, 5, 20, 25, 25),
-    with n coefficients available (a_1 .. a_n)."""
-    if n < 1:
-        raise ValidationError("need at least one coefficient")
-    terms = None
-    budget = n
-    e1 = eta(1, budget)
-    e5 = eta(5, budget)
-    e25 = eta(25, budget)
-    for i, c in enumerate((1, 5, 20, 25, 25)):
-        t = qs_mul(qs_pow(e1, 4 - i), qs_mul(qs_pow(e5, 4), qs_pow(e25, i)))
-        t = qs_scale(t, c)
-        terms = t if terms is None else qs_add(terms, t)
-    return terms
+    """Weight-4 level-25 newform as the eta combination F25_TERMS, with n
+    coefficients available (a_1 .. a_n).  Term i leads at q^{1+i}, so
+    qs_add places it at offset i.
+
+    Up to 10^5 coefficients every partial product stays on the int64
+    path: the largest value of any of them is 123499668 (< 2^27), and the
+    largest |a_n| is 141178800.
+    """
+    return eta_combination(F25_TERMS, n)
 
 
 def hasse_check(s, weight, primes):

@@ -31,6 +31,22 @@ def test_quotient_refusals():
         quotient_resolved_count(19)     # 4 mod 5: node pairs not rational
 
 
+def test_quotient_refusal_names_nearest_accepted_primes(capsys):
+    for p, below, above in ((19, 17, 23), (29, 23, 31), (89, 83, 97)):
+        with pytest.raises(RefusalError,
+                           match=rf"p = {p} refused; nearest accepted good "
+                                 rf"primes: {below}, {above}$"):
+            quotient_resolved_count(p)
+    assert main(["match", "--variety", "schoen_quotient", "--primes", "3,19",
+                 "--calibration-prime", "11"]) == 2
+    assert "p = 19 refused; nearest accepted good primes: 17, 23" in \
+        capsys.readouterr().err
+    # a row below every good prime names the one above
+    assert main(["match", "--variety", "schoen_quotient", "--primes", "-1",
+                 "--calibration-prime", "11"]) == 2
+    assert capsys.readouterr().err.rstrip().endswith("primes: 3")
+
+
 def test_betti_count_uses_the_match_freeze():
     # the Betti count's frozen values are the quotient calibration at 11
     frozen = match_quotient([11], 11).calibrated["correction"]
@@ -104,6 +120,8 @@ def test_exit_codes(capsys):
     assert main(["count", "--variety", "schoen_quotient", "--p", "3",
                  "--degree", "2"]) == 1
     assert main(["trace", "--variety", "schoen_x", "--p", "5", "--b2", "1"]) == 2
+    for p in ("0", "1", "4"):
+        assert main(["ap", "--form", "f25", "--p", p]) == 1, p
     assert main(["livne", "--bad-primes", "2,5",
                  "--check-set", "3,7,11"]) == 3
     assert main(["livne", "--bad-primes", "2,5",
@@ -121,6 +139,8 @@ def test_count_command(capsys):
 def test_ap_command(capsys):
     assert main(["ap", "--form", "f25", "--p", "11"]) == 0
     assert json.loads(capsys.readouterr().out)["ap"] == -43
+    assert main(["ap", "--form", "f25", "--p", "101"]) == 0
+    assert json.loads(capsys.readouterr().out)["ap"] == 1302
     assert main(["ap", "--p", "13"]) == 0
     assert json.loads(capsys.readouterr().out)["ap"] == 4
 

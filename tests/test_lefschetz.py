@@ -1,6 +1,7 @@
 import io
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frobtrace.catalog import Ambient, Monomial, VarietySpec, load_catalog
 from frobtrace.errors import RefusalError, ValidationError
@@ -65,6 +66,33 @@ def test_solve_betti_monotone_window():
         assert 168 == 2 + 2 * b2 - b3
         t3 = trace_h3(89735308, 421, b2, 0)
         assert t3 * t3 <= b3 * b3 * 421 ** 3
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.sampled_from((2, 3, 5, 7, 11, 13, 31, 47)), st.integers(-200, 400),
+       st.data())
+def test_solve_betti_candidates_are_exactly_the_admissible_pairs(p, chi, data):
+    n_p = data.draw(st.integers(0, 3 * p ** 4))
+    cands = solve_betti(n_p, p, chi)
+
+    def admissible(b2):
+        b3 = 2 + 2 * b2 - chi
+        t3 = 1 + (p + p * p) * b2 + p ** 3 - n_p
+        return b3 >= 0 and t3 * t3 <= b3 * b3 * p ** 3, t3
+
+    for c in cands:
+        assert chi == 2 + 2 * c["b2"] - c["b3"]
+        assert admissible(c["b2"])[0], c
+    # scan past the point where the trace leaves the window from above
+    found, b2, past = [], 1, 0
+    while past < 20:
+        ok, t3 = admissible(b2)
+        if ok:
+            found.append(b2)
+        elif t3 > 0 and 2 + 2 * b2 - chi >= 0:
+            past += 1
+        b2 += 1
+    assert [c["b2"] for c in cands] == found
 
 
 def test_euler_ledger():

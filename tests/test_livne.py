@@ -1,4 +1,7 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frobtrace.errors import ValidationError
 from frobtrace.livne import (STATUS_COVER, STATUS_EVEN, STATUS_OK,
@@ -97,3 +100,25 @@ def test_livne_missing_trace():
     tr = {p: 0 for p in T25}
     with pytest.raises(ValidationError):
         livne_compare(tr, {3: 0}, S25, T25)
+
+
+_SMALL_PRIMES = (3, 5, 7, 11, 13)
+_T_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
+             61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.sets(st.sampled_from(_SMALL_PRIMES), max_size=3), st.data())
+def test_check_cover_matches_brute_force(odd_s, data):
+    s = {2} | odd_s
+    t_set = data.draw(st.sets(st.sampled_from(
+        [p for p in _T_PRIMES if p not in s]), max_size=8))
+    # signatures by Euler's criterion over -1, 2 and the odd primes of S
+    entries = [-1, 2] + sorted(odd_s)
+    hit = {tuple(1 if pow(d % p, (p - 1) // 2, p) == 1 else -1
+                 for d in entries) for p in t_set}
+    classes = set(itertools.product((1, -1), repeat=len(entries)))
+    missing = tuple(sorted(classes - {(1,) * len(entries)} - hit))
+    rep = check_cover(s, t_set)
+    assert rep.missing == missing
+    assert rep.complete == (not missing)

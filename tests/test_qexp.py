@@ -1,7 +1,13 @@
-import pytest
+import hashlib
 
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from frobtrace import qexp
 from frobtrace.errors import ValidationError
-from frobtrace.qexp import (QSeries, coefficient, eta, f25, hasse_check,
+from frobtrace.qexp import (F25_TERMS, QSeries, coefficient, eta,
+                            eta_combination, eta_product, f25, hasse_check,
                             hecke_check, qs_add, qs_mul, qs_one, qs_pow,
                             qs_scale, tensor_ap)
 
@@ -9,6 +15,31 @@ F25_COEFFS = {1: 1, 2: 1, 3: 7, 4: -7, 5: 0, 6: 7, 7: 6, 8: -15, 9: 22,
               10: 0, 11: -43, 12: -49, 13: -28, 17: 91, 19: -35, 23: 162,
               29: 160, 31: 42, 37: -314, 41: -203, 43: 92, 47: 196,
               101: 1302, 211: 4307, 421: -3788}
+# sha256 of the comma-joined 10^4 coefficients of f25, as the dense
+# qs_pow/qs_mul chain computed them
+F25_SHA256_1E4 = ("d8475afa6c6c5ced6496234d2e8aae5c"
+                  "ad812e896aa521d1b22ceb9cbf7b5773")
+
+
+@pytest.fixture(scope="module")
+def f25_big():
+    return f25(10**5)
+
+
+def _primes_upto(n):
+    sieve = np.ones(n + 1, dtype=bool)
+    sieve[:2] = False
+    for q in range(2, int(n ** 0.5) + 1):
+        if sieve[q]:
+            sieve[q * q::q] = False
+    return [int(q) for q in np.flatnonzero(sieve)]
+
+
+def _dense_eta_product(exponents, n):
+    r = qs_one(n)
+    for m, k in exponents.items():
+        r = qs_mul(r, qs_pow(eta(m, n), k))
+    return r
 
 
 def test_eta_pentagonal_support():
@@ -70,18 +101,72 @@ def test_f25_coefficients():
         assert coefficient(s, n) == want, n
 
 
-def test_f25_hecke_and_multiplicativity():
-    s = f25(180)
-    for p in (2, 3, 7, 11, 13):
-        assert hecke_check(s, 4, p), p
-    assert coefficient(s, 6) == coefficient(s, 2) * coefficient(s, 3)
-    assert coefficient(s, 10) == coefficient(s, 2) * coefficient(s, 5)
+def test_f25_hecke_and_multiplicativity(f25_big):
+    hecke = [p for p in _primes_upto(316) if p != 5]     # p^2 <= 10^5
+    for p in hecke:
+        assert hecke_check(f25_big, 4, p), p
+    assert coefficient(f25_big, 6) == coefficient(f25_big, 2) * coefficient(f25_big, 3)
+    assert coefficient(f25_big, 10) == coefficient(f25_big, 2) * coefficient(f25_big, 5)
 
 
-def test_f25_hasse():
-    s = f25(50)
-    res = hasse_check(s, 4, [2, 3, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47])
-    assert all(res.values())
+def test_f25_hasse(f25_big):
+    primes = [p for p in _primes_upto(10**5) if p != 5]
+    res = hasse_check(f25_big, 4, primes)
+    assert len(res) == 9591 and all(res.values())
+
+
+def test_f25_matches_dense_expansion(f25_big):
+    s = f25(10**4)
+    digest = hashlib.sha256(",".join(map(str, s.coeffs)).encode()).hexdigest()
+    assert digest == F25_SHA256_1E4
+    assert f25_big.coeffs[:10**4] == s.coeffs
+    assert all(type(c) is int for c in f25_big.coeffs)
+    assert max(map(abs, f25_big.coeffs)) == 141178800
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.dictionaries(st.sampled_from((1, 2, 3, 5, 7, 11, 25)),
+                       st.integers(0, 4), max_size=3),
+       st.integers(1, 300))
+def test_eta_product_matches_dense_chain(exponents, n):
+    s = eta_product(exponents, n)
+    assert s == _dense_eta_product(exponents, n)
+    assert all(type(c) is int for c in s.coeffs)
+
+
+def test_eta_product_guards():
+    assert eta_product({}, 4) == qs_one(4)
+    for bad in ({0: 1}, {1: -1}):
+        with pytest.raises(ValidationError):
+            eta_product(bad, 4)
+    with pytest.raises(ValidationError):
+        eta_product({1: 1}, 0)
+    with pytest.raises(ValidationError):
+        eta_combination([], 4)
+
+
+def test_int64_bound_falls_back_to_python_ints(monkeypatch):
+    # 2^62 - (2^62 + 1) * q times (1 - q): the q coefficient is -2^63 - 1,
+    # which int64 would wrap; the bound check moves the product to Python ints
+    d = np.array([2**62, -(2**62 + 1)], dtype=np.int64)
+    out = qexp._times_eta(d, 1)
+    assert out.dtype == object and out.tolist() == [2**62, -2**63 - 1]
+    # a lowered limit sends f25 partway down the fallback, same series
+    want = f25(2000)
+    dtypes = []
+    times_eta = qexp._times_eta
+
+    def spy(d, m):
+        out = times_eta(d, m)
+        dtypes.append(out.dtype)
+        return out
+
+    monkeypatch.setattr(qexp, "_INT64_LIMIT", 10**5)
+    monkeypatch.setattr(qexp, "_times_eta", spy)
+    got = f25(2000)
+    assert got == want
+    assert np.dtype(np.int64) in dtypes and np.dtype(object) in dtypes
+    assert all(type(c) is int for c in got.coeffs)
 
 
 def test_eta_combination_tail_coefficients_pinned():
@@ -97,6 +182,8 @@ def test_eta_combination_tail_coefficients_pinned():
         terms = t if terms is None else qs_add(terms, t)
     assert not hecke_check(terms, 4, 2)
     assert hecke_check(f25(n), 4, 2)
+    assert terms == eta_combination(
+        [(c, exps) for c, (_, exps) in zip((1, 5, 20, 1, 1), F25_TERMS)], n)
 
 
 def test_tensor_ap():
