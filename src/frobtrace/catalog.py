@@ -1,15 +1,24 @@
-"""Variety catalog: dataclasses, JSON (de)serialization, evaluation, dense
-F_p / F_{p^2} chart evaluation, and singular point search.
+"""Variety catalog: dataclasses, JSON (de)serialization, evaluation, the
+dense evaluator, and singular point search.
 
 A variety is a list of equations over an ambient space; each equation is a
 list of integer monomials.  The shipped catalog lives in data/catalog.json
 and round-trips through save_catalog byte-exactly.
+
+Every dense path (the chart, twisted, weighted, torus, degree-2 and
+double-cover counts, the singular scan and elliptic a_p) is built from four
+helpers: _charts lists the affine charts, cut into slabs when large;
+_grid gives a chart's coordinates as arrays that broadcast against each
+other; _eval_mono_list evaluates a monomial list mod p on them; and
+_restrict turns a polynomial over F_{p^2} into its pair of polynomials over
+F_p (Weil restriction), so that F_{p^2} counts run on F_p grids too.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
 from importlib import resources
+from math import comb
 
 import numpy as np
 
@@ -253,93 +262,104 @@ def _partial(eq, var):
     return tuple(out)
 
 
+_MAX_SLAB_CELLS = 4_000_000      # cells evaluated per chunk over F_p
 _MAX_EXT_CELLS = 60_000_000      # largest F_{p^2} chart, p^(2 (nvars-1))
 
 
+def _grid(p, fixed):
+    """Coordinate arrays for the points whose coordinate i is fixed[i], an
+    int, or runs over F_p where fixed[i] is None.  Each free coordinate is
+    arange(p) on an axis of its own and a fixed one is a single cell, so the
+    arrays broadcast against each other to the grid without building it."""
+    free = [i for i, x in enumerate(fixed) if x is None]
+    shape = [1] * len(free)
+    coords = []
+    for i, x in enumerate(fixed):
+        if x is None:
+            axis = shape.copy()
+            axis[free.index(i)] = p
+            coords.append(np.arange(p, dtype=np.int64).reshape(axis))
+        else:
+            coords.append(np.full(shape, x, dtype=np.int64))
+    return coords
+
+
+def _charts(p, nvars, degree=1):
+    """The chunk list of a dense count on P^{nvars-1} over F_{p^degree}: the
+    affine charts x_lead = 1, x_i = 0 for i < lead, each as a fixed list for
+    _grid.  Over F_p a chart of more than _MAX_SLAB_CELLS cells is cut into
+    p slabs on its first free coordinate.  Over F_{p^2} a coordinate is the
+    pair (a, b) of a + b s, as _restrict takes it; charts are not cut, and
+    charts beyond _MAX_EXT_CELLS cells are refused."""
+    if degree == 2:
+        if p ** (2 * (nvars - 1)) > _MAX_EXT_CELLS:
+            raise ValidationError(
+                f"degree-2 count infeasible for p={p}, {nvars} variables")
+        return [[0, 0] * lead + [1, 0] + [None, None] * (nvars - lead - 1)
+                for lead in range(nvars)]
+    chunks = []
+    for lead in range(nvars):
+        head, free = [0] * lead + [1], nvars - lead - 1
+        if free and p ** free > _MAX_SLAB_CELLS:
+            chunks.extend(head + [s] + [None] * (free - 1) for s in range(p))
+        else:
+            chunks.append(head + [None] * free)
+    return chunks
+
+
 def _eval_mono_list(eq, coords, p):
-    """Values mod p of a monomial list on numpy coordinate arrays; the
-    empty list is the zero polynomial.  Coordinates are residues < p < 2^31,
-    so no product exceeds p^2 < 2^62."""
-    total = None
+    """Values mod p of a monomial list on coordinate arrays that broadcast
+    against each other, as _grid builds them; the empty list is the zero
+    polynomial.  Each power x_i^e is built once, on the array of x_i alone,
+    and a monomial is the broadcast product of its powers, so only the sum
+    over monomials has the full shape.  Coordinates are residues < p, and
+    p < 2^31 is enforced: every product is below p^2 < 2^62, and the sum
+    below len(eq) p before its one reduction."""
+    if p >= 1 << 31:
+        raise ValidationError(f"modulus {p} out of supported range (< 2^31)")
+    total = np.zeros(np.broadcast_shapes(*(np.shape(x) for x in coords)),
+                     dtype=np.int64)
+    powers = [[1] for _ in coords]
     for mono in eq:
-        t = np.full_like(coords[0], mono.coefficient % p)
-        for x, e in zip(coords, mono.exponents):
-            for _ in range(e):
-                t = t * x % p
-        total = t if total is None else (total + t) % p
-    return np.zeros_like(coords[0]) if total is None else total
+        t = mono.coefficient % p
+        for x, pw, e in zip(coords, powers, mono.exponents):
+            while len(pw) <= e:
+                pw.append(pw[-1] * x % p)
+            if e:
+                t = t * pw[e] % p
+        total += t
+    return total % p
 
 
-def _chart_arrays(p, nvars, lead, sub):
-    """Coordinate arrays over F_p for the chart x_lead = 1, x_i = 0 for
-    i < lead, with x_{lead+1} fixed to sub when sub is not None."""
-    free = nvars - lead - 1
-    mesh_dims = free - (1 if sub is not None else 0)
-    grids = np.meshgrid(*[np.arange(p, dtype=np.int64)] * mesh_dims,
-                        indexing="ij") if mesh_dims else []
-    shape = grids[0].shape if grids else ()
-    coords, gi = [], 0
-    for i in range(nvars):
-        if i < lead:
-            coords.append(np.zeros(shape, dtype=np.int64))
-        elif i == lead:
-            coords.append(np.ones(shape, dtype=np.int64))
-        elif i == lead + 1 and sub is not None:
-            coords.append(np.full(shape, sub, dtype=np.int64))
-        else:
-            coords.append(grids[gi])
-            gi += 1
-    return coords
+def _zeros(eqs, coords, p):
+    """Mask of the common zeros of a list of monomial lists on coords."""
+    mask = np.ones(np.broadcast_shapes(*(np.shape(x) for x in coords)),
+                   dtype=bool)
+    for eq in eqs:
+        mask &= _eval_mono_list(eq, coords, p) == 0
+    return mask
 
 
-def _eval_mono_list_ext(eq, coords, p, n):
-    """Values of a monomial list over F_{p^2} = F_p[s]/(s^2 - n): each
-    coordinate and the result are (a, b) pairs of arrays for a + b s.
-    Products reach n p^2 < p^3, which the chart bound keeps below 2^63."""
-    tr = ti = None
+def _restrict(eq, n):
+    """Weil restriction of a monomial list from F_{p^2} = F_p[s]/(s^2 - n)
+    to F_p: substituting x_i = a_i + b_i s gives R + I s, and the pair
+    (R, I) of monomial lists in (a_0, b_0, a_1, b_1, ...) is returned.  A
+    point of F_{p^2} is a zero exactly when it is a common zero of R and I.
+    Coefficients are exact integers; the evaluator reduces them mod p."""
+    parts = ({}, {})
     for mono in eq:
-        mr = np.full_like(coords[0][0], mono.coefficient % p)
-        mi = np.zeros_like(mr)
-        for (xa, xb), e in zip(coords, mono.exponents):
-            for _ in range(e):
-                mr, mi = (mr * xa + n * mi * xb) % p, (mr * xb + mi * xa) % p
-        if tr is None:
-            tr, ti = mr, mi
-        else:
-            tr, ti = (tr + mr) % p, (ti + mi) % p
-    if tr is None:
-        return np.zeros_like(coords[0][0]), np.zeros_like(coords[0][0])
-    return tr, ti
+        terms = {((), 0): mono.coefficient}       # (exponents, s-degree)
+        for e in mono.exponents:
+            terms = {(exps + (e - j, j), k + j): c * comb(e, j)
+                     for (exps, k), c in terms.items() for j in range(e + 1)}
+        for (exps, k), c in terms.items():
+            part = parts[k % 2]
+            part[exps] = part.get(exps, 0) + c * n ** (k // 2)
+    return tuple(tuple(Monomial(c, e) for e, c in part.items() if c)
+                 for part in parts)
 
 
-def _chart_arrays_ext(p, nvars, lead):
-    """Coordinate (a, b) array pairs over F_{p^2} for the chart x_lead = 1,
-    x_i = 0 for i < lead.  Refuses charts beyond _MAX_EXT_CELLS cells."""
-    if p ** (2 * (nvars - 1)) > _MAX_EXT_CELLS:
-        raise ValidationError(
-            f"degree-2 count infeasible for p={p}, {nvars} variables")
-    mesh_dims = 2 * (nvars - lead - 1)
-    if mesh_dims:
-        grids = np.meshgrid(*[np.arange(p, dtype=np.int64)] * mesh_dims,
-                            indexing="ij")
-        shape = grids[0].shape
-    else:
-        grids, shape = [], ()
-    coords, gi = [], 0
-    for i in range(nvars):
-        if i < lead:
-            coords.append((np.zeros(shape, dtype=np.int64),
-                           np.zeros(shape, dtype=np.int64)))
-        elif i == lead:
-            coords.append((np.ones(shape, dtype=np.int64),
-                           np.zeros(shape, dtype=np.int64)))
-        else:
-            coords.append((grids[gi], grids[gi + 1]))
-            gi += 2
-    return coords
-
-
-def singular_points(spec, p, max_cells=40_000_000):
+def singular_points(spec, p):
     """All F_p-rational singular points of a hypersurface, as normalized
     projective representatives (first nonzero coordinate scaled to 1).
 
@@ -357,23 +377,13 @@ def singular_points(spec, p, max_cells=40_000_000):
     nv = spec.ambient.nvars
     eq = spec.equations[0]
     parts = [_partial(eq, v) for v in range(nv)]
-    if p ** (nv - 1) > max_cells * p:
+    if p ** (nv - 1) > 40_000_000 * p:
         raise ValidationError(f"singular scan infeasible at p={p}")
     found = []
-    for lead in range(nv):
-        free = nv - lead - 1
-        subs = [None] if p ** free <= max_cells else range(p)
-        for sub in subs:
-            coords = _chart_arrays(p, nv, lead, sub)
-            mask = _eval_mono_list(eq, coords, p) == 0
-            for part in parts:
-                if not mask.any():
-                    break
-                if part:
-                    mask &= _eval_mono_list(part, coords, p) == 0
-            idx = np.argwhere(mask)
-            for row in idx:
-                pt = tuple(int(c[tuple(row)]) if c.shape else int(c)
-                           for c in coords)
-                found.append(pt)
+    for fixed in _charts(p, nv):
+        coords = _grid(p, fixed)
+        on = _zeros([eq], coords, p)
+        at = [np.broadcast_to(x, on.shape)[on] for x in coords]
+        sing = _zeros(parts, at, p)
+        found.extend(zip(*(x[sing].tolist() for x in at)))
     return sorted(found)

@@ -141,6 +141,9 @@ def _match(model, variety_id, primes, calibration_prime, cat, nform):
     """Calibrate at one prime, freeze, and compare every row's trace with
     its target; the calibration row itself does not count as a check."""
     p0 = calibration_prime
+    for p in sorted(set(primes) | {p0}):
+        if not is_prime(p):
+            raise ValidationError(f"{p} is not prime")
     gated_rows = sorted({p for p in primes if p % 5 == 1})
     if p0 % 5 != 1 and gated_rows:
         raise RefusalError(
@@ -505,12 +508,18 @@ def _cmd_eta(args):
     return 0
 
 
+_MAX_AP_P = 10 ** 6              # largest p for `ap --form f25`
+
+
 def _cmd_ap(args):
     if args.form:
         if args.form != "f25":
             raise ValidationError(f"unknown form {args.form!r}")
         if not is_prime(args.p):
             raise ValidationError(f"{args.p} is not prime")
+        if args.p > _MAX_AP_P:
+            raise RefusalError(f"f25 a_p expands p + 1 coefficients; p = "
+                               f"{args.p} is over the bound {_MAX_AP_P}")
         s = qexp.f25(args.p + 1)
         print(json.dumps({"form": "f25", "p": args.p,
                           "ap": qexp.coefficient(s, args.p)}))

@@ -1,8 +1,11 @@
 """Point counting over F_p and F_{p^2}.
 
-Counts are exact integers.  The generic counters enumerate affine charts
-with numpy, through the dense F_p and F_{p^2} chart builders and
-monomial-list evaluators of the catalog module; the two nodal-quintic models
+Counts are exact integers.  The generic counters enumerate the broadcast
+grids of the catalog module: the projective and twisted counts share one
+dense tail over the chunk list of _charts, an F_{p^2} count is the F_p count
+of the common zeros of the Weil restrictions of the equations, the weighted
+count runs one slab per value of the first coordinate, and the torus count
+one grid with the zero coordinates masked out.  The two nodal-quintic models
 additionally get an O(p^2) joint-histogram counter that makes p in the
 hundreds cheap and is refused for p^2 beyond a stated cell budget.  count()
 picks the counter for a variety's ambient space.  Worker parallelism is
@@ -20,12 +23,11 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .catalog import (Monomial, _chart_arrays, _chart_arrays_ext,
-                      _eval_mono_list, _eval_mono_list_ext)
+from .catalog import (Monomial, _charts, _eval_mono_list, _grid, _restrict,
+                      _zeros)
 from .errors import FrobtraceError, RefusalError, ValidationError
 from .ffield import PrimeField, is_prime
 
-_MAX_DENSE_CELLS = 4_000_000       # cells evaluated per slab
 _MAX_DENSE_TOTAL = 600_000_000     # refuse larger dense enumerations
 _MAX_HIST_CELLS = 4_000_000        # p^2 cells per nodal-quintic table (p < 2000)
 
@@ -75,30 +77,20 @@ def _require_prime(p):
 
 # ------------------------------------------------------------------ generic
 
-def _chart_chunks(p, nvars):
-    """Chunks (lead, sub) covering the charts of P^{nvars-1}; sub fixes the
-    first free coordinate when the chart alone is too large."""
-    chunks = []
-    for lead in range(nvars):
-        free = nvars - lead - 1
-        if p ** free <= _MAX_DENSE_CELLS or free == 0:
-            chunks.append((lead, None))
-        else:
-            chunks.extend((lead, s) for s in range(p))
-    return chunks
+def _count_dense(spec, eqs, p, degree, twist_id, t0):
+    """CountRecord of the common zeros of eqs, monomial lists on
+    P^{nvars-1} (over F_{p^2}: their restrictions), chart by chart."""
+    nv = spec.ambient.nvars
+    if p ** (nv - 1) > _MAX_DENSE_TOTAL:
+        raise ValidationError(f"dense count infeasible at p={p}")
+    chunks = _charts(p, nv, degree)
 
+    def worker(fixed):
+        return int(np.count_nonzero(_zeros(eqs, _grid(p, fixed), p)))
 
-def _count_dense(spec, p, chunks):
-    def worker(chunk):
-        lead, sub = chunk
-        coords = _chart_arrays(p, spec.ambient.nvars, lead, sub)
-        mask = None
-        for eq in spec.equations:
-            v = _eval_mono_list(eq, coords, p) == 0
-            mask = v if mask is None else (mask & v)
-        return int(np.count_nonzero(mask))
-
-    return sum(_run_chunks(worker, chunks))
+    cnt = sum(_run_chunks(worker, chunks))
+    return CountRecord(spec.id, p, degree, twist_id, cnt, len(chunks),
+                       time.perf_counter() - t0)
 
 
 # ------------------------------------------------- nodal quintic fast path
@@ -191,23 +183,6 @@ def _is_schoen_model(spec):
     return spec.id in ("schoen_x", "schoen_y")
 
 
-# -------------------------------------------------------------- F_{p^2}
-
-def _count_dense_ext(spec, p):
-    nv = spec.ambient.nvars
-    n = PrimeField(p).nonresidue
-    total = 0
-    for lead in range(nv):
-        coords = _chart_arrays_ext(p, nv, lead)
-        mask = None
-        for eq in spec.equations:
-            tr, ti = _eval_mono_list_ext(eq, coords, p, n)
-            v = (tr == 0) & (ti == 0)
-            mask = v if mask is None else (mask & v)
-        total += int(np.count_nonzero(mask))
-    return total
-
-
 # ----------------------------------------------------------------- API
 
 def count_projective(spec, p, degree=1):
@@ -223,20 +198,14 @@ def count_projective(spec, p, degree=1):
     if degree == 2:
         if p == 2:
             raise ValidationError("degree-2 counts need an odd prime")
-        cnt = _count_dense_ext(spec, p)
-        return CountRecord(spec.id, p, 2, None, cnt, spec.ambient.nvars,
-                           time.perf_counter() - t0)
+        n = PrimeField(p).nonresidue
+        return _count_dense(spec, [f for eq in spec.equations
+                                   for f in _restrict(eq, n)], p, 2, None, t0)
     if _is_schoen_model(spec) and p > 2:
         cnt, nchunks = _quintic_histogram_count(p, 1)
         return CountRecord(spec.id, p, 1, None, cnt, nchunks,
                            time.perf_counter() - t0)
-    nv = spec.ambient.nvars
-    if p ** (nv - 1) > _MAX_DENSE_TOTAL:
-        raise ValidationError(f"dense count infeasible at p={p}")
-    chunks = _chart_chunks(p, nv)
-    cnt = _count_dense(spec, p, chunks)
-    return CountRecord(spec.id, p, 1, None, cnt, len(chunks),
-                       time.perf_counter() - t0)
+    return _count_dense(spec, spec.equations, p, 1, None, t0)
 
 
 def _compose_equation(eq, matrix, nvars):
@@ -325,16 +294,7 @@ def count_twisted(spec, phi, p):
                     f"{spec.id}: equation not invariant under {phi.id}")
             new.append(Monomial(mono.coefficient * n ** (odd // 2), mono.exponents))
         twisted_eqs.append(tuple(new))
-    twisted = type(spec)(spec.id, spec.ambient, tuple(twisted_eqs),
-                         spec.dimension, spec.bad_primes, spec.provenance,
-                         spec.known)
-    nv = spec.ambient.nvars
-    if p ** (nv - 1) > _MAX_DENSE_TOTAL:
-        raise ValidationError(f"dense twisted count infeasible at p={p}")
-    chunks = _chart_chunks(p, nv)
-    cnt = _count_dense(twisted, p, chunks)
-    return CountRecord(spec.id, p, 1, phi.id, cnt, len(chunks),
-                       time.perf_counter() - t0)
+    return _count_dense(spec, twisted_eqs, p, 1, phi.id, t0)
 
 
 def count_weighted(spec, p):
@@ -355,18 +315,13 @@ def count_weighted(spec, p):
     chunks = list(range(p))
 
     def worker(x0):
-        mesh = np.meshgrid(*[np.arange(p, dtype=np.int64)] * (nv - 1),
-                           indexing="ij")
-        coords = [np.full(mesh[0].shape, x0, dtype=np.int64)] + list(mesh)
-        mask = np.ones(mesh[0].shape, dtype=bool)
-        for eq in spec.equations:
-            mask &= _eval_mono_list(eq, coords, p) == 0
-        gw = np.zeros(mesh[0].shape, dtype=np.int64)
+        coords = _grid(p, [x0] + [None] * (nv - 1))
+        mask = _zeros(spec.equations, coords, p)
+        gw = 0
         for c, w in zip(coords, weights):
             gw = np.gcd(gw, np.where(c != 0, w, 0))
-        nonzero = gw != 0
-        stab = np.gcd(gw, p - 1)
-        return int(stab[mask & nonzero].sum())
+        gw = np.broadcast_to(gw, mask.shape)[mask]
+        return int(np.gcd(gw[gw != 0], p - 1).sum())
 
     total = sum(_run_chunks(worker, chunks))
     if total % (p - 1):
@@ -394,22 +349,18 @@ def count_torus(a, t, p):
     if len(a) != 5:
         raise ValidationError("parameter vector a must have 5 entries")
     t0 = time.perf_counter()
-    units = np.arange(1, p, dtype=np.int64)
-    mesh = np.meshgrid(units, units, units, units, indexing="ij")
-    xs = list(mesh) + [np.ones(mesh[0].shape, dtype=np.int64)]
-    s1 = (xs[0] + xs[1] + xs[2] + xs[3] + 1) % p
-    prod = np.ones(mesh[0].shape, dtype=np.int64)
-    for x in xs:
+    xs = _grid(p, [None] * 4 + [1])
+    prod, s2 = 1, 0
+    for i, x in enumerate(xs):
         prod = prod * x % p
-    s2 = np.zeros(mesh[0].shape, dtype=np.int64)
-    for i in range(5):
-        pi = np.full(mesh[0].shape, a[i] % p, dtype=np.int64)
-        for j in range(5):
+        pi = a[i] % p
+        for j, y in enumerate(xs):
             if j != i:
-                pi = pi * xs[j] % p
-        s2 = (s2 + pi) % p
-    ok = (s1 * s2 - (t % p) * prod) % p == 0
-    cnt = int(np.count_nonzero(ok))
+                pi = pi * y % p
+        s2 = s2 + pi
+    ok = (sum(xs) % p * (s2 % p) - (t % p) * prod) % p == 0
+    # index 0 of each free axis is the coordinate 0, off the torus
+    cnt = int(np.count_nonzero(ok[1:, 1:, 1:, 1:]))
     vid = "hulek_verrill[a=%s;t=%d]" % (",".join(str(x) for x in a), t)
     return CountRecord(vid, p, 1, None, cnt, 1, time.perf_counter() - t0)
 
@@ -429,12 +380,12 @@ def count_double_cover(spec, p):
     sq = np.arange(p, dtype=np.int64)
     chi[(sq * sq) % p] = 1
     chi[0] = 0
-    chunks = _chart_chunks(p, 4)
+    chunks = _charts(p, 4)
 
-    def worker(chunk):
-        lead, sub = chunk
-        coords = _chart_arrays(p, 4, lead, sub)
-        f = np.ones_like(coords[0])
+    def worker(fixed):
+        coords = _grid(p, fixed)
+        f = np.ones(np.broadcast_shapes(*(x.shape for x in coords)),
+                    dtype=np.int64)
         for eq in spec.equations:
             f = f * _eval_mono_list(eq, coords, p) % p
         return int(f.size + chi[f].sum())

@@ -3,8 +3,8 @@
 Everything here is exact integer arithmetic on Python ints.  PrimeField
 gives square roots mod p and the distinguished non-residue n that defines
 F_{p^2} = F_p[s]/(s^2 - n).  Elements of F_p and F_{p^2} are not objects:
-they are residues, and (a, b) pairs of numpy arrays for a + b s, as the
-chart evaluators of the catalog module compute them.
+they are residues, and a + b s is the pair (a, b) of F_p coordinates on
+which the catalog module evaluates Weil restrictions.
 """
 from __future__ import annotations
 

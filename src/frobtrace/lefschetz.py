@@ -11,9 +11,8 @@ from math import comb
 
 import numpy as np
 
-from .catalog import (Monomial, singular_points, _chart_arrays,
-                      _chart_arrays_ext, _eval_mono_list, _eval_mono_list_ext,
-                      _partial)
+from .catalog import (Monomial, singular_points, _charts, _eval_mono_list,
+                      _grid, _partial, _restrict, _zeros)
 from .errors import RefusalError, ValidationError
 from .ffield import PrimeField, kronecker
 
@@ -256,36 +255,39 @@ def elliptic_ap(spec, p, degree=1):
         raise ValidationError(f"{spec.id}: need a plane curve")
     field = PrimeField(p)                       # refuses composite p
     n = field.nonresidue if degree == 2 else None
+
+    def lift(f):
+        return (f,) if n is None else _restrict(f, n)
+
     eq = spec.equations[0]
-    parts = [_partial(eq, v) for v in range(3)]
+    curve = lift(eq)
+    parts = [g for v in range(3) for g in lift(_partial(eq, v))]
+    taylor = {(i, j): lift(_second_taylor(eq, i, j))
+              for i in range(3) for j in range(i, 3)}
+    disc_poly = lift(_DISCRIMINANT)
     smooth = branches = 0
-    for lead in range(3):
+    for fixed in _charts(p, 3, degree):
+        lead = fixed.index(1) // degree         # x_lead = 1 is the first 1
         i, j = (v for v in range(3) if v != lead)
-        cone = [_second_taylor(eq, *ij) for ij in ((i, i), (i, j), (j, j))]
-        if degree == 1:
-            coords = _chart_arrays(p, 3, lead, None)
-            zero = [_eval_mono_list(f, coords, p) == 0 for f in (eq, *parts)]
-            node = np.logical_and.reduce(zero)
-            at = [x[node] for x in coords]
-            abc = [_eval_mono_list(f, at, p) for f in cone]
-            disc = _eval_mono_list(_DISCRIMINANT, abc, p)
-        else:
-            coords = _chart_arrays_ext(p, 3, lead)
-            vals = [_eval_mono_list_ext(f, coords, p, n) for f in (eq, *parts)]
-            zero = [(a == 0) & (b == 0) for a, b in vals]
-            node = np.logical_and.reduce(zero)
-            at = [(a[node], b[node]) for a, b in coords]
-            abc = [_eval_mono_list_ext(f, at, p, n) for f in cone]
-            dr, di = _eval_mono_list_ext(_DISCRIMINANT, abc, p, n)
-            disc = (dr * dr - n * di * di) % p              # its norm
-        smooth += int(np.count_nonzero(zero[0] & ~node))
-        if np.any(disc == 0):
+        coords = _grid(p, fixed)
+        on = _zeros(curve, coords, p)
+        at = [np.broadcast_to(x, on.shape)[on] for x in coords]
+        node = _zeros(parts, at, p)
+        smooth += int(np.count_nonzero(~node))
+        at = [x[node] for x in at]
+        abc = [_eval_mono_list(g, at, p)
+               for ij in ((i, i), (i, j), (j, j)) for g in taylor[ij]]
+        disc = [_eval_mono_list(g, abc, p) for g in disc_poly]
+        if n is not None:                       # over F_{p^2}: its norm
+            disc = [_eval_mono_list((Monomial(1, (2, 0)),
+                                     Monomial(-n, (0, 2))), disc, p)]
+        if np.any(disc[0] == 0):
             raise ValidationError(
                 f"{spec.id}: singular point at p={p} is not a node")
         if p == 2:
             # b = 1: a h^2 + h k + c k^2 splits iff a c = 0 (Artin-Schreier)
             split = abc[0] * abc[2] % 2 == 0
         else:
-            split = [kronecker(int(d), p) == 1 for d in disc]
+            split = [kronecker(int(d), p) == 1 for d in disc[0]]
         branches += 2 * int(np.count_nonzero(split))
     return p ** degree + 1 - (smooth + branches)

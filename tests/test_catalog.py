@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobtrace.catalog import (Ambient, InvolutionSpec, Monomial, VarietySpec,
-                               _chart_arrays, _chart_arrays_ext,
-                               _eval_mono_list, _eval_mono_list_ext, evaluate,
-                               load_catalog, save_catalog, singular_points)
+                               _charts, _eval_mono_list, _grid, _restrict,
+                               evaluate, load_catalog, save_catalog,
+                               singular_points)
 from frobtrace.errors import RefusalError, ValidationError
 from frobtrace.ffield import PrimeField
 
@@ -135,7 +135,7 @@ def test_singular_points_guards():
         singular_points(w, 3)
 
 
-# ------------------------------------------- dense chart evaluators (numpy)
+# ------------------------------ dense evaluator and Weil restriction (numpy)
 
 @st.composite
 def _homogeneous(draw):
@@ -154,19 +154,52 @@ def _homogeneous(draw):
 @settings(max_examples=60, deadline=None, database=None)
 @given(_homogeneous(), st.sampled_from((2, 3, 5, 7, 11)), st.data())
 def test_chart_evaluator_matches_evaluate(spec, p, data):
+    # a chart of _charts, or a slab of it with its first free coordinate fixed
     nv = spec.ambient.nvars
-    lead = data.draw(st.integers(0, nv - 1))
-    sub = None
-    if lead < nv - 1:
-        sub = data.draw(st.none() | st.integers(0, p - 1))
-    coords = _chart_arrays(p, nv, lead, sub)
+    fixed = data.draw(st.sampled_from(_charts(p, nv)))
+    lead = fixed.index(1)
+    if None in fixed:
+        k = fixed.index(None)
+        fixed = fixed[:k] + [data.draw(st.none() | st.integers(0, p - 1))] \
+            + fixed[k + 1:]
+    coords = _grid(p, fixed)
     vals = _eval_mono_list(spec.equations[0], coords, p)
+    assert vals.shape == (p,) * fixed.count(None)
     for idx in np.ndindex(vals.shape):
-        pt = tuple(int(c[idx]) for c in coords)
+        pt = tuple(int(np.broadcast_to(c, vals.shape)[idx]) for c in coords)
         assert pt[:lead + 1] == (0,) * lead + (1,)
-        if sub is not None:
-            assert pt[lead + 1] == sub
+        assert all(x == f for x, f in zip(pt, fixed) if f is not None)
         assert (int(vals[idx]),) == evaluate(spec, pt, p)
+
+
+def _pair_mul(x, y, p, n):
+    """(a + b s)(c + d s) in F_p[s]/(s^2 - n), on (a, b) pairs of ints."""
+    return ((x[0] * y[0] + n * x[1] * y[1]) % p,
+            (x[0] * y[1] + x[1] * y[0]) % p)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_homogeneous(), st.sampled_from((3, 5, 7, 11, 13)), st.data())
+def test_restriction_matches_pair_arithmetic(spec, p, data):
+    nv = spec.ambient.nvars
+    n = PrimeField(p).nonresidue
+    eq = spec.equations[0]
+    points = data.draw(st.lists(
+        st.lists(st.tuples(st.integers(0, p - 1), st.integers(0, p - 1)),
+                 min_size=nv, max_size=nv), min_size=1, max_size=8))
+    # columns a_0, b_0, a_1, b_1, ... over the drawn points
+    coords = list(np.array([[c for xy in pt for c in xy] for pt in points],
+                           dtype=np.int64).T)
+    got = [_eval_mono_list(f, coords, p) for f in _restrict(eq, n)]
+    for k, pt in enumerate(points):
+        want = (0, 0)
+        for mono in eq:
+            t = (mono.coefficient % p, 0)
+            for x, e in zip(pt, mono.exponents):
+                for _ in range(e):
+                    t = _pair_mul(t, x, p, n)
+            want = ((want[0] + t[0]) % p, (want[1] + t[1]) % p)
+        assert (int(got[0][k]), int(got[1][k])) == want
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -175,24 +208,26 @@ def test_ext_evaluator_restricts_to_fp(spec, p, data):
     # on points with every s-part 0 the F_{p^2} values are the F_p values
     nv = spec.ambient.nvars
     lead = data.draw(st.integers(0, nv - 1))
-    coords = _chart_arrays_ext(p, nv, lead)
-    tr, ti = _eval_mono_list_ext(spec.equations[0], coords, p,
-                                 PrimeField(p).nonresidue)
-    rational = np.logical_and.reduce([b == 0 for _, b in coords])
+    coords = _grid(p, _charts(p, nv, 2)[lead])
+    re, im = (_eval_mono_list(f, coords, p)
+              for f in _restrict(spec.equations[0], PrimeField(p).nonresidue))
+    rational = np.logical_and.reduce(
+        [np.broadcast_to(b, re.shape) == 0 for b in coords[1::2]])
     assert np.count_nonzero(rational) == p ** (nv - 1 - lead)
-    assert not ti[rational].any()
-    fp = _eval_mono_list(spec.equations[0], [a[rational] for a, _ in coords], p)
-    assert (tr[rational] == fp).all()
+    assert not im[rational].any()
+    at = [np.broadcast_to(a, re.shape)[rational] for a in coords[::2]]
+    assert (re[rational] == _eval_mono_list(spec.equations[0], at, p)).all()
 
 
 def test_ext_evaluator_frobenius():
     # x^p is the conjugation a + bs -> a - bs, and x^(p^2) = x
     for p in (3, 7, 11, 13):
-        a, b = np.meshgrid(np.arange(p), np.arange(p), indexing="ij")
+        a, b = _grid(p, [None, None])
         n = PrimeField(p).nonresidue
-        assert all((r == w).all() for r, w in zip(
-            _eval_mono_list_ext((Monomial(1, (p,)),), [(a, b)], p, n),
-            (a, -b % p)))
-        assert all((r == w).all() for r, w in zip(
-            _eval_mono_list_ext((Monomial(1, (p * p,)),), [(a, b)], p, n),
-            (a, b)))
+        for e, want in ((p, (a, -b % p)), (p * p, (a, b))):
+            got = [_eval_mono_list(f, [a, b], p)
+                   for f in _restrict((Monomial(1, (e,)),), n)]
+            assert all((g == w).all() for g, w in zip(got, want))
+    # products of residues stay below p^2 < 2^62 only for p < 2^31
+    with pytest.raises(ValidationError, match="2\\^31"):
+        _eval_mono_list((Monomial(1, (2,)),), _grid(3, [None]), 1 << 31)

@@ -41,10 +41,10 @@ def test_quotient_refusal_names_nearest_accepted_primes(capsys):
                  "--calibration-prime", "11"]) == 2
     assert "p = 19 refused; nearest accepted good primes: 17, 23" in \
         capsys.readouterr().err
-    # a row below every good prime names the one above
-    assert main(["match", "--variety", "schoen_quotient", "--primes", "-1",
-                 "--calibration-prime", "11"]) == 2
-    assert capsys.readouterr().err.rstrip().endswith("primes: 3")
+    # a row below every good prime names the one above; as a match row,
+    # -1 is not prime and exits 1 (test_exit_codes)
+    with pytest.raises(RefusalError, match=r"primes: 3$"):
+        quotient_resolved_count(-1)
 
 
 def test_betti_count_uses_the_match_freeze():
@@ -122,6 +122,14 @@ def test_exit_codes(capsys):
     assert main(["trace", "--variety", "schoen_x", "--p", "5", "--b2", "1"]) == 2
     for p in ("0", "1", "4"):
         assert main(["ap", "--form", "f25", "--p", p]) == 1, p
+    # refused before any of the p + 1 coefficients is expanded
+    assert main(["ap", "--form", "f25", "--p", "1000003"]) == 2
+    # a composite row is a bad input, whatever refusal its residue would meet
+    for row in ("9", "-1"):
+        assert main(["match", "--variety", "schoen_quotient", "--primes", row,
+                     "--calibration-prime", "11"]) == 1, row
+    assert main(["match", "--variety", "schoen_x", "--primes", "21",
+                 "--calibration-prime", "7"]) == 1
     assert main(["livne", "--bad-primes", "2,5",
                  "--check-set", "3,7,11"]) == 3
     assert main(["livne", "--bad-primes", "2,5",

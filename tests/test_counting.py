@@ -5,8 +5,8 @@ import io
 import pytest
 
 from frobtrace.catalog import (Ambient, InvolutionSpec, Monomial, VarietySpec,
-                               load_catalog)
-from frobtrace import counting
+                               load_catalog, singular_points)
+from frobtrace import catalog, counting
 from frobtrace.counting import (count, count_double_cover, count_projective,
                                 count_torus, count_twisted, count_weighted,
                                 check_preserves, quotient_weighted_correction,
@@ -230,6 +230,29 @@ def test_thread_count_does_not_change_results(monkeypatch):
     again = count_projective(sx, 13)
     assert again.count == base.count
     assert again.chunk_count == base.chunk_count
+
+
+def test_slabs_do_not_change_counts(monkeypatch):
+    # no Tier-1 prime is large enough for a chart to be cut into slabs (that
+    # takes p >= 47 on P^4 and p >= 163 on P^3); a budget of 200 cells cuts
+    # the charts with p^3 and p^4 cells at 11 and 13 into p slabs each
+    sx = dataclasses.replace(CAT.variety("schoen_x"), id="schoen_x_dense")
+    calls = [  # (count, charts cut into slabs)
+        (lambda: count_projective(CAT.variety("hm_quintic"), 11), 2),
+        (lambda: count_projective(sx, 13), 2),
+        (lambda: count_double_cover(CAT.variety("double_octic_template"), 11),
+         1)]
+    base = [f() for f, _ in calls]
+    assert base[0].count == HM_N[11] and base[1].count == SCHOEN_N[13]
+    nodes = singular_points(CAT.variety("schoen_x"), 11)
+    monkeypatch.setattr(catalog, "_MAX_SLAB_CELLS", 200)
+    for threads in ("1", "2"):
+        monkeypatch.setenv("FROBTRACE_THREADS", threads)
+        for (f, cut), b in zip(calls, base):
+            rec = f()
+            assert rec.count == b.count, (threads, rec.variety_id)
+            assert rec.chunk_count == b.chunk_count + cut * (rec.p - 1)
+        assert singular_points(CAT.variety("schoen_x"), 11) == nodes
 
 
 def test_record_round_trip():
