@@ -5,6 +5,12 @@ A variety is a list of equations over an ambient space; each equation is a
 list of integer monomials.  The shipped catalog lives in data/catalog.json
 and round-trips through save_catalog byte-exactly.
 
+A variety may declare a count_model: its equations as two variable groups
+joined by a shared variable (CountModel), or a linear map onto another
+variety's model.  catalog_from_json expands each declaration symbolically
+with _compose_equation and refuses one that does not give the stored
+equations, so the counting kernel it selects cannot count a wrong model.
+
 Every dense path (the chart, twisted, weighted, torus, degree-2 and
 double-cover counts, the singular scan and elliptic a_p) is built from four
 helpers: _charts lists the affine charts, cut into slabs when large;
@@ -16,15 +22,17 @@ F_p (Weil restriction), so that F_{p^2} counts run on F_p grids too.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import RefusalError, ValidationError
 
 AMBIENT_KINDS = ("projective", "weighted_projective", "torus", "double_cover_p3")
+TORUS_FAMILY = "hulek_verrill"   # the family count_torus names its records by
 
 
 @dataclass(frozen=True)
@@ -66,6 +74,36 @@ class Ambient:
         return (1,) * self.nvars
 
 
+class CountGroup(NamedTuple):
+    """One variable group (a, b) of a two-group count model.  r and m are
+    monomial lists in (a, b, s), s the model's shared variable; m has no s."""
+    vars: tuple                # ambient indices of (a, b)
+    r: tuple
+    m: tuple = ()
+
+
+class CountModel(NamedTuple):
+    """The declared two-group structure of a variety's equations:
+
+        r1(a1, b1, s) + r2(a2, b2, s) + coupling s^e m1(a1, b1) m2(a2, b2) = 0,
+
+    e fixed by homogeneity, and with chi the index of a variable y, a
+    second equation y^2 = b1 b2.  A model declared as a linear map onto
+    another variety's model (onto, map: x = map . y) carries that model's
+    groups, in its coordinates; the kernel then counts the target, which is
+    the same variety at every prime not dividing unit = det(map) times the
+    ratios of the composed equations to the target's.  weight is the common
+    weight of b1, b2 and y; s, a1 and a2 have weight 1."""
+    shared: int
+    groups: tuple              # two CountGroup
+    coupling: int
+    chi: int | None = None
+    weight: int = 1
+    onto: str | None = None
+    map: tuple | None = None
+    unit: int = 1
+
+
 @dataclass(frozen=True)
 class VarietySpec:
     id: str
@@ -75,6 +113,7 @@ class VarietySpec:
     bad_primes: frozenset
     provenance: str
     known: dict = field(default=None, compare=False)
+    count_model: CountModel | None = None
 
     def __post_init__(self):
         if not self.bad_primes:
@@ -158,31 +197,179 @@ def _ambient_from_json(d):
     return Ambient(kind)
 
 
+def _poly_to_json(eq):
+    return [[m.coefficient, list(m.exponents)] for m in eq]
+
+
+def _poly_from_json(eq):
+    return tuple(Monomial(int(c), tuple(int(e) for e in exps)) for c, exps in eq)
+
+
+def _model_to_json(m):
+    if m.onto is not None:
+        return {"map": [list(row) for row in m.map], "onto": m.onto}
+    d = {"coupling": m.coupling, "shared": m.shared,
+         "groups": [{"vars": list(g.vars), "r": _poly_to_json(g.r),
+                     "m": _poly_to_json(g.m)} for g in m.groups]}
+    if m.chi is not None:
+        d["chi"] = m.chi
+    return d
+
+
 def _variety_to_json(v):
-    return {
+    d = {
         "id": v.id,
         "ambient": _ambient_to_json(v.ambient),
         "dimension": v.dimension,
-        "equations": [[[m.coefficient, list(m.exponents)] for m in eq]
-                      for eq in v.equations],
+        "equations": [_poly_to_json(eq) for eq in v.equations],
         "bad_primes": sorted(v.bad_primes),
         "known": v.known,
         "provenance": v.provenance,
     }
+    if v.count_model is not None:
+        d["count_model"] = _model_to_json(v.count_model)
+    return d
 
 
 def _variety_from_json(d):
     return VarietySpec(
         id=d["id"],
         ambient=_ambient_from_json(d["ambient"]),
-        equations=tuple(tuple(Monomial(int(c), tuple(int(e) for e in exps))
-                              for c, exps in eq)
-                        for eq in d["equations"]),
+        equations=tuple(_poly_from_json(eq) for eq in d["equations"]),
         dimension=int(d["dimension"]),
         bad_primes=frozenset(int(p) for p in d["bad_primes"]),
         known=d.get("known"),
         provenance=d["provenance"],
     )
+
+
+def _compose_equation(eq, matrix, nvars):
+    """Substitute x_i -> sum_j matrix[i][j] x_j into a monomial list; the
+    result is a dict from exponent tuples of length nvars to coefficients."""
+    out = {}
+    for mono in eq:
+        terms = {(0,) * nvars: mono.coefficient}
+        for i, e in enumerate(mono.exponents):
+            row = matrix[i]
+            for _ in range(e):
+                nxt = {}
+                for exps, c in terms.items():
+                    for j, mij in enumerate(row):
+                        if mij == 0:
+                            continue
+                        key = list(exps)
+                        key[j] += 1
+                        key = tuple(key)
+                        nxt[key] = nxt.get(key, 0) + c * mij
+                terms = nxt
+        for exps, c in terms.items():
+            out[exps] = out.get(exps, 0) + c
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def _ratio(poly, ref):
+    """The integer lam with poly = lam * ref, both dicts from exponents to
+    coefficients, or None when there is none."""
+    if not ref or set(poly) != set(ref):
+        return None
+    lams = {poly[e] // ref[e] if poly[e] % ref[e] == 0 else None for e in ref}
+    return lams.pop() if len(lams) == 1 else None
+
+
+def _det(m):
+    if not m:
+        return 1
+    return sum((-1) ** j * x * _det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j, x in enumerate(m[0]) if x)
+
+
+def _declared_model(spec, d):
+    """The CountModel that d declares for spec.  The declaration is
+    expanded symbolically and must give the stored equations exactly."""
+    def bad(why):
+        return ValidationError(f"{spec.id}: count_model {why}")
+
+    nv, wt = spec.ambient.nvars, spec.ambient.grading
+    groups = tuple(CountGroup(tuple(int(i) for i in g["vars"]),
+                              _poly_from_json(g["r"]), _poly_from_json(g["m"]))
+                   for g in d["groups"])
+    shared, coupling = int(d["shared"]), int(d["coupling"])
+    chi = None if d.get("chi") is None else int(d["chi"])
+    if len(groups) != 2 or any(len(g.vars) != 2 for g in groups):
+        raise bad("needs two groups of two variables")
+    (a1, b1), (a2, b2) = (g.vars for g in groups)
+    used = [shared, a1, b1, a2, b2] + ([chi] if chi is not None else [])
+    if len(set(used)) != len(used) or not all(0 <= i < nv for i in used):
+        raise bad(f"variables {used} are not distinct indices below {nv}")
+    if any(len(m.exponents) != 3 for g in groups for m in g.r + g.m):
+        raise bad("monomials must be in (a, b, s)")
+    if any(m.exponents[2] for g in groups for m in g.m):
+        raise bad("m may not contain the shared variable")
+    weight = wt[b1]
+    if any(wt[i] != 1 for i in (shared, a1, a2)) or \
+            any(wt[i] != weight for i in used[4:]):
+        raise bad("needs weight 1 on s, a1, a2 and one weight on b1, b2, chi")
+    if chi is not None and weight % 2:
+        raise bad("chi needs an even weight, under which chi(b) is invariant")
+    g2 = groups[1]
+    if coupling and (not groups[0].m or not g2.m
+                     or any(m.exponents[2] for m in g2.r)
+                     or len({m.degree((1, weight)) for m in g2.m}) != 1):
+        raise bad("coupled needs m in both groups, homogeneous m2, and r2 "
+                  "free of the shared variable")
+
+    def embed(poly, g):
+        rows = [[int(k == i) for k in range(nv)] for i in g.vars + (shared,)]
+        return _compose_equation(poly, rows, nv)
+
+    eq = {}
+    for g in groups:
+        for e, c in embed(g.r, g).items():
+            eq[e] = eq.get(e, 0) + c
+    deg = spec.equations[0][0].degree(wt) if spec.equations else 0
+    if coupling:
+        for e1, c1 in embed(groups[0].m, groups[0]).items():
+            for e2, c2 in embed(g2.m, g2).items():
+                e = [x + y for x, y in zip(e1, e2)]
+                e[shared] = deg - sum(w * x for w, x in zip(wt, e))
+                if e[shared] < 1:
+                    raise bad("coupling term has no positive power of s")
+                eq[tuple(e)] = eq.get(tuple(e), 0) + coupling * c1 * c2
+    expected = [{e: c for e, c in eq.items() if c}]
+    if chi is not None:
+        e, y = [0] * nv, [0] * nv
+        e[b1] = e[b2] = 1
+        y[chi] = 2
+        expected.append({tuple(e): 1, tuple(y): -1})
+    if [{m.exponents: m.coefficient for m in q} for q in spec.equations] \
+            != expected:
+        raise bad("does not expand to the stored equations")
+    return CountModel(shared, groups, coupling, chi, weight)
+
+
+def _mapped_model(spec, d, target):
+    """The model of target, reached from spec by the map d declares: each
+    equation of spec composed with the map must be an integer multiple of
+    the matching equation of target."""
+    m = tuple(tuple(int(x) for x in row) for row in d["map"])
+    tm = target.count_model
+    if tm is None or tm.onto is not None:
+        raise ValidationError(f"{spec.id}: count_model maps onto {target.id}, "
+                              "which declares no two-group model of its own")
+    nv = spec.ambient.nvars
+    if (spec.ambient.kind != "projective" or target.ambient != spec.ambient
+            or len(target.equations) != len(spec.equations)
+            or len(m) != nv or any(len(row) != nv for row in m)):
+        raise ValidationError(f"{spec.id}: count_model map does not fit "
+                              f"{target.id}")
+    unit = _det(m)
+    for eq, teq in zip(spec.equations, target.equations):
+        unit *= _ratio(_compose_equation(eq, m, nv),
+                       {x.exponents: x.coefficient for x in teq}) or 0
+    if not unit:
+        raise ValidationError(f"{spec.id}: count_model map does not take the "
+                              f"equations of {spec.id} to those of {target.id}")
+    return tm._replace(onto=target.id, map=m, unit=abs(unit))
 
 
 def catalog_from_json(doc):
@@ -192,6 +379,19 @@ def catalog_from_json(doc):
         if v.id in vs:
             raise ValidationError(f"duplicate variety id {v.id!r}")
         vs[v.id] = v
+    decls = {d["id"]: d["count_model"] for d in doc["varieties"]
+             if "count_model" in d}
+    for vid, d in decls.items():
+        if "onto" not in d:
+            vs[vid] = replace(
+                vs[vid], count_model=_declared_model(vs[vid], d))
+    for vid, d in decls.items():
+        if "onto" in d:
+            if d["onto"] not in vs:
+                raise ValidationError(f"{vid}: count_model maps onto unknown "
+                                      f"variety {d['onto']!r}")
+            vs[vid] = replace(
+                vs[vid], count_model=_mapped_model(vs[vid], d, vs[d["onto"]]))
     invs = {}
     for d in doc.get("involutions", []):
         inv = InvolutionSpec(d["id"], d["variety_id"],

@@ -190,13 +190,13 @@ def _quotient_counts(cat, variety_id, p):
     if p % 5 == 4:
         def accepted(q):
             return is_prime(q) and q % 5 != 4 and q not in spec.bad_primes
-        below = next((q for q in range(p - 1, 1, -1) if accepted(q)), None)
+        # p is prime here, so p >= 19 and 17 lies below it
+        below = next(q for q in range(p - 1, 1, -1) if accepted(q))
         above = next(q for q in itertools.count(p + 1) if accepted(q))
-        near = ", ".join(str(q) for q in (below, above) if q)
         raise RefusalError(
             f"quotient assembly not validated for p = 4 mod 5 (node pairs "
             f"swapped by Frobenius): p = {p} refused; nearest accepted good "
-            f"primes: {near}")
+            f"primes: {below}, {above}")
     sy = cat.variety("schoen_y")
     ep = cat.variety("e_plane")
     n_plain = counting.count_projective(sy, p).count
@@ -290,6 +290,8 @@ def quotient_resolved_count(p, adjusted=False, cat=None):
     a prime where all 85 divisor classes are Frobenius invariant; the
     unadjusted count is the honest one.
     """
+    if not is_prime(p):
+        raise ValidationError(f"{p} is not prime")
     cat = cat or load_catalog()
     c = _quotient_counts(cat, "schoen_quotient", p)
     row = _freeze(_QUOTIENT, QUOTIENT_FROZEN, p, c, None)

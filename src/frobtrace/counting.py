@@ -1,17 +1,25 @@
 """Point counting over F_p and F_{p^2}.
 
-Counts are exact integers.  The generic counters enumerate the broadcast
-grids of the catalog module: the projective and twisted counts share one
-dense tail over the chunk list of _charts, an F_{p^2} count is the F_p count
-of the common zeros of the Weil restrictions of the equations, the weighted
-count runs one slab per value of the first coordinate, and the torus count
-one grid with the zero coordinates masked out.  The two nodal-quintic models
-additionally get an O(p^2) joint-histogram counter that makes p in the
-hundreds cheap and is refused for p^2 beyond a stated cell budget.  count()
-picks the counter for a variety's ambient space.  Worker parallelism is
-controlled by FROBTRACE_THREADS and never changes any count: work is split
-into a chunk list that depends only on p, and partial sums are reduced in
-chunk order.
+Counts are exact integers.  Varieties whose catalog entry declares a
+two-group count model (the nodal quintic in Schoen's fibre-product form,
+directly or through a linear map, its involution quotient, and
+Consani-Scholten's quintic P(x, y) = P(z, w)) are counted at odd primes by
+one O(p^2) kernel over per-group histograms.  It covers the straight,
+twisted, chi-weighted and uncoupled cases and is refused for p^2 beyond a
+stated cell budget.  The torus count solves a quadratic in one coordinate
+over an O(p^3) grid.  Everything else, and every kernel's oracle, runs on
+the broadcast grids of the catalog module: the projective and twisted
+counts share one dense tail over the chunk list of _charts, an F_{p^2}
+count is the F_p count of the common zeros of the Weil restrictions of the
+equations, the weighted count runs one slab per value of the first
+coordinate, and the torus count at p = 2 one grid with the zero
+coordinates masked out.  count() picks the counter for a variety's ambient
+space.
+
+The kernels run their chunk lists in the calling thread.  The dense
+counters run theirs on FROBTRACE_THREADS worker threads, which never
+changes any count: the chunk list depends only on p, and partial sums are
+reduced in chunk order.
 """
 from __future__ import annotations
 
@@ -20,16 +28,18 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
+from math import gcd
 
 import numpy as np
 
-from .catalog import (Monomial, _charts, _eval_mono_list, _grid, _restrict,
-                      _zeros)
+from .catalog import (TORUS_FAMILY, Monomial, _charts, _compose_equation,
+                      _eval_mono_list, _grid, _ratio, _restrict, _zeros)
 from .errors import FrobtraceError, RefusalError, ValidationError
 from .ffield import PrimeField, is_prime
 
 _MAX_DENSE_TOTAL = 600_000_000     # refuse larger dense enumerations
-_MAX_HIST_CELLS = 4_000_000        # p^2 cells per nodal-quintic table (p < 2000)
+_MAX_HIST_CELLS = 4_000_000        # p^2 cells per two-group table (p < 2000)
+_MAX_TORUS_CELLS = 4_000_000       # (p-1)^3 cells of the torus kernel (p < 160)
 
 
 @dataclass(frozen=True)
@@ -55,10 +65,17 @@ def _threads():
 
 
 def _run_chunks(worker, chunks):
-    """Run worker over the chunk list and reduce in chunk order."""
+    """Run worker over the chunk list in the calling thread, in chunk order.
+    The kernels run here: their chunks are too small for a pool to pay."""
+    _threads()                      # a bad setting is an error on every path
+    return [worker(c) for c in chunks]
+
+
+def _run_pooled(worker, chunks):
+    """_run_chunks on FROBTRACE_THREADS threads, for the dense counters."""
     k = _threads()
     if k == 1 or len(chunks) == 1:
-        return [worker(c) for c in chunks]
+        return _run_chunks(worker, chunks)
     with ThreadPoolExecutor(max_workers=k) as pool:
         return list(pool.map(worker, chunks))
 
@@ -88,77 +105,138 @@ def _count_dense(spec, eqs, p, degree, twist_id, t0):
     def worker(fixed):
         return int(np.count_nonzero(_zeros(eqs, _grid(p, fixed), p)))
 
-    cnt = sum(_run_chunks(worker, chunks))
+    cnt = sum(_run_pooled(worker, chunks))
     return CountRecord(spec.id, p, degree, twist_id, cnt, len(chunks),
                        time.perf_counter() - t0)
 
 
-# ------------------------------------------------- nodal quintic fast path
+# ------------------------------------------------------ two-group kernel
 
-def _quintic_histogram_count(p, n, chunks_wanted=32):
-    """Projective count of the diagonalized nodal quintic via the algebra
-    A = F_p[s]/(s^2 - n).
+def _chi_table(p):
+    """The quadratic character of F_p as an int64 table, chi(0) = 0."""
+    chi = -np.ones(p, dtype=np.int64)
+    chi[np.arange(p, dtype=np.int64) ** 2 % p] = 1
+    chi[0] = 0
+    return chi
 
-    With w_i = t_i + t_{5-i} s the equation reads
-    16 t0^5 + Re(w1^5) + Re(w2^5) = 5 t0 Nm(w1) Nm(w2); for n = 1 this is
-    the straight count, for n a non-residue it is the count of the twisted
-    form (Frobenius composed with the sign involution).
 
-    The equation is homogeneous of degree 5 under (t0, w) -> (l t0, l w), so
-    the affine cone has (p - 1) N1 + Z points, N1 on the slice t0 = 1 and Z
-    on t0 = 0 (origin included).  With the joint histogram
-    J[r, m] = #{w : Re(w^5) = r, Nm(w) = m} and H[r] = sum_m J[r, m],
+def _hist(idx, size, sign=None):
+    """bincount of idx, or with sign (entries -1, 0, 1) its signed version."""
+    if sign is None:
+        return np.bincount(idx, minlength=size)
+    return (np.bincount(idx[sign > 0], minlength=size)
+            - np.bincount(idx[sign < 0], minlength=size))
 
-        N1 = sum_mu sum_r J[r, mu] Phi_{5 mu}[-16 - r],
-        Phi_lam[c] = #{w : Re(w^5) - lam Nm(w) = c},
-        Z = sum_c H[c] H[-c].
 
-    Substituting w -> w / b for b in F_p^* gives
-    Phi_{lam b^3}[c] = Phi_lam[c b^-5], so only one row Phi_rho per class
-    of F_p^* modulo cubes (one or three) and the row of lam = 0 are built.
-    Cost O(p^2).
+def _two_group_count(model, p, label, chunks_wanted=32):
+    """Count of a variety through its declared CountModel (catalog), at an
+    odd prime:
 
-    All arithmetic is exact int64.  Residue products stay below p^3, and
-    the largest values are the cone sum Z and the dot product of one mu,
-    counts of pairs (w1, w2) and so at most p^4: the kernel is exact for
-    p < 2^15.  The p^2-cell tables are refused beyond _MAX_HIST_CELLS
-    cells (p < 2000), well inside that; at that bound they take about
-    300 MB.
+        r1(a1, b1, s) + r2(a2, b2, s) + k s^e m1(a1, b1) m2(a2, b2) = 0,
+
+    k the coupling, and with a chi variable y also y^2 = b1 b2, which sums
+    y out as the weight 1 + chi(b1) chi(b2) of a point (a1, b1, a2, b2).
+
+    Scaling by l in F_p^* moves s, a1 and a2 by l and b1, b2 and y by
+    l^weight.  The cone points with s != 0 are (p - 1) N1 points, N1 on the
+    slice s = 1, all with trivial stabilizer; on s = 0 the coupling
+    vanishes.  So with J[r, mu] = #{w1 : r1(w1, 1) = r, m1(w1) = mu},
+    Phi_lam[c] = #{w2 : r2(w2, 1) + lam m2(w2) = c} and the histograms H_i
+    of r_i(w, 0),
+
+        N1 = sum_mu sum_r J[r, mu] Phi_{k mu}[-r],
+        Z = sum_c H_1[c] H_2[-c]         (origin included),
+
+    each also with chi(b_i)-weighted copies of the tables when y is
+    declared.  The weighted total is (p - 1) N1 + Z - 1 plus, for each
+    nonzero cone point with s = a1 = a2 = 0, its stabilizer gcd(weight,
+    p - 1) less 1; those points are the a = 0 rows of the s = 0 tables.
+    The count is that total over p - 1.  An uncoupled model (k = 0 mod p,
+    Consani-Scholten's P(x, y) = P(z, w)) uses the row Phi_0 = H only.
+
+    When coupled, r2 and m2 are homogeneous of degrees D and d in (a, b)
+    and chi(l^weight b) = chi(b), so substituting w2 -> l w2 gives
+    Phi_{rho l^(D-d)}[c] = Phi_rho[c l^-D]: one row of Phi per class of
+    F_p^* modulo (D - d)-th powers, plus the row of lam = 0.  Cost O(p^2).
+
+    All arithmetic is exact int64.  Residue products stay below p^2, and
+    the largest values are the sums Z, N1's dot product of one mu and the
+    a = 0 sum, counts of pairs (w1, w2) and so at most p^4 in absolute
+    value: exact for p < 2^15.  The p^2-cell tables are refused beyond
+    _MAX_HIST_CELLS cells (p < 2000), well inside that; at that bound they
+    take about 300 MB.
     """
     if p * p > _MAX_HIST_CELLS:
         raise ValidationError(
-            f"nodal-quintic histogram at p={p} needs p^2 = {p * p} cells, "
+            f"two-group kernel at p={p} needs p^2 = {p * p} cells, "
             f"over the budget of {_MAX_HIST_CELLS}")
-    u = np.repeat(np.arange(p, dtype=np.int64), p)
-    v = np.tile(np.arange(p, dtype=np.int64), p)
-    nn = n % p
-    w2r = (u * u + nn * v * v) % p
-    w2i = (2 * u * v) % p
-    w4r = (w2r * w2r + nn * w2i * w2i) % p
-    w4i = (2 * w2r * w2i) % p
-    re5 = (w4r * u + nn * w4i * v) % p
-    nrm = (u * u - nn * v * v) % p
-    del u, v, w2r, w2i, w4r, w4i
-    joint = np.bincount(re5 * p + nrm, minlength=p * p).reshape(p, p)
-    hist = joint.sum(axis=1)
-    cone = int(hist @ hist[-np.arange(p) % p])
+    (g1, g2), k = model.groups, model.coupling % p
+    grid = _grid(p, [None, None])
+    memo = {}
 
-    # lam = rho b^3 reads row rho of phi at c b^-5
-    row = np.full(p, -1, dtype=np.int64)
+    def values(poly, s):
+        """(v, c) with poly(a, b, s) = v + c on the (a, b) grid, flattened,
+        and c the constant term; polynomials that agree up to a constant
+        share v, and constants move the histogram indices instead."""
+        terms, const = {}, 0
+        for mono in poly:
+            a, b, e = mono.exponents
+            c = mono.coefficient * s ** e
+            if a or b:
+                terms[a, b] = terms.get((a, b), 0) + c
+            else:
+                const += c
+        key = tuple(sorted((e, c % p) for e, c in terms.items() if c % p))
+        if key not in memo:
+            memo[key] = _eval_mono_list([Monomial(c, e) for e, c in key],
+                                        grid, p).ravel()
+        return memo[key], const % p
+
+    def neg(c):
+        """Index of -x - c for each x."""
+        return (-np.arange(p) - c) % p
+
+    signs = [None]
+    if model.chi is not None:
+        signs.append(np.tile(_chi_table(p), p))         # chi(b) on the grid
+    (r1, c1), (r2, c2) = values(g1.r, 1), values(g2.r, 1)
+    m1, m2 = ((v + c) % p if c else v
+              for v, c in (values(g1.m, 1), values(g2.m, 1)))
+    joint = np.stack([_hist(r1 * p + m1, p * p, sg).reshape(p, p).T
+                      for sg in signs], axis=1)              # [mu, layer, r]
+
+    # at s = 0 the constant terms of r1 and r2 cancel, the equation being
+    # homogeneous of positive degree; the a = 0 rows are the first p cells
+    (h1, _), (h2, _) = values(g1.r, 0), values(g2.r, 0)
+    stab = gcd(model.weight, p - 1)
+    cone = extra = 0
+    for sg in signs:
+        cone += int(_hist(h1, p, sg) @ _hist(h2, p, sg)[neg(0)])
+        if stab > 1:
+            sa = None if sg is None else sg[:p]
+            extra += int(_hist(h1[:p], p, sa) @ _hist(h2[:p], p, sa)[neg(0)])
+    extra = (stab - 1) * (extra - 1)
+
+    # lam = rho l^(D-d) reads row rho of phi at c l^-D
+    row = np.zeros(p, dtype=np.int64)
     shift = np.ones(p, dtype=np.int64)
-    cubes = np.arange(1, p, dtype=np.int64) ** 3 % p
-    inv5 = np.array([pow(b, -5, p) for b in range(1, p)], dtype=np.int64)
     reps = [0]
-    row[0] = 0
-    for lam in range(1, p):
-        if row[lam] < 0:
-            orbit = lam * cubes % p
-            row[orbit] = len(reps)
-            shift[orbit] = inv5
-            reps.append(lam)
-    phi = np.stack([np.bincount((re5 - rho * nrm) % p, minlength=p)
-                    for rho in reps])
-    target = (-16 - np.arange(p)) % p
+    if k:
+        wts = (1, model.weight, 1)
+        dr, dm = g2.r[0].degree(wts), g2.m[0].degree(wts)
+        powers = np.array([pow(b, dr - dm, p) for b in range(1, p)],
+                          dtype=np.int64)
+        inv = np.array([pow(b, -dr, p) for b in range(1, p)], dtype=np.int64)
+        row[1:] = -1
+        for lam in range(1, p):
+            if row[lam] < 0:
+                orbit = lam * powers % p
+                row[orbit] = len(reps)
+                shift[orbit] = inv
+                reps.append(lam)
+    phi = np.stack([np.stack([_hist((r2 + rho * m2) % p if rho else r2, p, sg)
+                              for sg in signs]) for rho in reps])
+    target = neg(c1 + c2)
 
     n_chunks = min(p, chunks_wanted)
     bounds = [(c * p) // n_chunks for c in range(n_chunks + 1)]
@@ -168,19 +246,24 @@ def _quintic_histogram_count(p, n, chunks_wanted=32):
         lo, hi = rng
         sub = 0
         for mu in range(lo, hi):
-            lam = 5 * mu % p
-            sub += int(joint[:, mu] @ phi[row[lam], target * shift[lam] % p])
+            lam = k * mu % p
+            sub += int(np.vdot(joint[mu], phi[row[lam]][:, target * shift[lam] % p]))
         return (p - 1) * sub + (cone if lo == 0 else 0)
 
-    affine = sum(_run_chunks(worker, chunks))
-    if (affine - 1) % (p - 1):
-        raise FrobtraceError(f"nodal quintic at p={p}: affine count - 1 is "
-                             f"{(affine - 1) % (p - 1)} mod p-1, not 0")
-    return (affine - 1) // (p - 1), n_chunks
+    total = sum(_run_chunks(worker, chunks)) - 1 + extra
+    if total % (p - 1):
+        raise FrobtraceError(f"{label} at p={p}: weighted cone total is "
+                             f"{total % (p - 1)} mod p-1, not 0")
+    return total // (p - 1), n_chunks
 
 
-def _is_schoen_model(spec):
-    return spec.id in ("schoen_x", "schoen_y")
+def _kernel_model(spec, p):
+    """spec's declared CountModel where the two-group kernel counts it at
+    p, else None (no model, p = 2, or p divides the unit of a mapped one)."""
+    model = spec.count_model
+    if model is None or p == 2 or model.unit % p == 0:
+        return None
+    return model
 
 
 # ----------------------------------------------------------------- API
@@ -201,33 +284,12 @@ def count_projective(spec, p, degree=1):
         n = PrimeField(p).nonresidue
         return _count_dense(spec, [f for eq in spec.equations
                                    for f in _restrict(eq, n)], p, 2, None, t0)
-    if _is_schoen_model(spec) and p > 2:
-        cnt, nchunks = _quintic_histogram_count(p, 1)
+    model = _kernel_model(spec, p)
+    if model is not None:
+        cnt, nchunks = _two_group_count(model, p, spec.id)
         return CountRecord(spec.id, p, 1, None, cnt, nchunks,
                            time.perf_counter() - t0)
     return _count_dense(spec, spec.equations, p, 1, None, t0)
-
-
-def _compose_equation(eq, matrix, nvars):
-    """Substitute x_i -> sum_j matrix[i][j] x_j into a monomial list."""
-    out = {}
-    for mono in eq:
-        terms = {(0,) * nvars: mono.coefficient}
-        for i, e in enumerate(mono.exponents):
-            row = matrix[i]
-            for _ in range(e):
-                nxt = {}
-                for exps, c in terms.items():
-                    for j, mij in enumerate(row):
-                        if mij == 0:
-                            continue
-                        key = tuple(x + (1 if k == j else 0)
-                                    for k, x in enumerate(exps))
-                        nxt[key] = nxt.get(key, 0) + c * mij
-                terms = nxt
-        for exps, c in terms.items():
-            out[exps] = out.get(exps, 0) + c
-    return {e: c for e, c in out.items() if c != 0}
 
 
 def check_preserves(spec, phi):
@@ -238,20 +300,37 @@ def check_preserves(spec, phi):
         raise ValidationError(f"{phi.id}: matrix size != ambient arity")
     for k, eq in enumerate(spec.equations):
         composed = _compose_equation(eq, phi.matrix, nv)
-        original = {m.exponents: m.coefficient for m in eq}
-        if set(composed) != set(original):
+        if _ratio(composed, {m.exponents: m.coefficient for m in eq}) is None:
             raise ValidationError(f"{phi.id} does not preserve equation {k} of {spec.id}")
-        # proportionality with a single scalar lambda: c' = lam c for all
-        lam = None
-        for e in original:
-            if composed[e] % original[e] != 0:
-                raise ValidationError(f"{phi.id} does not preserve equation {k} of {spec.id}")
-            r = composed[e] // original[e]
-            if lam is None:
-                lam = r
-            elif lam != r:
-                raise ValidationError(f"{phi.id} does not preserve equation {k} of {spec.id}")
     return True
+
+
+def _twist(eq, diag, n):
+    """eq with s t_i substituted for each t_i where diag is -1, s^2 = n, or
+    None when a monomial has an odd degree in those coordinates."""
+    out = []
+    for mono in eq:
+        odd = sum(e for e, d in zip(mono.exponents, diag) if d == -1)
+        if odd % 2:
+            return None
+        out.append(Monomial(mono.coefficient * n ** (odd // 2), mono.exponents))
+    return tuple(out)
+
+
+def _twisted_model(model, diag, n):
+    """The CountModel of the twist by diag, or None when the kernel cannot
+    count it (a mapped model, s in the -1 eigenspace, or a group
+    polynomial of odd degree there)."""
+    if model.onto is not None or diag[model.shared] != 1:
+        return None
+    groups = []
+    for g in model.groups:
+        local = [diag[i] for i in g.vars] + [1]
+        r, m = _twist(g.r, local, n), _twist(g.m, local, n)
+        if r is None or m is None:
+            return None
+        groups.append(g._replace(r=r, m=m))
+    return model._replace(groups=tuple(groups))
 
 
 def count_twisted(spec, phi, p):
@@ -261,7 +340,8 @@ def count_twisted(spec, phi, p):
     Only diagonal +-1 involutions are supported: for those, the twisted
     form is obtained by substituting s*t_i (s a fixed square root of a
     non-residue) for the coordinates in the -1 eigenspace, which lands back
-    in F_p coefficients exactly when phi preserves the equations.
+    in F_p coefficients exactly when phi preserves the equations.  A
+    declared two-group model is twisted the same way, group by group.
     """
     _require_prime(p)
     if p == 2:
@@ -279,21 +359,15 @@ def count_twisted(spec, phi, p):
     _check_equations_mod_p(spec, p)
     t0 = time.perf_counter()
     n = PrimeField(p).nonresidue
-    if spec.id == "schoen_y" and diag == (1, 1, 1, -1, -1):
-        cnt, nchunks = _quintic_histogram_count(p, n)
+    model = _kernel_model(spec, p)
+    model = model and _twisted_model(model, diag, n)
+    if model is not None:
+        cnt, nchunks = _two_group_count(model, p, spec.id)
         return CountRecord(spec.id, p, 1, phi.id, cnt, nchunks,
                            time.perf_counter() - t0)
-    # generic diagonal twist: substituted equation list
-    twisted_eqs = []
-    for eq in spec.equations:
-        new = []
-        for mono in eq:
-            odd = sum(e for e, d in zip(mono.exponents, diag) if d == -1)
-            if odd % 2 == 1:
-                raise ValidationError(
-                    f"{spec.id}: equation not invariant under {phi.id}")
-            new.append(Monomial(mono.coefficient * n ** (odd // 2), mono.exponents))
-        twisted_eqs.append(tuple(new))
+    twisted_eqs = [_twist(eq, diag, n) for eq in spec.equations]
+    if None in twisted_eqs:
+        raise ValidationError(f"{spec.id}: equation not invariant under {phi.id}")
     return _count_dense(spec, twisted_eqs, p, 1, phi.id, t0)
 
 
@@ -301,12 +375,19 @@ def count_weighted(spec, p):
     """Point count in weighted projective space by orbit counting: each
     nonzero cone point is weighted by #Stab = gcd(p-1, gcd of the weights
     of its nonzero coordinates), and the weighted total is divided by p-1.
+    A declared two-group model is counted by the kernel; otherwise every
+    cone point is enumerated, one slab per value of the first coordinate.
     """
     _require_prime(p)
     if spec.ambient.kind != "weighted_projective":
         raise ValidationError(f"{spec.id}: not a weighted-projective variety")
     _check_equations_mod_p(spec, p)
     t0 = time.perf_counter()
+    model = _kernel_model(spec, p)
+    if model is not None:
+        cnt, nchunks = _two_group_count(model, p, spec.id)
+        return CountRecord(spec.id, p, 1, None, cnt, nchunks,
+                           time.perf_counter() - t0)
     weights = spec.ambient.weights
     nv = len(weights)
     if p ** nv > _MAX_DENSE_TOTAL:
@@ -323,7 +404,7 @@ def count_weighted(spec, p):
         gw = np.broadcast_to(gw, mask.shape)[mask]
         return int(np.gcd(gw[gw != 0], p - 1).sum())
 
-    total = sum(_run_chunks(worker, chunks))
+    total = sum(_run_pooled(worker, chunks))
     if total % (p - 1):
         raise FrobtraceError(f"{spec.id} at p={p}: stabilizer-weighted total is "
                              f"{total % (p - 1)} mod p-1, not 0")
@@ -331,24 +412,9 @@ def count_weighted(spec, p):
                        time.perf_counter() - t0)
 
 
-def quotient_weighted_correction(p):
-    """Difference between the weighted-space count of the nodal-quintic
-    quotient and the Burnside orbit count (N + N_twisted)/2.
-
-    The involution fixes a conic worth of cone directions (Y0 = Y1 = Y2 = 0,
-    Y3 Y4 = Y5^2); each of its p+1 points corresponds to two orbits merged
-    into one weighted point.
-    """
-    return p + 1
-
-
-def count_torus(a, t, p):
-    """Points with all coordinates nonzero on the cleared-denominator
-    equation of (X1+...+X5)(a1/X1+...+a5/X5) = t, normalized X5 = 1."""
-    _require_prime(p)
-    if len(a) != 5:
-        raise ValidationError("parameter vector a must have 5 entries")
-    t0 = time.perf_counter()
+def _torus_dense(a, t, p):
+    """Torus count on the full grid of X1..X4 with X5 = 1: p^4 cells.  It
+    is the path at p = 2 and the oracle of _torus_kernel."""
     xs = _grid(p, [None] * 4 + [1])
     prod, s2 = 1, 0
     for i, x in enumerate(xs):
@@ -360,8 +426,54 @@ def count_torus(a, t, p):
         s2 = s2 + pi
     ok = (sum(xs) % p * (s2 % p) - (t % p) * prod) % p == 0
     # index 0 of each free axis is the coordinate 0, off the torus
-    cnt = int(np.count_nonzero(ok[1:, 1:, 1:, 1:]))
-    vid = "hulek_verrill[a=%s;t=%d]" % (",".join(str(x) for x in a), t)
+    return int(np.count_nonzero(ok[1:, 1:, 1:, 1:]))
+
+
+def _torus_kernel(a, t, p):
+    """Torus count at an odd prime from the roots in X4 of each cell of
+    X1..X3 on the nonzero grid, X5 = 1.  With S = X1 + X2 + X3 + 1,
+    P = X1 X2 X3 and U = P (a1/X1 + a2/X2 + a3/X3 + a5), the equation is
+
+        U X4^2 + (S U + a4 P - t P) X4 + S a4 P = 0,
+
+    with 1 + chi(disc) roots in F_p when U != 0 and one (B != 0) or p
+    (B = C = 0) when U = 0; a root X4 = 0, present exactly when
+    C = S a4 P = 0, is dropped.  (p - 1)^3 cells.
+
+    Every product is of two residues and every sum of at most four such
+    products, so the largest intermediate is below 4 p^2.  The (p - 1)^3
+    cells are refused beyond _MAX_TORUS_CELLS (p < 160), where that is
+    below 2^17; at that bound the arrays take about 300 MB.
+    """
+    if (p - 1) ** 3 > _MAX_TORUS_CELLS:
+        raise ValidationError(
+            f"torus kernel at p={p} needs (p-1)^3 = {(p - 1) ** 3} cells, "
+            f"over the budget of {_MAX_TORUS_CELLS}")
+    a = [x % p for x in a]
+    nz = np.arange(1, p, dtype=np.int64)
+    x1, x2, x3 = nz.reshape(-1, 1, 1), nz.reshape(1, -1, 1), nz.reshape(1, 1, -1)
+    s = (x1 + x2 + x3 + 1) % p
+    x12 = x1 * x2 % p
+    prod = x12 * x3 % p
+    u = (a[0] * (x2 * x3 % p) + a[1] * (x1 * x3 % p) + a[2] * x12
+         + a[4] * prod) % p
+    b = (s * u + (a[3] - t) % p * prod) % p
+    c = s * (a[3] * prod % p) % p
+    disc = (b * b - 4 * u % p * c) % p
+    roots = np.where(u != 0, 1 + _chi_table(p)[disc],
+                     np.where(b != 0, 1, np.where(c == 0, p, 0)))
+    return int(roots.sum()) - int(np.count_nonzero(c == 0))
+
+
+def count_torus(a, t, p):
+    """Points with all coordinates nonzero on the cleared-denominator
+    equation of (X1+...+X5)(a1/X1+...+a5/X5) = t, normalized X5 = 1."""
+    _require_prime(p)
+    if len(a) != 5:
+        raise ValidationError("parameter vector a must have 5 entries")
+    t0 = time.perf_counter()
+    cnt = _torus_dense(a, t, p) if p == 2 else _torus_kernel(a, t % p, p)
+    vid = "%s[a=%s;t=%d]" % (TORUS_FAMILY, ",".join(str(x) for x in a), t)
     return CountRecord(vid, p, 1, None, cnt, 1, time.perf_counter() - t0)
 
 
@@ -374,12 +486,10 @@ def count_double_cover(spec, p):
         raise ValidationError(f"{spec.id}: not a double cover of P^3")
     if p == 2:
         raise ValidationError("double cover counts need an odd prime")
+    if p ** 3 > _MAX_DENSE_TOTAL:
+        raise ValidationError(f"dense count infeasible at p={p}")
     t0 = time.perf_counter()
-    chi = -np.ones(p, dtype=np.int64)
-    chi[0] = 0
-    sq = np.arange(p, dtype=np.int64)
-    chi[(sq * sq) % p] = 1
-    chi[0] = 0
+    chi = _chi_table(p)
     chunks = _charts(p, 4)
 
     def worker(fixed):
@@ -390,7 +500,7 @@ def count_double_cover(spec, p):
             f = f * _eval_mono_list(eq, coords, p) % p
         return int(f.size + chi[f].sum())
 
-    cnt = sum(_run_chunks(worker, chunks))
+    cnt = sum(_run_pooled(worker, chunks))
     return CountRecord(spec.id, p, 1, None, cnt, len(chunks),
                        time.perf_counter() - t0)
 

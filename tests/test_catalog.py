@@ -1,3 +1,5 @@
+import copy
+import json
 import random
 from importlib import resources
 
@@ -7,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from frobtrace.catalog import (Ambient, InvolutionSpec, Monomial, VarietySpec,
                                _charts, _eval_mono_list, _grid, _restrict,
-                               evaluate, load_catalog, save_catalog,
-                               singular_points)
+                               catalog_from_json, catalog_to_json, evaluate,
+                               load_catalog, save_catalog, singular_points)
 from frobtrace.errors import RefusalError, ValidationError
 from frobtrace.ffield import PrimeField
 
@@ -35,6 +37,70 @@ def test_round_trip_byte_exact(tmp_path):
     out = tmp_path / "copy.json"
     save_catalog(CAT, out)
     assert out.read_bytes() == shipped
+
+
+SHIPPED = json.loads(resources.files("frobtrace").joinpath(
+    "data/catalog.json").read_text())
+MODELS = {"schoen_x", "schoen_y", "schoen_quotient", "consani_scholten"}
+
+
+def test_round_trip_keeps_count_models():
+    doc = catalog_to_json(CAT)
+    assert {v["id"] for v in doc["varieties"] if "count_model" in v} == MODELS
+    back = catalog_from_json(doc)
+    assert back == CAT
+    for vid in MODELS:
+        assert back.variety(vid).count_model == CAT.variety(vid).count_model
+    sx = back.variety("schoen_x").count_model
+    assert (sx.onto, sx.unit) == ("schoen_y", 16)     # det 8, ratio 2
+    assert sx.groups == back.variety("schoen_y").count_model.groups
+    assert back.variety("schoen_quotient").count_model.weight == 2
+
+
+def _with_model(vid, edit):
+    doc = copy.deepcopy(SHIPPED)
+    edit(next(v for v in doc["varieties"] if v["id"] == vid)["count_model"])
+    return doc
+
+
+def test_wrong_count_model_refused_at_load():
+    def coupling(m):
+        m["coupling"] = -4
+
+    def head(m):
+        m["groups"][0]["r"][0][0] = 15
+
+    def groups(m):
+        m["groups"].reverse()          # the s^5 term is not r2's to carry
+
+    def chi(m):
+        m["chi"] = 4
+
+    def swap_map(m):
+        m["map"][1], m["map"][2] = m["map"][2], m["map"][1]
+
+    def singular_map(m):
+        m["map"][0] = [0] * 5
+
+    for vid, edit in [("schoen_y", coupling), ("schoen_y", head),
+                      ("schoen_y", groups), ("schoen_quotient", coupling),
+                      ("schoen_quotient", chi),
+                      ("consani_scholten", head), ("schoen_x", singular_map)]:
+        with pytest.raises(ValidationError, match="count_model"):
+            catalog_from_json(_with_model(vid, edit))
+    # a permutation of the coordinates that preserves the equation is a
+    # valid map onto schoen_y still
+    swapped = catalog_from_json(_with_model("schoen_x", swap_map))
+    assert swapped.variety("schoen_x").count_model.unit == 16
+
+
+def test_model_maps_onto_declared_model():
+    doc = copy.deepcopy(SHIPPED)
+    for v in doc["varieties"]:
+        if v["id"] == "schoen_y":
+            del v["count_model"]
+    with pytest.raises(ValidationError, match="schoen_y"):
+        catalog_from_json(doc)
 
 
 def test_homogeneity_enforced():

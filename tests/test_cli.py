@@ -41,9 +41,9 @@ def test_quotient_refusal_names_nearest_accepted_primes(capsys):
                  "--calibration-prime", "11"]) == 2
     assert "p = 19 refused; nearest accepted good primes: 17, 23" in \
         capsys.readouterr().err
-    # a row below every good prime names the one above; as a match row,
-    # -1 is not prime and exits 1 (test_exit_codes)
-    with pytest.raises(RefusalError, match=r"primes: 3$"):
+    # -1 is not prime: bad input before any residue test, as a match row
+    # and as a Betti prime (test_exit_codes)
+    with pytest.raises(ValidationError, match="not prime"):
         quotient_resolved_count(-1)
 
 
@@ -130,6 +130,12 @@ def test_exit_codes(capsys):
                      "--calibration-prime", "11"]) == 1, row
     assert main(["match", "--variety", "schoen_x", "--primes", "21",
                  "--calibration-prime", "7"]) == 1
+    # composite primes that p = 4 mod 5 would otherwise refuse
+    for p in ("9", "4"):
+        assert main(["betti", "--p", p, "--chi", "168"]) == 1, p
+    # 8e9 cells, refused before any slab is built
+    assert main(["count", "--variety", "double_octic_template",
+                 "--p", "2003"]) == 1
     assert main(["livne", "--bad-primes", "2,5",
                  "--check-set", "3,7,11"]) == 3
     assert main(["livne", "--bad-primes", "2,5",

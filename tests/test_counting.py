@@ -3,14 +3,15 @@ import dataclasses
 import io
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from frobtrace.catalog import (Ambient, InvolutionSpec, Monomial, VarietySpec,
-                               load_catalog, singular_points)
+                               _grid, _zeros, catalog_from_json, load_catalog,
+                               singular_points)
 from frobtrace import catalog, counting
 from frobtrace.counting import (count, count_double_cover, count_projective,
                                 count_torus, count_twisted, count_weighted,
-                                check_preserves, quotient_weighted_correction,
-                                read_records, write_records)
+                                check_preserves, read_records, write_records)
 from frobtrace.errors import FrobtraceError, RefusalError, ValidationError
 from frobtrace.ffield import is_prime
 
@@ -25,6 +26,13 @@ QUOTIENT_W = {3: 40, 7: 409, 11: 2388}
 SCHOEN_Y_LARGE = {211: (10481550, 9433302), 419: (73729356, 75127140),
                   421: (79011175, 74797807)}
 SMALL_PRIMES = [p for p in range(3, 24) if is_prime(p)]
+TORUS_AT = [((1, 1, 1, 1, 1), 25), ((1, 1, 1, 9, 9), 9), ((2, 3, 5, 0, 7), 4),
+            ((0, 1, 4, 2, 0), 0)]
+
+
+def dense(vid):
+    """The catalog variety without its count model: the dense oracle."""
+    return dataclasses.replace(CAT.variety(vid), count_model=None)
 
 
 def test_schoen_counts():
@@ -34,13 +42,43 @@ def test_schoen_counts():
 
 
 def test_schoen_histogram_matches_dense():
-    # strip the id so the generic chart counter runs, then compare; p = 5
-    # has lambda = 5 mu = 0 on every row of the histogram counter
+    # without its count model the generic chart counter runs; p = 5 has
+    # lambda = 5 mu = 0 on every row of the kernel
     sx = CAT.variety("schoen_x")
-    dense = dataclasses.replace(sx, id="schoen_x_dense")
     for p in SMALL_PRIMES:
-        assert count_projective(dense, p).count == \
+        assert count_projective(dense("schoen_x"), p).count == \
             count_projective(sx, p).count, p
+
+
+def test_consani_scholten_kernel_matches_dense():
+    cs = CAT.variety("consani_scholten")
+    for p in SMALL_PRIMES:
+        rec = count_projective(cs, p)
+        assert rec.count == count_projective(dense(cs.id), p).count, p
+        assert rec.chunk_count == min(p, 32)
+    assert count_projective(cs, 37).count == 52060
+
+
+def test_torus_kernel_matches_dense():
+    for p in [2] + SMALL_PRIMES:
+        for a, t in TORUS_AT:
+            assert count_torus(a, t, p).count == \
+                counting._torus_dense(a, t, p), (a, t, p)
+
+
+def test_torus_cell_budget():
+    # 157 is the largest prime inside the budget; 163 is refused before any
+    # cell is allocated
+    assert 156 ** 3 <= counting._MAX_TORUS_CELLS < 162 ** 3
+    with pytest.raises(ValidationError, match="cells"):
+        count_torus((1, 1, 1, 1, 1), 25, 163)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.lists(st.integers(-50, 50), min_size=5, max_size=5),
+       st.integers(-50, 50), st.sampled_from((3, 5, 7, 11, 13)))
+def test_torus_kernel_random(a, t, p):
+    assert count_torus(a, t, p).count == counting._torus_dense(a, t, p)
 
 
 def test_schoen_histogram_large_primes():
@@ -71,12 +109,10 @@ def test_twisted_counts():
 
 
 def test_twisted_substitution_matches_engine():
-    sy = dataclasses.replace(CAT.variety("schoen_y"), id="schoen_y_dense")
     iy = CAT.involution("iota_y")
-    phi = InvolutionSpec("iota_y_dense", sy.id, iy.matrix)
     engine = CAT.variety("schoen_y")
     for p in SMALL_PRIMES:
-        assert count_twisted(sy, phi, p).count == \
+        assert count_twisted(dense("schoen_y"), iy, p).count == \
             count_twisted(engine, iy, p).count, p
 
 
@@ -98,14 +134,42 @@ def test_degree_two_counts():
         count_projective(CAT.variety("e_plane"), 2, degree=2)
 
 
+def _fixed_conic_correction(p):
+    """Weighted points less Burnside orbits of schoen_y: the cone points
+    with Y0 = Y1 = Y2 = 0 have stabilizer 2, not 1, in P(1,1,1,2,2,2), so
+    each nonzero one adds one to the weighted total."""
+    sq = CAT.variety("schoen_quotient")
+    on = _zeros(sq.equations, _grid(p, [0, 0, 0, None, None, None]), p)
+    extra = int(on.sum()) - 1
+    assert extra % (p - 1) == 0
+    return extra // (p - 1)
+
+
 def test_weighted_counts_and_burnside():
     sq = CAT.variety("schoen_quotient")
+    sy, iy = CAT.variety("schoen_y"), CAT.involution("iota_y")
     for p, want in QUOTIENT_W.items():
         assert count_weighted(sq, p).count == want
+    for p in SMALL_PRIMES:
+        if p <= 13:
+            assert count_weighted(sq, p).count == \
+                count_weighted(dense(sq.id), p).count, p
         # orbit count = average of straight and twisted counts, plus the
-        # fixed conic where two orbits merge into one weighted point
-        n, nt = SCHOEN_N[p], SCHOEN_NT[p]
-        assert want == (n + nt) // 2 + quotient_weighted_correction(p)
+        # fixed conic Y3 Y4 = Y5^2, whose p + 1 points each merge two
+        # orbits into one weighted point
+        assert _fixed_conic_correction(p) == p + 1
+        n, nt = count_projective(sy, p).count, count_twisted(sy, iy, p).count
+        assert count_weighted(sq, p).count == (n + nt) // 2 + p + 1, p
+
+
+def test_weighted_quotient_at_421():
+    # the direct count that the Betti pair (85, 4) rests on, equal to the
+    # Burnside assembly of the straight and twisted schoen_y counts
+    p = 421
+    n, nt = SCHOEN_Y_LARGE[p]
+    rec = count_weighted(CAT.variety("schoen_quotient"), p)
+    assert rec.count == 76904913 == (n + nt) // 2 + p + 1
+    assert rec.chunk_count == 32
 
 
 def test_weighted_ambient_alone():
@@ -236,7 +300,7 @@ def test_slabs_do_not_change_counts(monkeypatch):
     # no Tier-1 prime is large enough for a chart to be cut into slabs (that
     # takes p >= 47 on P^4 and p >= 163 on P^3); a budget of 200 cells cuts
     # the charts with p^3 and p^4 cells at 11 and 13 into p slabs each
-    sx = dataclasses.replace(CAT.variety("schoen_x"), id="schoen_x_dense")
+    sx = dense("schoen_x")
     calls = [  # (count, charts cut into slabs)
         (lambda: count_projective(CAT.variety("hm_quintic"), 11), 2),
         (lambda: count_projective(sx, 13), 2),
@@ -264,3 +328,66 @@ def test_record_round_trip():
     assert back == recs
     assert back[0].variety_id == "schoen_x"
     assert back[0].field_degree == 1
+
+
+def _pair_catalog(r1, r2, coupling=0, m=((), ())):
+    """A one-variety catalog of r1(x0, x1, x4) + r2(x2, x3, x4) + coupling
+    x4 m1(x0, x1) m2(x2, x3) on P^4, with that structure declared."""
+    eq = {}
+
+    def add(x, c):
+        eq[x] = eq.get(x, 0) + c
+
+    for c, (a, b, s) in r1:
+        add((a, b, 0, 0, s), c)
+    for c, (a, b, s) in r2:
+        add((0, 0, a, b, s), c)
+    for c1, (a1, b1, _) in m[0]:
+        for c2, (a2, b2, _) in m[1]:
+            add((a1, b1, a2, b2, 1), coupling * c1 * c2)
+    eq = [[c, list(e)] for e, c in eq.items() if c]
+    assume(eq)
+    groups = [{"vars": [2 * g, 2 * g + 1], "r": [[c, list(e)] for c, e in r],
+               "m": [[c, list(e)] for c, e in mg]}
+              for g, (r, mg) in enumerate(zip((r1, r2), m))]
+    doc = {"varieties": [{
+        "id": "pair", "ambient": {"kind": "projective", "n": 4},
+        "dimension": 3, "bad_primes": [2], "known": None, "provenance": "test",
+        "equations": [eq], "count_model": {
+            "shared": 4, "coupling": coupling, "groups": groups}}]}
+    return catalog_from_json(doc).variety("pair")
+
+
+def _forms(deg, with_s=True):
+    """Random forms of degree deg in (a, b, s), or in (a, b) alone."""
+    exps = [(a, deg - a - s, s) for s in range(deg + 1 if with_s else 1)
+            for a in range(deg - s + 1)]
+    return st.lists(st.tuples(st.integers(-6, 6), st.sampled_from(exps)),
+                    min_size=1, max_size=5, unique_by=lambda t: t[1]).map(
+        lambda ts: tuple((c, e) for c, e in ts if c))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(_forms(3), _forms(3), st.sampled_from((3, 5, 7, 11, 13)))
+@example(((1, (3, 0, 0)), (2, (1, 1, 1))), ((1, (0, 3, 0)), (3, (0, 0, 3))), 7)
+def test_uncoupled_kernel_random(r1, r2, p):
+    assume(r1 and r2)
+    spec = _pair_catalog(r1, r2)
+    assume(any(m.coefficient % p for m in spec.equations[0]))
+    assert spec.count_model is not None
+    assert count_projective(spec, p).count == \
+        count_projective(dataclasses.replace(spec, count_model=None), p).count
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(_forms(5, with_s=False), _forms(5, with_s=False), _forms(2, False),
+       _forms(2, False), st.integers(-6, 6), st.integers(1, 6),
+       st.sampled_from((3, 5, 7, 11, 13)))
+def test_coupled_kernel_random(r1, r2, m1, m2, head, k, p):
+    # the Phi rows of the second group, one per class modulo cubes
+    assume(r1 and r2 and m1 and m2)
+    r1 = r1 + (((head, (0, 0, 5)),) if head else ())
+    spec = _pair_catalog(r1, r2, k, (m1, m2))
+    assume(any(m.coefficient % p for m in spec.equations[0]))
+    assert count_projective(spec, p).count == \
+        count_projective(dataclasses.replace(spec, count_model=None), p).count
