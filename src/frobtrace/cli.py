@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 from . import counting, lefschetz, livne, qexp
 from .catalog import load_catalog, singular_points
 from .errors import FrobtraceError, RefusalError, ValidationError
-from .ffield import is_prime, kronecker
+from .ffield import is_prime, kronecker, require_prime
 
 # Candidate splitting discriminants, tried in this order during
 # calibration.  The list covers the square classes supported on the bad
@@ -142,8 +142,7 @@ def _match(model, variety_id, primes, calibration_prime, cat, nform):
     its target; the calibration row itself does not count as a check."""
     p0 = calibration_prime
     for p in sorted(set(primes) | {p0}):
-        if not is_prime(p):
-            raise ValidationError(f"{p} is not prime")
+        require_prime(p)
     gated_rows = sorted({p for p in primes if p % 5 == 1})
     if p0 % 5 != 1 and gated_rows:
         raise RefusalError(
@@ -290,8 +289,7 @@ def quotient_resolved_count(p, adjusted=False, cat=None):
     a prime where all 85 divisor classes are Frobenius invariant; the
     unadjusted count is the honest one.
     """
-    if not is_prime(p):
-        raise ValidationError(f"{p} is not prime")
+    require_prime(p)
     cat = cat or load_catalog()
     c = _quotient_counts(cat, "schoen_quotient", p)
     row = _freeze(_QUOTIENT, QUOTIENT_FROZEN, p, c, None)
@@ -327,6 +325,14 @@ def _strip_times(obj):
     return obj
 
 
+class _Op(dict):
+    """A manifest operation, whose missing fields are ValidationErrors."""
+
+    def __missing__(self, key):
+        raise ValidationError(f"manifest op {self.get('op')!r} has no "
+                              f"field {key!r}")
+
+
 def run_manifest(manifest, outdir=None):
     """Execute a reproduction manifest (dict or path to JSON).
 
@@ -340,6 +346,7 @@ def run_manifest(manifest, outdir=None):
     results = []
     ok = True
     for op in manifest.get("operations", []):
+        op = _Op(op)
         kind = op["op"]
         if kind == "count":
             rec = counting.count(cat.variety(op["variety"]), op["p"],
@@ -414,8 +421,12 @@ def run_manifest(manifest, outdir=None):
 
 # ------------------------------------------------------------------- CLI
 
-def _int_list(text):
-    return [int(x) for x in text.split(",") if x.strip()]
+def _int_list(text, flag):
+    try:
+        return [int(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise ValidationError(f"{flag}: {text!r} is not a comma-separated "
+                              f"list of integers") from None
 
 
 def _cmd_catalog(args):
@@ -517,8 +528,7 @@ def _cmd_ap(args):
     if args.form:
         if args.form != "f25":
             raise ValidationError(f"unknown form {args.form!r}")
-        if not is_prime(args.p):
-            raise ValidationError(f"{args.p} is not prime")
+        require_prime(args.p)
         if args.p > _MAX_AP_P:
             raise RefusalError(f"f25 a_p expands p + 1 coefficients; p = "
                                f"{args.p} is over the bound {_MAX_AP_P}")
@@ -539,18 +549,22 @@ def _read_traces_csv(path):
     out = {}
     with open(path) as fh:
         rd = _csv.reader(fh)
-        header = next(rd)
+        header = next(rd, None)
         if header != ["p", "trace"]:
             raise ValidationError(f"traces file needs header p,trace, got {header}")
         for rec in rd:
             if rec:
-                out[int(rec[0])] = int(rec[1])
+                try:
+                    out[int(rec[0])] = int(rec[1])
+                except (ValueError, IndexError):
+                    raise ValidationError(f"{path}: row {','.join(rec)!r} is "
+                                          f"not an integer pair p,trace") from None
     return out
 
 
 def _cmd_livne(args):
-    s = set(_int_list(args.bad_primes))
-    t_set = _int_list(args.check_set)
+    s = set(_int_list(args.bad_primes, "--bad-primes"))
+    t_set = _int_list(args.check_set, "--check-set")
     if args.traces1:
         if not args.traces2:
             raise ValidationError("--traces1 needs --traces2")
@@ -568,7 +582,8 @@ def _cmd_livne(args):
 
 def _cmd_match(args):
     rep = match_pipeline(args.variety, args.form, args.companion,
-                         _int_list(args.primes), args.calibration_prime)
+                         _int_list(args.primes, "--primes"),
+                         args.calibration_prime)
     doc = rep.to_json()
     if args.out:
         with open(args.out, "w") as fh:

@@ -9,24 +9,22 @@ twisted, chi-weighted and uncoupled cases and is refused for p^2 beyond a
 stated cell budget.  The torus count solves a quadratic in one coordinate
 over an O(p^3) grid.  Everything else, and every kernel's oracle, runs on
 the broadcast grids of the catalog module: the projective and twisted
-counts share one dense tail over the chunk list of _charts, an F_{p^2}
-count is the F_p count of the common zeros of the Weil restrictions of the
-equations, the weighted count runs one slab per value of the first
-coordinate, and the torus count at p = 2 one grid with the zero
-coordinates masked out.  count() picks the counter for a variety's ambient
-space.
+counts share one dense tail over the charts of _charts, cut into slabs
+that bound memory, an F_{p^2} count is the F_p count of the common zeros
+of the Weil restrictions of the equations, the weighted count runs one
+slab per value of the first coordinate, and the torus count at p = 2 one
+grid with the zero coordinates masked out.  count() picks the counter for
+a variety's ambient space.
 
-The kernels run their chunk lists in the calling thread.  The dense
-counters run theirs on FROBTRACE_THREADS worker threads, which never
-changes any count: the chunk list depends only on p, and partial sums are
-reduced in chunk order.
+Every count runs in the calling thread.  The dense counters and the
+two-group kernel pass their chunk lists, which depend only on p, once
+through _run_chunks and sum the parts in chunk order; the kernel's list
+is one chunk of every mu.
 """
 from __future__ import annotations
 
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 from math import gcd
 
@@ -35,7 +33,7 @@ import numpy as np
 from .catalog import (TORUS_FAMILY, Monomial, _charts, _compose_equation,
                       _eval_mono_list, _grid, _ratio, _restrict, _zeros)
 from .errors import FrobtraceError, RefusalError, ValidationError
-from .ffield import PrimeField, is_prime
+from .ffield import nonresidue, require_prime
 
 _MAX_DENSE_TOTAL = 600_000_000     # refuse larger dense enumerations
 _MAX_HIST_CELLS = 4_000_000        # p^2 cells per two-group table (p < 2000)
@@ -53,31 +51,17 @@ class CountRecord:
     wall_time: float
 
 
-def _threads():
-    raw = os.environ.get("FROBTRACE_THREADS", "1")
-    try:
-        k = int(raw)
-    except ValueError:
-        raise ValidationError(f"FROBTRACE_THREADS={raw!r} is not an integer") from None
-    if not 1 <= k <= 64:
-        raise ValidationError(f"FROBTRACE_THREADS={k} out of range 1..64")
-    return k
-
-
 def _run_chunks(worker, chunks):
-    """Run worker over the chunk list in the calling thread, in chunk order.
-    The kernels run here: their chunks are too small for a pool to pay."""
-    _threads()                      # a bad setting is an error on every path
+    """worker over the chunk list in chunk order: the one loop of every
+    counter, and the seam where the invariant tests lose a cell."""
     return [worker(c) for c in chunks]
 
 
-def _run_pooled(worker, chunks):
-    """_run_chunks on FROBTRACE_THREADS threads, for the dense counters."""
-    k = _threads()
-    if k == 1 or len(chunks) == 1:
-        return _run_chunks(worker, chunks)
-    with ThreadPoolExecutor(max_workers=k) as pool:
-        return list(pool.map(worker, chunks))
+def _record(vid, p, degree, twist_id, t0, counted):
+    """The CountRecord of counted = (count, chunk count), timed from t0."""
+    cnt, chunks = counted
+    return CountRecord(vid, p, degree, twist_id, cnt, chunks,
+                       time.perf_counter() - t0)
 
 
 def _check_equations_mod_p(spec, p):
@@ -87,15 +71,10 @@ def _check_equations_mod_p(spec, p):
                 f"{spec.id}: equation {i} vanishes identically mod {p}")
 
 
-def _require_prime(p):
-    if not is_prime(p):
-        raise ValidationError(f"{p} is not prime")
-
-
 # ------------------------------------------------------------------ generic
 
-def _count_dense(spec, eqs, p, degree, twist_id, t0):
-    """CountRecord of the common zeros of eqs, monomial lists on
+def _count_dense(spec, eqs, p, degree):
+    """(count, chunk count) of the common zeros of eqs, monomial lists on
     P^{nvars-1} (over F_{p^2}: their restrictions), chart by chart."""
     nv = spec.ambient.nvars
     if p ** (nv - 1) > _MAX_DENSE_TOTAL:
@@ -105,9 +84,7 @@ def _count_dense(spec, eqs, p, degree, twist_id, t0):
     def worker(fixed):
         return int(np.count_nonzero(_zeros(eqs, _grid(p, fixed), p)))
 
-    cnt = sum(_run_pooled(worker, chunks))
-    return CountRecord(spec.id, p, degree, twist_id, cnt, len(chunks),
-                       time.perf_counter() - t0)
+    return sum(_run_chunks(worker, chunks)), len(chunks)
 
 
 # ------------------------------------------------------ two-group kernel
@@ -128,9 +105,9 @@ def _hist(idx, size, sign=None):
             - np.bincount(idx[sign < 0], minlength=size))
 
 
-def _two_group_count(model, p, label, chunks_wanted=32):
-    """Count of a variety through its declared CountModel (catalog), at an
-    odd prime:
+def _two_group_count(model, p, label):
+    """(count, chunk count 1) of a variety through its declared CountModel
+    (catalog), at an odd prime:
 
         r1(a1, b1, s) + r2(a2, b2, s) + k s^e m1(a1, b1) m2(a2, b2) = 0,
 
@@ -238,23 +215,18 @@ def _two_group_count(model, p, label, chunks_wanted=32):
                               for sg in signs]) for rho in reps])
     target = neg(c1 + c2)
 
-    n_chunks = min(p, chunks_wanted)
-    bounds = [(c * p) // n_chunks for c in range(n_chunks + 1)]
-    chunks = [(bounds[c], bounds[c + 1]) for c in range(n_chunks)]
-
-    def worker(rng):
-        lo, hi = rng
+    def worker(mus):
         sub = 0
-        for mu in range(lo, hi):
+        for mu in mus:
             lam = k * mu % p
             sub += int(np.vdot(joint[mu], phi[row[lam]][:, target * shift[lam] % p]))
-        return (p - 1) * sub + (cone if lo == 0 else 0)
+        return (p - 1) * sub
 
-    total = sum(_run_chunks(worker, chunks)) - 1 + extra
+    total = sum(_run_chunks(worker, [range(p)])) + cone - 1 + extra
     if total % (p - 1):
         raise FrobtraceError(f"{label} at p={p}: weighted cone total is "
                              f"{total % (p - 1)} mod p-1, not 0")
-    return total // (p - 1), n_chunks
+    return total // (p - 1), 1
 
 
 def _kernel_model(spec, p):
@@ -270,7 +242,7 @@ def _kernel_model(spec, p):
 
 def count_projective(spec, p, degree=1):
     """#X(F_{p^degree}) for a variety in (straight) projective space."""
-    _require_prime(p)
+    require_prime(p)
     if degree not in (1, 2):
         raise ValidationError("field_degree must be 1 or 2")
     if spec.ambient.kind != "projective":
@@ -281,15 +253,13 @@ def count_projective(spec, p, degree=1):
     if degree == 2:
         if p == 2:
             raise ValidationError("degree-2 counts need an odd prime")
-        n = PrimeField(p).nonresidue
-        return _count_dense(spec, [f for eq in spec.equations
-                                   for f in _restrict(eq, n)], p, 2, None, t0)
+        n = nonresidue(p)
+        return _record(spec.id, p, 2, None, t0, _count_dense(
+            spec, [f for eq in spec.equations for f in _restrict(eq, n)], p, 2))
     model = _kernel_model(spec, p)
-    if model is not None:
-        cnt, nchunks = _two_group_count(model, p, spec.id)
-        return CountRecord(spec.id, p, 1, None, cnt, nchunks,
-                           time.perf_counter() - t0)
-    return _count_dense(spec, spec.equations, p, 1, None, t0)
+    return _record(spec.id, p, 1, None, t0,
+                   _two_group_count(model, p, spec.id) if model is not None
+                   else _count_dense(spec, spec.equations, p, 1))
 
 
 def check_preserves(spec, phi):
@@ -343,7 +313,7 @@ def count_twisted(spec, phi, p):
     in F_p coefficients exactly when phi preserves the equations.  A
     declared two-group model is twisted the same way, group by group.
     """
-    _require_prime(p)
+    require_prime(p)
     if p == 2:
         raise ValidationError("twisted counts need an odd prime")
     if spec.ambient.kind != "projective":
@@ -358,17 +328,15 @@ def count_twisted(spec, phi, p):
         raise RefusalError(f"{phi.id}: diagonal entries must be +-1")
     _check_equations_mod_p(spec, p)
     t0 = time.perf_counter()
-    n = PrimeField(p).nonresidue
-    model = _kernel_model(spec, p)
-    model = model and _twisted_model(model, diag, n)
-    if model is not None:
-        cnt, nchunks = _two_group_count(model, p, spec.id)
-        return CountRecord(spec.id, p, 1, phi.id, cnt, nchunks,
-                           time.perf_counter() - t0)
+    n = nonresidue(p)
     twisted_eqs = [_twist(eq, diag, n) for eq in spec.equations]
     if None in twisted_eqs:
         raise ValidationError(f"{spec.id}: equation not invariant under {phi.id}")
-    return _count_dense(spec, twisted_eqs, p, 1, phi.id, t0)
+    model = _kernel_model(spec, p)
+    model = model and _twisted_model(model, diag, n)
+    return _record(spec.id, p, 1, phi.id, t0,
+                   _two_group_count(model, p, spec.id) if model is not None
+                   else _count_dense(spec, twisted_eqs, p, 1))
 
 
 def count_weighted(spec, p):
@@ -378,21 +346,24 @@ def count_weighted(spec, p):
     A declared two-group model is counted by the kernel; otherwise every
     cone point is enumerated, one slab per value of the first coordinate.
     """
-    _require_prime(p)
+    require_prime(p)
     if spec.ambient.kind != "weighted_projective":
         raise ValidationError(f"{spec.id}: not a weighted-projective variety")
     _check_equations_mod_p(spec, p)
     t0 = time.perf_counter()
     model = _kernel_model(spec, p)
-    if model is not None:
-        cnt, nchunks = _two_group_count(model, p, spec.id)
-        return CountRecord(spec.id, p, 1, None, cnt, nchunks,
-                           time.perf_counter() - t0)
+    return _record(spec.id, p, 1, None, t0,
+                   _two_group_count(model, p, spec.id) if model is not None
+                   else _count_orbits(spec, p))
+
+
+def _count_orbits(spec, p):
+    """(count, chunk count) of a weighted-projective variety from every
+    cone point, one slab per value of the first coordinate."""
     weights = spec.ambient.weights
     nv = len(weights)
     if p ** nv > _MAX_DENSE_TOTAL:
         raise ValidationError(f"weighted count infeasible at p={p}")
-    # slab over the first coordinate; chunk list = slab values
     chunks = list(range(p))
 
     def worker(x0):
@@ -404,12 +375,11 @@ def count_weighted(spec, p):
         gw = np.broadcast_to(gw, mask.shape)[mask]
         return int(np.gcd(gw[gw != 0], p - 1).sum())
 
-    total = sum(_run_pooled(worker, chunks))
+    total = sum(_run_chunks(worker, chunks))
     if total % (p - 1):
         raise FrobtraceError(f"{spec.id} at p={p}: stabilizer-weighted total is "
                              f"{total % (p - 1)} mod p-1, not 0")
-    return CountRecord(spec.id, p, 1, None, total // (p - 1), len(chunks),
-                       time.perf_counter() - t0)
+    return total // (p - 1), len(chunks)
 
 
 def _torus_dense(a, t, p):
@@ -468,20 +438,20 @@ def _torus_kernel(a, t, p):
 def count_torus(a, t, p):
     """Points with all coordinates nonzero on the cleared-denominator
     equation of (X1+...+X5)(a1/X1+...+a5/X5) = t, normalized X5 = 1."""
-    _require_prime(p)
+    require_prime(p)
     if len(a) != 5:
         raise ValidationError("parameter vector a must have 5 entries")
     t0 = time.perf_counter()
     cnt = _torus_dense(a, t, p) if p == 2 else _torus_kernel(a, t % p, p)
     vid = "%s[a=%s;t=%d]" % (TORUS_FAMILY, ",".join(str(x) for x in a), t)
-    return CountRecord(vid, p, 1, None, cnt, 1, time.perf_counter() - t0)
+    return _record(vid, p, 1, None, t0, (cnt, 1))
 
 
 def count_double_cover(spec, p):
     """Points of w^2 = f(x) over P^3 with f the product of the stored
     linear forms: sum over P^3 of 1 + chi(f(x)), chi the quadratic
     character with chi(0) = 0."""
-    _require_prime(p)
+    require_prime(p)
     if spec.ambient.kind != "double_cover_p3":
         raise ValidationError(f"{spec.id}: not a double cover of P^3")
     if p == 2:
@@ -500,9 +470,8 @@ def count_double_cover(spec, p):
             f = f * _eval_mono_list(eq, coords, p) % p
         return int(f.size + chi[f].sum())
 
-    cnt = sum(_run_pooled(worker, chunks))
-    return CountRecord(spec.id, p, 1, None, cnt, len(chunks),
-                       time.perf_counter() - t0)
+    return _record(spec.id, p, 1, None, t0,
+                   (sum(_run_chunks(worker, chunks)), len(chunks)))
 
 
 def count(spec, p, degree=1):

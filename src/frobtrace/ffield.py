@@ -1,10 +1,11 @@
 """Primality, the Kronecker symbol, and prime-field data.
 
-Everything here is exact integer arithmetic on Python ints.  PrimeField
-gives square roots mod p and the distinguished non-residue n that defines
-F_{p^2} = F_p[s]/(s^2 - n).  Elements of F_p and F_{p^2} are not objects:
-they are residues, and a + b s is the pair (a, b) of F_p coordinates on
-which the catalog module evaluates Weil restrictions.
+Everything here is exact integer arithmetic on Python ints.  require_prime
+is the prime check every entry point makes, and nonresidue(p) is the
+distinguished non-residue n that defines F_{p^2} = F_p[s]/(s^2 - n).
+Elements of F_p and F_{p^2} are not objects: they are residues, and
+a + b s is the pair (a, b) of F_p coordinates on which the catalog module
+evaluates Weil restrictions.
 """
 from __future__ import annotations
 
@@ -83,55 +84,16 @@ def kronecker(d, m):
     return sign if m == 1 else 0
 
 
-class PrimeField:
-    """F_p together with a distinguished non-residue for building F_{p^2}."""
+def require_prime(p):
+    """Raise ValidationError unless p is prime."""
+    if not is_prime(p):
+        raise ValidationError(f"{p} is not prime")
 
-    def __init__(self, p):
-        if not is_prime(p):
-            raise ValidationError(f"{p} is not prime")
-        self.p = p
-        self._nonres = None
 
-    def __repr__(self):
-        return f"PrimeField({self.p})"
-
-    @property
-    def nonresidue(self):
-        """Smallest positive quadratic non-residue mod p (p odd)."""
-        if self._nonres is None:
-            if self.p == 2:
-                raise ValidationError("F_2 has no quadratic non-residue")
-            for n in range(2, self.p):
-                if kronecker(n, self.p) == -1:
-                    self._nonres = n
-                    break
-        return self._nonres
-
-    def sqrt(self, a):
-        """A square root of a mod p, or None if a is a non-residue."""
-        p = self.p
-        a %= p
-        if a == 0:
-            return 0
-        if p == 2:
-            return a
-        if kronecker(a, p) != 1:
-            return None
-        if p % 4 == 3:
-            return pow(a, (p + 1) // 4, p)
-        # Tonelli-Shanks
-        q, s = p - 1, 0
-        while q % 2 == 0:
-            q //= 2
-            s += 1
-        z = self.nonresidue
-        m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-        while t != 1:
-            i, u = 0, t
-            while u != 1:
-                u = u * u % p
-                i += 1
-            b = pow(c, 1 << (m - i - 1), p)
-            m, c = i, b * b % p
-            t, r = t * c % p, r * b % p
-        return r
+def nonresidue(p):
+    """Smallest positive quadratic non-residue n mod an odd prime p, which
+    defines F_{p^2} = F_p[s]/(s^2 - n)."""
+    require_prime(p)
+    if p == 2:
+        raise ValidationError("F_2 has no quadratic non-residue")
+    return next(n for n in range(2, p) if kronecker(n, p) == -1)

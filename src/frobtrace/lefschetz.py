@@ -14,7 +14,7 @@ import numpy as np
 from .catalog import (Monomial, singular_points, _charts, _eval_mono_list,
                       _grid, _partial, _restrict, _zeros)
 from .errors import RefusalError, ValidationError
-from .ffield import PrimeField, kronecker
+from .ffield import kronecker, nonresidue, require_prime
 
 
 def trace_h3(n_p, p, b2, correction):
@@ -57,8 +57,9 @@ def solve_betti(n_p, p, chi, b2_cap=100_000):
 
     The trace grows by p + p^2 per extra b2 while the bound grows by
     2 p^{3/2} < p + p^2, so the search terminates as soon as the trace
-    leaves the window from above.
+    leaves the window from above.  p must be prime.
     """
+    require_prime(p)
     out = []
     b2 = max(1, -((2 - chi) // 2))
     while b2 <= b2_cap:
@@ -253,8 +254,8 @@ def elliptic_ap(spec, p, degree=1):
     if spec.ambient.kind != "projective" or len(spec.equations) != 1 \
             or spec.ambient.n != 2:
         raise ValidationError(f"{spec.id}: need a plane curve")
-    field = PrimeField(p)                       # refuses composite p
-    n = field.nonresidue if degree == 2 else None
+    require_prime(p)
+    n = nonresidue(p) if degree == 2 else None
 
     def lift(f):
         return (f,) if n is None else _restrict(f, n)

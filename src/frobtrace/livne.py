@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .ffield import is_prime, kronecker
+from .ffield import is_prime, kronecker, require_prime
 
 
 @dataclass(frozen=True)
@@ -44,8 +44,7 @@ def build_basis(s):
 def frobenius_signature(basis, p):
     """Tuple of Kronecker symbols (d/p) over the basis entries; p must be a
     prime outside S (the symbols degenerate on ramified primes)."""
-    if not is_prime(p):
-        raise ValidationError(f"{p} is not prime")
+    require_prime(p)
     if p in basis.s or (p == 2 and any(d % 2 == 0 or d == -1 for d in basis.entries)):
         raise ValidationError(f"signature undefined at p={p} (ramified)")
     sig = tuple(kronecker(d, p) for d in basis.entries)

@@ -12,7 +12,7 @@ from frobtrace.catalog import (Ambient, InvolutionSpec, Monomial, VarietySpec,
                                catalog_from_json, catalog_to_json, evaluate,
                                load_catalog, save_catalog, singular_points)
 from frobtrace.errors import RefusalError, ValidationError
-from frobtrace.ffield import PrimeField
+from frobtrace.ffield import nonresidue
 
 CAT = load_catalog()
 
@@ -248,7 +248,7 @@ def _pair_mul(x, y, p, n):
 @given(_homogeneous(), st.sampled_from((3, 5, 7, 11, 13)), st.data())
 def test_restriction_matches_pair_arithmetic(spec, p, data):
     nv = spec.ambient.nvars
-    n = PrimeField(p).nonresidue
+    n = nonresidue(p)
     eq = spec.equations[0]
     points = data.draw(st.lists(
         st.lists(st.tuples(st.integers(0, p - 1), st.integers(0, p - 1)),
@@ -276,7 +276,7 @@ def test_ext_evaluator_restricts_to_fp(spec, p, data):
     lead = data.draw(st.integers(0, nv - 1))
     coords = _grid(p, _charts(p, nv, 2)[lead])
     re, im = (_eval_mono_list(f, coords, p)
-              for f in _restrict(spec.equations[0], PrimeField(p).nonresidue))
+              for f in _restrict(spec.equations[0], nonresidue(p)))
     rational = np.logical_and.reduce(
         [np.broadcast_to(b, re.shape) == 0 for b in coords[1::2]])
     assert np.count_nonzero(rational) == p ** (nv - 1 - lead)
@@ -289,7 +289,7 @@ def test_ext_evaluator_frobenius():
     # x^p is the conjugation a + bs -> a - bs, and x^(p^2) = x
     for p in (3, 7, 11, 13):
         a, b = _grid(p, [None, None])
-        n = PrimeField(p).nonresidue
+        n = nonresidue(p)
         for e, want in ((p, (a, -b % p)), (p * p, (a, b))):
             got = [_eval_mono_list(f, [a, b], p)
                    for f in _restrict((Monomial(1, (e,)),), n)]

@@ -115,7 +115,7 @@ def test_betti_report_small_prime_caveat():
     assert "not Frobenius-invariant" in rep["note"]
 
 
-def test_exit_codes(capsys):
+def test_exit_codes(capsys, tmp_path):
     assert main(["count", "--variety", "schoen_x", "--p", "10"]) == 1
     assert main(["count", "--variety", "schoen_quotient", "--p", "3",
                  "--degree", "2"]) == 1
@@ -133,6 +133,9 @@ def test_exit_codes(capsys):
     # composite primes that p = 4 mod 5 would otherwise refuse
     for p in ("9", "4"):
         assert main(["betti", "--p", p, "--chi", "168"]) == 1, p
+    for p in ("9", "0"):
+        assert main(["betti", "--p", p, "--chi", "168",
+                     "--count", "1000"]) == 1, p
     # 8e9 cells, refused before any slab is built
     assert main(["count", "--variety", "double_octic_template",
                  "--p", "2003"]) == 1
@@ -141,6 +144,20 @@ def test_exit_codes(capsys):
     assert main(["livne", "--bad-primes", "2,5",
                  "--check-set", "3,7,11,13,17,29,31"]) == 0
     capsys.readouterr()
+    # malformed input from outside gets an error line naming the bad field
+    assert main(["match", "--variety", "schoen_x", "--primes", "3,x",
+                 "--calibration-prime", "11"]) == 1
+    traces = tmp_path / "traces.csv"
+    traces.write_text("p,trace\n3,abc\n")
+    assert main(["livne", "--bad-primes", "2,5", "--check-set", "3,7",
+                 "--traces1", str(traces), "--traces2", str(traces)]) == 1
+    manifest = tmp_path / "no_p.json"
+    manifest.write_text(json.dumps(
+        {"operations": [{"op": "count", "variety": "schoen_x"}]}))
+    assert main(["run", str(manifest)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3 and all(e.startswith("error: ") for e in err)
+    assert "--primes" in err[0] and "'3,abc'" in err[1] and "'p'" in err[2]
 
 
 def test_count_command(capsys):

@@ -1,6 +1,10 @@
 """Point counts pinned against independently computed values."""
 import dataclasses
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -55,7 +59,7 @@ def test_consani_scholten_kernel_matches_dense():
     for p in SMALL_PRIMES:
         rec = count_projective(cs, p)
         assert rec.count == count_projective(dense(cs.id), p).count, p
-        assert rec.chunk_count == min(p, 32)
+        assert rec.chunk_count == 1
     assert count_projective(cs, 37).count == 52060
 
 
@@ -169,7 +173,7 @@ def test_weighted_quotient_at_421():
     n, nt = SCHOEN_Y_LARGE[p]
     rec = count_weighted(CAT.variety("schoen_quotient"), p)
     assert rec.count == 76904913 == (n + nt) // 2 + p + 1
-    assert rec.chunk_count == 32
+    assert rec.chunk_count == 1
 
 
 def test_weighted_ambient_alone():
@@ -244,6 +248,22 @@ def test_counter_invariants_raise(monkeypatch):
         count_projective(CAT.variety("schoen_x"), 7)
     with pytest.raises(FrobtraceError, match="p=3.* 1 mod p-1"):
         count_weighted(CAT.variety("schoen_quotient"), 3)
+    with pytest.raises(FrobtraceError, match="stabilizer-weighted .* 1 mod p-1"):
+        count_weighted(dense("schoen_quotient"), 3)
+
+
+def test_counter_invariants_raise_under_O():
+    # the same check in a python -O child, which strips assert statements
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(counting.__file__).parent.parent),
+                      env.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{__file__}::test_counter_invariants_raise"],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert "1 passed" in res.stdout
 
 
 def test_equation_degenerate_mod_p():
@@ -274,28 +294,6 @@ def test_check_preserves():
         count_twisted(sx, flip, 7)
 
 
-def test_thread_env_validation(monkeypatch):
-    monkeypatch.setenv("FROBTRACE_THREADS", "0")
-    with pytest.raises(ValidationError):
-        count_projective(CAT.variety("schoen_x"), 7)
-    monkeypatch.setenv("FROBTRACE_THREADS", "65")
-    with pytest.raises(ValidationError):
-        count_projective(CAT.variety("schoen_x"), 7)
-    monkeypatch.setenv("FROBTRACE_THREADS", "two")
-    with pytest.raises(ValidationError):
-        count_projective(CAT.variety("schoen_x"), 7)
-
-
-def test_thread_count_does_not_change_results(monkeypatch):
-    sx = CAT.variety("schoen_x")
-    monkeypatch.setenv("FROBTRACE_THREADS", "1")
-    base = count_projective(sx, 13)
-    monkeypatch.setenv("FROBTRACE_THREADS", "4")
-    again = count_projective(sx, 13)
-    assert again.count == base.count
-    assert again.chunk_count == base.chunk_count
-
-
 def test_slabs_do_not_change_counts(monkeypatch):
     # no Tier-1 prime is large enough for a chart to be cut into slabs (that
     # takes p >= 47 on P^4 and p >= 163 on P^3); a budget of 200 cells cuts
@@ -310,13 +308,11 @@ def test_slabs_do_not_change_counts(monkeypatch):
     assert base[0].count == HM_N[11] and base[1].count == SCHOEN_N[13]
     nodes = singular_points(CAT.variety("schoen_x"), 11)
     monkeypatch.setattr(catalog, "_MAX_SLAB_CELLS", 200)
-    for threads in ("1", "2"):
-        monkeypatch.setenv("FROBTRACE_THREADS", threads)
-        for (f, cut), b in zip(calls, base):
-            rec = f()
-            assert rec.count == b.count, (threads, rec.variety_id)
-            assert rec.chunk_count == b.chunk_count + cut * (rec.p - 1)
-        assert singular_points(CAT.variety("schoen_x"), 11) == nodes
+    for (f, cut), b in zip(calls, base):
+        rec = f()
+        assert rec.count == b.count, rec.variety_id
+        assert rec.chunk_count == b.chunk_count + cut * (rec.p - 1)
+    assert singular_points(CAT.variety("schoen_x"), 11) == nodes
 
 
 def test_record_round_trip():

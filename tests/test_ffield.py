@@ -1,7 +1,7 @@
 import pytest
 
 from frobtrace.errors import ValidationError
-from frobtrace.ffield import PrimeField, is_prime, kronecker
+from frobtrace.ffield import is_prime, kronecker, nonresidue
 
 
 def test_is_prime_basics():
@@ -54,22 +54,11 @@ def test_kronecker_multiplicative():
                 assert kronecker(a * b, m) == kronecker(a, m) * kronecker(b, m)
 
 
-def test_field_sqrt():
-    for p in (13, 17, 29, 101):
-        f = PrimeField(p)
-        for a in range(1, p):
-            r = f.sqrt(a)
-            if kronecker(a, p) == 1:
-                assert r is not None and r * r % p == a
-            else:
-                assert r is None
-    assert PrimeField(7).sqrt(0) == 0
-
-
 def test_nonresidue_minimal():
-    assert PrimeField(3).nonresidue == 2
-    assert PrimeField(7).nonresidue == 3
-    assert PrimeField(11).nonresidue == 2
-    assert PrimeField(421).nonresidue == 2
-    with pytest.raises(ValidationError):
-        PrimeField(2).nonresidue
+    assert nonresidue(3) == 2
+    assert nonresidue(7) == 3
+    assert nonresidue(11) == 2
+    assert nonresidue(421) == 2
+    for p in (2, 9, 1):
+        with pytest.raises(ValidationError):
+            nonresidue(p)
