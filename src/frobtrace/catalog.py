@@ -1,5 +1,5 @@
 """Variety catalog: dataclasses, JSON (de)serialization, evaluation, the
-dense evaluator, and singular point search.
+dense evaluator, and the node search.
 
 A variety is a list of equations over an ambient space; each equation is a
 list of integer monomials.  The shipped catalog lives in data/catalog.json
@@ -12,12 +12,15 @@ with _compose_equation and refuses one that does not give the stored
 equations, so the counting kernel it selects cannot count a wrong model.
 
 Every dense path (the chart, twisted, weighted, torus, degree-2 and
-double-cover counts, the singular scan and elliptic a_p) is built from four
+double-cover counts and the node search) is built from four
 helpers: _charts lists the affine charts, cut into slabs when large;
 _grid gives a chart's coordinates as arrays that broadcast against each
 other; _eval_mono_list evaluates a monomial list mod p on them; and
 _restrict turns a polynomial over F_{p^2} into its pair of polynomials over
 F_p (Weil restriction), so that F_{p^2} counts run on F_p grids too.
+The one node search, _singular_scan, gives chart by chart the points of a
+hypersurface and the mask of its singular ones; singular_points and
+lefschetz.nodal_curve both read it.
 """
 from __future__ import annotations
 
@@ -545,7 +548,10 @@ def _restrict(eq, n):
     to F_p: substituting x_i = a_i + b_i s gives R + I s, and the pair
     (R, I) of monomial lists in (a_0, b_0, a_1, b_1, ...) is returned.  A
     point of F_{p^2} is a zero exactly when it is a common zero of R and I.
-    Coefficients are exact integers; the evaluator reduces them mod p."""
+    Coefficients are exact integers; the evaluator reduces them mod p.
+    With n None the field is F_p itself, and (eq,) is returned."""
+    if n is None:
+        return (eq,)
     parts = ({}, {})
     for mono in eq:
         terms = {((), 0): mono.coefficient}       # (exponents, s-degree)
@@ -559,9 +565,11 @@ def _restrict(eq, n):
                  for part in parts)
 
 
-def singular_points(spec, p):
-    """All F_p-rational singular points of a hypersurface, as normalized
-    projective representatives (first nonzero coordinate scaled to 1).
+def _singular_scan(spec, p, n=None):
+    """The one node search: for each chart of a hypersurface over F_p, or
+    over F_{p^2} = F_p[s]/(s^2 - n) when n is given, the chart, the
+    coordinates of the points on it (over F_{p^2} the pairs (a, b) of
+    a + b s) and the mask of the singular points among them.
 
     Refuses bad primes: reductions there are not the varieties this catalog
     describes.  Only single-equation specs in straight projective space are
@@ -575,15 +583,22 @@ def singular_points(spec, p):
     if spec.ambient.kind != "projective":
         raise ValidationError(f"{spec.id}: unsupported ambient for singular scan")
     nv = spec.ambient.nvars
-    eq = spec.equations[0]
-    parts = [_partial(eq, v) for v in range(nv)]
     if p ** (nv - 1) > 40_000_000 * p:
         raise ValidationError(f"singular scan infeasible at p={p}")
-    found = []
-    for fixed in _charts(p, nv):
+    eq = spec.equations[0]
+    eqs = _restrict(eq, n)
+    parts = [g for v in range(nv) for g in _restrict(_partial(eq, v), n)]
+    for fixed in _charts(p, nv, 1 if n is None else 2):
         coords = _grid(p, fixed)
-        on = _zeros([eq], coords, p)
+        on = _zeros(eqs, coords, p)
         at = [np.broadcast_to(x, on.shape)[on] for x in coords]
-        sing = _zeros(parts, at, p)
+        yield fixed, at, _zeros(parts, at, p)
+
+
+def singular_points(spec, p):
+    """All F_p-rational singular points of a hypersurface, as normalized
+    projective representatives (first nonzero coordinate scaled to 1)."""
+    found = []
+    for _, at, sing in _singular_scan(spec, p):
         found.extend(zip(*(x[sing].tolist() for x in at)))
     return sorted(found)

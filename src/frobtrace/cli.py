@@ -6,13 +6,14 @@ splitting discriminant of the node quadrics and the number of Galois-gated
 divisor classes) are calibrated at a single prime and then frozen for all
 other rows, which is what makes the agreement at the remaining primes a
 check rather than a fit.  Each pipeline is a model (its counts, rational
-nodes, base b2 and target trace at a prime); one calibration and one
+nodes, base b2 and companion a_p at a prime); one calibration and one
 freeze serve the rigid match, the quotient match and the Betti count,
 whose frozen values are those the quotient calibration gives at p = 11.
 """
 from __future__ import annotations
 
 import argparse
+import csv
 import itertools
 import json
 import sys
@@ -53,15 +54,8 @@ class MatchReport:
     overall: bool
 
     def to_json(self):
-        return {
-            "variety_id": self.variety_id,
-            "form": self.form,
-            "companion": self.companion,
-            "calibration_prime": self.calibration_prime,
-            "calibrated": self.calibrated,
-            "rows": [asdict(r) for r in self.rows],
-            "overall": self.overall,
-        }
+        """The report as JSON data: every field, each row a MatchRow dict."""
+        return asdict(self)
 
 
 def _schoen_rational_nodes(p):
@@ -83,11 +77,12 @@ class _Counts(NamedTuple):
     count: int      # point count before the nodes are resolved
     nodes: int      # F_p-rational nodes taking the resolution
     b2: int         # H^2 classes that are Frobenius invariant at every prime
+    companion_ap: int = 0   # of the companion curve: the target trace is
+                            # a_p(form) + p companion_ap
 
 
 class _Model(NamedTuple):
     counts: Callable        # (cat, variety_id, p) -> _Counts
-    target: Callable        # (cat, nform, p) -> the candidate trace
     companion: str | None
     resolution: str         # "small" or "big", as node_correction takes it
     described: dict         # the per-node terms of calibrated["correction"]
@@ -102,8 +97,8 @@ class _Frozen(NamedTuple):
 
 def _freeze(model, frozen, p, c, target):
     """The MatchRow at p under the frozen parameters."""
-    corr = lefschetz.node_correction(None, p, model.resolution, frozen.disc,
-                                     n_rational=c.nodes)
+    corr = lefschetz.node_correction(p, model.resolution, frozen.disc,
+                                     c.nodes)
     b2 = c.b2 + (frozen.gated if p % 5 == 1 else 0)
     t3 = lefschetz.trace_h3(c.count, p, b2, corr)
     n_p = c.count + corr if model.resolved_n_p else c.count
@@ -141,7 +136,11 @@ def _match(model, variety_id, primes, calibration_prime, cat, nform):
     """Calibrate at one prime, freeze, and compare every row's trace with
     its target; the calibration row itself does not count as a check."""
     p0 = calibration_prime
-    for p in sorted(set(primes) | {p0}):
+    try:
+        primes = set(primes) | {p0}
+    except TypeError:
+        raise ValidationError(f"primes {primes!r} is not a list") from None
+    for p in primes:
         require_prime(p)
     gated_rows = sorted({p for p in primes if p % 5 == 1})
     if p0 % 5 != 1 and gated_rows:
@@ -151,11 +150,12 @@ def _match(model, variety_id, primes, calibration_prime, cat, nform):
             f"so the rows at {gated_rows} cannot be checked; use a "
             f"calibration prime = 1 mod 5, such as 11")
     cat = cat or load_catalog()
-    primes = sorted(set(primes) | {p0})
+    primes = sorted(primes)
     if nform is None:
         nform = qexp.f25(max(primes))
     counts = {p: model.counts(cat, variety_id, p) for p in primes}
-    targets = {p: model.target(cat, nform, p) for p in primes}
+    targets = {p: qexp.coefficient(nform, p) + p * counts[p].companion_ap
+               for p in primes}
     frozen = _calibrate(model, p0, counts[p0], targets[p0])
     calibrated = {"b2": counts[p0].b2 + frozen.gated, "correction": {
         "resolution": model.resolution,
@@ -183,7 +183,8 @@ def _quotient_counts(cat, variety_id, p):
     curve replaced by the conic bundles that the blowup inserts over them.
     The big resolution takes the 60 free node-pair images when the fifth
     roots of unity are rational, plus two nodes over each rational curve
-    node when sqrt(-1) is rational."""
+    node when sqrt(-1) is rational.  The fixed curve's points, its nodes
+    and a_p of its normalization, the companion, come from one scan."""
     spec = cat.variety(variety_id)
     _require_good(spec, p)
     if p % 5 == 4:
@@ -200,27 +201,21 @@ def _quotient_counts(cat, variety_id, p):
     ep = cat.variety("e_plane")
     n_plain = counting.count_projective(sy, p).count
     n_twist = counting.count_twisted(sy, cat.involution("iota_y"), p).count
-    e_count = counting.count_projective(ep, p).count
-    e_nodes = len(singular_points(ep, p))
-    base = ((n_plain + n_twist) // 2 - (p + 1) - e_count
-            + (p + 1) * (p + 1) + (p + 1) * e_count)
+    e = lefschetz.nodal_curve(ep, p)
+    base = ((n_plain + n_twist) // 2 - (p + 1) - e.points
+            + (p + 1) * (p + 1) + (p + 1) * e.points)
     big = ((60 if p % 5 == 1 else 0)
-           + (2 * e_nodes if kronecker(-1, p) == 1 else 0))
-    return _Counts(base, big, 3 + big)
-
-
-def _quotient_target(cat, nform, p):
-    ap_e = lefschetz.elliptic_ap(cat.variety("e_plane"), p)
-    return qexp.coefficient(nform, p) + qexp.tensor_ap(p, ap_e)
+           + (2 * e.nodes if kronecker(-1, p) == 1 else 0))
+    return _Counts(base, big, 3 + big, e.ap)
 
 
 _RIGID = _Model(
-    _rigid_counts, lambda cat, nform, p: qexp.coefficient(nform, p), None,
+    _rigid_counts, None,
     "small", {"per_rational_node": "kronecker(D, p) * p",
               "rational_nodes": "125 if p = 1 mod 5 else 1"},
     resolved_n_p=False)
 _QUOTIENT = _Model(
-    _quotient_counts, _quotient_target, "e_plane",
+    _quotient_counts, "e_plane",
     "big", {"per_rational_node": "p^2 + 2p if kronecker(D,p) = 1 else p^2",
             "base_classes": 3},
     resolved_n_p=True)
@@ -250,14 +245,6 @@ def match_quotient(primes, calibration_prime, cat=None, nform=None):
     """
     return _match(_QUOTIENT, "schoen_quotient", primes, calibration_prime,
                   cat, nform)
-
-
-def report_to_table(rep):
-    """Flatten a MatchReport into the CSV trace table."""
-    rows = tuple(lefschetz.TraceRow(r.p, r.n_p, r.b2, r.correction, r.t3,
-                                    r.candidate_ap, r.equal)
-                 for r in rep.rows)
-    return lefschetz.TraceTable(rep.variety_id, rows)
 
 
 def match_pipeline(variety_id, form, companion, primes, calibration_prime,
@@ -342,10 +329,14 @@ def run_manifest(manifest, outdir=None):
     if isinstance(manifest, str):
         with open(manifest) as fh:
             manifest = json.load(fh)
+    ops = manifest.get("operations", []) if isinstance(manifest, dict) else None
+    if not isinstance(ops, list) or not all(isinstance(op, dict) for op in ops):
+        raise ValidationError("a manifest is an object whose \"operations\" "
+                              "is a list of op objects")
     cat = load_catalog()
     results = []
     ok = True
-    for op in manifest.get("operations", []):
+    for op in ops:
         op = _Op(op)
         kind = op["op"]
         if kind == "count":
@@ -371,6 +362,9 @@ def run_manifest(manifest, outdir=None):
                 ok = False
             results.append(out)
         elif kind == "betti":
+            if op.get("variety", "schoen_quotient") != "schoen_quotient":
+                raise ValidationError(f"betti: no Betti count for variety "
+                                      f"{op['variety']!r}; use schoen_quotient")
             rep = betti_report(op["p"], op["chi"], op.get("adjusted", False),
                                cat=cat)
             if "expect_unique" in op and op["expect_unique"] != rep["unique"]:
@@ -470,13 +464,12 @@ def _cmd_trace(args):
     spec = cat.variety(args.variety)
     _require_good(spec, args.p)
     rec = counting.count_projective(spec, args.p)
-    if args.variety in ("schoen_x", "schoen_y"):
+    if _MODELS.get(args.variety) is _RIGID:
         n_rat = _schoen_rational_nodes(args.p)
     else:
         n_rat = len(singular_points(spec, args.p))
-    corr = lefschetz.node_correction(spec, args.p, args.resolution,
-                                     args.splitting_discriminant,
-                                     n_rational=n_rat)
+    corr = lefschetz.node_correction(args.p, args.resolution,
+                                     args.splitting_discriminant, n_rat)
     t3 = lefschetz.trace_h3(rec.count, args.p, args.b2, corr)
     print(json.dumps({"p": args.p, "N_p": rec.count, "b2": args.b2,
                       "correction": corr, "t3": t3}, sort_keys=True))
@@ -545,10 +538,9 @@ def _cmd_ap(args):
 
 
 def _read_traces_csv(path):
-    import csv as _csv
     out = {}
     with open(path) as fh:
-        rd = _csv.reader(fh)
+        rd = csv.reader(fh)
         header = next(rd, None)
         if header != ["p", "trace"]:
             raise ValidationError(f"traces file needs header p,trace, got {header}")
@@ -591,7 +583,11 @@ def _cmd_match(args):
             fh.write("\n")
     if args.csv_out:
         with open(args.csv_out, "w", newline="") as fh:
-            lefschetz.write_trace_table(report_to_table(rep), fh)
+            w = csv.writer(fh)
+            w.writerow(["p", "N_p", "b2", "correction", "t3", "candidate_ap",
+                        "match"])
+            w.writerows([r.p, r.n_p, r.b2, r.correction, r.t3, r.candidate_ap,
+                         "true" if r.equal else "false"] for r in rep.rows)
     print(json.dumps(doc, indent=1, sort_keys=True))
     return 0 if rep.overall else 3
 
@@ -695,10 +691,7 @@ def main(argv=None):
     except RefusalError as e:
         print(f"refused: {e}", file=sys.stderr)
         return 2
-    except ValidationError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except FrobtraceError as e:
+    except (FrobtraceError, OSError, json.JSONDecodeError) as e:   # bad input
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -1,4 +1,4 @@
-"""Primality, the Kronecker symbol, and prime-field data.
+"""Primality, the Kronecker symbol at a prime, and prime-field data.
 
 Everything here is exact integer arithmetic on Python ints.  require_prime
 is the prime check every entry point makes, and nonresidue(p) is the
@@ -8,6 +8,9 @@ a + b s is the pair (a, b) of F_p coordinates on which the catalog module
 evaluates Weil restrictions.
 """
 from __future__ import annotations
+
+import functools
+import numbers
 
 from .errors import ValidationError
 
@@ -19,7 +22,15 @@ _MR_WITNESSES = (2, 3, 5, 7)
 
 
 def is_prime(n):
-    """Deterministic primality test for n < 2^31."""
+    """Deterministic primality test for n < 2^31; n must be an integer."""
+    if not isinstance(n, (int, numbers.Integral)):
+        raise ValidationError(f"{n!r} is not an integer")
+    return _is_prime(int(n))
+
+
+# kronecker re-checks its modulus at every call; recent answers are kept
+@functools.lru_cache(maxsize=1 << 13)
+def _is_prime(n):
     if n >= _MAX_P:
         raise ValidationError(f"modulus {n} out of supported range (< 2^31)")
     if n < 2:
@@ -46,42 +57,15 @@ def is_prime(n):
     return True
 
 
-def kronecker(d, m):
-    """Full Kronecker symbol (d/m), defined for all integers m.
-
-    Conventions: (d/0) is 1 for d = +-1 and 0 otherwise; (d/-1) is the sign
-    of d (and 1 for d = 0); (d/2) is 0 for even d and +-1 according to
-    d = +-1 or +-3 mod 8.
-    """
-    if m == 0:
-        return 1 if d in (1, -1) else 0
-    sign = 1
-    if m < 0:
-        m = -m
-        if d < 0:
-            sign = -1
-    # split off the even part of m
-    t = 0
-    while m % 2 == 0:
-        m //= 2
-        t += 1
-    if t:
-        if d % 2 == 0:
-            return 0
-        if t % 2 == 1 and d % 8 in (3, 5):
-            sign = -sign
-    # now m is odd and positive: Jacobi symbol with reciprocity
-    d %= m
-    while d:
-        while d % 2 == 0:
-            d //= 2
-            if m % 8 in (3, 5):
-                sign = -sign
-        d, m = m, d
-        if d % 4 == 3 and m % 4 == 3:
-            sign = -sign
-        d %= m
-    return sign if m == 1 else 0
+def kronecker(d, p):
+    """The Kronecker symbol (d/p) at a prime p: by Euler's criterion
+    d^((p-1)/2) mod p at odd p; at p = 2, 0 for even d and +1 or -1 as
+    d = +-1 or +-3 mod 8.  A modulus that is not prime is invalid."""
+    require_prime(p)
+    if p == 2:
+        return 0 if d % 2 == 0 else 1 if d % 8 in (1, 7) else -1
+    r = pow(d, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r
 
 
 def require_prime(p):

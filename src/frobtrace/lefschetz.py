@@ -1,18 +1,19 @@
 """Frobenius traces on middle cohomology via the Lefschetz fixed point
 formula, node corrections for the two resolution types, an exact Betti
-number solver, an Euler characteristic ledger, and point-count a_p for the
-nodal plane quintic's elliptic normalization.
+number solver, an Euler characteristic ledger, and nodal_curve: one pass
+of the catalog's node search over a nodal plane curve, which gives its
+points, nodes and split nodes, and point-count a_p of its normalization.
 """
 from __future__ import annotations
 
-import csv
+import numbers
 from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
-from .catalog import (Monomial, singular_points, _charts, _eval_mono_list,
-                      _grid, _partial, _restrict, _zeros)
+from .catalog import Monomial, _eval_mono_list, _restrict, _singular_scan
 from .errors import RefusalError, ValidationError
 from .ffield import kronecker, nonresidue, require_prime
 
@@ -28,8 +29,8 @@ def trace_h3(n_p, p, b2, correction):
     return 1 + (p + p * p) * b2 + p ** 3 - (n_p + correction)
 
 
-def node_correction(spec, p, resolution, splitting_discriminant, n_rational=None):
-    """Count adjustment for resolving the F_p-rational nodes.
+def node_correction(p, resolution, splitting_discriminant, n_rational):
+    """Count adjustment for resolving the n_rational F_p-rational nodes.
 
     Returns the integer to feed trace_h3 as `correction` (equivalently, to
     add to the singular count to model the resolved variety).  For a small
@@ -42,8 +43,6 @@ def node_correction(spec, p, resolution, splitting_discriminant, n_rational=None
         raise ValidationError(f"splitting discriminant {d} divisible by p={p}")
     if resolution not in ("small", "big"):
         raise ValidationError(f"unknown resolution type {resolution!r}")
-    if n_rational is None:
-        n_rational = len(singular_points(spec, p))
     sym = kronecker(d, p)
     if resolution == "small":
         return n_rational * sym * p
@@ -60,6 +59,8 @@ def solve_betti(n_p, p, chi, b2_cap=100_000):
     leaves the window from above.  p must be prime.
     """
     require_prime(p)
+    if not isinstance(chi, numbers.Integral):
+        raise ValidationError(f"chi {chi!r} is not an integer")
     out = []
     b2 = max(1, -((2 - chi) // 2))
     while b2 <= b2_cap:
@@ -170,51 +171,6 @@ def quotient_ledger():
             replace(2, 4), replace(-5, -10), resolve_nodes_big(70)]
 
 
-# ------------------------------------------------------------- trace table
-
-@dataclass(frozen=True)
-class TraceRow:
-    p: int
-    n_p: int
-    b2: int
-    correction: int
-    t3: int
-    candidate_ap: int
-    match: bool
-
-
-@dataclass(frozen=True)
-class TraceTable:
-    variety_id: str
-    rows: tuple
-
-
-CSV_COLUMNS = ["p", "N_p", "b2", "correction", "t3", "candidate_ap", "match"]
-
-
-def write_trace_table(table, fh):
-    w = csv.writer(fh)
-    w.writerow(CSV_COLUMNS)
-    for r in table.rows:
-        w.writerow([r.p, r.n_p, r.b2, r.correction, r.t3, r.candidate_ap,
-                    "true" if r.match else "false"])
-
-
-def read_trace_table(fh, variety_id=""):
-    rd = csv.reader(fh)
-    header = next(rd)
-    if header != CSV_COLUMNS:
-        raise ValidationError(f"unexpected trace table header {header}")
-    rows = []
-    for rec in rd:
-        if not rec:
-            continue
-        rows.append(TraceRow(int(rec[0]), int(rec[1]), int(rec[2]),
-                             int(rec[3]), int(rec[4]), int(rec[5]),
-                             rec[6] == "true"))
-    return TraceTable(variety_id, tuple(rows))
-
-
 # --------------------------------------------- elliptic curve normalization
 
 # b^2 - 4ac as a monomial list in (a, b, c)
@@ -236,16 +192,26 @@ def _second_taylor(eq, i, j):
     return tuple(out)
 
 
-def elliptic_ap(spec, p, degree=1):
-    """a_p (or a_{p^degree}) of the normalization of a nodal plane curve:
-    q + 1 minus the count of smooth points plus two branch points for each
-    rational node whose tangent cone splits over F_q.
+class NodalCurve(NamedTuple):
+    """A nodal plane curve over F_q: its points, its F_q-rational nodes, the
+    nodes among those whose tangent cone splits over F_q, and a_q of its
+    normalization, q + 1 - (points - nodes + 2 split)."""
+    points: int
+    nodes: int
+    split: int
+    ap: int
+
+
+def nodal_curve(spec, p, degree=1):
+    """One scan of a nodal plane curve over F_{p^degree}, on the node
+    search of the catalog, as a NodalCurve.
 
     In the chart x_lead = 1 the cone at a node is a h_i^2 + b h_i h_j +
     c h_j^2, which splits when b^2 - 4ac is a square.  Over F_{p^2} a
     nonzero value is a square exactly when its norm is a square mod p.  In
     characteristic 2 the discriminant is b^2, so a node has b = 1 and its
-    cone splits exactly when ac = 0.
+    cone splits exactly when ac = 0.  A singular point whose discriminant
+    vanishes is not a node, and is a ValidationError.
     """
     if p in spec.bad_primes:
         raise RefusalError(f"{spec.id}: {p} is a bad prime")
@@ -256,25 +222,16 @@ def elliptic_ap(spec, p, degree=1):
         raise ValidationError(f"{spec.id}: need a plane curve")
     require_prime(p)
     n = nonresidue(p) if degree == 2 else None
-
-    def lift(f):
-        return (f,) if n is None else _restrict(f, n)
-
     eq = spec.equations[0]
-    curve = lift(eq)
-    parts = [g for v in range(3) for g in lift(_partial(eq, v))]
-    taylor = {(i, j): lift(_second_taylor(eq, i, j))
+    taylor = {(i, j): _restrict(_second_taylor(eq, i, j), n)
               for i in range(3) for j in range(i, 3)}
-    disc_poly = lift(_DISCRIMINANT)
-    smooth = branches = 0
-    for fixed in _charts(p, 3, degree):
+    disc_poly = _restrict(_DISCRIMINANT, n)
+    points = nodes = split = 0
+    for fixed, at, node in _singular_scan(spec, p, n):
         lead = fixed.index(1) // degree         # x_lead = 1 is the first 1
         i, j = (v for v in range(3) if v != lead)
-        coords = _grid(p, fixed)
-        on = _zeros(curve, coords, p)
-        at = [np.broadcast_to(x, on.shape)[on] for x in coords]
-        node = _zeros(parts, at, p)
-        smooth += int(np.count_nonzero(~node))
+        points += node.size
+        nodes += int(np.count_nonzero(node))
         at = [x[node] for x in at]
         abc = [_eval_mono_list(g, at, p)
                for ij in ((i, i), (i, j), (j, j)) for g in taylor[ij]]
@@ -287,8 +244,15 @@ def elliptic_ap(spec, p, degree=1):
                 f"{spec.id}: singular point at p={p} is not a node")
         if p == 2:
             # b = 1: a h^2 + h k + c k^2 splits iff a c = 0 (Artin-Schreier)
-            split = abc[0] * abc[2] % 2 == 0
+            split += int(np.count_nonzero(abc[0] * abc[2] % 2 == 0))
         else:
-            split = [kronecker(int(d), p) == 1 for d in disc[0]]
-        branches += 2 * int(np.count_nonzero(split))
-    return p ** degree + 1 - (smooth + branches)
+            split += sum(kronecker(int(d), p) == 1 for d in disc[0])
+    return NodalCurve(points, nodes, split,
+                      p ** degree + 1 - (points - nodes + 2 * split))
+
+
+def elliptic_ap(spec, p, degree=1):
+    """a_p (or a_{p^degree}) of the normalization of a nodal plane curve:
+    q + 1 minus the count of smooth points plus two branch points for each
+    rational node whose tangent cone splits over F_q, from nodal_curve."""
+    return nodal_curve(spec, p, degree).ap

@@ -227,9 +227,3 @@ def hecke_check(s, weight, p):
     ap = coefficient(s, p)
     ap2 = coefficient(s, p * p)
     return ap2 == ap * ap - p ** (weight - 1) * coefficient(s, 1)
-
-
-def tensor_ap(a, b):
-    """Trace of Frobenius on a tensor product factor: the product of the
-    traces of the factors."""
-    return a * b

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import shutil
@@ -8,12 +9,11 @@ from pathlib import Path
 import pytest
 
 import frobtrace
-from frobtrace import cli, qexp
+from frobtrace import cli, lefschetz, qexp
 from frobtrace.cli import (DISC_CANDIDATES, betti_report, main, match_pipeline,
                            match_quotient, match_rigid,
                            quotient_resolved_count, run_manifest)
 from frobtrace.errors import RefusalError, ValidationError
-from frobtrace.lefschetz import read_trace_table
 
 QUOTIENT_COUNTS = {3: (60, 3), 7: (520, 3), 11: (11308, 75), 13: (3084, 5),
                    17: (6302, 5), 31: (104088, 75)}
@@ -22,6 +22,31 @@ QUOTIENT_COUNTS = {3: (60, 3), 7: (520, 3), 11: (11308, 75), 13: (3084, 5),
 def test_quotient_resolved_counts():
     for p, want in QUOTIENT_COUNTS.items():
         assert quotient_resolved_count(p) == want
+
+
+def test_quotient_reads_the_companion_from_one_scan(monkeypatch):
+    # #E(F_p), its rational nodes and a_p(E) come from one nodal_curve call
+    # per row: no second node scan and no separate elliptic_ap
+    want = (match_quotient([3, 7, 13], 11), quotient_resolved_count(31))
+    scan, calls = lefschetz.nodal_curve, []
+
+    def counted(spec, p, degree=1):
+        calls.append((spec.id, p, degree))
+        return scan(spec, p, degree)
+
+    def second_scan(*args, **kwargs):
+        raise AssertionError("the companion curve was scanned twice")
+
+    monkeypatch.setattr(cli, "singular_points", second_scan)
+    monkeypatch.setattr(lefschetz, "elliptic_ap", second_scan)
+    monkeypatch.setattr(lefschetz, "nodal_curve", counted)
+    assert (match_quotient([3, 7, 13], 11), quotient_resolved_count(31)) == want
+    assert calls == [("e_plane", p, 1) for p in (3, 7, 11, 13, 31)]
+    # every target is a_p(f25) + p a_p(E), with a_p(E) = -1, -2, -3, 4
+    f = qexp.f25(13)
+    assert [r.candidate_ap for r in want[0].rows] == [
+        qexp.coefficient(f, p) + p * ap
+        for p, ap in ((3, -1), (7, -2), (11, -3), (13, 4))]
 
 
 def test_quotient_refusals():
@@ -158,6 +183,33 @@ def test_exit_codes(capsys, tmp_path):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 3 and all(e.startswith("error: ") for e in err)
     assert "--primes" in err[0] and "'3,abc'" in err[1] and "'p'" in err[2]
+    # a missing file or one that is not JSON, and fields or documents of
+    # the wrong type
+    missing = str(tmp_path / "nope.csv")
+    assert main(["run", str(tmp_path / "nonexistent.json")]) == 1
+    assert main(["livne", "--bad-primes", "2,5", "--check-set", "3",
+                 "--traces1", missing, "--traces2", missing]) == 1
+    manifest.write_text('{"operations": [')
+    assert main(["run", str(manifest)]) == 1
+    assert main(["euler", "--moves", "[[\"base_chi\""]) == 1
+    for doc in ({"operations": [{"op": "count", "variety": "schoen_x",
+                                 "p": "7"}]},
+                [1, 2], {"operations": [5]}, {"operations": 5},
+                {"operations": [{"op": "betti", "p": 3, "chi": "168"}]},
+                {"operations": [{"op": "match", "variety": "schoen_x",
+                                 "primes": 3, "calibration_prime": 11}]},
+                {"operations": [{"op": "match", "variety": "schoen_x",
+                                 "primes": ["3"], "calibration_prime": 11}]}):
+        manifest.write_text(json.dumps(doc))
+        assert main(["run", str(manifest)]) == 1, doc
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 11 and all(e.startswith("error: ") for e in err)
+    assert "nonexistent.json" in err[0] and "nope.csv" in err[1]
+    assert "Expecting" in err[2] and "Expecting" in err[3]
+    assert "'7' is not an integer" in err[4]
+    assert all("list of op objects" in e for e in err[5:8])
+    assert "chi '168' is not an integer" in err[8]
+    assert "primes 3 is not a list" in err[9] and "'3' is not" in err[10]
 
 
 def test_count_command(capsys):
@@ -203,12 +255,20 @@ def test_match_command_csv(tmp_path, capsys):
                  "--calibration-prime", "11",
                  "--csv-out", str(csv_path), "--out", str(out_path)]) == 0
     capsys.readouterr()
-    with open(csv_path) as fh:
-        table = read_trace_table(fh, "schoen_x")
-    assert [r.p for r in table.rows] == [3, 7, 11]
-    assert all(r.match for r in table.rows)
+    with open(csv_path, newline="") as fh:
+        table = list(csv.reader(fh))
+    assert table[0] == ["p", "N_p", "b2", "correction", "t3", "candidate_ap",
+                        "match"]
+    assert table[1] == ["3", "36", "1", "-3", "7", "7", "true"]
+    assert [r[0] for r in table[1:]] == ["3", "7", "11"]
+    assert all(r[6] == "true" for r in table[1:])
+    assert csv_path.read_bytes().startswith(b"p,N_p,b2,")
+    assert csv_path.read_bytes().endswith(b",true\r\n")
     doc = json.loads(out_path.read_text())
     assert doc["overall"] and doc["calibrated"]["b2"] == 25
+    assert [[r["p"], r["n_p"], r["b2"], r["correction"], r["t3"],
+             r["candidate_ap"], str(r["equal"]).lower()] for r in doc["rows"]
+            ] == [[int(x) for x in r[:6]] + [r[6]] for r in table[1:]]
 
 
 def test_match_pipeline_rows_and_companions():
@@ -259,6 +319,14 @@ def test_run_manifest_failed_expectation(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(manifest))
     assert main(["run", str(path)]) == 3
+
+
+def test_run_manifest_betti_names_its_variety():
+    op = {"op": "betti", "variety": "schoen_quotient", "p": 3, "chi": 168}
+    doc, ok = run_manifest({"operations": [op]})
+    assert ok and doc["results"][0]["variety_id"] == "schoen_quotient"
+    with pytest.raises(ValidationError, match="'schoen_x'; use schoen_quotient"):
+        run_manifest({"operations": [{**op, "variety": "schoen_x"}]})
 
 
 def test_run_manifest_unknown_op():

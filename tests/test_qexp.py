@@ -9,7 +9,7 @@ from frobtrace.errors import ValidationError
 from frobtrace.qexp import (F25_TERMS, QSeries, coefficient, eta,
                             eta_combination, eta_product, f25, hasse_check,
                             hecke_check, qs_add, qs_mul, qs_one, qs_pow,
-                            qs_scale, tensor_ap)
+                            qs_scale)
 
 F25_COEFFS = {1: 1, 2: 1, 3: 7, 4: -7, 5: 0, 6: 7, 7: 6, 8: -15, 9: 22,
               10: 0, 11: -43, 12: -49, 13: -28, 17: 91, 19: -35, 23: 162,
@@ -185,7 +185,3 @@ def test_eta_combination_tail_coefficients_pinned():
     assert terms == eta_combination(
         [(c, exps) for c, (_, exps) in zip((1, 5, 20, 1, 1), F25_TERMS)], n)
 
-
-def test_tensor_ap():
-    assert tensor_ap(-43, -3) == 129
-    assert tensor_ap(0, 5) == 0
