@@ -18,6 +18,16 @@ _grid gives a chart's coordinates as arrays that broadcast against each
 other; _eval_mono_list evaluates a monomial list mod p on them; and
 _restrict turns a polynomial over F_{p^2} into its pair of polynomials over
 F_p (Weil restriction), so that F_{p^2} counts run on F_p grids too.
+
+_eval_mono_list is a multivariate Horner scheme: the monomials are grouped
+by the exponent of the last coordinate, each group's coefficient polynomial
+is evaluated the same way on the earlier coordinates (on a grid, 1/p of its
+size), and Horner steps combine them in place on the full grid.  The
+grouping tree depends on the monomials only and is cached per equation
+(_horner_plan).  Reduction mod p is lazy under a tracked bound, so that no
+intermediate reaches 2^62 for the moduli p < 2^31 it accepts; the bound is
+checked by plain ifs, which python -O keeps.
+
 The one node search, _singular_scan, gives chart by chart the points of a
 hypersurface and the mask of its singular ones; singular_points and
 lefschetz.nodal_curve both read it.
@@ -26,6 +36,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from importlib import resources
 from math import comb
 from typing import NamedTuple
@@ -510,28 +521,113 @@ def _charts(p, nvars, degree=1):
     return chunks
 
 
+_BOUND = 1 << 62                 # every accumulator value stays below this
+
+
+@lru_cache(maxsize=1024)
+def _horner_plan(eq):
+    """The Horner tree of a tuple of monomials, independent of p.  A node
+    is an exact integer (a constant) or (v, head, steps): the value is
+    head, then value * x_v^gap + kid for each (gap, kid) in steps, where
+    head and the kids are the coefficients of the falling powers of x_v,
+    the last coordinate used, and a final kid 0 multiplies by the lowest
+    power when it is not x_v^0."""
+    terms = {}
+    for mono in eq:
+        terms[mono.exponents] = terms.get(mono.exponents, 0) + mono.coefficient
+    terms = [(e, c) for e, c in terms.items() if c]
+    return _horner_node(terms, max((len(e) for e, _ in terms), default=0) - 1)
+
+
+def _horner_node(terms, v):
+    while v >= 0 and not any(e[v] for e, _ in terms):
+        v -= 1
+    if v < 0:
+        return sum(c for _, c in terms)
+    groups = {}
+    for e, c in terms:
+        groups.setdefault(e[v], []).append((e, c))
+    exps = sorted(groups, reverse=True)
+    kids = [_horner_node(groups[d], v - 1) for d in exps] + [0]
+    return v, kids[0], tuple((a - b, kid) for a, b, kid
+                             in zip(exps, exps[1:] + [0], kids[1:]) if a > b)
+
+
+def _power(x, e, p):
+    """x^e mod p for e >= 1 by squaring; products of residues, < p^2."""
+    if e == 1:
+        return x
+    y = _power(x, e // 2, p)
+    y = y * y % p
+    return y * x % p if e % 2 else y
+
+
+def _horner(node, coords, shapes, p):
+    """(value, bound) of a plan node, value an int or a fresh int64 array
+    and 0 <= value <= bound < _BOUND.  Before a step acc * x^gap + kid the
+    accumulator is reduced when bound (p - 1) + kid's bound would reach
+    _BOUND, and the kid too if that is not enough; as p < 2^31, (p - 1)^2
+    + p - 1 < _BOUND.  full marks an accumulator of the node's whole shape
+    shapes[v]: the first step writes one, and later steps work in place."""
+    if type(node) is int:
+        c = node % p
+        return c, c
+    v, acc, steps = node
+    x, shape, q = coords[v], shapes[v], p - 1
+    acc, bound = _horner(acc, coords, shapes, p)
+    full = type(acc) is np.ndarray and acc.shape == shape
+    for gap, kid in steps:
+        inner, ib = _horner(kid, coords, shapes, p)
+        if bound * q + ib >= _BOUND:
+            acc, bound = _reduce(acc, p)
+            if bound * q + ib >= _BOUND:
+                inner, ib = _reduce(inner, p)
+        xg = _power(x, gap, p)
+        if full:
+            np.multiply(acc, xg, out=acc)
+        else:
+            acc = acc * xg
+            full = type(acc) is np.ndarray and acc.shape == shape
+        if not full:
+            acc = np.add(acc, inner, out=np.empty(shape, dtype=np.int64))
+            full = True
+        elif ib:
+            np.add(acc, inner, out=acc)
+        bound = bound * q + ib
+    return acc, bound
+
+
+def _reduce(value, p):
+    """(value mod p, p - 1); an array is reduced in place, as every array
+    _horner holds is its own."""
+    if type(value) is np.ndarray:
+        return np.remainder(value, p, out=value), p - 1
+    return value % p, p - 1
+
+
 def _eval_mono_list(eq, coords, p):
     """Values mod p of a monomial list on coordinate arrays that broadcast
-    against each other, as _grid builds them; the empty list is the zero
-    polynomial.  Each power x_i^e is built once, on the array of x_i alone,
-    and a monomial is the broadcast product of its powers, so only the sum
-    over monomials has the full shape.  Coordinates are residues < p, and
-    p < 2^31 is enforced: every product is below p^2 < 2^62, and the sum
-    below len(eq) p before its one reduction."""
+    against each other, as _grid builds them, or on equal-length point
+    arrays; the empty list is the zero polynomial.  The result is a fresh,
+    writable int64 array of the broadcast shape (() when every coordinate
+    is fixed) with values in [0, p), never a view of a coordinate.
+
+    Multivariate Horner on the tree _horner_plan caches per monomial
+    tuple, with coefficients reduced mod p at its leaves: on a _grid each
+    coefficient polynomial runs on a grid 1/p the size, and the full grid
+    sees one multiply and one add per distinct exponent of the last
+    coordinate.  Coordinates are residues < p, and p < 2^31 is enforced;
+    reduction is lazy, before a step that could reach 2^62 (checked by an
+    if, so also under python -O), and once at the end, in place."""
     if p >= 1 << 31:
         raise ValidationError(f"modulus {p} out of supported range (< 2^31)")
-    total = np.zeros(np.broadcast_shapes(*(np.shape(x) for x in coords)),
-                     dtype=np.int64)
-    powers = [[1] for _ in coords]
-    for mono in eq:
-        t = mono.coefficient % p
-        for x, pw, e in zip(coords, powers, mono.exponents):
-            while len(pw) <= e:
-                pw.append(pw[-1] * x % p)
-            if e:
-                t = t * pw[e] % p
-        total += t
-    return total % p
+    # shapes[v]: the broadcast shape of x_0, ..., x_v
+    shapes = [np.broadcast(*coords[:v + 1]).shape for v in range(len(coords))]
+    shape = np.broadcast(*coords).shape
+    value, _ = _horner(_horner_plan(tuple(eq)), coords, shapes, p)
+    if type(value) is np.ndarray and value.shape == shape:
+        return np.remainder(value, p, out=value)
+    return np.remainder(value, p, out=np.empty(shape, dtype=np.int64))
 
 
 def _zeros(eqs, coords, p):

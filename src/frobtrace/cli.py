@@ -547,10 +547,13 @@ def _read_traces_csv(path):
         for rec in rd:
             if rec:
                 try:
-                    out[int(rec[0])] = int(rec[1])
-                except (ValueError, IndexError):
+                    p, trace = (int(x) for x in rec)
+                except ValueError:
                     raise ValidationError(f"{path}: row {','.join(rec)!r} is "
                                           f"not an integer pair p,trace") from None
+                if p in out:
+                    raise ValidationError(f"{path}: p={p} appears twice")
+                out[p] = trace
     return out
 
 

@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import random
 from importlib import resources
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from frobtrace import catalog
 from frobtrace.catalog import (Ambient, InvolutionSpec, Monomial, VarietySpec,
                                _charts, _eval_mono_list, _grid, _restrict,
                                catalog_from_json, catalog_to_json, evaluate,
@@ -24,7 +26,11 @@ VARIETY_IDS = {"schoen_x", "schoen_y", "schoen_quotient", "hulek_verrill",
 def test_catalog_contents():
     assert set(CAT.varieties) == VARIETY_IDS
     assert set(CAT.involutions) == {"iota_x", "iota_y"}
-    assert CAT.variety("schoen_x").known["nodes"] == 125
+    # node claims, computed at a prime where every node is rational:
+    # schoen_x's known 125 at 11, consani_scholten's provenance 120 at 31
+    sx = CAT.variety("schoen_x")
+    assert len(singular_points(sx, 11)) == sx.known["nodes"] == 125
+    assert len(singular_points(CAT.variety("consani_scholten"), 31)) == 120
     assert CAT.variety("schoen_quotient").known["resolved_b2"] == 85
     with pytest.raises(ValidationError):
         CAT.variety("no_such_thing")
@@ -297,3 +303,68 @@ def test_ext_evaluator_frobenius():
     # products of residues stay below p^2 < 2^62 only for p < 2^31
     with pytest.raises(ValidationError, match="2\\^31"):
         _eval_mono_list((Monomial(1, (2,)),), _grid(3, [None]), 1 << 31)
+
+
+_BIG = (1 << 31) - 1      # the largest prime the evaluator takes
+
+
+@st.composite
+def _mono_list(draw, nvars, p):
+    """A monomial list in nvars variables, maybe empty: total degrees up to
+    8 (at least 3 at _BIG, where reductions then fire between Horner
+    steps), exponents drawn from a small pool so that they repeat, and
+    coefficients negative, large or divisible by p."""
+    lo = 3 if p == _BIG else 0
+    pool = []
+    for _ in range(draw(st.integers(1, 4))):
+        deg = draw(st.integers(lo, 8))
+        cuts = sorted(draw(st.integers(0, deg)) for _ in range(nvars - 1))
+        pool.append(tuple(b - a for a, b in zip([0] + cuts, cuts + [deg])))
+    coeff = (st.integers(-10 ** 12, 10 ** 12)
+             | st.integers(-3, 3).map(lambda k: k * p))
+    return [Monomial(draw(coeff), draw(st.sampled_from(pool)))
+            for _ in range(draw(st.integers(0, 6)))]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.integers(1, 4), st.sampled_from((2, 3, 5, 7, _BIG)), st.booleans(),
+       st.data())
+def test_evaluator_matches_python_ints(nvars, p, on_grid, data):
+    eq = data.draw(_mono_list(nvars, p))
+    residue = st.integers(0, p - 1)
+    if on_grid:      # a _grid with fixed and free coordinates, maybe all fixed
+        coord = residue if p == _BIG else st.none() | residue
+        coords = _grid(p, [data.draw(coord) for _ in range(nvars)])
+    else:            # equal-length point arrays, as nodal_curve passes them
+        n = data.draw(st.integers(1, 6))
+        coords = [np.array(data.draw(st.lists(residue, min_size=n,
+                                              max_size=n)), dtype=np.int64)
+                  for _ in range(nvars)]
+    got = _eval_mono_list(eq, coords, p)
+    shape = np.broadcast_shapes(*(x.shape for x in coords))
+    assert type(got) is np.ndarray and got.dtype == np.int64
+    assert got.shape == shape and got.flags.writeable
+    assert not any(np.shares_memory(got, x) for x in coords)
+    pts = [np.broadcast_to(x, shape) for x in coords]
+    for idx in np.ndindex(shape):
+        pt = [int(x[idx]) for x in pts]
+        want = sum(m.coefficient * math.prod(x ** e for x, e in
+                                             zip(pt, m.exponents))
+                   for m in eq) % p
+        assert int(got[idx]) == want
+
+
+def test_evaluator_reduces_inside_the_chain(monkeypatch):
+    # at p = 2^31 - 1 the accumulator of x^3 + x^2 + x + 1 would reach 2^62
+    # at its third Horner step, so it is reduced there first
+    reduce, calls = catalog._reduce, []
+    monkeypatch.setattr(catalog, "_reduce",
+                        lambda v, p: calls.append(p) or reduce(v, p))
+    x = np.array([_BIG - 1, _BIG - 2, 12345, 0], dtype=np.int64)
+    got = _eval_mono_list([Monomial(1, (e,)) for e in range(4)], [x], _BIG)
+    assert calls == [_BIG]
+    assert got.tolist() == [sum(v ** e for e in range(4)) % _BIG
+                            for v in x.tolist()]
+    # the empty list is zero, on the broadcast shape
+    zero = _eval_mono_list((), _grid(5, [None, 2, None]), 5)
+    assert zero.shape == (5, 5) and not zero.any()

@@ -183,6 +183,13 @@ def test_exit_codes(capsys, tmp_path):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 3 and all(e.startswith("error: ") for e in err)
     assert "--primes" in err[0] and "'3,abc'" in err[1] and "'p'" in err[2]
+    # a row needs exactly two fields, and each p appears once
+    for body in ("p,trace\n3,1,2\n", "p,trace\n3,1\n3,1\n"):
+        traces.write_text(body)
+        assert main(["livne", "--bad-primes", "2,5", "--check-set", "3",
+                     "--traces1", str(traces), "--traces2", str(traces)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and "'3,1,2'" in err[0] and "p=3 appears twice" in err[1]
     # a missing file or one that is not JSON, and fields or documents of
     # the wrong type
     missing = str(tmp_path / "nope.csv")

@@ -253,17 +253,24 @@ def test_counter_invariants_raise(monkeypatch):
 
 
 def test_counter_invariants_raise_under_O():
-    # the same check in a python -O child, which strips assert statements
+    # the same checks in a python -O child, which strips assert statements:
+    # the counters' invariants, and the evaluator's bound against Python
+    # ints at p = 2^31 - 1 with its refusal of p >= 2^31
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(Path(counting.__file__).parent.parent),
                       env.get("PYTHONPATH")]))
+    evaluator = Path(__file__).with_name("test_catalog.py")
     res = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         f"{__file__}::test_counter_invariants_raise"],
+         f"{__file__}::test_counter_invariants_raise"]
+        + [f"{evaluator}::{name}" for name in (
+            "test_evaluator_matches_python_ints",
+            "test_evaluator_reduces_inside_the_chain",
+            "test_ext_evaluator_frobenius")],
         capture_output=True, text=True, env=env, timeout=300)
     assert res.returncode == 0, res.stdout + res.stderr
-    assert "1 passed" in res.stdout
+    assert "4 passed" in res.stdout
 
 
 def test_equation_degenerate_mod_p():
