@@ -19,21 +19,22 @@ a variety's ambient space.
 Every count runs in the calling thread.  The dense counters and the
 two-group kernel pass their chunk lists, which depend only on p, once
 through _run_chunks and sum the parts in chunk order; the kernel's list
-is one chunk of every mu.
+is one chunk, the contraction of its folded histogram with Phi.
 """
 from __future__ import annotations
 
 import json
 import time
 from dataclasses import dataclass, asdict
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 
 from .catalog import (TORUS_FAMILY, Monomial, _charts, _compose_equation,
-                      _eval_mono_list, _grid, _ratio, _restrict, _zeros)
+                      _eval_mono_list, _grid, _power, _ratio, _restrict,
+                      _zeros)
 from .errors import FrobtraceError, RefusalError, ValidationError
-from .ffield import nonresidue, require_prime
+from .ffield import is_prime, nonresidue, require_prime
 
 _MAX_DENSE_TOTAL = 600_000_000     # refuse larger dense enumerations
 _MAX_HIST_CELLS = 4_000_000        # p^2 cells per two-group table (p < 2000)
@@ -62,6 +63,14 @@ def _record(vid, p, degree, twist_id, t0, counted):
     cnt, chunks = counted
     return CountRecord(vid, p, degree, twist_id, cnt, chunks,
                        time.perf_counter() - t0)
+
+
+def _largest_prime(n):
+    """The largest prime <= n, for refusals that name the nearest p a
+    kernel accepts."""
+    while not is_prime(n):
+        n -= 1
+    return n
 
 
 def _check_equations_mod_p(spec, p):
@@ -117,11 +126,10 @@ def _two_group_count(model, p, label):
     Scaling by l in F_p^* moves s, a1 and a2 by l and b1, b2 and y by
     l^weight.  The cone points with s != 0 are (p - 1) N1 points, N1 on the
     slice s = 1, all with trivial stabilizer; on s = 0 the coupling
-    vanishes.  So with J[r, mu] = #{w1 : r1(w1, 1) = r, m1(w1) = mu},
-    Phi_lam[c] = #{w2 : r2(w2, 1) + lam m2(w2) = c} and the histograms H_i
-    of r_i(w, 0),
+    vanishes.  So with Phi_lam[c] = #{w2 : r2(w2, 1) + lam m2(w2) = c} and
+    the histograms H_i of r_i(w, 0),
 
-        N1 = sum_mu sum_r J[r, mu] Phi_{k mu}[-r],
+        N1 = sum_{w1} Phi_{k m1(w1)}[-r1(w1, 1)],
         Z = sum_c H_1[c] H_2[-c]         (origin included),
 
     each also with chi(b_i)-weighted copies of the tables when y is
@@ -134,19 +142,34 @@ def _two_group_count(model, p, label):
     When coupled, r2 and m2 are homogeneous of degrees D and d in (a, b)
     and chi(l^weight b) = chi(b), so substituting w2 -> l w2 gives
     Phi_{rho l^(D-d)}[c] = Phi_rho[c l^-D]: one row of Phi per class of
-    F_p^* modulo (D - d)-th powers, plus the row of lam = 0.  Cost O(p^2).
+    F_p^* modulo (D - d)-th powers, plus the row of lam = 0.  With row(lam)
+    the row of lam's class and shift(lam) an l^-D that reaches it, the
+    fold
 
-    All arithmetic is exact int64.  Residue products stay below p^2, and
-    the largest values are the sums Z, N1's dot product of one mu and the
-    a = 0 sum, counts of pairs (w1, w2) and so at most p^4 in absolute
-    value: exact for p < 2^15.  The p^2-cell tables are refused beyond
-    _MAX_HIST_CELLS cells (p < 2000), well inside that; at that bound they
-    take about 300 MB.
+        N1 = sum_{w1} Phi_{row(k m1)}[-r1 shift(k m1)] = <F, Phi>,
+
+    F the histogram of the keys row(k m1) p + (-r1 shift(k m1) mod p) of
+    the points w1 (r1 = r1(w1, 1), m1 = m1(w1)): one table of len(reps) p
+    cells per layer, and no pass over the values of m1.  Cost O(p^2).
+
+    All arithmetic is exact int64.  Residue products, as in the keys,
+    stay below p^2, the keys below len(reps) p <= p^2, and the largest
+    values are the sums Z, <F, Phi> and the a = 0 sum, counts of pairs
+    (w1, w2) and so at most p^4 in absolute value: exact for p < 2^15.
+    The keys and the rows of Phi are built in place, so beside the
+    memoised value arrays (r_i at s = 0 and 1 and m_i, fewer where two
+    agree up to a constant) at most two p^2-cell int64 arrays are live at
+    once, plus with chi a p^2-cell int8 sign.  schoen_y memoises two, and
+    its straight and twisted counts peak below 4.5 p^2 8 bytes (4.04 p^2 8
+    under tracemalloc at 421).  The p^2-cell tables are refused beyond
+    _MAX_HIST_CELLS cells (p < 2000), well inside the int64 bound; at
+    p = 1999 the chi-weighted quotient peaks at 132 MB.
     """
     if p * p > _MAX_HIST_CELLS:
         raise ValidationError(
             f"two-group kernel at p={p} needs p^2 = {p * p} cells, "
-            f"over the budget of {_MAX_HIST_CELLS}")
+            f"over the budget of {_MAX_HIST_CELLS}; the largest prime it "
+            f"accepts is {_largest_prime(isqrt(_MAX_HIST_CELLS))}")
     (g1, g2), k = model.groups, model.coupling % p
     grid = _grid(p, [None, None])
     memo = {}
@@ -154,7 +177,8 @@ def _two_group_count(model, p, label):
     def values(poly, s):
         """(v, c) with poly(a, b, s) = v + c on the (a, b) grid, flattened,
         and c the constant term; polynomials that agree up to a constant
-        share v, and constants move the histogram indices instead."""
+        share v, and constants move the histogram indices instead.  v is
+        memoised: read it, never write it."""
         terms, const = {}, 0
         for mono in poly:
             a, b, e = mono.exponents
@@ -169,18 +193,10 @@ def _two_group_count(model, p, label):
                                         grid, p).ravel()
         return memo[key], const % p
 
-    def neg(c):
-        """Index of -x - c for each x."""
-        return (-np.arange(p) - c) % p
-
     signs = [None]
     if model.chi is not None:
-        signs.append(np.tile(_chi_table(p), p))         # chi(b) on the grid
-    (r1, c1), (r2, c2) = values(g1.r, 1), values(g2.r, 1)
-    m1, m2 = ((v + c) % p if c else v
-              for v, c in (values(g1.m, 1), values(g2.m, 1)))
-    joint = np.stack([_hist(r1 * p + m1, p * p, sg).reshape(p, p).T
-                      for sg in signs], axis=1)              # [mu, layer, r]
+        signs.append(np.tile(_chi_table(p).astype(np.int8), p))  # chi(b)
+    neg = -np.arange(p) % p                            # index of -x
 
     # at s = 0 the constant terms of r1 and r2 cancel, the equation being
     # homogeneous of positive degree; the a = 0 rows are the first p cells
@@ -188,41 +204,58 @@ def _two_group_count(model, p, label):
     stab = gcd(model.weight, p - 1)
     cone = extra = 0
     for sg in signs:
-        cone += int(_hist(h1, p, sg) @ _hist(h2, p, sg)[neg(0)])
+        cone += int(_hist(h1, p, sg) @ _hist(h2, p, sg)[neg])
         if stab > 1:
             sa = None if sg is None else sg[:p]
-            extra += int(_hist(h1[:p], p, sa) @ _hist(h2[:p], p, sa)[neg(0)])
+            extra += int(_hist(h1[:p], p, sa) @ _hist(h2[:p], p, sa)[neg])
     extra = (stab - 1) * (extra - 1)
 
-    # lam = rho l^(D-d) reads row rho of phi at c l^-D
+    # lam = rho l^(D-d) reads row rho of phi at c l^-D; lam^((p-1)/n) names
+    # the class of lam among the n = gcd(D - d, p - 1) classes
+    (r1, c1), (r2, c2) = values(g1.r, 1), values(g2.r, 1)
     row = np.zeros(p, dtype=np.int64)
     shift = np.ones(p, dtype=np.int64)
     reps = [0]
     if k:
+        (m1, d1), (m2, d2) = values(g1.m, 1), values(g2.m, 1)
         wts = (1, model.weight, 1)
         dr, dm = g2.r[0].degree(wts), g2.m[0].degree(wts)
-        powers = np.array([pow(b, dr - dm, p) for b in range(1, p)],
-                          dtype=np.int64)
-        inv = np.array([pow(b, -dr, p) for b in range(1, p)], dtype=np.int64)
-        row[1:] = -1
-        for lam in range(1, p):
-            if row[lam] < 0:
-                orbit = lam * powers % p
-                row[orbit] = len(reps)
-                shift[orbit] = inv
-                reps.append(lam)
-    phi = np.stack([np.stack([_hist((r2 + rho * m2) % p if rho else r2, p, sg)
-                              for sg in signs]) for rho in reps])
-    target = neg(c1 + c2)
+        lams, q = np.arange(1, p, dtype=np.int64), p - 1
+        n = gcd(dr - dm, q)
+        _, first = np.unique(_power(lams, q // n, p), return_index=True)
+        reps += lams[first].tolist()
+        orbit = lams[first, None] * _power(lams, (dr - dm) % q or q, p) % p
+        row[orbit] = np.arange(1, n + 1)[:, None]
+        shift[orbit] = _power(lams, -dr % q or q, p)
 
-    def worker(mus):
-        sub = 0
-        for mu in mus:
-            lam = k * mu % p
-            sub += int(np.vdot(joint[mu], phi[row[lam]][:, target * shift[lam] % p]))
-        return (p - 1) * sub
+    def level(rho):
+        """r2 + rho m2 on the grid, less c2 and reduced; r2 itself at 0."""
+        if not rho:
+            return r2
+        v = np.multiply(m2, rho)
+        v += r2
+        v += rho * d2
+        v %= p
+        return v
 
-    total = sum(_run_chunks(worker, [range(p)])) + cone - 1 + extra
+    phi = np.array([[_hist(v, p, sg) for sg in signs]
+                    for v in map(level, reps)])
+    phi = phi.transpose(1, 0, 2).reshape(len(signs), -1)  # [layer, row p + c]
+
+    # the key of w1 is row(k m1) p + (-r1 - c1 - c2) shift(k m1) mod p,
+    # built in place: products of residues below p^2, keys below
+    # len(reps) p; the tables below are indexed by m1's memoised values
+    key = np.negative(r1)
+    key -= c1 + c2
+    key %= p
+    if k:
+        lam = k * (np.arange(p) + d1) % p
+        key *= shift[lam][m1]
+        key %= p
+        key += (row[lam] * p)[m1]
+    folded = np.stack([_hist(key, len(reps) * p, sg) for sg in signs])
+    total = sum(_run_chunks(lambda t: (p - 1) * int(np.vdot(*t)),
+                            [(folded, phi)])) + cone - 1 + extra
     if total % (p - 1):
         raise FrobtraceError(f"{label} at p={p}: weighted cone total is "
                              f"{total % (p - 1)} mod p-1, not 0")
@@ -418,7 +451,8 @@ def _torus_kernel(a, t, p):
     if (p - 1) ** 3 > _MAX_TORUS_CELLS:
         raise ValidationError(
             f"torus kernel at p={p} needs (p-1)^3 = {(p - 1) ** 3} cells, "
-            f"over the budget of {_MAX_TORUS_CELLS}")
+            f"over the budget of {_MAX_TORUS_CELLS}; the largest prime it "
+            f"accepts is {_largest_prime(1 + int(_MAX_TORUS_CELLS ** (1 / 3)))}")
     a = [x % p for x in a]
     nz = np.arange(1, p, dtype=np.int64)
     x1, x2, x3 = nz.reshape(-1, 1, 1), nz.reshape(1, -1, 1), nz.reshape(1, 1, -1)
@@ -463,11 +497,14 @@ def count_double_cover(spec, p):
     chunks = _charts(p, 4)
 
     def worker(fixed):
+        # the first form's fresh values accumulate the product in place;
+        # with no form it is the empty product, the constant 1
         coords = _grid(p, fixed)
-        f = np.ones(np.broadcast_shapes(*(x.shape for x in coords)),
-                    dtype=np.int64)
-        for eq in spec.equations:
-            f = f * _eval_mono_list(eq, coords, p) % p
+        forms = iter(spec.equations)
+        f = _eval_mono_list(next(forms, (Monomial(1, (0,) * 4),)), coords, p)
+        for eq in forms:
+            np.multiply(f, _eval_mono_list(eq, coords, p), out=f)
+            np.remainder(f, p, out=f)
         return int(f.size + chi[f].sum())
 
     return _record(spec.id, p, 1, None, t0,

@@ -4,6 +4,7 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -74,7 +75,7 @@ def test_torus_cell_budget():
     # 157 is the largest prime inside the budget; 163 is refused before any
     # cell is allocated
     assert 156 ** 3 <= counting._MAX_TORUS_CELLS < 162 ** 3
-    with pytest.raises(ValidationError, match="cells"):
+    with pytest.raises(ValidationError, match="cells.* accepts is 157$"):
         count_torus((1, 1, 1, 1, 1), 25, 163)
 
 
@@ -97,12 +98,28 @@ def test_schoen_histogram_large_primes():
 
 def test_schoen_histogram_cell_budget():
     # 2003 is the first prime over the budget; refused before any p^2
-    # table is allocated
+    # table is allocated, naming 1999
     assert 1999 ** 2 <= counting._MAX_HIST_CELLS < 2003 ** 2
-    with pytest.raises(ValidationError, match="cells"):
+    with pytest.raises(ValidationError, match="cells.* accepts is 1999$"):
         count_projective(CAT.variety("schoen_y"), 2003)
-    with pytest.raises(ValidationError, match="cells"):
+    with pytest.raises(ValidationError, match="cells.* accepts is 1999$"):
         count_twisted(CAT.variety("schoen_y"), CAT.involution("iota_y"), 2003)
+
+
+def test_schoen_histogram_memory():
+    # the bound the kernel's docstring states: below 4.5 p^2 int64 cells
+    # for schoen_y, whose model memoises two value arrays
+    sy = CAT.variety("schoen_y")
+    iy = CAT.involution("iota_y")
+    for run in (lambda: count_projective(sy, 421),
+                lambda: count_twisted(sy, iy, 421)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * 421 ** 2 * 8, peak
 
 
 def test_twisted_counts():
@@ -382,14 +399,27 @@ def test_uncoupled_kernel_random(r1, r2, p):
         count_projective(dataclasses.replace(spec, count_model=None), p).count
 
 
-@settings(max_examples=40, deadline=None, database=None)
-@given(_forms(5, with_s=False), _forms(5, with_s=False), _forms(2, False),
-       _forms(2, False), st.integers(-6, 6), st.integers(1, 6),
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.sampled_from(((1, 3), (2, 5), (3, 7))).flatmap(
+           lambda dd: st.tuples(st.just(dd[1]), _forms(dd[1], False),
+                                _forms(dd[1], False), _forms(dd[0], False),
+                                _forms(dd[0], False))),
+       st.integers(-6, 6), st.integers(1, 6),
        st.sampled_from((3, 5, 7, 11, 13)))
-def test_coupled_kernel_random(r1, r2, m1, m2, head, k, p):
-    # the Phi rows of the second group, one per class modulo cubes
+@example((5, ((1, (5, 0, 0)),), ((1, (0, 5, 0)), (2, (1, 4, 0))),
+          ((1, (2, 0, 0)),), ((1, (1, 1, 0)),)), 1, 1, 13)
+@example((7, ((1, (7, 0, 0)),), ((1, (0, 7, 0)), (2, (1, 6, 0))),
+          ((1, (3, 0, 0)),), ((1, (1, 2, 0)),)), 1, 1, 13)
+@example((7, ((1, (7, 0, 0)),), ((1, (0, 7, 0)), (2, (1, 6, 0))),
+          ((1, (3, 0, 0)),), ((1, (1, 2, 0)),)), 1, 1, 5)
+def test_coupled_kernel_random(forms, head, k, p):
+    # coupling terms of degree 1 + 2d in the total degree D = 2d + 1: the
+    # Phi rows of the second group, one per class modulo (D - d)-th powers,
+    # 2 or 4 classes at p = 5 and 13 when D - d = 2 or 4, and at p = 5
+    # with D - d = 4 one class per lambda
+    D, r1, r2, m1, m2 = forms
     assume(r1 and r2 and m1 and m2)
-    r1 = r1 + (((head, (0, 0, 5)),) if head else ())
+    r1 = r1 + (((head, (0, 0, D)),) if head else ())
     spec = _pair_catalog(r1, r2, k, (m1, m2))
     assume(any(m.coefficient % p for m in spec.equations[0]))
     assert count_projective(spec, p).count == \
