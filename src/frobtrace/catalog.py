@@ -44,6 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import RefusalError, ValidationError
+from .ffield import is_prime, require_prime
 
 AMBIENT_KINDS = ("projective", "weighted_projective", "torus", "double_cover_p3")
 TORUS_FAMILY = "hulek_verrill"   # the family count_torus names its records by
@@ -478,6 +479,31 @@ def _partial(eq, var):
 
 _MAX_SLAB_CELLS = 4_000_000      # cells evaluated per chunk over F_p
 _MAX_EXT_CELLS = 60_000_000      # largest F_{p^2} chart, p^(2 (nvars-1))
+_MAX_SCAN_CELLS = 40_000_000     # node search, p^(nvars-1) cells over p
+
+
+def _require_good(spec, p):
+    """ValidationError unless p is prime, RefusalError at a bad prime of
+    spec: reductions there are not the varieties this catalog describes."""
+    require_prime(p)
+    if p in spec.bad_primes:
+        raise RefusalError(f"{spec.id}: {p} is a bad prime")
+
+
+def _require_cells(what, p, cells, limit):
+    """Refuse, with a ValidationError naming the largest prime the budget
+    accepts, a count at p whose cells(p) cells exceed limit: the one
+    cell-budget refusal.  cells grows with p; every limit admits p = 2."""
+    if cells(p) > limit:
+        lo, hi = 2, p                # cells(lo) <= limit < cells(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if cells(mid) <= limit else (lo, mid)
+        while not is_prime(lo):
+            lo -= 1
+        raise ValidationError(f"{what} at p={p} needs {cells(p)} cells, over "
+                              f"the budget of {limit}; the largest prime it "
+                              f"accepts is {lo}")
 
 
 def _grid(p, fixed):
@@ -506,9 +532,8 @@ def _charts(p, nvars, degree=1):
     pair (a, b) of a + b s, as _restrict takes it; charts are not cut, and
     charts beyond _MAX_EXT_CELLS cells are refused."""
     if degree == 2:
-        if p ** (2 * (nvars - 1)) > _MAX_EXT_CELLS:
-            raise ValidationError(
-                f"degree-2 count infeasible for p={p}, {nvars} variables")
+        _require_cells(f"degree-2 chart of P^{nvars - 1}", p,
+                       lambda q: q ** (2 * (nvars - 1)), _MAX_EXT_CELLS)
         return [[0, 0] * lead + [1, 0] + [None, None] * (nvars - lead - 1)
                 for lead in range(nvars)]
     chunks = []
@@ -667,20 +692,18 @@ def _singular_scan(spec, p, n=None):
     coordinates of the points on it (over F_{p^2} the pairs (a, b) of
     a + b s) and the mask of the singular points among them.
 
-    Refuses bad primes: reductions there are not the varieties this catalog
-    describes.  Only single-equation specs in straight projective space are
-    supported; singular loci of the weighted complete intersections are
-    tracked by the resolution bookkeeping instead.
+    Refuses bad primes (_require_good).  Only single-equation specs in
+    straight projective space are supported; singular loci of the weighted
+    complete intersections are tracked by the resolution bookkeeping
+    instead.
     """
-    if p in spec.bad_primes:
-        raise RefusalError(f"{spec.id}: {p} is a bad prime")
+    _require_good(spec, p)
     if len(spec.equations) != 1:
         raise ValidationError(f"{spec.id}: singular_points needs a hypersurface")
     if spec.ambient.kind != "projective":
         raise ValidationError(f"{spec.id}: unsupported ambient for singular scan")
     nv = spec.ambient.nvars
-    if p ** (nv - 1) > 40_000_000 * p:
-        raise ValidationError(f"singular scan infeasible at p={p}")
+    _require_cells("node search", p, lambda q: q ** (nv - 2), _MAX_SCAN_CELLS)
     eq = spec.equations[0]
     eqs = _restrict(eq, n)
     parts = [g for v in range(nv) for g in _restrict(_partial(eq, v), n)]

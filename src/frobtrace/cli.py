@@ -16,12 +16,13 @@ import argparse
 import csv
 import itertools
 import json
+import operator
 import sys
 from dataclasses import dataclass, asdict
 from typing import Callable, NamedTuple
 
 from . import counting, lefschetz, livne, qexp
-from .catalog import load_catalog, singular_points
+from .catalog import _require_good, load_catalog, singular_points
 from .errors import FrobtraceError, RefusalError, ValidationError
 from .ffield import is_prime, kronecker, require_prime
 
@@ -63,11 +64,6 @@ def _schoen_rational_nodes(p):
     fifth roots of unity up to scaling, so all of them are rational exactly
     when p = 1 mod 5 and only the all-ones node is otherwise."""
     return 125 if p % 5 == 1 else 1
-
-
-def _require_good(spec, p):
-    if p in spec.bad_primes:
-        raise RefusalError(f"{spec.id}: {p} is a bad prime")
 
 
 # ------------------------------------------------- calibrate, then freeze
@@ -320,6 +316,26 @@ class _Op(dict):
                               f"field {key!r}")
 
 
+def _typed(convert, value, field):
+    """convert(value), or a ValidationError naming the field when value has
+    the wrong type for it: a field from outside, in JSON data."""
+    try:
+        return convert(value)
+    except (AttributeError, TypeError, ValueError):
+        raise ValidationError(f"{field} {value!r} has the wrong type") from None
+
+
+def _ledger(moves):
+    """LedgerMoves from [[kind, [integer args]], ...]."""
+    return [lefschetz.LedgerMove(k, tuple(map(operator.index, a)))
+            for k, a in moves]
+
+
+def _traces(doc):
+    """{p: trace} from an object of integer traces keyed by primes."""
+    return {int(k): operator.index(v) for k, v in doc.items()}
+
+
 def run_manifest(manifest, outdir=None):
     """Execute a reproduction manifest (dict or path to JSON).
 
@@ -353,7 +369,7 @@ def run_manifest(manifest, outdir=None):
             results.append({"op": kind, "record": asdict(rec)})
         elif kind == "euler":
             moves = (lefschetz.quotient_ledger() if op.get("ledger") == "quotient"
-                     else [lefschetz.LedgerMove(k, tuple(a)) for k, a in op["moves"]])
+                     else _typed(_ledger, op["moves"], "moves"))
             res = lefschetz.euler_ledger(moves)
             out = {"op": kind, "final": res.final,
                    "checkpoints": list(res.checkpoints)}
@@ -382,18 +398,19 @@ def run_manifest(manifest, outdir=None):
                 ok = False
             results.append({"op": kind, **rep.to_json()})
         elif kind == "livne":
+            bad = _typed(set, op["bad_primes"], "bad_primes")
+            t_set = _typed(sorted, op["check_set"], "check_set")
             if "traces1" in op:
-                tr1 = {int(k): v for k, v in op["traces1"].items()}
-                tr2 = {int(k): v for k, v in op["traces2"].items()}
-                rep = livne.livne_compare(tr1, tr2, set(op["bad_primes"]),
-                                          op["check_set"],
+                tr1, tr2 = (_typed(_traces, op[k], k)
+                            for k in ("traces1", "traces2"))
+                rep = livne.livne_compare(tr1, tr2, bad, t_set,
                                           op.get("dets_match_parity", True))
                 if rep.status != livne.STATUS_OK:
                     ok = False
                 results.append({"op": kind, "status": rep.status,
                                 "detail": rep.detail})
             else:
-                rep = livne.check_cover(set(op["bad_primes"]), op["check_set"])
+                rep = livne.check_cover(bad, t_set)
                 if not rep.complete:
                     ok = False
                 results.append({"op": kind, "complete": rep.complete,
@@ -440,18 +457,12 @@ def _cmd_catalog(args):
 
 def _cmd_count(args):
     cat = load_catalog()
-    rec = counting.count(cat.variety(args.variety), args.p, args.degree)
-    if args.out:
-        with open(args.out, "a") as fh:
-            counting.write_records([rec], fh)
-    print(json.dumps(asdict(rec), sort_keys=True))
-    return 0
-
-
-def _cmd_twisted(args):
-    cat = load_catalog()
-    rec = counting.count_twisted(cat.variety(args.variety),
-                                 cat.involution(args.involution), args.p)
+    spec = cat.variety(args.variety)
+    if args.involution is None:
+        rec = counting.count(spec, args.p, args.degree)
+    else:
+        rec = counting.count_twisted(spec, cat.involution(args.involution),
+                                     args.p)
     if args.out:
         with open(args.out, "a") as fh:
             counting.write_records([rec], fh)
@@ -490,12 +501,9 @@ def _cmd_betti(args):
 
 
 def _cmd_euler(args):
-    if args.moves:
-        moves = [lefschetz.LedgerMove(k, tuple(a))
-                 for k, a in json.loads(args.moves)]
-    else:
-        moves = lefschetz.quotient_ledger()
-    res = lefschetz.euler_ledger(moves)
+    res = lefschetz.euler_ledger(_typed(_ledger, json.loads(args.moves),
+                                        "--moves")
+                                 if args.moves else lefschetz.quotient_ledger())
     print(json.dumps({"final": res.final,
                       "checkpoints": list(res.checkpoints)}))
     return 0
@@ -618,14 +626,14 @@ def build_parser():
     q.add_argument("--p", type=int, required=True)
     q.add_argument("--degree", type=int, default=1)
     q.add_argument("--out")
-    q.set_defaults(fn=_cmd_count)
+    q.set_defaults(fn=_cmd_count, involution=None)
 
     q = sub.add_parser("twisted-count", help="twisted point count")
     q.add_argument("--variety", required=True)
     q.add_argument("--involution", required=True)
     q.add_argument("--p", type=int, required=True)
     q.add_argument("--out")
-    q.set_defaults(fn=_cmd_twisted)
+    q.set_defaults(fn=_cmd_count)
 
     q = sub.add_parser("trace", help="H^3 Frobenius trace from a count")
     q.add_argument("--variety", required=True)

@@ -5,16 +5,22 @@ two-group count model (the nodal quintic in Schoen's fibre-product form,
 directly or through a linear map, its involution quotient, and
 Consani-Scholten's quintic P(x, y) = P(z, w)) are counted at odd primes by
 one O(p^2) kernel over per-group histograms.  It covers the straight,
-twisted, chi-weighted and uncoupled cases and is refused for p^2 beyond a
-stated cell budget.  The torus count solves a quadratic in one coordinate
-over an O(p^3) grid.  Everything else, and every kernel's oracle, runs on
-the broadcast grids of the catalog module: the projective and twisted
-counts share one dense tail over the charts of _charts, cut into slabs
-that bound memory, an F_{p^2} count is the F_p count of the common zeros
-of the Weil restrictions of the equations, the weighted count runs one
-slab per value of the first coordinate, and the torus count at p = 2 one
-grid with the zero coordinates masked out.  count() picks the counter for
-a variety's ambient space.
+twisted, chi-weighted and uncoupled cases.  The torus count solves a
+quadratic in one coordinate over an O(p^3) grid.  Everything else, and
+every kernel's oracle, runs on the broadcast grids of the catalog module:
+the projective, twisted and double-cover counts share one dense loop over
+the charts of _charts, cut into slabs that bound memory, an F_{p^2} count
+is the F_p count of the common zeros of the Weil restrictions of the
+equations, the weighted count runs one slab per value of the first
+coordinate, and the torus count at p = 2 one grid with the zero
+coordinates masked out.  count() picks the counter for a variety's
+ambient space.
+
+Every counter ends in the one dispatch _counted, which runs the two-group
+kernel where the declared model counts at p and the dense path otherwise,
+and times the run into the CountRecord; those of catalog varieties open
+with the same checks, _opening.  Cell budgets refuse through
+catalog._require_cells, before anything is allocated.
 
 Every count runs in the calling thread.  The dense counters and the
 two-group kernel pass their chunk lists, which depend only on p, once
@@ -24,17 +30,18 @@ is one chunk, the contraction of its folded histogram with Phi.
 from __future__ import annotations
 
 import json
+import operator
 import time
 from dataclasses import dataclass, asdict
-from math import gcd, isqrt
+from math import gcd
 
 import numpy as np
 
 from .catalog import (TORUS_FAMILY, Monomial, _charts, _compose_equation,
-                      _eval_mono_list, _grid, _power, _ratio, _restrict,
-                      _zeros)
+                      _eval_mono_list, _grid, _power, _ratio,
+                      _require_cells, _restrict, _zeros)
 from .errors import FrobtraceError, RefusalError, ValidationError
-from .ffield import is_prime, nonresidue, require_prime
+from .ffield import nonresidue, require_prime
 
 _MAX_DENSE_TOTAL = 600_000_000     # refuse larger dense enumerations
 _MAX_HIST_CELLS = 4_000_000        # p^2 cells per two-group table (p < 2000)
@@ -58,42 +65,60 @@ def _run_chunks(worker, chunks):
     return [worker(c) for c in chunks]
 
 
-def _record(vid, p, degree, twist_id, t0, counted):
-    """The CountRecord of counted = (count, chunk count), timed from t0."""
-    cnt, chunks = counted
+def _opening(spec, p, kind, odd=None, phi=None):
+    """The opening checks of a count of spec at p, in order: p is prime,
+    and odd where odd names the count that needs it; spec's ambient is
+    kind; a twisted count's phi preserves the equations and is diagonal
+    +-1 (the diagonal is returned); no equation vanishes mod p, but for a
+    double cover's, which are the linear factors of its branch locus."""
+    require_prime(p)
+    if odd and p == 2:
+        raise ValidationError(f"{odd} need an odd prime")
+    if spec.ambient.kind != kind:
+        raise ValidationError(f"{spec.id}: ambient {spec.ambient.kind}, not {kind}")
+    diag = None
+    if phi is not None:
+        check_preserves(spec, phi)
+        if not phi.is_diagonal():
+            raise RefusalError(
+                f"{phi.id}: twisted counting is implemented for diagonal "
+                "involutions; use the diagonalized model of the variety")
+        diag = phi.diagonal()
+        if any(d not in (1, -1) for d in diag):
+            raise RefusalError(f"{phi.id}: diagonal entries must be +-1")
+    for i, eq in enumerate(spec.equations if kind != "double_cover_p3"
+                           else ()):
+        if all(m.coefficient % p == 0 for m in eq):
+            raise ValidationError(
+                f"{spec.id}: equation {i} vanishes identically mod {p}")
+    return diag
+
+
+def _counted(vid, p, dense, model=None, degree=1, twist_id=None):
+    """The one dispatch: the timed CountRecord of a count at p, by the
+    two-group kernel where model counts there (p odd and prime to
+    model.unit), else by dense(); each gives (count, chunk count)."""
+    t0 = time.perf_counter()
+    if model is not None and p != 2 and model.unit % p:
+        cnt, chunks = _two_group_count(model, p, vid)
+    else:
+        cnt, chunks = dense()
     return CountRecord(vid, p, degree, twist_id, cnt, chunks,
                        time.perf_counter() - t0)
 
 
-def _largest_prime(n):
-    """The largest prime <= n, for refusals that name the nearest p a
-    kernel accepts."""
-    while not is_prime(n):
-        n -= 1
-    return n
-
-
-def _check_equations_mod_p(spec, p):
-    for i, eq in enumerate(spec.equations):
-        if all(m.coefficient % p == 0 for m in eq):
-            raise ValidationError(
-                f"{spec.id}: equation {i} vanishes identically mod {p}")
-
-
 # ------------------------------------------------------------------ generic
 
-def _count_dense(spec, eqs, p, degree):
+def _count_dense(spec, p, eqs, degree=1, on_chart=None):
     """(count, chunk count) of the common zeros of eqs, monomial lists on
-    P^{nvars-1} (over F_{p^2}: their restrictions), chart by chart."""
+    P^{nvars-1} (over F_{p^2}: their restrictions), or of on_chart(coords)
+    summed over the charts, chart by chart."""
     nv = spec.ambient.nvars
-    if p ** (nv - 1) > _MAX_DENSE_TOTAL:
-        raise ValidationError(f"dense count infeasible at p={p}")
+    if degree == 1:          # _charts refuses F_{p^2} charts by its budget
+        _require_cells("dense count", p, lambda q: q ** (nv - 1), _MAX_DENSE_TOTAL)
     chunks = _charts(p, nv, degree)
-
-    def worker(fixed):
-        return int(np.count_nonzero(_zeros(eqs, _grid(p, fixed), p)))
-
-    return sum(_run_chunks(worker, chunks)), len(chunks)
+    on_chart = on_chart or (lambda c: int(np.count_nonzero(_zeros(eqs, c, p))))
+    return sum(_run_chunks(lambda f: on_chart(_grid(p, f)), chunks)), len(chunks)
 
 
 # ------------------------------------------------------ two-group kernel
@@ -165,11 +190,7 @@ def _two_group_count(model, p, label):
     _MAX_HIST_CELLS cells (p < 2000), well inside the int64 bound; at
     p = 1999 the chi-weighted quotient peaks at 132 MB.
     """
-    if p * p > _MAX_HIST_CELLS:
-        raise ValidationError(
-            f"two-group kernel at p={p} needs p^2 = {p * p} cells, "
-            f"over the budget of {_MAX_HIST_CELLS}; the largest prime it "
-            f"accepts is {_largest_prime(isqrt(_MAX_HIST_CELLS))}")
+    _require_cells("two-group kernel", p, lambda q: q * q, _MAX_HIST_CELLS)
     (g1, g2), k = model.groups, model.coupling % p
     grid = _grid(p, [None, None])
     memo = {}
@@ -262,37 +283,18 @@ def _two_group_count(model, p, label):
     return total // (p - 1), 1
 
 
-def _kernel_model(spec, p):
-    """spec's declared CountModel where the two-group kernel counts it at
-    p, else None (no model, p = 2, or p divides the unit of a mapped one)."""
-    model = spec.count_model
-    if model is None or p == 2 or model.unit % p == 0:
-        return None
-    return model
-
-
 # ----------------------------------------------------------------- API
 
 def count_projective(spec, p, degree=1):
-    """#X(F_{p^degree}) for a variety in (straight) projective space."""
-    require_prime(p)
+    """#X(F_{p^degree}) for a variety in (straight) projective space; over
+    F_{p^2} the dense count of the Weil restrictions."""
     if degree not in (1, 2):
         raise ValidationError("field_degree must be 1 or 2")
-    if spec.ambient.kind != "projective":
-        raise ValidationError(
-            f"{spec.id}: ambient {spec.ambient.kind}; use the matching counter")
-    _check_equations_mod_p(spec, p)
-    t0 = time.perf_counter()
-    if degree == 2:
-        if p == 2:
-            raise ValidationError("degree-2 counts need an odd prime")
-        n = nonresidue(p)
-        return _record(spec.id, p, 2, None, t0, _count_dense(
-            spec, [f for eq in spec.equations for f in _restrict(eq, n)], p, 2))
-    model = _kernel_model(spec, p)
-    return _record(spec.id, p, 1, None, t0,
-                   _two_group_count(model, p, spec.id) if model is not None
-                   else _count_dense(spec, spec.equations, p, 1))
+    _opening(spec, p, "projective", "degree-2 counts" if degree == 2 else None)
+    n = nonresidue(p) if degree == 2 else None
+    eqs = [f for eq in spec.equations for f in _restrict(eq, n)]
+    return _counted(spec.id, p, lambda: _count_dense(spec, p, eqs, degree),
+                    spec.count_model if degree == 1 else None, degree)
 
 
 def check_preserves(spec, phi):
@@ -346,30 +348,15 @@ def count_twisted(spec, phi, p):
     in F_p coefficients exactly when phi preserves the equations.  A
     declared two-group model is twisted the same way, group by group.
     """
-    require_prime(p)
-    if p == 2:
-        raise ValidationError("twisted counts need an odd prime")
-    if spec.ambient.kind != "projective":
-        raise ValidationError(f"{spec.id}: twisted counts need a projective model")
-    check_preserves(spec, phi)
-    if not phi.is_diagonal():
-        raise RefusalError(
-            f"{phi.id}: twisted counting is implemented for diagonal involutions; "
-            "use the diagonalized model of the variety")
-    diag = phi.diagonal()
-    if any(d not in (1, -1) for d in diag):
-        raise RefusalError(f"{phi.id}: diagonal entries must be +-1")
-    _check_equations_mod_p(spec, p)
-    t0 = time.perf_counter()
+    diag = _opening(spec, p, "projective", "twisted counts", phi)
     n = nonresidue(p)
     twisted_eqs = [_twist(eq, diag, n) for eq in spec.equations]
     if None in twisted_eqs:
         raise ValidationError(f"{spec.id}: equation not invariant under {phi.id}")
-    model = _kernel_model(spec, p)
-    model = model and _twisted_model(model, diag, n)
-    return _record(spec.id, p, 1, phi.id, t0,
-                   _two_group_count(model, p, spec.id) if model is not None
-                   else _count_dense(spec, twisted_eqs, p, 1))
+    model = spec.count_model and _twisted_model(spec.count_model, diag, n)
+    return _counted(spec.id, p,
+                    lambda: _count_dense(spec, p, twisted_eqs),
+                    model, twist_id=phi.id)
 
 
 def count_weighted(spec, p):
@@ -379,15 +366,9 @@ def count_weighted(spec, p):
     A declared two-group model is counted by the kernel; otherwise every
     cone point is enumerated, one slab per value of the first coordinate.
     """
-    require_prime(p)
-    if spec.ambient.kind != "weighted_projective":
-        raise ValidationError(f"{spec.id}: not a weighted-projective variety")
-    _check_equations_mod_p(spec, p)
-    t0 = time.perf_counter()
-    model = _kernel_model(spec, p)
-    return _record(spec.id, p, 1, None, t0,
-                   _two_group_count(model, p, spec.id) if model is not None
-                   else _count_orbits(spec, p))
+    _opening(spec, p, "weighted_projective")
+    return _counted(spec.id, p, lambda: _count_orbits(spec, p),
+                    spec.count_model)
 
 
 def _count_orbits(spec, p):
@@ -395,8 +376,7 @@ def _count_orbits(spec, p):
     cone point, one slab per value of the first coordinate."""
     weights = spec.ambient.weights
     nv = len(weights)
-    if p ** nv > _MAX_DENSE_TOTAL:
-        raise ValidationError(f"weighted count infeasible at p={p}")
+    _require_cells("weighted count", p, lambda q: q ** nv, _MAX_DENSE_TOTAL)
     chunks = list(range(p))
 
     def worker(x0):
@@ -448,11 +428,7 @@ def _torus_kernel(a, t, p):
     cells are refused beyond _MAX_TORUS_CELLS (p < 160), where that is
     below 2^17; at that bound the arrays take about 300 MB.
     """
-    if (p - 1) ** 3 > _MAX_TORUS_CELLS:
-        raise ValidationError(
-            f"torus kernel at p={p} needs (p-1)^3 = {(p - 1) ** 3} cells, "
-            f"over the budget of {_MAX_TORUS_CELLS}; the largest prime it "
-            f"accepts is {_largest_prime(1 + int(_MAX_TORUS_CELLS ** (1 / 3)))}")
+    _require_cells("torus kernel", p, lambda q: (q - 1) ** 3, _MAX_TORUS_CELLS)
     a = [x % p for x in a]
     nz = np.arange(1, p, dtype=np.int64)
     x1, x2, x3 = nz.reshape(-1, 1, 1), nz.reshape(1, -1, 1), nz.reshape(1, 1, -1)
@@ -473,42 +449,35 @@ def count_torus(a, t, p):
     """Points with all coordinates nonzero on the cleared-denominator
     equation of (X1+...+X5)(a1/X1+...+a5/X5) = t, normalized X5 = 1."""
     require_prime(p)
+    try:
+        a, t = [operator.index(x) for x in a], operator.index(t)
+    except TypeError:
+        raise ValidationError(f"torus parameters a = {a!r} and t = {t!r} "
+                              "must be integers") from None
     if len(a) != 5:
         raise ValidationError("parameter vector a must have 5 entries")
-    t0 = time.perf_counter()
-    cnt = _torus_dense(a, t, p) if p == 2 else _torus_kernel(a, t % p, p)
     vid = "%s[a=%s;t=%d]" % (TORUS_FAMILY, ",".join(str(x) for x in a), t)
-    return _record(vid, p, 1, None, t0, (cnt, 1))
+    return _counted(vid, p, lambda: (_torus_dense(a, t, p) if p == 2
+                                     else _torus_kernel(a, t % p, p), 1))
 
 
 def count_double_cover(spec, p):
     """Points of w^2 = f(x) over P^3 with f the product of the stored
     linear forms: sum over P^3 of 1 + chi(f(x)), chi the quadratic
     character with chi(0) = 0."""
-    require_prime(p)
-    if spec.ambient.kind != "double_cover_p3":
-        raise ValidationError(f"{spec.id}: not a double cover of P^3")
-    if p == 2:
-        raise ValidationError("double cover counts need an odd prime")
-    if p ** 3 > _MAX_DENSE_TOTAL:
-        raise ValidationError(f"dense count infeasible at p={p}")
-    t0 = time.perf_counter()
-    chi = _chi_table(p)
-    chunks = _charts(p, 4)
+    _opening(spec, p, "double_cover_p3", "double cover counts")
 
-    def worker(fixed):
+    def on_chart(coords):
         # the first form's fresh values accumulate the product in place;
         # with no form it is the empty product, the constant 1
-        coords = _grid(p, fixed)
         forms = iter(spec.equations)
         f = _eval_mono_list(next(forms, (Monomial(1, (0,) * 4),)), coords, p)
         for eq in forms:
             np.multiply(f, _eval_mono_list(eq, coords, p), out=f)
             np.remainder(f, p, out=f)
-        return int(f.size + chi[f].sum())
+        return int(f.size + _chi_table(p)[f].sum())
 
-    return _record(spec.id, p, 1, None, t0,
-                   (sum(_run_chunks(worker, chunks)), len(chunks)))
+    return _counted(spec.id, p, lambda: _count_dense(spec, p, (), on_chart=on_chart))
 
 
 def count(spec, p, degree=1):

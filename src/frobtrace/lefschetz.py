@@ -13,8 +13,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .catalog import Monomial, _eval_mono_list, _restrict, _singular_scan
-from .errors import RefusalError, ValidationError
+from .catalog import (Monomial, _eval_mono_list, _require_good, _restrict,
+                      _singular_scan)
+from .errors import ValidationError
 from .ffield import kronecker, nonresidue, require_prime
 
 
@@ -213,14 +214,12 @@ def nodal_curve(spec, p, degree=1):
     cone splits exactly when ac = 0.  A singular point whose discriminant
     vanishes is not a node, and is a ValidationError.
     """
-    if p in spec.bad_primes:
-        raise RefusalError(f"{spec.id}: {p} is a bad prime")
+    _require_good(spec, p)
     if degree not in (1, 2):
         raise ValidationError("degree must be 1 or 2")
     if spec.ambient.kind != "projective" or len(spec.equations) != 1 \
             or spec.ambient.n != 2:
         raise ValidationError(f"{spec.id}: need a plane curve")
-    require_prime(p)
     n = nonresidue(p) if degree == 2 else None
     eq = spec.equations[0]
     taylor = {(i, j): _restrict(_second_taylor(eq, i, j), n)

@@ -205,6 +205,10 @@ def test_singular_points_guards():
     w = VarietySpec("w", amb, eq, 1, frozenset({2}), "test")
     with pytest.raises(ValidationError):
         singular_points(w, 3)
+    # a modulus that is not prime is invalid input, not a scan mod n
+    for p in (9, 1):
+        with pytest.raises(ValidationError, match=f"{p} is not prime"):
+            singular_points(CAT.variety("e_plane"), p)
 
 
 # ------------------------------ dense evaluator and Weil restriction (numpy)

@@ -199,6 +199,19 @@ def test_exit_codes(capsys, tmp_path):
     manifest.write_text('{"operations": [')
     assert main(["run", str(manifest)]) == 1
     assert main(["euler", "--moves", "[[\"base_chi\""]) == 1
+    # each with the field it names in its error line
+    torus = {"op": "torus_count", "a": [1] * 5, "t": 25, "p": 7}
+    compare = {"op": "livne", "bad_primes": [2, 5], "check_set": [3],
+               "traces1": {"3": 2}, "traces2": {"3": 2}}
+    wrong_fields = [
+        ({**torus, "a": 5}, "a = 5"),
+        ({**torus, "a": ["1", 1, 1, 1, 1]}, "a = ['1'"),
+        ({**torus, "t": "25"}, "t = '25'"),
+        ({"op": "euler", "moves": 5}, "moves 5"),
+        ({"op": "euler", "moves": [["base_chi", 5]]}, "moves [['base_chi', 5]]"),
+        ({**compare, "bad_primes": 5}, "bad_primes 5"),
+        ({**compare, "traces1": {"x": 2}}, "traces1 {'x': 2}"),
+        ({**compare, "traces1": [1]}, "traces1 [1]")]
     for doc in ({"operations": [{"op": "count", "variety": "schoen_x",
                                  "p": "7"}]},
                 [1, 2], {"operations": [5]}, {"operations": 5},
@@ -206,17 +219,22 @@ def test_exit_codes(capsys, tmp_path):
                 {"operations": [{"op": "match", "variety": "schoen_x",
                                  "primes": 3, "calibration_prime": 11}]},
                 {"operations": [{"op": "match", "variety": "schoen_x",
-                                 "primes": ["3"], "calibration_prime": 11}]}):
+                                 "primes": ["3"], "calibration_prime": 11}]},
+                *({"operations": [op]} for op, _ in wrong_fields)):
         manifest.write_text(json.dumps(doc))
         assert main(["run", str(manifest)]) == 1, doc
+    for moves in ("5", '[["base_chi"]]'):
+        assert main(["euler", "--moves", moves]) == 1, moves
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 11 and all(e.startswith("error: ") for e in err)
+    assert len(err) == 21 and all(e.startswith("error: ") for e in err)
     assert "nonexistent.json" in err[0] and "nope.csv" in err[1]
     assert "Expecting" in err[2] and "Expecting" in err[3]
     assert "'7' is not an integer" in err[4]
     assert all("list of op objects" in e for e in err[5:8])
     assert "chi '168' is not an integer" in err[8]
     assert "primes 3 is not a list" in err[9] and "'3' is not" in err[10]
+    for e, named in zip(err[11:], [n for _, n in wrong_fields] + ["--moves"] * 2):
+        assert named in e, (named, e)
 
 
 def test_count_command(capsys):

@@ -79,6 +79,66 @@ def test_torus_cell_budget():
         count_torus((1, 1, 1, 1, 1), 25, 163)
 
 
+def test_torus_entry_equation_matches_count_torus():
+    # count() counts hulek_verrill from its known (a, t) and never reads
+    # the 21-monomial equation the catalog stores; its zeros on the torus
+    # grid (X5 = 1, no coordinate 0) must be the same count
+    hv = CAT.variety("hulek_verrill")
+    a, t = hv.known["a"], hv.known["t"]
+    for p, want in ((3, 11), (5, 101), (7, 201), (11, 811), (13, 1341)):
+        on = _zeros(hv.equations, _grid(p, [None] * 4 + [1]), p)
+        assert int(on[1:, 1:, 1:, 1:].sum()) == want, p
+        assert count_torus(a, t, p).count == want, p
+
+
+def _next_prime(q):
+    q += 1
+    while not is_prime(q):
+        q += 1
+    return q
+
+
+# every cell budget: its cells as a function of p, its limit, a count that
+# meets it, and the largest prime it accepts
+CELL_BUDGETS = [
+    ("dense chart of P^4", lambda p: p ** 4, counting._MAX_DENSE_TOTAL,
+     lambda p: count_projective(CAT.variety("hm_quintic"), p), 151),
+    ("double cover, charts of P^3", lambda p: p ** 3, counting._MAX_DENSE_TOTAL,
+     lambda p: count_double_cover(CAT.variety("double_octic_template"), p), 839),
+    ("weighted orbits, P(1,1,1,2,2,2)", lambda p: p ** 6,
+     counting._MAX_DENSE_TOTAL,
+     lambda p: count_weighted(dense("schoen_quotient"), p), 29),
+    ("degree-2 chart of P^4", lambda p: p ** 8, catalog._MAX_EXT_CELLS,
+     lambda p: count_projective(CAT.variety("schoen_x"), p, degree=2), 7),
+    ("degree-2 chart of P^2", lambda p: p ** 4, catalog._MAX_EXT_CELLS,
+     lambda p: count_projective(CAT.variety("e_plane"), p, degree=2), 83),
+    ("node search on P^4", lambda p: p ** 3, catalog._MAX_SCAN_CELLS,
+     lambda p: singular_points(CAT.variety("schoen_x"), p), 337),
+    ("two-group kernel", lambda p: p ** 2, counting._MAX_HIST_CELLS,
+     lambda p: count_projective(CAT.variety("schoen_y"), p), 1999),
+    ("torus kernel", lambda p: (p - 1) ** 3, counting._MAX_TORUS_CELLS,
+     lambda p: count_torus((1, 1, 1, 1, 1), 25, p), 157),
+]
+
+
+def test_cell_budgets_name_the_largest_accepted_prime():
+    # each budget is met at the first prime past the one it names, and the
+    # refusal comes before any table: the peak stays under 1 MB, where the
+    # smallest table of these paths at that prime takes over 30 MB
+    for name, cells, limit, run, q in CELL_BUDGETS:
+        over = _next_prime(q)
+        assert cells(q) <= limit < cells(over), name
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError,
+                               match=f"cells.* accepts is {q}$"):
+                run(over)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (name, peak)
+
+
 @settings(max_examples=60, deadline=None, database=None)
 @given(st.lists(st.integers(-50, 50), min_size=5, max_size=5),
        st.integers(-50, 50), st.sampled_from((3, 5, 7, 11, 13)))
@@ -271,8 +331,8 @@ def test_counter_invariants_raise(monkeypatch):
 
 def test_counter_invariants_raise_under_O():
     # the same checks in a python -O child, which strips assert statements:
-    # the counters' invariants, and the evaluator's bound against Python
-    # ints at p = 2^31 - 1 with its refusal of p >= 2^31
+    # the counters' invariants and cell budgets, and the evaluator's bound
+    # against Python ints at p = 2^31 - 1 with its refusal of p >= 2^31
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(Path(counting.__file__).parent.parent),
@@ -280,14 +340,15 @@ def test_counter_invariants_raise_under_O():
     evaluator = Path(__file__).with_name("test_catalog.py")
     res = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         f"{__file__}::test_counter_invariants_raise"]
+         f"{__file__}::test_counter_invariants_raise",
+         f"{__file__}::test_cell_budgets_name_the_largest_accepted_prime"]
         + [f"{evaluator}::{name}" for name in (
             "test_evaluator_matches_python_ints",
             "test_evaluator_reduces_inside_the_chain",
             "test_ext_evaluator_frobenius")],
         capture_output=True, text=True, env=env, timeout=300)
     assert res.returncode == 0, res.stdout + res.stderr
-    assert "4 passed" in res.stdout
+    assert "5 passed" in res.stdout
 
 
 def test_equation_degenerate_mod_p():
