@@ -315,6 +315,14 @@ class _Op(dict):
         raise ValidationError(f"manifest op {self.get('op')!r} has no "
                               f"field {key!r}")
 
+    def of(self, field, kind, default=None):
+        """The field, or default, if of type kind: JSON's true is no
+        integer, and its "false" no boolean."""
+        value = self.get(field, default)
+        if type(value) is not kind:
+            raise ValidationError(f"{field} {value!r} has the wrong type")
+        return value
+
 
 def _typed(convert, value, field):
     """convert(value), or a ValidationError naming the field when value has
@@ -373,7 +381,8 @@ def run_manifest(manifest, outdir=None):
             res = lefschetz.euler_ledger(moves)
             out = {"op": kind, "final": res.final,
                    "checkpoints": list(res.checkpoints)}
-            if "expect_final" in op and op["expect_final"] != res.final:
+            if "expect_final" in op and \
+                    op.of("expect_final", int) != res.final:
                 out["failed"] = True
                 ok = False
             results.append(out)
@@ -381,12 +390,12 @@ def run_manifest(manifest, outdir=None):
             if op.get("variety", "schoen_quotient") != "schoen_quotient":
                 raise ValidationError(f"betti: no Betti count for variety "
                                       f"{op['variety']!r}; use schoen_quotient")
-            rep = betti_report(op["p"], op["chi"], op.get("adjusted", False),
-                               cat=cat)
-            if "expect_unique" in op and op["expect_unique"] != rep["unique"]:
-                rep["failed"] = True
-                ok = False
-            if "expect" in op and op["expect"] != rep["candidates"]:
+            want = {k: op.of(f, t) for k, f, t in (
+                ("unique", "expect_unique", bool),
+                ("candidates", "expect", list)) if f in op}
+            rep = betti_report(op["p"], op["chi"],
+                               op.of("adjusted", bool, False), cat=cat)
+            if any(rep[k] != v for k, v in want.items()):
                 rep["failed"] = True
                 ok = False
             results.append({"op": kind, **rep})
@@ -403,8 +412,9 @@ def run_manifest(manifest, outdir=None):
             if "traces1" in op:
                 tr1, tr2 = (_typed(_traces, op[k], k)
                             for k in ("traces1", "traces2"))
-                rep = livne.livne_compare(tr1, tr2, bad, t_set,
-                                          op.get("dets_match_parity", True))
+                rep = livne.livne_compare(
+                    tr1, tr2, bad, t_set,
+                    op.of("dets_match_parity", bool, True))
                 if rep.status != livne.STATUS_OK:
                     ok = False
                 results.append({"op": kind, "status": rep.status,

@@ -4,8 +4,12 @@ Counts are exact integers.  Varieties whose catalog entry declares a
 two-group count model (the nodal quintic in Schoen's fibre-product form,
 directly or through a linear map, its involution quotient, and
 Consani-Scholten's quintic P(x, y) = P(z, w)) are counted at odd primes by
-one O(p^2) kernel over per-group histograms.  It covers the straight,
-twisted, chi-weighted and uncoupled cases.  The torus count solves a
+one O(p^2) kernel over per-group histograms.  One pass per (model, p)
+gives 3x3 matrices over the quadratic-character blocks of b, and the
+straight, twisted, chi-weighted and uncoupled counts are weightings of
+them; a one-entry memo of the last pass's matrices lets the twisted count
+of schoen_y, and its quotient's count, reuse the pass of its straight
+count at the same p.  The torus count solves a
 quadratic in one coordinate over an O(p^3) grid.  Everything else, and
 every kernel's oracle, runs on the broadcast grids of the catalog module:
 the projective, twisted and double-cover counts share one dense loop over
@@ -25,7 +29,8 @@ catalog._require_cells, before anything is allocated.
 Every count runs in the calling thread.  The dense counters and the
 two-group kernel pass their chunk lists, which depend only on p, once
 through _run_chunks and sum the parts in chunk order; the kernel's list
-is one chunk, the contraction of its folded histogram with Phi.
+is one chunk, the weighting of its memoised matrices into a total, so a
+memo hit runs the same divisibility check as a full pass.
 """
 from __future__ import annotations
 
@@ -94,13 +99,15 @@ def _opening(spec, p, kind, odd=None, phi=None):
     return diag
 
 
-def _counted(vid, p, dense, model=None, degree=1, twist_id=None):
+def _counted(vid, p, dense, model=None, degree=1, twist_id=None,
+             flips=(False, False)):
     """The one dispatch: the timed CountRecord of a count at p, by the
     two-group kernel where model counts there (p odd and prime to
-    model.unit), else by dense(); each gives (count, chunk count)."""
+    model.unit), twisted by flips, else by dense(); each gives (count,
+    chunk count)."""
     t0 = time.perf_counter()
     if model is not None and p != 2 and model.unit % p:
-        cnt, chunks = _two_group_count(model, p, vid)
+        cnt, chunks = _two_group_count(model, p, vid, flips)
     else:
         cnt, chunks = dense()
     return CountRecord(vid, p, degree, twist_id, cnt, chunks,
@@ -131,75 +138,51 @@ def _chi_table(p):
     return chi
 
 
-def _hist(idx, size, sign=None):
-    """bincount of idx, or with sign (entries -1, 0, 1) its signed version."""
-    if sign is None:
-        return np.bincount(idx, minlength=size)
-    return (np.bincount(idx[sign > 0], minlength=size)
-            - np.bincount(idx[sign < 0], minlength=size))
+_LAST_PASS = {}     # the one memo entry: pass key -> (NF, Z, A), 3x3 ints
 
 
-def _two_group_count(model, p, label):
-    """(count, chunk count 1) of a variety through its declared CountModel
-    (catalog), at an odd prime:
+def _halved(g, chi):
+    """(r, m, True) for a group of a model without chi whose r and m are
+    even in b, with b^2 -> b; else (r, m, False)."""
+    if chi is not None or any(x.exponents[1] % 2 for x in g.r + g.m):
+        return g.r, g.m, False
+    return (*(tuple(Monomial(x.coefficient, (a, b // 2, s))
+                    for x in poly for a, b, s in [x.exponents])
+              for poly in (g.r, g.m)), True)
 
-        r1(a1, b1, s) + r2(a2, b2, s) + k s^e m1(a1, b1) m2(a2, b2) = 0,
 
-    k the coupling, and with a chi variable y also y^2 = b1 b2, which sums
-    y out as the weight 1 + chi(b1) chi(b2) of a point (a1, b1, a2, b2).
+def _flips(model, diag):
+    """For each group, whether the twist by the diagonal diag flips its b;
+    None where the block weights cannot express the twist (no declared
+    model, a mapped one, a flipped s or a, or a flipped b in a group not
+    even in b): the dense path counts those."""
+    if model is None or model.onto is not None or diag[model.shared] != 1:
+        return None
+    flips = []
+    for g in model.groups:
+        a, b = (diag[i] == -1 for i in g.vars)
+        if a or (b and not _halved(g, model.chi)[2]):
+            return None
+        flips.append(b)
+    return tuple(flips)
 
-    Scaling by l in F_p^* moves s, a1 and a2 by l and b1, b2 and y by
-    l^weight.  The cone points with s != 0 are (p - 1) N1 points, N1 on the
-    slice s = 1, all with trivial stabilizer; on s = 0 the coupling
-    vanishes.  So with Phi_lam[c] = #{w2 : r2(w2, 1) + lam m2(w2) = c} and
-    the histograms H_i of r_i(w, 0),
 
-        N1 = sum_{w1} Phi_{k m1(w1)}[-r1(w1, 1)],
-        Z = sum_c H_1[c] H_2[-c]         (origin included),
-
-    each also with chi(b_i)-weighted copies of the tables when y is
-    declared.  The weighted total is (p - 1) N1 + Z - 1 plus, for each
-    nonzero cone point with s = a1 = a2 = 0, its stabilizer gcd(weight,
-    p - 1) less 1; those points are the a = 0 rows of the s = 0 tables.
-    The count is that total over p - 1.  An uncoupled model (k = 0 mod p,
-    Consani-Scholten's P(x, y) = P(z, w)) uses the row Phi_0 = H only.
-
-    When coupled, r2 and m2 are homogeneous of degrees D and d in (a, b)
-    and chi(l^weight b) = chi(b), so substituting w2 -> l w2 gives
-    Phi_{rho l^(D-d)}[c] = Phi_rho[c l^-D]: one row of Phi per class of
-    F_p^* modulo (D - d)-th powers, plus the row of lam = 0.  With row(lam)
-    the row of lam's class and shift(lam) an l^-D that reaches it, the
-    fold
-
-        N1 = sum_{w1} Phi_{row(k m1)}[-r1 shift(k m1)] = <F, Phi>,
-
-    F the histogram of the keys row(k m1) p + (-r1 shift(k m1) mod p) of
-    the points w1 (r1 = r1(w1, 1), m1 = m1(w1)): one table of len(reps) p
-    cells per layer, and no pass over the values of m1.  Cost O(p^2).
-
-    All arithmetic is exact int64.  Residue products, as in the keys,
-    stay below p^2, the keys below len(reps) p <= p^2, and the largest
-    values are the sums Z, <F, Phi> and the a = 0 sum, counts of pairs
-    (w1, w2) and so at most p^4 in absolute value: exact for p < 2^15.
-    The keys and the rows of Phi are built in place, so beside the
-    memoised value arrays (r_i at s = 0 and 1 and m_i, fewer where two
-    agree up to a constant) at most two p^2-cell int64 arrays are live at
-    once, plus with chi a p^2-cell int8 sign.  schoen_y memoises two, and
-    its straight and twisted counts peak below 4.5 p^2 8 bytes (4.04 p^2 8
-    under tracemalloc at 421).  The p^2-cell tables are refused beyond
-    _MAX_HIST_CELLS cells (p < 2000), well inside the int64 bound; at
-    p = 1999 the chi-weighted quotient peaks at 132 MB.
-    """
-    _require_cells("two-group kernel", p, lambda q: q * q, _MAX_HIST_CELLS)
-    (g1, g2), k = model.groups, model.coupling % p
-    grid = _grid(p, [None, None])
+def _block_pass(groups, k, weights, p):
+    """The 3x3 block-pair matrices (NF, Z, A) of one pass over the grids of
+    groups ((r1, m1), (r2, m2)), as tuples of ints; see _two_group_count."""
+    h = (p - 1) // 2
+    chi = _chi_table(p)
+    order = np.concatenate([np.flatnonzero(chi == 1),
+                            np.flatnonzero(chi == -1), [0]]).astype(np.int64)
+    grid = [np.arange(p, dtype=np.int64).reshape(1, p), order.reshape(p, 1)]
+    (g1r, g1m), (g2r, g2m) = groups
     memo = {}
 
     def values(poly, s):
-        """(v, c) with poly(a, b, s) = v + c on the (a, b) grid, flattened,
-        and c the constant term; polynomials that agree up to a constant
-        share v, and constants move the histogram indices instead.  v is
-        memoised: read it, never write it."""
+        """(v, c) with poly(a, b, s) = v + c on the grid, flattened, and c
+        the constant term; polynomials that agree up to a constant share v,
+        and constants move the histogram indices instead.  v is memoised:
+        read it, never write it."""
         terms, const = {}, 0
         for mono in poly:
             a, b, e = mono.exponents
@@ -214,33 +197,30 @@ def _two_group_count(model, p, label):
                                         grid, p).ravel()
         return memo[key], const % p
 
-    signs = [None]
-    if model.chi is not None:
-        signs.append(np.tile(_chi_table(p).astype(np.int8), p))  # chi(b)
+    def blocks(v, size, width=p):
+        """The bincounts of v over its three b blocks of width cells a row."""
+        ends = (0, h * width, 2 * h * width, p * width)
+        return np.stack([np.bincount(v[i:j], minlength=size)
+                         for i, j in zip(ends, ends[1:])])
+
     neg = -np.arange(p) % p                            # index of -x
 
     # at s = 0 the constant terms of r1 and r2 cancel, the equation being
-    # homogeneous of positive degree; the a = 0 rows are the first p cells
-    (h1, _), (h2, _) = values(g1.r, 0), values(g2.r, 0)
-    stab = gcd(model.weight, p - 1)
-    cone = extra = 0
-    for sg in signs:
-        cone += int(_hist(h1, p, sg) @ _hist(h2, p, sg)[neg])
-        if stab > 1:
-            sa = None if sg is None else sg[:p]
-            extra += int(_hist(h1[:p], p, sa) @ _hist(h2[:p], p, sa)[neg])
-    extra = (stab - 1) * (extra - 1)
+    # homogeneous of positive degree; the a = 0 cells are every p-th
+    (h1, _), (h2, _) = values(g1r, 0), values(g2r, 0)
+    z = blocks(h1, p) @ blocks(h2, p)[:, neg].T
+    a0 = blocks(h1[::p], p, 1) @ blocks(h2[::p], p, 1)[:, neg].T
 
     # lam = rho l^(D-d) reads row rho of phi at c l^-D; lam^((p-1)/n) names
     # the class of lam among the n = gcd(D - d, p - 1) classes
-    (r1, c1), (r2, c2) = values(g1.r, 1), values(g2.r, 1)
+    (r1, c1), (r2, c2) = values(g1r, 1), values(g2r, 1)
     row = np.zeros(p, dtype=np.int64)
     shift = np.ones(p, dtype=np.int64)
     reps = [0]
     if k:
-        (m1, d1), (m2, d2) = values(g1.m, 1), values(g2.m, 1)
-        wts = (1, model.weight, 1)
-        dr, dm = g2.r[0].degree(wts), g2.m[0].degree(wts)
+        (m1, d1), (m2, d2) = values(g1m, 1), values(g2m, 1)
+        wts = (1, weights[1], 1)
+        dr, dm = g2r[0].degree(wts), g2m[0].degree(wts)
         lams, q = np.arange(1, p, dtype=np.int64), p - 1
         n = gcd(dr - dm, q)
         _, first = np.unique(_power(lams, q // n, p), return_index=True)
@@ -259,9 +239,8 @@ def _two_group_count(model, p, label):
         v %= p
         return v
 
-    phi = np.array([[_hist(v, p, sg) for sg in signs]
-                    for v in map(level, reps)])
-    phi = phi.transpose(1, 0, 2).reshape(len(signs), -1)  # [layer, row p + c]
+    phi = np.stack([blocks(level(rho), p) for rho in reps], axis=1)
+    phi = phi.reshape(3, -1)                           # [block, row p + c]
 
     # the key of w1 is row(k m1) p + (-r1 - c1 - c2) shift(k m1) mod p,
     # built in place: products of residues below p^2, keys below
@@ -274,9 +253,96 @@ def _two_group_count(model, p, label):
         key *= shift[lam][m1]
         key %= p
         key += (row[lam] * p)[m1]
-    folded = np.stack([_hist(key, len(reps) * p, sg) for sg in signs])
-    total = sum(_run_chunks(lambda t: (p - 1) * int(np.vdot(*t)),
-                            [(folded, phi)])) + cone - 1 + extra
+    nf = blocks(key, len(reps) * p) @ phi.T
+    return tuple(tuple(tuple(x) for x in m.tolist()) for m in (nf, z, a0))
+
+
+def _two_group_count(model, p, label, flips=(False, False)):
+    """(count, chunk count 1) of a variety through its declared CountModel
+    (catalog) at an odd prime, twisted where flips (_flips) names the
+    groups whose b a diagonal involution flips:
+
+        r1(a1, b1, s) + r2(a2, b2, s) + k s^e m1(a1, b1) m2(a2, b2) = 0,
+
+    k the coupling, and with a chi variable y also y^2 = b1 b2, which sums
+    y out as the weight 1 + chi(b1) chi(b2) of a point (a1, b1, a2, b2).
+
+    Scaling by l in F_p^* moves s, a1 and a2 by l and b1, b2 and y by
+    l^weight.  The cone points with s != 0 are (p - 1) N1 points, N1 on the
+    slice s = 1, all with trivial stabilizer; on s = 0 the coupling
+    vanishes.  So with Phi_lam[c] = #{w2 : r2(w2, 1) + lam m2(w2) = c} and
+    the histograms H_i of r_i(w, 0),
+
+        N1 = sum_{w1} Phi_{k m1(w1)}[-r1(w1, 1)],
+        Z = sum_c H_1[c] H_2[-c]         (origin included).
+
+    The weighted total is (p - 1) N1 + Z - 1 plus, for each nonzero cone
+    point with s = a1 = a2 = 0 (the a = 0 part A of Z), its stabilizer
+    gcd(weight, p - 1) less 1.  The count is that total over p - 1.  An
+    uncoupled model (k = 0 mod p, Consani-Scholten's P(x, y) = P(z, w))
+    uses the row Phi_0 = H only.
+
+    When coupled, r2 and m2 are homogeneous of degrees D and d in (a, b),
+    so substituting w2 -> l w2 gives Phi_{rho l^(D-d)}[c] = Phi_rho[c l^-D]:
+    one row of Phi per class of F_p^* modulo (D - d)-th powers, plus the
+    row of lam = 0.  With row(lam) the row of lam's class and shift(lam) an
+    l^-D that reaches it, N1 = <F, Phi> with F the histogram of the keys
+    row(k m1) p + (-r1 shift(k m1) mod p) of the points w1 (r1 = r1(w1, 1),
+    m1 = m1(w1)): len(reps) p cells, and no pass over the values of m1.
+
+    One O(p^2) pass serves every weighting.  A group of a model without chi
+    whose r and m are even in b is halved first, b^2 -> b, and its b
+    weighs twice: a value b then has 1 + chi(b) square roots, or 1 - chi(b)
+    after the twist by a non-square.  The b axis of each grid is laid out
+    in chi blocks, b-major: the (p - 1)/2 squares, the non-squares, then
+    0.  Each histogram is three bincounts over contiguous slices, and the
+    pass yields the 3x3 block-pair matrices of <F, Phi>, Z and A.  A count
+    weights them by w1 (x) w2, w = (2, 0, 1) for a halved group, (0, 2, 1)
+    for a flipped one and (1, 1, 1) otherwise, plus s (x) s, s = (1, -1, 0),
+    with chi.  Scaling by a non-square swaps the square and non-square
+    blocks of a b of odd weight, in Phi's rows and on the cone, so such a
+    b takes (1, 1, 1).  _LAST_PASS holds the last pass's three 3x3 integer
+    matrices, keyed by the halved groups, k, the weights of b and p, not
+    by variety or twist: schoen_y's straight and twisted counts and its
+    quotient's count share one pass.  The contraction runs through _run_chunks after
+    the memo, so a lost cell there is never stored.
+
+    All arithmetic is exact.  Residue products, as in the keys, stay below
+    p^2, the keys below len(reps) p <= p^2, and the block matrices count
+    pairs (w1, w2), at most p^4: exact in int64 for p < 2^15; they are
+    weighted as Python ints.  The keys and the rows of Phi are built in
+    place, so beside the memoised value arrays (r_i at s = 0 and 1 and
+    m_i, fewer where two agree up to a constant) at most two p^2-cell int64
+    arrays are live at once.  schoen_y's pass memoises two and peaks below
+    4.5 p^2 8 bytes (4.06 p^2 8 under tracemalloc at 421).  The p^2-cell
+    tables are refused beyond _MAX_HIST_CELLS cells (p < 2000).
+    """
+    _require_cells("two-group kernel", p, lambda q: q * q, _MAX_HIST_CELLS)
+    halves = [_halved(g, model.chi) for g in model.groups]
+    k = model.coupling % p
+    weights = tuple(model.weight * (2 if halved else 1)
+                    for *_, halved in halves)
+    key = (tuple((r, m) for r, m, _ in halves), k, weights, p)
+    mats = _LAST_PASS.get(key)
+    if mats is None:
+        mats = _block_pass(*key)
+        _LAST_PASS.clear()
+        _LAST_PASS[key] = mats
+    nf, z, a0 = mats
+    w1, w2 = (((0, 2, 1) if flip else (2, 0, 1)) if halved else (1, 1, 1)
+              for flip, (*_, halved) in zip(flips, halves))
+    sign = (1, -1, 0) if model.chi is not None else (0, 0, 0)
+    weight = [[w1[i] * w2[j] + sign[i] * sign[j] for j in range(3)]
+              for i in range(3)]
+    stab = gcd(model.weight, p - 1)
+
+    def contract(w):
+        """sum of w_ij ((p - 1) NF_ij + Z_ij + (stab - 1) A_ij)"""
+        return sum(w[i][j] * ((p - 1) * nf[i][j] + z[i][j]
+                              + (stab - 1) * a0[i][j])
+                   for i in range(3) for j in range(3))
+
+    total = sum(_run_chunks(contract, [weight])) - stab
     if total % (p - 1):
         raise FrobtraceError(f"{label} at p={p}: weighted cone total is "
                              f"{total % (p - 1)} mod p-1, not 0")
@@ -322,22 +388,6 @@ def _twist(eq, diag, n):
     return tuple(out)
 
 
-def _twisted_model(model, diag, n):
-    """The CountModel of the twist by diag, or None when the kernel cannot
-    count it (a mapped model, s in the -1 eigenspace, or a group
-    polynomial of odd degree there)."""
-    if model.onto is not None or diag[model.shared] != 1:
-        return None
-    groups = []
-    for g in model.groups:
-        local = [diag[i] for i in g.vars] + [1]
-        r, m = _twist(g.r, local, n), _twist(g.m, local, n)
-        if r is None or m is None:
-            return None
-        groups.append(g._replace(r=r, m=m))
-    return model._replace(groups=tuple(groups))
-
-
 def count_twisted(spec, phi, p):
     """Count fixed points of Frobenius composed with the involution, i.e.
     the F_p-points of the quadratic twist of the variety by phi.
@@ -345,18 +395,20 @@ def count_twisted(spec, phi, p):
     Only diagonal +-1 involutions are supported: for those, the twisted
     form is obtained by substituting s*t_i (s a fixed square root of a
     non-residue) for the coordinates in the -1 eigenspace, which lands back
-    in F_p coefficients exactly when phi preserves the equations.  A
-    declared two-group model is twisted the same way, group by group.
+    in F_p coefficients exactly when phi preserves the equations.  Where
+    phi flips only the b of groups even in b, the declared two-group model
+    counts the twist by its block weights (_flips), from the pass its
+    straight count makes; other twists are counted densely.
     """
     diag = _opening(spec, p, "projective", "twisted counts", phi)
     n = nonresidue(p)
     twisted_eqs = [_twist(eq, diag, n) for eq in spec.equations]
     if None in twisted_eqs:
         raise ValidationError(f"{spec.id}: equation not invariant under {phi.id}")
-    model = spec.count_model and _twisted_model(spec.count_model, diag, n)
-    return _counted(spec.id, p,
-                    lambda: _count_dense(spec, p, twisted_eqs),
-                    model, twist_id=phi.id)
+    flips = _flips(spec.count_model, diag)
+    return _counted(spec.id, p, lambda: _count_dense(spec, p, twisted_eqs),
+                    spec.count_model if flips else None, twist_id=phi.id,
+                    flips=flips)
 
 
 def count_weighted(spec, p):

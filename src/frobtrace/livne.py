@@ -118,8 +118,12 @@ def livne_compare(traces1, traces2, s, t_set, dets_match_parity=True):
     """Compare two trace collections by the covering criterion.
 
     traces1/traces2 map primes to integer Frobenius traces and must cover
-    every prime of T.  The determinant-parity hypothesis cannot be seen
-    from traces alone, so the caller asserts it with dets_match_parity.
+    every prime of T.  The criterion has two hypotheses: every trace is
+    even, and the two determinants have equal parity.  The second cannot
+    be seen from traces alone, so the caller asserts it with
+    dets_match_parity.  Odd traces fall outside the criterion and return
+    evenness failed: so does the 2-dimensional rigid model, whose traces
+    a_p(f25) are odd (a_3 = 7), and which needs another argument.
     Returns a LivneReport whose status is one of: isomorphic
     semisimplifications, evenness failed, cover incomplete, trace mismatch.
     """

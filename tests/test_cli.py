@@ -354,6 +354,39 @@ def test_run_manifest_betti_names_its_variety():
         run_manifest({"operations": [{**op, "variety": "schoen_x"}]})
 
 
+def test_run_manifest_flags_are_typed(tmp_path, capsys):
+    # booleans, integers and lists from outside are checked before use: a
+    # string "false" once asserted determinant parity, as any truthy value
+    compare = {"op": "livne", "bad_primes": [2, 5],
+               "check_set": [3, 7, 11, 13, 17, 29, 31],
+               "traces1": {str(p): 2 for p in (3, 7, 11, 13, 17, 29, 31)}}
+    compare["traces2"] = compare["traces1"]
+    betti = {"op": "betti", "p": 3, "chi": 168}
+    euler = {"op": "euler", "ledger": "quotient"}
+    doc, ok = run_manifest({"operations": [
+        compare, {**compare, "dets_match_parity": False},
+        {**betti, "adjusted": False, "expect_unique": False, "expect": []},
+        {**euler, "expect_final": 168}]})
+    assert [r.get("status") for r in doc["results"][:2]] == \
+        ["isomorphic_semisimplifications", "evenness_failed"]
+    assert not ok and not any(r.get("failed") for r in doc["results"])
+    wrong = [({**compare, "dets_match_parity": "false"}, "dets_match_parity"),
+             ({**compare, "dets_match_parity": 0}, "dets_match_parity"),
+             ({**betti, "adjusted": "false"}, "adjusted"),
+             ({**betti, "expect_unique": 1}, "expect_unique"),
+             ({**betti, "expect": {"b2": 85}}, "expect"),
+             ({**euler, "expect_final": "168"}, "expect_final"),
+             ({**euler, "expect_final": True}, "expect_final")]
+    manifest = tmp_path / "typed.json"
+    for op, field in wrong:
+        with pytest.raises(ValidationError, match=f"^{field} .* wrong type$"):
+            run_manifest({"operations": [op]})
+        manifest.write_text(json.dumps({"operations": [op]}))
+        assert main(["run", str(manifest)]) == 1, op
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {field} "), err
+
+
 def test_run_manifest_unknown_op():
     with pytest.raises(ValidationError):
         run_manifest({"operations": [{"op": "teleport"}]})

@@ -168,11 +168,14 @@ def test_schoen_histogram_cell_budget():
 
 def test_schoen_histogram_memory():
     # the bound the kernel's docstring states: below 4.5 p^2 int64 cells
-    # for schoen_y, whose model memoises two value arrays
+    # for a pass of schoen_y's model, which memoises two value arrays; the
+    # memo of the last pass is cleared first, so each run makes a full pass
     sy = CAT.variety("schoen_y")
     iy = CAT.involution("iota_y")
     for run in (lambda: count_projective(sy, 421),
-                lambda: count_twisted(sy, iy, 421)):
+                lambda: count_twisted(sy, iy, 421),
+                lambda: count_weighted(CAT.variety("schoen_quotient"), 421)):
+        counting._LAST_PASS.clear()
         tracemalloc.start()
         try:
             run()
@@ -320,13 +323,29 @@ def test_counter_invariants_raise(monkeypatch):
         parts = run(worker, chunks)
         return [parts[0] + 1] + parts[1:]
 
+    # the kernel's memo sits before the seam, so a memo hit is checked too
+    # and no corrupted value is stored: schoen_x maps onto schoen_y, and
+    # all three counts at 7 read one pass
+    passes, make = [], counting._block_pass
+    monkeypatch.setattr(counting, "_block_pass",
+                        lambda *a: passes.append(a[-1]) or make(*a))
+    counting._LAST_PASS.clear()
+    sy, iy = CAT.variety("schoen_y"), CAT.involution("iota_y")
     monkeypatch.setattr(counting, "_run_chunks", off_by_one)
     with pytest.raises(FrobtraceError, match="p=7.* 1 mod p-1"):
+        count_projective(sy, 7)
+    with pytest.raises(FrobtraceError, match="p=7.* 1 mod p-1"):
+        count_twisted(sy, iy, 7)
+    with pytest.raises(FrobtraceError, match="p=7.* 1 mod p-1"):
         count_projective(CAT.variety("schoen_x"), 7)
+    assert passes == [7]
     with pytest.raises(FrobtraceError, match="p=3.* 1 mod p-1"):
         count_weighted(CAT.variety("schoen_quotient"), 3)
     with pytest.raises(FrobtraceError, match="stabilizer-weighted .* 1 mod p-1"):
         count_weighted(dense("schoen_quotient"), 3)
+    monkeypatch.undo()
+    assert count_projective(sy, 7).count == count_twisted(sy, iy, 7).count \
+        == 401
 
 
 def test_counter_invariants_raise_under_O():
@@ -439,10 +458,11 @@ def _pair_catalog(r1, r2, coupling=0, m=((), ())):
     return catalog_from_json(doc).variety("pair")
 
 
-def _forms(deg, with_s=True):
-    """Random forms of degree deg in (a, b, s), or in (a, b) alone."""
+def _forms(deg, with_s=True, even_b=False):
+    """Random forms of degree deg in (a, b, s), or in (a, b) alone, and
+    with even_b even in b."""
     exps = [(a, deg - a - s, s) for s in range(deg + 1 if with_s else 1)
-            for a in range(deg - s + 1)]
+            for a in range(deg - s + 1) if not (even_b and (deg - a - s) % 2)]
     return st.lists(st.tuples(st.integers(-6, 6), st.sampled_from(exps)),
                     min_size=1, max_size=5, unique_by=lambda t: t[1]).map(
         lambda ts: tuple((c, e) for c, e in ts if c))
@@ -485,3 +505,49 @@ def test_coupled_kernel_random(forms, head, k, p):
     assume(any(m.coefficient % p for m in spec.equations[0]))
     assert count_projective(spec, p).count == \
         count_projective(dataclasses.replace(spec, count_model=None), p).count
+
+
+@st.composite
+def _even_pairs(draw):
+    """(r1, r2, coupling, (m1, m2)) for _pair_catalog, every form even in b:
+    uncoupled (coupling 0) with s in both groups, or coupled as in
+    test_coupled_kernel_random."""
+    d, deg = draw(st.sampled_from(((1, 3), (2, 5), (3, 7))))
+    k = draw(st.just(0) | st.integers(-6, 6))
+    r1, r2 = draw(_forms(deg, True, True)), draw(_forms(deg, not k, True))
+    m = ((draw(_forms(d, False, True)), draw(_forms(d, False, True))) if k
+         else ((), ()))
+    return r1, r2, k, m
+
+
+_SCHOEN_GROUP = ((1, (5, 0, 0)), (10, (3, 2, 0)), (5, (1, 4, 0)))
+_SCHOEN_M = ((1, (2, 0, 0)), (-1, (0, 2, 0)))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_even_pairs(), st.sampled_from(((-1, 1), (1, -1), (-1, -1))),
+       st.sampled_from((3, 5, 7, 11, 13)))
+@example((((1, (3, 0, 0)), (2, (1, 2, 0)), (1, (0, 0, 3))),
+          ((1, (3, 0, 0)), (1, (1, 0, 2))), 0, ((), ())), (-1, 1), 7)
+@example((((2, (0, 0, 3)), (1, (3, 0, 0)), (3, (1, 2, 0))),
+          ((1, (1, 2, 0)), (-1, (3, 0, 0))), 2,
+          (((1, (1, 0, 0)),), ((1, (1, 0, 0)),))), (1, -1), 13)
+@example((((16, (0, 0, 5)),) + _SCHOEN_GROUP, _SCHOEN_GROUP, -5,
+          (_SCHOEN_M, _SCHOEN_M)), (-1, -1), 11)
+def test_twisted_kernel_random(pair, flip, p):
+    # an involution flipping b in group 1 (x1), group 2 (x3) or both, on
+    # groups even in b: the kernel's block weights against the dense count
+    # of the substituted equations; the last example is schoen_y
+    r1, r2, k, m = pair
+    assume(r1 and r2 and (not k or all(m)))
+    spec = _pair_catalog(r1, r2, k, m)
+    assume(any(x.coefficient % p for x in spec.equations[0]))
+    diag = (1, flip[0], 1, flip[1], 1)
+    phi = InvolutionSpec("flip", "pair", tuple(
+        tuple(d if i == j else 0 for j in range(5)) for i, d in enumerate(diag)))
+    assert counting._flips(spec.count_model, diag) == (flip[0] < 0, flip[1] < 0)
+    # a flip of a1 or of s is no block weighting: the dense path counts it
+    for dense_only in ((-1,) + diag[1:], diag[:4] + (-1,)):
+        assert counting._flips(spec.count_model, dense_only) is None
+    assert count_twisted(spec, phi, p).count == \
+        count_twisted(dataclasses.replace(spec, count_model=None), phi, p).count
