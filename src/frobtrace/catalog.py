@@ -11,6 +11,14 @@ variety's model.  catalog_from_json expands each declaration symbolically
 with _compose_equation and refuses one that does not give the stored
 equations, so the counting kernel it selects cannot count a wrong model.
 
+A nodal plane curve may declare a normalization: a Weierstrass model
+[a1, a2, a3, a4, a6] of the smooth curve, its nodes as exponent vectors of
+a root of unity (RootNodes), and the discriminant whose square root splits
+every node's tangent cone.  catalog_from_json refuses a block whose
+Weierstrass discriminant is 0 or has a prime factor, as do the root's order
+and the splitting discriminant, outside the variety's bad_primes.
+lefschetz.declared_curve reads the curve from it in O(p), with no scan.
+
 Every dense path (the chart, twisted, weighted, torus, degree-2 and
 double-cover counts and the node search) is built from four
 helpers: _charts lists the affine charts, cut into slabs when large;
@@ -119,6 +127,42 @@ class CountModel(NamedTuple):
     unit: int = 1
 
 
+class RootNodes(NamedTuple):
+    """Nodes (zeta^a_0 : ... : zeta^a_n) of a hypersurface, zeta a primitive
+    root of unity of the given order, as their exponent vectors a."""
+    order: int
+    exponents: tuple
+
+    def rational(self, p):
+        """How many are F_p-rational, p prime to order: Frobenius takes a to
+        p a, so a is rational when p a = a + c (1, ..., 1) mod order for
+        some c, that is when (p - 1) a is constant mod order."""
+        m = self.order
+        return sum(len({(p - 1) * e % m for e in a}) == 1
+                   for a in self.exponents)
+
+
+class Normalization(NamedTuple):
+    """The declared normalization of a nodal plane curve: the Weierstrass
+    model y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 of its smooth model,
+    its nodes, and the discriminant D such that every rational node splits
+    over F_p exactly when D is a square mod p."""
+    weierstrass: tuple         # (a1, a2, a3, a4, a6)
+    nodes: RootNodes
+    splitting_discriminant: int
+
+    def b_invariants(self):
+        """(b2, b4, b6, b8) of the Weierstrass model."""
+        a1, a2, a3, a4, a6 = self.weierstrass
+        return (a1 * a1 + 4 * a2, 2 * a4 + a1 * a3, a3 * a3 + 4 * a6,
+                a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3
+                - a4 * a4)
+
+    def discriminant(self):
+        b2, b4, b6, b8 = self.b_invariants()
+        return -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+
+
 @dataclass(frozen=True)
 class VarietySpec:
     id: str
@@ -129,6 +173,7 @@ class VarietySpec:
     provenance: str
     known: dict = field(default=None, compare=False)
     count_model: CountModel | None = None
+    normalization: Normalization | None = None
 
     def __post_init__(self):
         if not self.bad_primes:
@@ -243,6 +288,13 @@ def _variety_to_json(v):
     }
     if v.count_model is not None:
         d["count_model"] = _model_to_json(v.count_model)
+    if v.normalization is not None:
+        n = v.normalization
+        d["normalization"] = {
+            "weierstrass": list(n.weierstrass),
+            "nodes": {"order": n.nodes.order,
+                      "exponents": [list(a) for a in n.nodes.exponents]},
+            "splitting_discriminant": n.splitting_discriminant}
     return d
 
 
@@ -387,6 +439,42 @@ def _mapped_model(spec, d, target):
     return tm._replace(onto=target.id, map=m, unit=abs(unit))
 
 
+def _declared_normalization(spec, d):
+    """The Normalization that d declares for spec.  Its Weierstrass model
+    must have good reduction, its root of unity must exist and its
+    splitting discriminant must be a unit at every good prime of spec."""
+    def bad(why):
+        return ValidationError(f"{spec.id}: normalization {why}")
+
+    a = tuple(int(x) for x in d["weierstrass"])
+    nodes = RootNodes(int(d["nodes"]["order"]),
+                      tuple(tuple(int(e) for e in v)
+                            for v in d["nodes"]["exponents"]))
+    norm = Normalization(a, nodes, int(d["splitting_discriminant"]))
+    m, nv = nodes.order, spec.ambient.nvars
+    if len(a) != 5:
+        raise bad("needs the five coefficients a1, a2, a3, a4, a6")
+    if m < 1 or any(len(v) != nv or not all(0 <= e < m for e in v)
+                    for v in nodes.exponents):
+        raise bad(f"nodes must be vectors of {nv} exponents mod {m}")
+    if len({tuple((e - v[0]) % m for e in v) for v in nodes.exponents}) \
+            != len(nodes.exponents):
+        raise bad("declares a node twice, up to scaling")
+    delta, disc = norm.discriminant(), norm.splitting_discriminant
+    if delta == 0 or disc == 0:
+        raise bad(f"has discriminant {delta} and splitting discriminant "
+                  f"{disc}; neither may be 0")
+    rest = abs(delta * m * disc)
+    for q in spec.bad_primes:
+        while rest % q == 0:
+            rest //= q
+    if rest != 1:
+        raise bad(f"discriminant {delta}, root order {m} or splitting "
+                  f"discriminant {disc} has the factor {rest}, prime to "
+                  f"the bad primes {sorted(spec.bad_primes)}")
+    return norm
+
+
 def catalog_from_json(doc):
     vs = {}
     for d in doc["varieties"]:
@@ -407,6 +495,11 @@ def catalog_from_json(doc):
                                       f"variety {d['onto']!r}")
             vs[vid] = replace(
                 vs[vid], count_model=_mapped_model(vs[vid], d, vs[d["onto"]]))
+    for d in doc["varieties"]:
+        if "normalization" in d:
+            v = vs[d["id"]]
+            vs[v.id] = replace(v, normalization=_declared_normalization(
+                v, d["normalization"]))
     invs = {}
     for d in doc.get("involutions", []):
         inv = InvolutionSpec(d["id"], d["variety_id"],

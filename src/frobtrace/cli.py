@@ -179,8 +179,8 @@ def _quotient_counts(cat, variety_id, p):
     curve replaced by the conic bundles that the blowup inserts over them.
     The big resolution takes the 60 free node-pair images when the fifth
     roots of unity are rational, plus two nodes over each rational curve
-    node when sqrt(-1) is rational.  The fixed curve's points, its nodes
-    and a_p of its normalization, the companion, come from one scan."""
+    node when sqrt(-1) is rational.  The fixed curve's points, nodes and
+    companion a_p are read from its declared normalization, not scanned."""
     spec = cat.variety(variety_id)
     _require_good(spec, p)
     if p % 5 == 4:
@@ -197,7 +197,7 @@ def _quotient_counts(cat, variety_id, p):
     ep = cat.variety("e_plane")
     n_plain = counting.count_projective(sy, p).count
     n_twist = counting.count_twisted(sy, cat.involution("iota_y"), p).count
-    e = lefschetz.nodal_curve(ep, p)
+    e = lefschetz.declared_curve(ep, p)
     base = ((n_plain + n_twist) // 2 - (p + 1) - e.points
             + (p + 1) * (p + 1) + (p + 1) * e.points)
     big = ((60 if p % 5 == 1 else 0)

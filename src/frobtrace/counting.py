@@ -38,6 +38,7 @@ import json
 import operator
 import time
 from dataclasses import dataclass, asdict
+from functools import lru_cache
 from math import gcd
 
 import numpy as np
@@ -365,7 +366,14 @@ def count_projective(spec, p, degree=1):
 
 def check_preserves(spec, phi):
     """Verify symbolically that the involution maps each equation to an
-    integer multiple of itself; raises ValidationError otherwise."""
+    integer multiple of itself; raises ValidationError otherwise.  The
+    expansion does not depend on p, so it runs once per (spec, phi); a
+    refusal is not cached and raises on every call."""
+    return _preserves(spec, phi)
+
+
+@lru_cache(maxsize=64)
+def _preserves(spec, phi):
     nv = spec.ambient.nvars
     if len(phi.matrix) != nv:
         raise ValidationError(f"{phi.id}: matrix size != ambient arity")

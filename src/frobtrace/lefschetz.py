@@ -1,8 +1,13 @@
 """Frobenius traces on middle cohomology via the Lefschetz fixed point
 formula, node corrections for the two resolution types, an exact Betti
-number solver, an Euler characteristic ledger, and nodal_curve: one pass
-of the catalog's node search over a nodal plane curve, which gives its
-points, nodes and split nodes, and point-count a_p of its normalization.
+number solver, an Euler characteristic ledger, and two readings of a nodal
+plane curve's points, nodes, split nodes and a_p of its normalization.
+nodal_curve makes one pass of the catalog's node search over the curve's
+p^2 cells.  declared_curve reads the same four numbers in O(p) from the
+normalization the catalog declares (a Weierstrass model, nodes as exponent
+vectors of a root of unity, and their splitting discriminant), with no
+scan; the quotient pipeline reads its companion curve this way, and
+Tier-1 checks it against nodal_curve.
 """
 from __future__ import annotations
 
@@ -13,8 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .catalog import (Monomial, _eval_mono_list, _require_good, _restrict,
-                      _singular_scan)
+from .catalog import (_MAX_SLAB_CELLS, Monomial, _eval_mono_list,
+                      _require_cells, _require_good, _restrict, _singular_scan)
 from .errors import ValidationError
 from .ffield import kronecker, nonresidue, require_prime
 
@@ -248,6 +253,40 @@ def nodal_curve(spec, p, degree=1):
             split += sum(kronecker(int(d), p) == 1 for d in disc[0])
     return NodalCurve(points, nodes, split,
                       p ** degree + 1 - (points - nodes + 2 * split))
+
+
+def declared_curve(spec, p):
+    """The NodalCurve of a plane curve at an odd good prime p, from its
+    declared normalization, in O(p) and with no scan; equal to
+    nodal_curve(spec, p) wherever the declaration is right.
+
+    a_p = -sum_x chi(4x^3 + b2 x^2 + 2 b4 x + b6), read from one table of
+    squares; the rational nodes are the declared vectors that Frobenius
+    fixes (RootNodes.rational); each splits exactly when the splitting
+    discriminant D is a square, and points = p + 1 - a_p - nodes (D/p).
+    Under the budget of _MAX_SLAB_CELLS values of x, the largest
+    intermediate value is (p - 1)^2 < 2^44, in the table of squares; the
+    cubic's evaluator keeps its own bound of 2^62.
+    """
+    _require_good(spec, p)
+    norm = spec.normalization
+    if norm is None:
+        raise ValidationError(f"{spec.id}: no normalization declared")
+    if p == 2:
+        raise ValidationError(f"{spec.id}: declared_curve needs an odd prime")
+    _require_cells("Weierstrass a_p", p, lambda q: q, _MAX_SLAB_CELLS)
+    b2, b4, b6, _ = norm.b_invariants()
+    x = np.arange(p, dtype=np.int64)
+    square = np.zeros(p, dtype=bool)
+    square[x * x % p] = True
+    f = _eval_mono_list((Monomial(4, (3,)), Monomial(b2, (2,)),
+                         Monomial(2 * b4, (1,)), Monomial(b6, (0,))), [x], p)
+    ap = p + int(np.count_nonzero(f == 0)) \
+        - 2 * int(np.count_nonzero(square[f]))
+    nodes = norm.nodes.rational(p)
+    sym = kronecker(norm.splitting_discriminant, p)
+    return NodalCurve(p + 1 - ap - nodes * sym, nodes,
+                      nodes if sym == 1 else 0, ap)
 
 
 def elliptic_ap(spec, p, degree=1):

@@ -100,6 +100,44 @@ def test_wrong_count_model_refused_at_load():
     assert swapped.variety("schoen_x").count_model.unit == 16
 
 
+def test_normalization_discriminant():
+    # e_plane's declared y^2 + xy + y = x^3 + x^2 - 3x + 1, with the
+    # discriminant computed here from a1, ..., a6 by the standard formulas
+    norm = CAT.variety("e_plane").normalization
+    a1, a2, a3, a4, a6 = norm.weierstrass
+    assert (a1, a2, a3, a4, a6) == (1, 1, 1, -3, 1)
+    b2, b4, b6 = a1 ** 2 + 4 * a2, 2 * a4 + a1 * a3, a3 ** 2 + 4 * a6
+    b8 = a1 ** 2 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 ** 2 - a4 ** 2
+    delta = -b2 ** 2 * b8 - 8 * b4 ** 3 - 27 * b6 ** 2 + 9 * b2 * b4 * b6
+    assert (b2, b4, b6) == (5, -5, 5)
+    assert delta == -800 == -2 ** 5 * 5 ** 2 == norm.discriminant()
+    assert norm.b_invariants() == (b2, b4, b6, b8)
+    assert catalog_from_json(catalog_to_json(CAT)).variety(
+        "e_plane").normalization == norm
+
+
+def test_bad_normalization_refused_at_load():
+    def with_block(**edit):
+        doc = copy.deepcopy(SHIPPED)
+        block = next(v for v in doc["varieties"]
+                     if v["id"] == "e_plane")["normalization"]
+        block.update(edit)
+        return doc
+
+    # y^2 = x^3 is singular (discriminant 0); y^2 + y = x^3 - x has
+    # discriminant 37, a prime where e_plane has good reduction
+    for edit, why in [({"weierstrass": [0, 0, 0, 0, 0]}, "neither may be 0"),
+                      ({"weierstrass": [0, 0, 1, -1, 0]}, "factor 37,"),
+                      ({"splitting_discriminant": -3}, "factor 3,"),
+                      ({"nodes": {"order": 5, "exponents": [[0, 0, 0],
+                                                            [1, 1, 1]]}},
+                       "twice"),
+                      ({"nodes": {"order": 5, "exponents": [[0, 5, 0]]}},
+                       "exponents mod 5")]:
+        with pytest.raises(ValidationError, match=f"normalization .*{why}"):
+            catalog_from_json(with_block(**edit))
+
+
 def test_model_maps_onto_declared_model():
     doc = copy.deepcopy(SHIPPED)
     for v in doc["varieties"]:

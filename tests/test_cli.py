@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import frobtrace
-from frobtrace import cli, lefschetz, qexp
+from frobtrace import catalog, cli, lefschetz, qexp
 from frobtrace.cli import (DISC_CANDIDATES, betti_report, main, match_pipeline,
                            match_quotient, match_rigid,
                            quotient_resolved_count, run_manifest)
@@ -24,24 +24,20 @@ def test_quotient_resolved_counts():
         assert quotient_resolved_count(p) == want
 
 
-def test_quotient_reads_the_companion_from_one_scan(monkeypatch):
-    # #E(F_p), its rational nodes and a_p(E) come from one nodal_curve call
-    # per row: no second node scan and no separate elliptic_ap
+def test_quotient_reads_the_companion_without_a_scan(monkeypatch):
+    # #E(F_p), its rational nodes and a_p(E) come from e_plane's declared
+    # normalization: no nodal_curve, no elliptic_ap and no node scan
     want = (match_quotient([3, 7, 13], 11), quotient_resolved_count(31))
-    scan, calls = lefschetz.nodal_curve, []
 
-    def counted(spec, p, degree=1):
-        calls.append((spec.id, p, degree))
-        return scan(spec, p, degree)
+    def scan(*args, **kwargs):
+        raise AssertionError("the companion curve was scanned")
 
-    def second_scan(*args, **kwargs):
-        raise AssertionError("the companion curve was scanned twice")
-
-    monkeypatch.setattr(cli, "singular_points", second_scan)
-    monkeypatch.setattr(lefschetz, "elliptic_ap", second_scan)
-    monkeypatch.setattr(lefschetz, "nodal_curve", counted)
+    monkeypatch.setattr(cli, "singular_points", scan)
+    monkeypatch.setattr(lefschetz, "elliptic_ap", scan)
+    monkeypatch.setattr(lefschetz, "nodal_curve", scan)
+    monkeypatch.setattr(lefschetz, "_singular_scan", scan)
+    monkeypatch.setattr(catalog, "_singular_scan", scan)
     assert (match_quotient([3, 7, 13], 11), quotient_resolved_count(31)) == want
-    assert calls == [("e_plane", p, 1) for p in (3, 7, 11, 13, 31)]
     # every target is a_p(f25) + p a_p(E), with a_p(E) = -1, -2, -3, 4
     f = qexp.f25(13)
     assert [r.candidate_ap for r in want[0].rows] == [

@@ -19,6 +19,7 @@ from frobtrace.counting import (count, count_double_cover, count_projective,
                                 check_preserves, read_records, write_records)
 from frobtrace.errors import FrobtraceError, RefusalError, ValidationError
 from frobtrace.ffield import is_prime
+from frobtrace.lefschetz import declared_curve
 
 CAT = load_catalog()
 
@@ -118,6 +119,8 @@ CELL_BUDGETS = [
      lambda p: count_projective(CAT.variety("schoen_y"), p), 1999),
     ("torus kernel", lambda p: (p - 1) ** 3, counting._MAX_TORUS_CELLS,
      lambda p: count_torus((1, 1, 1, 1, 1), 25, p), 157),
+    ("Weierstrass a_p", lambda p: p, catalog._MAX_SLAB_CELLS,
+     lambda p: declared_curve(CAT.variety("e_plane"), p), 3999971),
 ]
 
 
@@ -392,10 +395,13 @@ def test_check_preserves():
     flip = InvolutionSpec("flip0", "schoen_x",
                           ((-1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0),
                            (0, 0, 0, 1, 0), (0, 0, 0, 0, 1)))
-    with pytest.raises(ValidationError):
-        check_preserves(sx, flip)
-    with pytest.raises(ValidationError):
-        count_twisted(sx, flip, 7)
+    # the expansion is memoised per (variety, involution), the refusal not:
+    # the bad flip raises on every call
+    for _ in range(2):
+        with pytest.raises(ValidationError):
+            check_preserves(sx, flip)
+        with pytest.raises(ValidationError):
+            count_twisted(sx, flip, 7)
 
 
 def test_slabs_do_not_change_counts(monkeypatch):

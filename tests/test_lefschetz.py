@@ -7,7 +7,8 @@ from frobtrace.counting import count_projective
 from frobtrace.errors import RefusalError, ValidationError
 from frobtrace.ffield import is_prime
 from frobtrace.lefschetz import (LedgerMove, base_chi, contract_nodes,
-                                 elliptic_ap, euler_ledger, nodal_curve,
+                                 declared_curve, elliptic_ap, euler_ledger,
+                                 nodal_curve,
                                  node_correction, quotient_ledger, replace,
                                  resolve_nodes_big, riemann_hurwitz,
                                  solve_betti, trace_h3)
@@ -143,6 +144,52 @@ def test_nodal_curve_against_the_count_and_the_node_scan():
         assert e.points == count_projective(ep, p, degree=2).count, p
         assert e.nodes == (5 if p * p % 5 == 1 else 1), p
         assert e.ap == E_PLANE_AP[p] ** 2 - 2 * p, p
+
+
+def test_declared_curve_matches_the_scan():
+    # the O(p) reading of e_plane's declared normalization gives the scan's
+    # points, nodes, split nodes and a_p at every good prime up to 211, in
+    # every class mod 5 (p = 4 mod 5 included), and at 421
+    ep = CAT.variety("e_plane")
+    good = [p for p in range(2, 212) if is_prime(p) and p not in ep.bad_primes]
+    assert {p % 5 for p in good} == {1, 2, 3, 4}
+    for p in good + [421]:
+        assert declared_curve(ep, p) == nodal_curve(ep, p), p
+
+
+@settings(max_examples=4, deadline=None, database=None)
+@given(st.sampled_from([q for q in range(211, 1501) if is_prime(q)]))
+def test_declared_curve_matches_the_scan_at_large_primes(p):
+    ep = CAT.variety("e_plane")
+    assert declared_curve(ep, p) == nodal_curve(ep, p)
+
+
+def test_declared_nodes_are_the_scanned_nodes():
+    # the declared exponent vectors (0, k, -k) of a fifth root of unity z
+    # give exactly the scanned singular points (1, z^k, z^-k) where z is in
+    # F_p, and only the all-ones node elsewhere
+    ep = CAT.variety("e_plane")
+    nodes = ep.normalization.nodes
+    assert nodes.order == 5
+    for p in (11, 31, 3, 7, 13, 19):
+        z = next(g for g in range(1, p) if pow(g, 5, p) == 1
+                 and (g != 1 or p % 5 != 1))
+        rational = [a for a in nodes.exponents
+                    if len({(p - 1) * e % 5 for e in a}) == 1]
+        points = sorted(tuple(pow(z, e, p) for e in a) for a in rational)
+        assert points == singular_points(ep, p), p
+        assert nodes.rational(p) == len(points) == (5 if p % 5 == 1 else 1)
+    assert singular_points(ep, 13) == [(1, 1, 1)]
+
+
+def test_declared_curve_guards():
+    ep = CAT.variety("e_plane")
+    with pytest.raises(RefusalError):
+        declared_curve(ep, 5)
+    with pytest.raises(ValidationError):
+        declared_curve(ep, 9)
+    with pytest.raises(ValidationError, match="no normalization"):
+        declared_curve(CAT.variety("schoen_x"), 7)
 
 
 def test_elliptic_ap_degree_two():
