@@ -26,6 +26,7 @@ _grid gives a chart's coordinates as arrays that broadcast against each
 other; _eval_mono_list evaluates a monomial list mod p on them; and
 _restrict turns a polynomial over F_{p^2} into its pair of polynomials over
 F_p (Weil restriction), so that F_{p^2} counts run on F_p grids too.
+_chi_table is the one table of the quadratic character of F_p.
 
 _eval_mono_list is a multivariate Horner scheme: the monomials are grouped
 by the exponent of the last coordinate, each group's coefficient polynomial
@@ -678,6 +679,14 @@ def _power(x, e, p):
     y = _power(x, e // 2, p)
     y = y * y % p
     return y * x % p if e % 2 else y
+
+
+def _chi_table(p):
+    """The quadratic character of F_p as an int64 table, chi(0) = 0."""
+    chi = -np.ones(p, dtype=np.int64)
+    chi[np.arange(p, dtype=np.int64) ** 2 % p] = 1
+    chi[0] = 0
+    return chi
 
 
 def _horner(node, coords, shapes, p):

@@ -128,9 +128,10 @@ def _calibrate(model, p0, c, target):
                           f"solution: {'; '.join(rejected)}")
 
 
-def _match(model, variety_id, primes, calibration_prime, cat, nform):
+def _match(model, variety_id, primes, calibration_prime, cat):
     """Calibrate at one prime, freeze, and compare every row's trace with
-    its target; the calibration row itself does not count as a check."""
+    its target; the calibration row itself does not count as a check, and a
+    match with no other row is no match."""
     p0 = calibration_prime
     try:
         primes = set(primes) | {p0}
@@ -147,8 +148,7 @@ def _match(model, variety_id, primes, calibration_prime, cat, nform):
             f"calibration prime = 1 mod 5, such as 11")
     cat = cat or load_catalog()
     primes = sorted(primes)
-    if nform is None:
-        nform = qexp.f25(max(primes))
+    nform = qexp.f25(max(primes))
     counts = {p: model.counts(cat, variety_id, p) for p in primes}
     targets = {p: qexp.coefficient(nform, p) + p * counts[p].companion_ap
                for p in primes}
@@ -160,7 +160,8 @@ def _match(model, variety_id, primes, calibration_prime, cat, nform):
         "gated_classes": frozen.gated}}
     rows = tuple(_freeze(model, frozen, p, counts[p], targets[p])
                  for p in primes)
-    ok = all(r.equal for r in rows if r.p != p0)
+    checks = [r.equal for r in rows if r.p != p0]
+    ok = bool(checks) and all(checks)
     return MatchReport(variety_id, "f25", model.companion, p0, calibrated,
                        rows, ok)
 
@@ -219,7 +220,7 @@ _MODELS = {"schoen_x": _RIGID, "schoen_y": _RIGID,
            "schoen_quotient": _QUOTIENT}
 
 
-def match_rigid(variety_id, primes, calibration_prime, cat=None, nform=None):
+def match_rigid(variety_id, primes, calibration_prime, cat=None):
     """Match the nodal quintic's H^3 traces against the level-25 form.
 
     Calibration solves 1 + (p+p^2) b2 + p^3 - N_p - c(D) = a_p at the
@@ -228,10 +229,10 @@ def match_rigid(variety_id, primes, calibration_prime, cat=None, nform=None):
     node.  b2 splits as 1 + (b2-1): the hyperplane class plus classes
     supported on the node web, rational exactly when p = 1 mod 5.
     """
-    return _match(_RIGID, variety_id, primes, calibration_prime, cat, nform)
+    return _match(_RIGID, variety_id, primes, calibration_prime, cat)
 
 
-def match_quotient(primes, calibration_prime, cat=None, nform=None):
+def match_quotient(primes, calibration_prime, cat=None):
     """Match the quotient's H^3 traces against a_p(f25) + p a_p(E).
 
     Same calibration contract as the rigid match: the splitting
@@ -240,7 +241,7 @@ def match_quotient(primes, calibration_prime, cat=None, nform=None):
     is then parameter free.  A row reports the resolved count as n_p.
     """
     return _match(_QUOTIENT, "schoen_quotient", primes, calibration_prime,
-                  cat, nform)
+                  cat)
 
 
 def match_pipeline(variety_id, form, companion, primes, calibration_prime,
@@ -254,7 +255,7 @@ def match_pipeline(variety_id, form, companion, primes, calibration_prime,
         raise ValidationError(f"{variety_id}: no companion factor expected")
     if model.companion is not None and companion not in (None, model.companion):
         raise ValidationError(f"unsupported companion {companion!r}")
-    return _match(model, variety_id, primes, calibration_prime, cat, None)
+    return _match(model, variety_id, primes, calibration_prime, cat)
 
 
 # What match_quotient calibrates at p = 11, as the Betti count uses it; the
@@ -409,7 +410,7 @@ def run_manifest(manifest, outdir=None):
         elif kind == "livne":
             bad = _typed(set, op["bad_primes"], "bad_primes")
             t_set = _typed(sorted, op["check_set"], "check_set")
-            if "traces1" in op:
+            if "traces1" in op or "traces2" in op:
                 tr1, tr2 = (_typed(_traces, op[k], k)
                             for k in ("traces1", "traces2"))
                 rep = livne.livne_compare(
@@ -519,10 +520,22 @@ def _cmd_euler(args):
     return 0
 
 
+_MAX_TERMS = 10 ** 6             # coefficients `eta` or `ap --form` may expand
+
+
+def _require_terms(n, what):
+    """Refuse, before any expansion, a command that expands n coefficients
+    of a q-series when n is over _MAX_TERMS."""
+    if n > _MAX_TERMS:
+        raise RefusalError(f"{what} expands {n} coefficients, over the bound "
+                           f"{_MAX_TERMS}")
+
+
 def _cmd_eta(args):
+    if args.form and args.form != "f25":
+        raise ValidationError(f"unknown form {args.form!r}")
+    _require_terms(args.terms, "eta")
     if args.form:
-        if args.form != "f25":
-            raise ValidationError(f"unknown form {args.form!r}")
         s = qexp.f25(args.terms)
         coeffs = {n: qexp.coefficient(s, n) for n in range(1, args.terms + 1)}
         print(json.dumps(coeffs, sort_keys=False))
@@ -532,17 +545,12 @@ def _cmd_eta(args):
     return 0
 
 
-_MAX_AP_P = 10 ** 6              # largest p for `ap --form f25`
-
-
 def _cmd_ap(args):
     if args.form:
         if args.form != "f25":
             raise ValidationError(f"unknown form {args.form!r}")
         require_prime(args.p)
-        if args.p > _MAX_AP_P:
-            raise RefusalError(f"f25 a_p expands p + 1 coefficients; p = "
-                               f"{args.p} is over the bound {_MAX_AP_P}")
+        _require_terms(args.p + 1, f"f25 a_p at p = {args.p}")
         s = qexp.f25(args.p + 1)
         print(json.dumps({"form": "f25", "p": args.p,
                           "ap": qexp.coefficient(s, args.p)}))
@@ -578,9 +586,11 @@ def _read_traces_csv(path):
 def _cmd_livne(args):
     s = set(_int_list(args.bad_primes, "--bad-primes"))
     t_set = _int_list(args.check_set, "--check-set")
-    if args.traces1:
-        if not args.traces2:
-            raise ValidationError("--traces1 needs --traces2")
+    if (args.traces1 is None) != (args.traces2 is None):
+        given, missing = (("--traces1", "--traces2") if args.traces2 is None
+                          else ("--traces2", "--traces1"))
+        raise ValidationError(f"{given} needs {missing}")
+    if args.traces1 is not None:
         tr1 = _read_traces_csv(args.traces1)
         tr2 = _read_traces_csv(args.traces2)
         rep = livne.livne_compare(tr1, tr2, s, t_set,

@@ -7,11 +7,11 @@ Consani-Scholten's quintic P(x, y) = P(z, w)) are counted at odd primes by
 one O(p^2) kernel over per-group histograms.  One pass per (model, p)
 gives 3x3 matrices over the quadratic-character blocks of b, and the
 straight, twisted, chi-weighted and uncoupled counts are weightings of
-them; a one-entry memo of the last pass's matrices lets the twisted count
-of schoen_y, and its quotient's count, reuse the pass of its straight
-count at the same p.  The torus count solves a
-quadratic in one coordinate over an O(p^3) grid.  Everything else, and
-every kernel's oracle, runs on the broadcast grids of the catalog module:
+them; the pass is an lru_cache of one entry, so the twisted count of
+schoen_y, and its quotient's count, reuse the pass of its straight count
+at the same p.  The torus count solves a quadratic in one coordinate over
+an O(p^3) grid.  Everything else, and every kernel's oracle, runs on the
+broadcast grids of the catalog module:
 the projective, twisted and double-cover counts share one dense loop over
 the charts of _charts, cut into slabs that bound memory, an F_{p^2} count
 is the F_p count of the common zeros of the Weil restrictions of the
@@ -29,8 +29,8 @@ catalog._require_cells, before anything is allocated.
 Every count runs in the calling thread.  The dense counters and the
 two-group kernel pass their chunk lists, which depend only on p, once
 through _run_chunks and sum the parts in chunk order; the kernel's list
-is one chunk, the weighting of its memoised matrices into a total, so a
-memo hit runs the same divisibility check as a full pass.
+is one chunk, the weighting of its cached matrices into a total, so a
+cache hit runs the same divisibility check as a full pass.
 """
 from __future__ import annotations
 
@@ -43,9 +43,9 @@ from math import gcd
 
 import numpy as np
 
-from .catalog import (TORUS_FAMILY, Monomial, _charts, _compose_equation,
-                      _eval_mono_list, _grid, _power, _ratio,
-                      _require_cells, _restrict, _zeros)
+from .catalog import (TORUS_FAMILY, Monomial, _charts, _chi_table,
+                      _compose_equation, _eval_mono_list, _grid, _power,
+                      _ratio, _require_cells, _restrict, _zeros)
 from .errors import FrobtraceError, RefusalError, ValidationError
 from .ffield import nonresidue, require_prime
 
@@ -75,8 +75,7 @@ def _opening(spec, p, kind, odd=None, phi=None):
     """The opening checks of a count of spec at p, in order: p is prime,
     and odd where odd names the count that needs it; spec's ambient is
     kind; a twisted count's phi preserves the equations and is diagonal
-    +-1 (the diagonal is returned); no equation vanishes mod p, but for a
-    double cover's, which are the linear factors of its branch locus."""
+    +-1 (the diagonal is returned); no equation vanishes mod p."""
     require_prime(p)
     if odd and p == 2:
         raise ValidationError(f"{odd} need an odd prime")
@@ -92,8 +91,7 @@ def _opening(spec, p, kind, odd=None, phi=None):
         diag = phi.diagonal()
         if any(d not in (1, -1) for d in diag):
             raise RefusalError(f"{phi.id}: diagonal entries must be +-1")
-    for i, eq in enumerate(spec.equations if kind != "double_cover_p3"
-                           else ()):
+    for i, eq in enumerate(spec.equations):
         if all(m.coefficient % p == 0 for m in eq):
             raise ValidationError(
                 f"{spec.id}: equation {i} vanishes identically mod {p}")
@@ -131,17 +129,6 @@ def _count_dense(spec, p, eqs, degree=1, on_chart=None):
 
 # ------------------------------------------------------ two-group kernel
 
-def _chi_table(p):
-    """The quadratic character of F_p as an int64 table, chi(0) = 0."""
-    chi = -np.ones(p, dtype=np.int64)
-    chi[np.arange(p, dtype=np.int64) ** 2 % p] = 1
-    chi[0] = 0
-    return chi
-
-
-_LAST_PASS = {}     # the one memo entry: pass key -> (NF, Z, A), 3x3 ints
-
-
 def _halved(g, chi):
     """(r, m, True) for a group of a model without chi whose r and m are
     even in b, with b^2 -> b; else (r, m, False)."""
@@ -168,6 +155,7 @@ def _flips(model, diag):
     return tuple(flips)
 
 
+@lru_cache(maxsize=1)
 def _block_pass(groups, k, weights, p):
     """The 3x3 block-pair matrices (NF, Z, A) of one pass over the grids of
     groups ((r1, m1), (r2, m2)), as tuples of ints; see _two_group_count."""
@@ -302,11 +290,11 @@ def _two_group_count(model, p, label, flips=(False, False)):
     for a flipped one and (1, 1, 1) otherwise, plus s (x) s, s = (1, -1, 0),
     with chi.  Scaling by a non-square swaps the square and non-square
     blocks of a b of odd weight, in Phi's rows and on the cone, so such a
-    b takes (1, 1, 1).  _LAST_PASS holds the last pass's three 3x3 integer
-    matrices, keyed by the halved groups, k, the weights of b and p, not
-    by variety or twist: schoen_y's straight and twisted counts and its
-    quotient's count share one pass.  The contraction runs through _run_chunks after
-    the memo, so a lost cell there is never stored.
+    b takes (1, 1, 1).  The cache of _block_pass keeps the last pass's
+    matrices, keyed by the halved groups, k, the weights of b and p, not by
+    variety or twist: schoen_y's straight and twisted counts and its
+    quotient's count share one pass.  The contraction runs through
+    _run_chunks after the pass, so a lost cell there is never stored.
 
     All arithmetic is exact.  Residue products, as in the keys, stay below
     p^2, the keys below len(reps) p <= p^2, and the block matrices count
@@ -323,13 +311,7 @@ def _two_group_count(model, p, label, flips=(False, False)):
     k = model.coupling % p
     weights = tuple(model.weight * (2 if halved else 1)
                     for *_, halved in halves)
-    key = (tuple((r, m) for r, m, _ in halves), k, weights, p)
-    mats = _LAST_PASS.get(key)
-    if mats is None:
-        mats = _block_pass(*key)
-        _LAST_PASS.clear()
-        _LAST_PASS[key] = mats
-    nf, z, a0 = mats
+    nf, z, a0 = _block_pass(tuple((r, m) for r, m, _ in halves), k, weights, p)
     w1, w2 = (((0, 2, 1) if flip else (2, 0, 1)) if halved else (1, 1, 1)
               for flip, (*_, halved) in zip(flips, halves))
     sign = (1, -1, 0) if model.chi is not None else (0, 0, 0)
@@ -364,16 +346,12 @@ def count_projective(spec, p, degree=1):
                     spec.count_model if degree == 1 else None, degree)
 
 
+@lru_cache(maxsize=64)
 def check_preserves(spec, phi):
     """Verify symbolically that the involution maps each equation to an
     integer multiple of itself; raises ValidationError otherwise.  The
     expansion does not depend on p, so it runs once per (spec, phi); a
     refusal is not cached and raises on every call."""
-    return _preserves(spec, phi)
-
-
-@lru_cache(maxsize=64)
-def _preserves(spec, phi):
     nv = spec.ambient.nvars
     if len(phi.matrix) != nv:
         raise ValidationError(f"{phi.id}: matrix size != ambient arity")
@@ -455,21 +433,22 @@ def _count_orbits(spec, p):
     return total // (p - 1), len(chunks)
 
 
+def _torus_equation(a, t):
+    """The equation (X1 + ... + X5) sum_i a_i prod_{j != i} X_j = t X1...X5
+    of count_torus as a monomial list sorted by exponents: a_i X_k^2
+    prod_{j != i, k} X_j for each k != i, and (a1 + ... + a5 - t) X1...X5."""
+    terms = {tuple(2 if j == k else 0 if j == i else 1 for j in range(5)):
+             a[i] for k in range(5) for i in range(5) if i != k}
+    terms[(1,) * 5] = sum(a) - t
+    return tuple(Monomial(c, e) for e, c in sorted(terms.items()) if c)
+
+
 def _torus_dense(a, t, p):
-    """Torus count on the full grid of X1..X4 with X5 = 1: p^4 cells.  It
-    is the path at p = 2 and the oracle of _torus_kernel."""
-    xs = _grid(p, [None] * 4 + [1])
-    prod, s2 = 1, 0
-    for i, x in enumerate(xs):
-        prod = prod * x % p
-        pi = a[i] % p
-        for j, y in enumerate(xs):
-            if j != i:
-                pi = pi * y % p
-        s2 = s2 + pi
-    ok = (sum(xs) % p * (s2 % p) - (t % p) * prod) % p == 0
+    """Torus count of _torus_equation on the p^4 cells of X1..X4, X5 = 1:
+    the path at p = 2 and the oracle of _torus_kernel."""
+    on = _zeros([_torus_equation(a, t)], _grid(p, [None] * 4 + [1]), p)
     # index 0 of each free axis is the coordinate 0, off the torus
-    return int(np.count_nonzero(ok[1:, 1:, 1:, 1:]))
+    return int(np.count_nonzero(on[1:, 1:, 1:, 1:]))
 
 
 def _torus_kernel(a, t, p):

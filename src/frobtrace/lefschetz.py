@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from math import comb
 from typing import NamedTuple
 
 import numpy as np
 
-from .catalog import (_MAX_SLAB_CELLS, Monomial, _eval_mono_list,
-                      _require_cells, _require_good, _restrict, _singular_scan)
+from .catalog import (_MAX_SLAB_CELLS, Monomial, _chi_table, _eval_mono_list,
+                      _partial, _require_cells, _require_good, _restrict,
+                      _singular_scan)
 from .errors import ValidationError
 from .ffield import kronecker, nonresidue, require_prime
 
@@ -55,7 +55,10 @@ def node_correction(p, resolution, splitting_discriminant, n_rational):
     return n_rational * (p * p + (2 * p if sym == 1 else 0))
 
 
-def solve_betti(n_p, p, chi, b2_cap=100_000):
+_MAX_B2 = 100_000                # solve_betti searches b2 up to this
+
+
+def solve_betti(n_p, p, chi):
     """All pairs (b2, b3) with chi = 2 + 2 b2 - b3, b3 >= 0, b2 >= 1, such
     that the trace forced by the count satisfies the Weil bound
     |t3| <= b3 p^{3/2} (compared exactly as t3^2 <= b3^2 p^3).
@@ -69,7 +72,7 @@ def solve_betti(n_p, p, chi, b2_cap=100_000):
         raise ValidationError(f"chi {chi!r} is not an integer")
     out = []
     b2 = max(1, -((2 - chi) // 2))
-    while b2 <= b2_cap:
+    while b2 <= _MAX_B2:
         b3 = 2 + 2 * b2 - chi
         if b3 >= 0:
             t3 = trace_h3(n_p, p, b2, 0)
@@ -83,8 +86,30 @@ def solve_betti(n_p, p, chi, b2_cap=100_000):
 
 # ------------------------------------------------------------ Euler ledger
 
-LEDGER_KINDS = ("base_chi", "contract_nodes", "riemann_hurwitz", "replace",
-                "resolve_nodes_big", "resolve_nodes_small")
+def _first(chi, v):
+    if chi is not None:
+        raise ValidationError("base_chi only allowed as the first move")
+    return v
+
+
+def _halve(chi, chi_fixed):
+    if (chi + chi_fixed) % 2:
+        raise ValidationError(f"riemann_hurwitz: chi + chi_fixed = "
+                              f"{chi + chi_fixed} is odd")
+    return (chi + chi_fixed) // 2
+
+
+# kind -> (arity, step): step(chi, *args) is chi after the move, chi None
+# before the first
+_MOVES = {
+    "base_chi": (1, _first),
+    "contract_nodes": (1, lambda chi, k: chi + k),
+    "riemann_hurwitz": (1, _halve),
+    "replace": (2, lambda chi, old, new: chi + new - old),
+    "resolve_nodes_big": (1, lambda chi, k: chi + 3 * k),
+    "resolve_nodes_small": (1, lambda chi, k: chi + k),
+}
+LEDGER_KINDS = tuple(_MOVES)
 
 
 @dataclass(frozen=True)
@@ -93,9 +118,9 @@ class LedgerMove:
     args: tuple
 
     def __post_init__(self):
-        if self.kind not in LEDGER_KINDS:
+        if self.kind not in _MOVES:
             raise ValidationError(f"unknown ledger move {self.kind!r}")
-        want = 2 if self.kind == "replace" else 1
+        want = _MOVES[self.kind][0]
         if len(self.args) != want:
             raise ValidationError(f"{self.kind} takes {want} argument(s)")
 
@@ -131,7 +156,8 @@ class LedgerResult:
 
 
 def euler_ledger(moves):
-    """Fold a list of LedgerMoves into an Euler characteristic.
+    """Fold a list of LedgerMoves into an Euler characteristic, each by
+    its step in _MOVES.
 
     Moves: base_chi(v) starts the ledger (must come first and only first);
     contract_nodes(k) contracts k vanishing 3-spheres to points (+k);
@@ -143,27 +169,9 @@ def euler_ledger(moves):
     """
     if not moves or moves[0].kind != "base_chi":
         raise ValidationError("ledger must start with base_chi")
-    chi = None
-    steps = []
-    for i, mv in enumerate(moves):
-        if mv.kind == "base_chi":
-            if i != 0:
-                raise ValidationError("base_chi only allowed as the first move")
-            chi = mv.args[0]
-        elif mv.kind == "contract_nodes":
-            chi += mv.args[0]
-        elif mv.kind == "riemann_hurwitz":
-            tot = chi + mv.args[0]
-            if tot % 2 != 0:
-                raise ValidationError(
-                    f"riemann_hurwitz: chi + chi_fixed = {tot} is odd")
-            chi = tot // 2
-        elif mv.kind == "replace":
-            chi += mv.args[1] - mv.args[0]
-        elif mv.kind == "resolve_nodes_big":
-            chi += 3 * mv.args[0]
-        else:
-            chi += mv.args[0]
+    chi, steps = None, []
+    for mv in moves:
+        chi = _MOVES[mv.kind][1](chi, *mv.args)
         steps.append(chi)
     return LedgerResult(chi, tuple(steps))
 
@@ -184,18 +192,11 @@ _DISCRIMINANT = (Monomial(1, (0, 2, 0)), Monomial(-4, (1, 0, 1)))
 
 
 def _second_taylor(eq, i, j):
-    """The coefficient of h_i h_j in f(x + h), as a monomial list in x: a
-    monomial c x^e gives c C(e_i, 2) x^e / x_i^2 for i = j and
-    c e_i e_j x^e / (x_i x_j) otherwise."""
-    out = []
-    for mono in eq:
-        e = list(mono.exponents)
-        c = mono.coefficient * (comb(e[i], 2) if i == j else e[i] * e[j])
-        if c:
-            e[i] -= 1
-            e[j] -= 1
-            out.append(Monomial(c, tuple(e)))
-    return tuple(out)
+    """The coefficient of h_i h_j in f(x + h), as a monomial list in x: the
+    second partial d_i d_j f, halved for i = j, where c x^e gives
+    c e_i (e_i - 1) = 2 c C(e_i, 2)."""
+    return tuple(Monomial(m.coefficient // (2 if i == j else 1), m.exponents)
+                 for m in _partial(_partial(eq, i), j))
 
 
 class NodalCurve(NamedTuple):
@@ -250,7 +251,7 @@ def nodal_curve(spec, p, degree=1):
             # b = 1: a h^2 + h k + c k^2 splits iff a c = 0 (Artin-Schreier)
             split += int(np.count_nonzero(abc[0] * abc[2] % 2 == 0))
         else:
-            split += sum(kronecker(int(d), p) == 1 for d in disc[0])
+            split += int(np.count_nonzero(_chi_table(p)[disc[0]] == 1))
     return NodalCurve(points, nodes, split,
                       p ** degree + 1 - (points - nodes + 2 * split))
 
@@ -260,12 +261,12 @@ def declared_curve(spec, p):
     declared normalization, in O(p) and with no scan; equal to
     nodal_curve(spec, p) wherever the declaration is right.
 
-    a_p = -sum_x chi(4x^3 + b2 x^2 + 2 b4 x + b6), read from one table of
-    squares; the rational nodes are the declared vectors that Frobenius
-    fixes (RootNodes.rational); each splits exactly when the splitting
+    a_p = -sum_x chi(4x^3 + b2 x^2 + 2 b4 x + b6), read from _chi_table;
+    the rational nodes are the declared vectors that Frobenius fixes
+    (RootNodes.rational); each splits exactly when the splitting
     discriminant D is a square, and points = p + 1 - a_p - nodes (D/p).
     Under the budget of _MAX_SLAB_CELLS values of x, the largest
-    intermediate value is (p - 1)^2 < 2^44, in the table of squares; the
+    intermediate value is (p - 1)^2 < 2^44, in the character table; the
     cubic's evaluator keeps its own bound of 2^62.
     """
     _require_good(spec, p)
@@ -276,13 +277,10 @@ def declared_curve(spec, p):
         raise ValidationError(f"{spec.id}: declared_curve needs an odd prime")
     _require_cells("Weierstrass a_p", p, lambda q: q, _MAX_SLAB_CELLS)
     b2, b4, b6, _ = norm.b_invariants()
-    x = np.arange(p, dtype=np.int64)
-    square = np.zeros(p, dtype=bool)
-    square[x * x % p] = True
     f = _eval_mono_list((Monomial(4, (3,)), Monomial(b2, (2,)),
-                         Monomial(2 * b4, (1,)), Monomial(b6, (0,))), [x], p)
-    ap = p + int(np.count_nonzero(f == 0)) \
-        - 2 * int(np.count_nonzero(square[f]))
+                         Monomial(2 * b4, (1,)), Monomial(b6, (0,))),
+                        [np.arange(p, dtype=np.int64)], p)
+    ap = -int(_chi_table(p)[f].sum())
     nodes = norm.nodes.rational(p)
     sym = kronecker(norm.splitting_discriminant, p)
     return NodalCurve(p + 1 - ap - nodes * sym, nodes,

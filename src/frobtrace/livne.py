@@ -85,16 +85,13 @@ def find_cover_set(s, bound=1000):
     identity = (1,) * k
     seen = set()
     out = []
-    p = 2
+    p = 3                    # odd primes outside S: every symbol is +-1
     while len(seen) < (1 << k) - 1:
         if p > bound:
             raise ValidationError(f"no complete cover set below {bound}")
-        if is_prime(p) and p not in basis.s and not (p == 2 and 2 not in basis.s):
-            try:
-                sig = frobenius_signature(basis, p)
-            except ValidationError:
-                sig = None
-            if sig is not None and sig != identity and sig not in seen:
+        if is_prime(p) and p not in basis.s:
+            sig = frobenius_signature(basis, p)
+            if sig != identity and sig not in seen:
                 seen.add(sig)
                 out.append(p)
         p += 1

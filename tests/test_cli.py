@@ -96,9 +96,11 @@ def test_calibration_refuses_when_gated_classes_are_invisible(capsys):
         capsys.readouterr()
 
 
-def test_failed_calibration_says_why():
+def test_failed_calibration_says_why(monkeypatch):
+    # targets read from eta(z) in place of f25: no candidate fits at 11
+    monkeypatch.setattr(qexp, "f25", lambda n: qexp.eta(1, 40))
     with pytest.raises(ValidationError) as err:
-        match_rigid("schoen_x", [3, 7, 11], 11, nform=qexp.eta(1, 40))
+        match_rigid("schoen_x", [3, 7, 11], 11)
     msg = str(err.value)
     assert all(f"D={d}: " in msg for d in DISC_CANDIDATES), msg
     assert msg.count("is not an integer") == 5
@@ -233,6 +235,30 @@ def test_exit_codes(capsys, tmp_path):
         assert named in e, (named, e)
 
 
+def test_expansions_share_one_bound(monkeypatch, capsys):
+    # eta --form, eta --m and ap --form refuse more than _MAX_TERMS
+    # coefficients before expanding any, and accept the bound itself
+    def expand(*args):
+        raise AssertionError("expanded")
+
+    monkeypatch.setattr(qexp, "f25", expand)
+    monkeypatch.setattr(qexp, "eta", expand)
+    bound = cli._MAX_TERMS
+    over = [["eta", "--form", "f25", "--terms", str(bound + 1)],
+            ["eta", "--m", "3", "--terms", str(bound + 1)],
+            ["ap", "--form", "f25", "--p", "1000003"]]
+    for args in over:
+        assert main(args) == 2, args
+        err = capsys.readouterr().err
+        assert err.startswith("refused: ") and \
+            err.endswith(f"over the bound {bound}\n"), err
+    for args in (["eta", "--form", "f25", "--terms", str(bound)],
+                 ["eta", "--m", "3", "--terms", str(bound)],
+                 ["ap", "--form", "f25", "--p", "999983"]):
+        with pytest.raises(AssertionError, match="expanded"):
+            main(args)
+
+
 def test_count_command(capsys):
     assert main(["count", "--variety", "schoen_x", "--p", "7"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -304,9 +330,48 @@ def test_match_pipeline_rows_and_companions():
         match_pipeline("schoen_quotient", "f25", "", [3], 11)
 
 
-def test_livne_traces_flag_validation(capsys):
-    assert main(["livne", "--bad-primes", "2,5", "--check-set", "3,7",
-                 "--traces1", "x.csv"]) == 1
+def test_livne_traces_flag_validation(capsys, tmp_path):
+    # either traces file without the other is an error naming the missing
+    # one, before any file is opened or the cover is checked
+    for given, missing in (("--traces1", "--traces2"),
+                           ("--traces2", "--traces1")):
+        assert main(["livne", "--bad-primes", "2,5",
+                     "--check-set", "3,7,11,13,17,29,31",
+                     given, str(tmp_path / "nonexistent.csv")]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {given} needs {missing}\n"
+    # and so in a manifest: a livne op with one traces field
+    compare = {"op": "livne", "bad_primes": [2, 5],
+               "check_set": [3, 7, 11, 13, 17, 29, 31]}
+    manifest = tmp_path / "one_side.json"
+    for given, missing in (("traces1", "traces2"), ("traces2", "traces1")):
+        op = {**compare, given: {"3": 2}}
+        with pytest.raises(ValidationError, match=f"no field '{missing}'"):
+            run_manifest({"operations": [op]})
+        manifest.write_text(json.dumps({"operations": [op]}))
+        assert main(["run", str(manifest)]) == 1
+        assert f"'{missing}'" in capsys.readouterr().err
+
+
+def test_match_needs_a_check_row(tmp_path, capsys):
+    # the calibration row is no check, so a match of it alone is no match:
+    # false and exit 3, the calibration itself still reported
+    rep = match_rigid("schoen_x", [11], 11)
+    assert [r.p for r in rep.rows] == [11] and not rep.overall
+    assert rep.calibrated["correction"]["gated_classes"] == 24
+    assert not match_quotient([11], 11).overall
+    for primes in ("11", ""):
+        assert main(["match", "--variety", "schoen_x", "--primes", primes,
+                     "--calibration-prime", "11"]) == 3, primes
+        assert json.loads(capsys.readouterr().out)["overall"] is False
+    op = {"op": "match", "variety": "schoen_x", "primes": [],
+          "calibration_prime": 11}
+    doc, ok = run_manifest({"operations": [op]})
+    assert not ok and not doc["ok"] and doc["results"][0]["overall"] is False
+    manifest = tmp_path / "no_rows.json"
+    manifest.write_text(json.dumps({"operations": [op]}))
+    assert main(["run", str(manifest)]) == 3
     capsys.readouterr()
 
 

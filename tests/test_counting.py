@@ -83,9 +83,12 @@ def test_torus_cell_budget():
 def test_torus_entry_equation_matches_count_torus():
     # count() counts hulek_verrill from its known (a, t) and never reads
     # the 21-monomial equation the catalog stores; its zeros on the torus
-    # grid (X5 = 1, no coordinate 0) must be the same count
+    # grid (X5 = 1, no coordinate 0) must be the same count; the dense
+    # oracle's equation at that (a, t) is the stored one, term for term
     hv = CAT.variety("hulek_verrill")
     a, t = hv.known["a"], hv.known["t"]
+    assert counting._torus_equation(a, t) == hv.equations[0]
+    assert len(hv.equations[0]) == 21
     for p, want in ((3, 11), (5, 101), (7, 201), (11, 811), (13, 1341)):
         on = _zeros(hv.equations, _grid(p, [None] * 4 + [1]), p)
         assert int(on[1:, 1:, 1:, 1:].sum()) == want, p
@@ -178,7 +181,7 @@ def test_schoen_histogram_memory():
     for run in (lambda: count_projective(sy, 421),
                 lambda: count_twisted(sy, iy, 421),
                 lambda: count_weighted(CAT.variety("schoen_quotient"), 421)):
-        counting._LAST_PASS.clear()
+        counting._block_pass.cache_clear()
         tracemalloc.start()
         try:
             run()
@@ -279,6 +282,7 @@ def test_double_cover_counts():
     do = CAT.variety("double_octic_template")
     assert count_double_cover(do, 3).count == 41
     assert count_double_cover(do, 7).count == 407
+    assert count_double_cover(do, 11).count == 1489
     with pytest.raises(ValidationError):
         count_double_cover(do, 2)
 
@@ -326,13 +330,10 @@ def test_counter_invariants_raise(monkeypatch):
         parts = run(worker, chunks)
         return [parts[0] + 1] + parts[1:]
 
-    # the kernel's memo sits before the seam, so a memo hit is checked too
-    # and no corrupted value is stored: schoen_x maps onto schoen_y, and
-    # all three counts at 7 read one pass
-    passes, make = [], counting._block_pass
-    monkeypatch.setattr(counting, "_block_pass",
-                        lambda *a: passes.append(a[-1]) or make(*a))
-    counting._LAST_PASS.clear()
+    # the kernel's cached pass sits before the seam, so a cache hit is
+    # checked too and no corrupted value is stored: schoen_x maps onto
+    # schoen_y, and all three counts at 7 read one pass
+    counting._block_pass.cache_clear()
     sy, iy = CAT.variety("schoen_y"), CAT.involution("iota_y")
     monkeypatch.setattr(counting, "_run_chunks", off_by_one)
     with pytest.raises(FrobtraceError, match="p=7.* 1 mod p-1"):
@@ -341,7 +342,7 @@ def test_counter_invariants_raise(monkeypatch):
         count_twisted(sy, iy, 7)
     with pytest.raises(FrobtraceError, match="p=7.* 1 mod p-1"):
         count_projective(CAT.variety("schoen_x"), 7)
-    assert passes == [7]
+    assert counting._block_pass.cache_info().misses == 1
     with pytest.raises(FrobtraceError, match="p=3.* 1 mod p-1"):
         count_weighted(CAT.variety("schoen_quotient"), 3)
     with pytest.raises(FrobtraceError, match="stabilizer-weighted .* 1 mod p-1"):
@@ -379,6 +380,14 @@ def test_equation_degenerate_mod_p():
                        frozenset({2}), "test")
     with pytest.raises(ValidationError):
         count_projective(spec, 3)
+    # a double cover's linear forms too: eight forms 3 x0 are refused at 3,
+    # and at 7 they are w^2 = 3^8 x0^8, with the count of w^2 = x0^8
+    cover = VarietySpec("w2_3x0_8", Ambient("double_cover_p3"),
+                        tuple((Monomial(3, (1, 0, 0, 0)),) for _ in range(8)),
+                        3, frozenset({2}), "test")
+    with pytest.raises(ValidationError, match="equation 0 vanishes .* mod 3"):
+        count_double_cover(cover, 3)
+    assert count_double_cover(cover, 7).count == 2 * 7 ** 3 + 7 * 7 + 7 + 1
 
 
 def test_twisted_guards():
