@@ -309,6 +309,20 @@ def _strip_times(obj):
     return obj
 
 
+# the fields each manifest op reads, besides "op"; an op with any other
+# field is refused before the manifest runs
+_OP_FIELDS = {
+    "count": ("variety", "p", "degree"),
+    "twisted_count": ("variety", "involution", "p"),
+    "torus_count": ("a", "t", "p"),
+    "euler": ("ledger", "moves", "expect_final"),
+    "betti": ("variety", "p", "chi", "expect_unique", "expect", "adjusted"),
+    "match": ("variety", "form", "companion", "primes", "calibration_prime"),
+    "livne": ("bad_primes", "check_set", "traces1", "traces2",
+              "dets_match_parity"),
+}
+
+
 class _Op(dict):
     """A manifest operation, whose missing fields are ValidationErrors."""
 
@@ -358,15 +372,23 @@ def run_manifest(manifest, outdir=None):
     if not isinstance(ops, list) or not all(isinstance(op, dict) for op in ops):
         raise ValidationError("a manifest is an object whose \"operations\" "
                               "is a list of op objects")
+    ops = [_Op(op) for op in ops]
+    for op in ops:
+        kind = op["op"]
+        if not isinstance(kind, str) or kind not in _OP_FIELDS:
+            raise ValidationError(f"unknown manifest op {kind!r}")
+        unread = sorted(set(op) - {"op", *_OP_FIELDS[kind]})
+        if unread:
+            raise ValidationError(f"manifest op {kind!r} does not read "
+                                  f"field {unread[0]!r}")
     cat = load_catalog()
     results = []
     ok = True
     for op in ops:
-        op = _Op(op)
         kind = op["op"]
         if kind == "count":
             rec = counting.count(cat.variety(op["variety"]), op["p"],
-                                 op.get("degree", 1))
+                                 op.of("degree", int, 1))
             results.append({"op": kind, "record": asdict(rec)})
         elif kind == "twisted_count":
             spec = cat.variety(op["variety"])
@@ -407,7 +429,7 @@ def run_manifest(manifest, outdir=None):
             if not rep.overall:
                 ok = False
             results.append({"op": kind, **rep.to_json()})
-        elif kind == "livne":
+        else:                                          # livne
             bad = _typed(set, op["bad_primes"], "bad_primes")
             t_set = _typed(sorted, op["check_set"], "check_set")
             if "traces1" in op or "traces2" in op:
@@ -428,8 +450,6 @@ def run_manifest(manifest, outdir=None):
                                 "missing": [list(m) for m in rep.missing],
                                 "signatures": {str(p): list(s)
                                                for p, s in rep.signatures.items()}})
-        else:
-            raise ValidationError(f"unknown manifest op {kind!r}")
     doc = {"id": manifest.get("id", ""), "ok": ok,
            "results": _strip_times(results)}
     if outdir is not None:

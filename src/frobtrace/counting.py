@@ -7,14 +7,16 @@ Consani-Scholten's quintic P(x, y) = P(z, w)) are counted at odd primes by
 one O(p^2) kernel over per-group histograms.  One pass per (model, p)
 gives 3x3 matrices over the quadratic-character blocks of b, and the
 straight, twisted, chi-weighted and uncoupled counts are weightings of
-them; the pass is an lru_cache of one entry, so the twisted count of
-schoen_y, and its quotient's count, reuse the pass of its straight count
-at the same p.  The torus count solves a quadratic in one coordinate over
-an O(p^3) grid.  Everything else, and every kernel's oracle, runs on the
-broadcast grids of the catalog module:
-the projective, twisted and double-cover counts share one dense loop over
-the charts of _charts, cut into slabs that bound memory, an F_{p^2} count
-is the F_p count of the common zeros of the Weil restrictions of the
+them.  The passes sit in a bounded per-process lru_cache, one entry per
+(model, p) and at most _PASS_CACHE of them (a few MB), so each pass runs
+once per process: schoen_x's count, schoen_y's twisted count and the
+quotient's count reuse schoen_y's pass at the same p, whichever count or
+pipeline asks first.  The torus count solves a quadratic in one
+coordinate over an O(p^3) grid.  Everything else, and every kernel's
+oracle, runs on the broadcast grids of the catalog module: the
+projective, twisted and double-cover counts share one dense loop over the
+charts of _charts, cut into slabs that bound memory, an F_{p^2} count is
+the F_p count of the common zeros of the Weil restrictions of the
 equations, the weighted count runs one slab per value of the first
 coordinate, and the torus count at p = 2 one grid with the zero
 coordinates masked out.  count() picks the counter for a variety's
@@ -52,6 +54,7 @@ from .ffield import nonresidue, require_prime
 _MAX_DENSE_TOTAL = 600_000_000     # refuse larger dense enumerations
 _MAX_HIST_CELLS = 4_000_000        # p^2 cells per two-group table (p < 2000)
 _MAX_TORUS_CELLS = 4_000_000       # (p-1)^3 cells of the torus kernel (p < 160)
+_PASS_CACHE = 512                  # kernel passes kept: 302 odd primes p < 2000
 
 
 @dataclass(frozen=True)
@@ -155,10 +158,17 @@ def _flips(model, diag):
     return tuple(flips)
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=_PASS_CACHE)
 def _block_pass(groups, k, weights, p):
     """The 3x3 block-pair matrices (NF, Z, A) of one pass over the grids of
-    groups ((r1, m1), (r2, m2)), as tuples of ints; see _two_group_count."""
+    groups ((r1, m1), (r2, m2)), as tuples of ints; see _two_group_count.
+
+    Cached per process, _PASS_CACHE entries: every odd prime the kernel
+    accepts for one model, with room for a second.  An entry keeps 27 ints
+    and its key, whose halved groups are a copy: under tracemalloc at
+    p < 400 it retains 1.9 KB (schoen_quotient), 4.6 KB (schoen_y, halved)
+    and 8.7 KB (consani_scholten), so a full cache holds at most about
+    4.5 MB.  A pass that raises is not cached."""
     h = (p - 1) // 2
     chi = _chi_table(p)
     order = np.concatenate([np.flatnonzero(chi == 1),
@@ -290,11 +300,13 @@ def _two_group_count(model, p, label, flips=(False, False)):
     for a flipped one and (1, 1, 1) otherwise, plus s (x) s, s = (1, -1, 0),
     with chi.  Scaling by a non-square swaps the square and non-square
     blocks of a b of odd weight, in Phi's rows and on the cone, so such a
-    b takes (1, 1, 1).  The cache of _block_pass keeps the last pass's
-    matrices, keyed by the halved groups, k, the weights of b and p, not by
-    variety or twist: schoen_y's straight and twisted counts and its
-    quotient's count share one pass.  The contraction runs through
-    _run_chunks after the pass, so a lost cell there is never stored.
+    b takes (1, 1, 1).  The cache of _block_pass keeps each pass's
+    matrices, up to _PASS_CACHE of them, keyed by the halved groups, k, the
+    weights of b and p, not by variety or twist: schoen_x's count,
+    schoen_y's straight and twisted counts and its quotient's count share
+    one pass per p, across pipelines.  The contraction runs through
+    _run_chunks after the pass, on a hit too, so a lost cell there is
+    never stored.
 
     All arithmetic is exact.  Residue products, as in the keys, stay below
     p^2, the keys below len(reps) p <= p^2, and the block matrices count
@@ -334,11 +346,17 @@ def _two_group_count(model, p, label, flips=(False, False)):
 
 # ----------------------------------------------------------------- API
 
+def _field_degree(degree):
+    """Refuse a field degree other than the int 1 or 2: True == 1 is no
+    degree."""
+    if type(degree) is not int or degree not in (1, 2):
+        raise ValidationError(f"field_degree must be 1 or 2, not {degree!r}")
+
+
 def count_projective(spec, p, degree=1):
     """#X(F_{p^degree}) for a variety in (straight) projective space; over
     F_{p^2} the dense count of the Weil restrictions."""
-    if degree not in (1, 2):
-        raise ValidationError("field_degree must be 1 or 2")
+    _field_degree(degree)
     _opening(spec, p, "projective", "degree-2 counts" if degree == 2 else None)
     n = nonresidue(p) if degree == 2 else None
     eqs = [f for eq in spec.equations for f in _restrict(eq, n)]
@@ -525,6 +543,7 @@ def count(spec, p, degree=1):
     Torus varieties are counted at the (a, t) stored under spec.known.  Only
     projective varieties are counted over F_{p^2}.
     """
+    _field_degree(degree)
     kind = spec.ambient.kind
     if kind == "projective":
         return count_projective(spec, p, degree)

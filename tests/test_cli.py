@@ -453,6 +453,47 @@ def test_run_manifest_unknown_op():
         run_manifest({"operations": [{"op": "teleport"}]})
 
 
+def test_run_manifest_refuses_unread_fields(tmp_path, capsys, monkeypatch):
+    # a field an op does not read could only change a count silently: a
+    # twisted count at "degree": 2 once counted over F_7; it exits 1,
+    # naming the field, before any op of the manifest runs
+    count = {"op": "count", "variety": "schoen_x", "p": 7}
+    twisted = {"op": "twisted_count", "variety": "schoen_y",
+               "involution": "iota_y", "p": 7}
+    livne = {"op": "livne", "bad_primes": [2, 5], "check_set": [3]}
+    unread = [({**twisted, "degree": 2}, "degree"),
+              ({**count, "prime": 7}, "prime"),
+              ({**livne, "trace1": {"3": 2}}, "trace1"),
+              ({"op": "euler", "ledger": "quotient", "expect": 168}, "expect")]
+    manifest = tmp_path / "fields.json"
+    for op, field in unread:
+        counted = []
+        monkeypatch.setattr(cli.counting, "_counted",
+                            lambda *a, **k: counted.append(a))
+        with pytest.raises(ValidationError, match=f"field {field!r}$"):
+            run_manifest({"operations": [count, op]})
+        assert not counted, op
+        monkeypatch.undo()
+        manifest.write_text(json.dumps({"operations": [op]}))
+        assert main(["run", str(manifest)]) == 1, op
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: manifest op {op['op']!r} does not read "
+                       f"field {field!r}"], err
+    # and a count at "degree": true counted over F_p: degree is an int
+    for degree in (True, 2.0):
+        with pytest.raises(ValidationError,
+                           match=f"^degree {degree!r} has the wrong type$"):
+            run_manifest({"operations": [{**count, "degree": degree}]})
+    # the fields an op reads are all accepted, and degree 2 still counts
+    # over F_{7^2}
+    doc, _ = run_manifest({"operations": [
+        {**count, "degree": 2, "variety": "e_plane"}, twisted,
+        {**livne, "traces1": {"3": 2}, "traces2": {"3": 2},
+         "dets_match_parity": True}]})
+    assert [r.get("record", {}).get("field_degree") for r in doc["results"]] \
+        == [2, 1, None]
+
+
 def _run_module(*args, module="frobtrace"):
     """Run ``python -m MODULE ARGS`` in a child process that imports the
     same frobtrace package as this test, installed or not."""

@@ -13,7 +13,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from frobtrace.catalog import (Ambient, InvolutionSpec, Monomial, VarietySpec,
                                _grid, _zeros, catalog_from_json, load_catalog,
                                singular_points)
-from frobtrace import catalog, counting
+from frobtrace import catalog, cli, counting
 from frobtrace.counting import (count, count_double_cover, count_projective,
                                 count_torus, count_twisted, count_weighted,
                                 check_preserves, read_records, write_records)
@@ -175,7 +175,8 @@ def test_schoen_histogram_cell_budget():
 def test_schoen_histogram_memory():
     # the bound the kernel's docstring states: below 4.5 p^2 int64 cells
     # for a pass of schoen_y's model, which memoises two value arrays; the
-    # memo of the last pass is cleared first, so each run makes a full pass
+    # pass cache is cleared before each run, so each run makes a full pass
+    # rather than reading the pass of the run before it
     sy = CAT.variety("schoen_y")
     iy = CAT.involution("iota_y")
     for run in (lambda: count_projective(sy, 421),
@@ -319,6 +320,15 @@ def test_count_dispatch_by_ambient():
     for vid in ("schoen_quotient", "double_octic_template", "hulek_verrill"):
         with pytest.raises(ValidationError):
             count(CAT.variety(vid), 3, degree=2)
+    # a degree is the int 1 or 2: True == 1 once counted over F_p and
+    # recorded "field_degree": true
+    for vid in ("schoen_x", "schoen_quotient", "hulek_verrill"):
+        for degree in (True, False, 2.0, "1"):
+            with pytest.raises(ValidationError,
+                               match=f"field_degree .* not {degree!r}$"):
+                count(CAT.variety(vid), 7, degree)
+    with pytest.raises(ValidationError, match="not True$"):
+        count_projective(CAT.variety("schoen_x"), 7, degree=True)
 
 
 def test_counter_invariants_raise(monkeypatch):
@@ -348,8 +358,11 @@ def test_counter_invariants_raise(monkeypatch):
     with pytest.raises(FrobtraceError, match="stabilizer-weighted .* 1 mod p-1"):
         count_weighted(dense("schoen_quotient"), 3)
     monkeypatch.undo()
+    # the pass the raising counts stored at 7 is the clean one: read back,
+    # it gives the pinned counts with no pass beyond those at 7 and 3
     assert count_projective(sy, 7).count == count_twisted(sy, iy, 7).count \
         == 401
+    assert counting._block_pass.cache_info().misses == 2
 
 
 def test_counter_invariants_raise_under_O():
@@ -372,6 +385,61 @@ def test_counter_invariants_raise_under_O():
         capture_output=True, text=True, env=env, timeout=300)
     assert res.returncode == 0, res.stdout + res.stderr
     assert "5 passed" in res.stdout
+
+
+def test_matches_share_one_pass_per_prime(monkeypatch):
+    # schoen_x maps onto schoen_y's model and the quotient's halved groups
+    # are the same key, so the rigid match over the 45 good primes from 3
+    # to 211 and the quotient match over its 35 make one pass per prime, in
+    # either order; their rows equal those of matches with no pass cache
+    bad = CAT.variety("schoen_x").bad_primes
+    rigid = [p for p in range(3, 212) if is_prime(p) and p not in bad]
+    quot = [p for p in rigid if p % 5 != 4
+            and p not in CAT.variety("schoen_quotient").bad_primes]
+    assert (len(rigid), len(quot)) == (45, 35)
+    runs = {"rigid": lambda: cli.match_rigid("schoen_x", rigid, 11, cat=CAT),
+            "quotient": lambda: cli.match_quotient(quot, 11, cat=CAT)}
+    for order in (("rigid", "quotient"), ("quotient", "rigid")):
+        counting._block_pass.cache_clear()
+        shared = {name: runs[name]().to_json() for name in order}
+        assert counting._block_pass.cache_info().misses == 45, order
+    # the cache holds a pass of one model at every prime the kernel accepts
+    accepted = [p for p in range(3, 2000) if is_prime(p)
+                and p * p <= counting._MAX_HIST_CELLS]
+    assert counting._block_pass.cache_info().maxsize >= len(accepted) == 302
+    monkeypatch.setattr(counting, "_block_pass",
+                        counting._block_pass.__wrapped__)
+    assert {name: run().to_json() for name, run in runs.items()} == shared
+
+
+SHARED_PASS_COUNTS = {
+    "schoen_x": lambda p: count_projective(CAT.variety("schoen_x"), p),
+    "schoen_y": lambda p: count_projective(CAT.variety("schoen_y"), p),
+    "schoen_y/iota_y": lambda p: count_twisted(
+        CAT.variety("schoen_y"), CAT.involution("iota_y"), p),
+    "schoen_quotient": lambda p: count_weighted(
+        CAT.variety("schoen_quotient"), p),
+    "consani_scholten": lambda p: count_projective(
+        CAT.variety("consani_scholten"), p),
+}
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.lists(st.tuples(st.sampled_from(sorted(SHARED_PASS_COUNTS)),
+                          st.sampled_from(SMALL_PRIMES)),
+                min_size=1, max_size=12))
+def test_pass_cache_keys_do_not_collide(calls):
+    # counts of four models in any order, each reading the passes the
+    # counts before it left, equal the same counts from an empty cache
+    counting._block_pass.cache_clear()
+    got = []
+    for name, p in calls:
+        got.append(SHARED_PASS_COUNTS[name](p).count)
+        info = counting._block_pass.cache_info()
+        assert info.currsize <= info.maxsize
+    for (name, p), n in zip(calls, got):
+        counting._block_pass.cache_clear()
+        assert SHARED_PASS_COUNTS[name](p).count == n, (name, p)
 
 
 def test_equation_degenerate_mod_p():
