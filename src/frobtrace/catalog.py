@@ -584,6 +584,13 @@ def _require_good(spec, p):
         raise RefusalError(f"{spec.id}: {p} is a bad prime")
 
 
+def _field_degree(degree):
+    """Refuse a field degree other than the int 1 or 2: True == 1 is no
+    degree."""
+    if type(degree) is not int or degree not in (1, 2):
+        raise ValidationError(f"field_degree must be 1 or 2, not {degree!r}")
+
+
 def _require_cells(what, p, cells, limit):
     """Refuse, with a ValidationError naming the largest prime the budget
     accepts, a count at p whose cells(p) cells exceed limit: the one

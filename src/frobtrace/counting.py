@@ -15,9 +15,11 @@ pipeline asks first.  The torus count solves a quadratic in one
 coordinate over an O(p^3) grid.  Everything else, and every kernel's
 oracle, runs on the broadcast grids of the catalog module: the
 projective, twisted and double-cover counts share one dense loop over the
-charts of _charts, cut into slabs that bound memory, an F_{p^2} count is
-the F_p count of the common zeros of the Weil restrictions of the
-equations, the weighted count runs one slab per value of the first
+charts of _charts, cut into slabs that bound memory, the double cover
+factors chi over its forms' supports, each form on the grid of the
+coordinates it reads (O(p^2) a chart for the double octic), an F_{p^2}
+count is the F_p count of the common zeros of the Weil restrictions of
+the equations, the weighted count runs one slab per value of the first
 coordinate, and the torus count at p = 2 one grid with the zero
 coordinates masked out.  count() picks the counter for a variety's
 ambient space.
@@ -41,13 +43,14 @@ import operator
 import time
 from dataclasses import dataclass, asdict
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 
 from .catalog import (TORUS_FAMILY, Monomial, _charts, _chi_table,
-                      _compose_equation, _eval_mono_list, _grid, _power,
-                      _ratio, _require_cells, _restrict, _zeros)
+                      _compose_equation, _eval_mono_list, _field_degree,
+                      _grid, _power, _ratio, _require_cells, _restrict,
+                      _zeros)
 from .errors import FrobtraceError, RefusalError, ValidationError
 from .ffield import nonresidue, require_prime
 
@@ -77,13 +80,24 @@ def _run_chunks(worker, chunks):
 def _opening(spec, p, kind, odd=None, phi=None):
     """The opening checks of a count of spec at p, in order: p is prime,
     and odd where odd names the count that needs it; spec's ambient is
-    kind; a twisted count's phi preserves the equations and is diagonal
-    +-1 (the diagonal is returned); no equation vanishes mod p."""
+    kind; a double cover's branch locus is an even number of linear forms,
+    so that chi of their product is defined on P^3; a twisted count's phi
+    preserves the equations and is diagonal +-1 (the diagonal is
+    returned); no equation vanishes mod p."""
     require_prime(p)
     if odd and p == 2:
         raise ValidationError(f"{odd} need an odd prime")
     if spec.ambient.kind != kind:
         raise ValidationError(f"{spec.id}: ambient {spec.ambient.kind}, not {kind}")
+    if kind == "double_cover_p3":
+        for i, eq in enumerate(spec.equations):
+            if any(m.degree() != 1 for m in eq):
+                raise ValidationError(f"{spec.id}: branch form {i} is not "
+                                      "homogeneous of degree 1")
+        if len(spec.equations) % 2:
+            raise ValidationError(
+                f"{spec.id}: {len(spec.equations)} branch forms; an odd "
+                "number has no quadratic character on P^3")
     diag = None
     if phi is not None:
         check_preserves(spec, phi)
@@ -346,13 +360,6 @@ def _two_group_count(model, p, label, flips=(False, False)):
 
 # ----------------------------------------------------------------- API
 
-def _field_degree(degree):
-    """Refuse a field degree other than the int 1 or 2: True == 1 is no
-    degree."""
-    if type(degree) is not int or degree not in (1, 2):
-        raise ValidationError(f"field_degree must be 1 or 2, not {degree!r}")
-
-
 def count_projective(spec, p, degree=1):
     """#X(F_{p^degree}) for a variety in (straight) projective space; over
     F_{p^2} the dense count of the Weil restrictions."""
@@ -519,20 +526,47 @@ def count_torus(a, t, p):
 
 
 def count_double_cover(spec, p):
-    """Points of w^2 = f(x) over P^3 with f the product of the stored
-    linear forms: sum over P^3 of 1 + chi(f(x)), chi the quadratic
-    character with chi(0) = 0."""
+    """Points of w^2 = f(x) over P^3, f the product of the stored linear
+    forms, an even number of them: the sum over P^3 of 1 + chi(f(x)), chi
+    the quadratic character with chi(0) = 0.
+
+    chi is multiplicative, 0 included, so the sum factors over the forms'
+    supports.  On each chunk of _count_dense (a chart or a slab of one)
+    every form is evaluated on the grid of the coordinates it reads, the
+    others given as 0-d arrays.  Forms are grouped by the chunk axes of
+    extent above 1 in their values; a group's product is reduced mod p
+    after each factor, so each product of two residues is below p^2 <
+    2^62.  One integer einsum contracts chi of every group over the chunk,
+    times the extent of each axis no group reads.  Each partial sum of that
+    contraction is a sum of +-1 and 0 over at most the chunk's cells, at
+    most _MAX_SLAB_CELLS = 4 10^6 in absolute value.  The cost is that of
+    the largest support grid: O(p^2) per chart for a double octic whose
+    planes each read at most two coordinates of a chart, and the full
+    O(p^3) grid when a form reads every coordinate.
+    """
     _opening(spec, p, "double_cover_p3", "double cover counts")
+    chi = _chi_table(p)
+    unread = np.zeros((), dtype=np.int64)
+    reads = [[any(m.exponents[i] and m.coefficient % p for m in eq)
+              for i in range(4)] for eq in spec.equations]
 
     def on_chart(coords):
-        # the first form's fresh values accumulate the product in place;
-        # with no form it is the empty product, the constant 1
-        forms = iter(spec.equations)
-        f = _eval_mono_list(next(forms, (Monomial(1, (0,) * 4),)), coords, p)
-        for eq in forms:
-            np.multiply(f, _eval_mono_list(eq, coords, p), out=f)
-            np.remainder(f, p, out=f)
-        return int(f.size + _chi_table(p)[f].sum())
+        shape = np.broadcast_shapes(*(c.shape for c in coords))
+        groups = {}
+        for eq, read in zip(spec.equations, reads):
+            v = _eval_mono_list(
+                eq, [c if r else unread for c, r in zip(coords, read)], p)
+            key = tuple(i for i, n in enumerate(v.shape) if n > 1)
+            if key in groups:
+                v *= groups[key]
+                v %= p
+            groups[key] = v
+        # the empty product is 1: a chunk with no form sums chi(1) per cell
+        ops = [x for key, v in groups.items() for x in (chi[v.squeeze()], key)]
+        chi_sum = int(np.einsum(*ops, (), optimize="greedy")) if ops else 1
+        seen = {i for key in groups for i in key}
+        chi_sum *= prod(n for i, n in enumerate(shape) if i not in seen)
+        return prod(shape) + chi_sum
 
     return _counted(spec.id, p, lambda: _count_dense(spec, p, (), on_chart=on_chart))
 

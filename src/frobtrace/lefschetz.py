@@ -18,8 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .catalog import (_MAX_SLAB_CELLS, Monomial, _chi_table, _eval_mono_list,
-                      _partial, _require_cells, _require_good, _restrict,
-                      _singular_scan)
+                      _field_degree, _partial, _require_cells, _require_good,
+                      _restrict, _singular_scan)
 from .errors import ValidationError
 from .ffield import kronecker, nonresidue, require_prime
 
@@ -221,8 +221,7 @@ def nodal_curve(spec, p, degree=1):
     vanishes is not a node, and is a ValidationError.
     """
     _require_good(spec, p)
-    if degree not in (1, 2):
-        raise ValidationError("degree must be 1 or 2")
+    _field_degree(degree)
     if spec.ambient.kind != "projective" or len(spec.equations) != 1 \
             or spec.ambient.n != 2:
         raise ValidationError(f"{spec.id}: need a plane curve")

@@ -7,6 +7,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -286,6 +287,77 @@ def test_double_cover_counts():
     assert count_double_cover(do, 11).count == 1489
     with pytest.raises(ValidationError):
         count_double_cover(do, 2)
+
+
+def _double_cover_reference(forms, p):
+    """The full-grid oracle of count_double_cover: on each chart the product
+    of the forms on every cell, reduced after each factor, then
+    sum 1 + chi."""
+    chi, total = catalog._chi_table(p), 0
+    for fixed in catalog._charts(p, 4):
+        coords = _grid(p, fixed)
+        f = np.ones(np.broadcast_shapes(*(c.shape for c in coords)), np.int64)
+        for eq in forms:
+            f = f * catalog._eval_mono_list(eq, coords, p) % p
+        total += f.size + int(chi[f].sum())
+    return total
+
+
+def test_double_cover_matches_full_grid_product():
+    do = CAT.variety("double_octic_template")
+    for p in SMALL_PRIMES:
+        assert count_double_cover(do, p).count \
+            == _double_cover_reference(do.equations, p), p
+    assert count_double_cover(do, 101).count \
+        == _double_cover_reference(do.equations, 101) == 1040503
+
+
+def _linear_form(terms):
+    return tuple(Monomial(c, tuple(int(i == v) for i in range(4)))
+                 for v, c in terms)
+
+
+# a linear form: one to four coordinates, coefficients that may vanish mod p
+LINEAR_FORMS = st.dictionaries(st.integers(0, 3), st.integers(-26, 26),
+                               min_size=1, max_size=4).map(
+    lambda d: _linear_form(sorted(d.items())))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.lists(LINEAR_FORMS, min_size=1, max_size=4).flatmap(
+           lambda pool: st.lists(st.sampled_from(pool), max_size=8)),
+       st.sampled_from([3, 5, 7, 11, 13]))
+@example(forms=[_linear_form([(0, 1)])] * 8, p=3)     # no group reads x1..x3
+@example(forms=[], p=5)
+def test_double_cover_factored_sum_matches_full_grid(forms, p):
+    # forms drawn from a small pool repeat; a form whose coefficients all
+    # vanish mod p is refused, as is an odd number of forms
+    spec = VarietySpec("cover", Ambient("double_cover_p3"), tuple(forms), 3,
+                       frozenset({2}), "test")
+    if len(forms) % 2:
+        with pytest.raises(ValidationError, match="odd number"):
+            count_double_cover(spec, p)
+    elif any(all(m.coefficient % p == 0 for m in eq) for eq in forms):
+        with pytest.raises(ValidationError, match="vanishes identically"):
+            count_double_cover(spec, p)
+    else:
+        assert count_double_cover(spec, p).count \
+            == _double_cover_reference(spec.equations, p)
+
+
+def test_double_cover_refuses_other_branch_loci():
+    x = [_linear_form([(v, 1)]) for v in range(4)]
+    quadric = (Monomial(1, (0, 1, 1, 0)), Monomial(1, (2, 0, 0, 0)))
+    for forms, why in [
+            ((x[0],), "1 branch forms; an odd number"),   # once counted 67 at 3
+            (tuple(x) * 2 + (x[0],), "9 branch forms; an odd number"),
+            ((x[0], quadric), "branch form 1 is not homogeneous of degree 1"),
+            ((quadric, x[1], x[2]), "branch form 0 is not homogeneous")]:
+        spec = VarietySpec("cover", Ambient("double_cover_p3"), forms, 3,
+                           frozenset({2}), "test")
+        for p in (3, 7):
+            with pytest.raises(ValidationError, match=why):
+                count_double_cover(spec, p)
 
 
 def test_double_cover_split_branch_formula():

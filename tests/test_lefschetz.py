@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -215,8 +217,13 @@ def test_elliptic_ap_guards():
     ep = CAT.variety("e_plane")
     with pytest.raises(RefusalError):
         elliptic_ap(ep, 5)
-    with pytest.raises(ValidationError):
-        elliptic_ap(ep, 7, degree=3)
+    # a degree is the int 1 or 2: 2.0 once gave the float -10.0 and True
+    # counted over F_7
+    for degree in (True, 2.0, "1", 3):
+        for scan in (elliptic_ap, nodal_curve):
+            with pytest.raises(ValidationError,
+                               match=re.escape(f"not {degree!r}") + "$"):
+                scan(ep, 7, degree)
     with pytest.raises(ValidationError):
         elliptic_ap(CAT.variety("schoen_x"), 7)
     with pytest.raises(ValidationError):
