@@ -229,13 +229,13 @@ class Catalog:
     def variety(self, vid):
         try:
             return self.varieties[vid]
-        except KeyError:
+        except (KeyError, TypeError):
             raise ValidationError(f"unknown variety {vid!r}") from None
 
     def involution(self, iid):
         try:
             return self.involutions[iid]
-        except KeyError:
+        except (KeyError, TypeError):
             raise ValidationError(f"unknown involution {iid!r}") from None
 
 

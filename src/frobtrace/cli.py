@@ -229,6 +229,10 @@ def match_rigid(variety_id, primes, calibration_prime, cat=None):
     node.  b2 splits as 1 + (b2-1): the hyperplane class plus classes
     supported on the node web, rational exactly when p = 1 mod 5.
     """
+    rigid = sorted(v for v, m in _MODELS.items() if m is _RIGID)
+    if variety_id not in rigid:
+        raise ValidationError(f"no match pipeline for {variety_id!r} in "
+                              f"match_rigid; use one of {rigid}")
     return _match(_RIGID, variety_id, primes, calibration_prime, cat)
 
 
@@ -248,7 +252,7 @@ def match_pipeline(variety_id, form, companion, primes, calibration_prime,
                    cat=None):
     if form != "f25":
         raise ValidationError(f"no matcher for form {form!r}")
-    model = _MODELS.get(variety_id)
+    model = _MODELS.get(variety_id) if isinstance(variety_id, str) else None
     if model is None:
         raise ValidationError(f"no match pipeline for {variety_id!r}")
     if model.companion is None and companion:
@@ -309,20 +313,6 @@ def _strip_times(obj):
     return obj
 
 
-# the fields each manifest op reads, besides "op"; an op with any other
-# field is refused before the manifest runs
-_OP_FIELDS = {
-    "count": ("variety", "p", "degree"),
-    "twisted_count": ("variety", "involution", "p"),
-    "torus_count": ("a", "t", "p"),
-    "euler": ("ledger", "moves", "expect_final"),
-    "betti": ("variety", "p", "chi", "expect_unique", "expect", "adjusted"),
-    "match": ("variety", "form", "companion", "primes", "calibration_prime"),
-    "livne": ("bad_primes", "check_set", "traces1", "traces2",
-              "dets_match_parity"),
-}
-
-
 class _Op(dict):
     """A manifest operation, whose missing fields are ValidationErrors."""
 
@@ -359,6 +349,91 @@ def _traces(doc):
     return {int(k): operator.index(v) for k, v in doc.items()}
 
 
+# Each handler takes an _Op and the catalog, which the match and Betti
+# handlers load when it is None, and returns the op's result fields and its
+# verdict.  run_manifest and the CLI commands both run them.
+
+def _op_count(op, cat):
+    rec = counting.count(cat.variety(op["variety"]), op["p"],
+                         op.of("degree", int, 1))
+    return {"record": asdict(rec)}, True
+
+
+def _op_twisted_count(op, cat):
+    rec = counting.count_twisted(cat.variety(op["variety"]),
+                                 cat.involution(op["involution"]), op["p"])
+    return {"record": asdict(rec)}, True
+
+
+def _op_torus_count(op, cat):
+    rec = counting.count_torus(op["a"], op["t"], op["p"])
+    return {"record": asdict(rec)}, True
+
+
+def _op_euler(op, cat):
+    moves = (lefschetz.quotient_ledger() if op.get("ledger") == "quotient"
+             else _typed(_ledger, op["moves"], "moves"))
+    res = lefschetz.euler_ledger(moves)
+    out = {"final": res.final, "checkpoints": list(res.checkpoints)}
+    if "expect_final" in op and op.of("expect_final", int) != res.final:
+        out["failed"] = True
+    return out, "failed" not in out
+
+
+def _op_betti(op, cat):
+    if op.get("variety", "schoen_quotient") != "schoen_quotient":
+        raise ValidationError(f"betti: no Betti count for variety "
+                              f"{op['variety']!r}; use schoen_quotient")
+    want = {k: op.of(f, t) for k, f, t in (
+        ("unique", "expect_unique", bool),
+        ("candidates", "expect", list)) if f in op}
+    rep = betti_report(op["p"], op["chi"], op.of("adjusted", bool, False),
+                       cat=cat)
+    if any(rep[k] != v for k, v in want.items()):
+        rep["failed"] = True
+    return rep, "failed" not in rep
+
+
+def _op_match(op, cat):
+    rep = match_pipeline(op["variety"], op.get("form", "f25"),
+                         op.get("companion"), op["primes"],
+                         op["calibration_prime"], cat=cat)
+    return rep.to_json(), rep.overall
+
+
+def _op_livne(op, cat):
+    bad = _typed(set, op["bad_primes"], "bad_primes")
+    t_set = _typed(lambda v: sorted(map(operator.index, v)), op["check_set"],
+                   "check_set")
+    if "traces1" in op or "traces2" in op:
+        tr1, tr2 = (_typed(_traces, op[k], k) for k in ("traces1", "traces2"))
+        rep = livne.livne_compare(tr1, tr2, bad, t_set,
+                                  op.of("dets_match_parity", bool, True))
+        return ({"status": rep.status, "detail": rep.detail},
+                rep.status == livne.STATUS_OK)
+    rep = livne.check_cover(bad, t_set)
+    return {"complete": rep.complete,
+            "missing": [list(m) for m in rep.missing],
+            "signatures": {str(p): list(s) for p, s in rep.signatures.items()}
+            }, rep.complete
+
+
+# op -> (the fields it reads besides "op", its handler); run_manifest
+# refuses an op with any other field before any op runs
+_OPS = {
+    "count": (("variety", "p", "degree"), _op_count),
+    "twisted_count": (("variety", "involution", "p"), _op_twisted_count),
+    "torus_count": (("a", "t", "p"), _op_torus_count),
+    "euler": (("ledger", "moves", "expect_final"), _op_euler),
+    "betti": (("variety", "p", "chi", "expect_unique", "expect", "adjusted"),
+              _op_betti),
+    "match": (("variety", "form", "companion", "primes", "calibration_prime"),
+              _op_match),
+    "livne": (("bad_primes", "check_set", "traces1", "traces2",
+               "dets_match_parity"), _op_livne),
+}
+
+
 def run_manifest(manifest, outdir=None):
     """Execute a reproduction manifest (dict or path to JSON).
 
@@ -375,81 +450,18 @@ def run_manifest(manifest, outdir=None):
     ops = [_Op(op) for op in ops]
     for op in ops:
         kind = op["op"]
-        if not isinstance(kind, str) or kind not in _OP_FIELDS:
+        if not isinstance(kind, str) or kind not in _OPS:
             raise ValidationError(f"unknown manifest op {kind!r}")
-        unread = sorted(set(op) - {"op", *_OP_FIELDS[kind]})
+        unread = sorted(set(op) - {"op", *_OPS[kind][0]})
         if unread:
             raise ValidationError(f"manifest op {kind!r} does not read "
                                   f"field {unread[0]!r}")
     cat = load_catalog()
-    results = []
-    ok = True
+    results, ok = [], True
     for op in ops:
-        kind = op["op"]
-        if kind == "count":
-            rec = counting.count(cat.variety(op["variety"]), op["p"],
-                                 op.of("degree", int, 1))
-            results.append({"op": kind, "record": asdict(rec)})
-        elif kind == "twisted_count":
-            spec = cat.variety(op["variety"])
-            phi = cat.involution(op["involution"])
-            rec = counting.count_twisted(spec, phi, op["p"])
-            results.append({"op": kind, "record": asdict(rec)})
-        elif kind == "torus_count":
-            rec = counting.count_torus(op["a"], op["t"], op["p"])
-            results.append({"op": kind, "record": asdict(rec)})
-        elif kind == "euler":
-            moves = (lefschetz.quotient_ledger() if op.get("ledger") == "quotient"
-                     else _typed(_ledger, op["moves"], "moves"))
-            res = lefschetz.euler_ledger(moves)
-            out = {"op": kind, "final": res.final,
-                   "checkpoints": list(res.checkpoints)}
-            if "expect_final" in op and \
-                    op.of("expect_final", int) != res.final:
-                out["failed"] = True
-                ok = False
-            results.append(out)
-        elif kind == "betti":
-            if op.get("variety", "schoen_quotient") != "schoen_quotient":
-                raise ValidationError(f"betti: no Betti count for variety "
-                                      f"{op['variety']!r}; use schoen_quotient")
-            want = {k: op.of(f, t) for k, f, t in (
-                ("unique", "expect_unique", bool),
-                ("candidates", "expect", list)) if f in op}
-            rep = betti_report(op["p"], op["chi"],
-                               op.of("adjusted", bool, False), cat=cat)
-            if any(rep[k] != v for k, v in want.items()):
-                rep["failed"] = True
-                ok = False
-            results.append({"op": kind, **rep})
-        elif kind == "match":
-            rep = match_pipeline(op["variety"], op.get("form", "f25"),
-                                 op.get("companion"), op["primes"],
-                                 op["calibration_prime"], cat=cat)
-            if not rep.overall:
-                ok = False
-            results.append({"op": kind, **rep.to_json()})
-        else:                                          # livne
-            bad = _typed(set, op["bad_primes"], "bad_primes")
-            t_set = _typed(sorted, op["check_set"], "check_set")
-            if "traces1" in op or "traces2" in op:
-                tr1, tr2 = (_typed(_traces, op[k], k)
-                            for k in ("traces1", "traces2"))
-                rep = livne.livne_compare(
-                    tr1, tr2, bad, t_set,
-                    op.of("dets_match_parity", bool, True))
-                if rep.status != livne.STATUS_OK:
-                    ok = False
-                results.append({"op": kind, "status": rep.status,
-                                "detail": rep.detail})
-            else:
-                rep = livne.check_cover(bad, t_set)
-                if not rep.complete:
-                    ok = False
-                results.append({"op": kind, "complete": rep.complete,
-                                "missing": [list(m) for m in rep.missing],
-                                "signatures": {str(p): list(s)
-                                               for p, s in rep.signatures.items()}})
+        fields, verdict = _OPS[op["op"]][1](op, cat)
+        results.append({"op": op["op"], **fields})
+        ok = ok and verdict
     doc = {"id": manifest.get("id", ""), "ok": ok,
            "results": _strip_times(results)}
     if outdir is not None:
@@ -488,16 +500,17 @@ def _cmd_catalog(args):
 
 def _cmd_count(args):
     cat = load_catalog()
-    spec = cat.variety(args.variety)
     if args.involution is None:
-        rec = counting.count(spec, args.p, args.degree)
+        rec = _op_count(_Op(op="count", variety=args.variety, p=args.p,
+                            degree=args.degree), cat)[0]["record"]
     else:
-        rec = counting.count_twisted(spec, cat.involution(args.involution),
-                                     args.p)
+        rec = _op_twisted_count(_Op(op="twisted_count", variety=args.variety,
+                                    involution=args.involution, p=args.p),
+                                cat)[0]["record"]
     if args.out:
         with open(args.out, "a") as fh:
-            counting.write_records([rec], fh)
-    print(json.dumps(asdict(rec), sort_keys=True))
+            counting.write_records([counting.CountRecord(**rec)], fh)
+    print(json.dumps(rec, sort_keys=True))
     return 0
 
 
@@ -524,19 +537,18 @@ def _cmd_betti(args):
         doc = {"p": args.p, "chi": args.chi, "count": args.count,
                "candidates": cands, "unique": len(cands) == 1}
     else:
-        if args.variety != "schoen_quotient":
-            raise ValidationError("betti: pass --count or use schoen_quotient")
-        doc = betti_report(args.p, args.chi, args.adjusted)
+        doc = _op_betti(_Op(op="betti", variety=args.variety, p=args.p,
+                            chi=args.chi, adjusted=args.adjusted), None)[0]
     print(json.dumps(doc, indent=1, sort_keys=True))
     return 0
 
 
 def _cmd_euler(args):
-    res = lefschetz.euler_ledger(_typed(_ledger, json.loads(args.moves),
-                                        "--moves")
-                                 if args.moves else lefschetz.quotient_ledger())
-    print(json.dumps({"final": res.final,
-                      "checkpoints": list(res.checkpoints)}))
+    op = _Op(op="euler", ledger="quotient")
+    if args.moves:
+        op = _Op(op="euler", moves=json.loads(args.moves))
+        _typed(_ledger, op["moves"], "--moves")     # so errors name the flag
+    print(json.dumps(_op_euler(op, None)[0]))
     return 0
 
 
@@ -604,30 +616,27 @@ def _read_traces_csv(path):
 
 
 def _cmd_livne(args):
-    s = set(_int_list(args.bad_primes, "--bad-primes"))
-    t_set = _int_list(args.check_set, "--check-set")
+    op = _Op(op="livne", bad_primes=_int_list(args.bad_primes, "--bad-primes"),
+             check_set=_int_list(args.check_set, "--check-set"))
     if (args.traces1 is None) != (args.traces2 is None):
         given, missing = (("--traces1", "--traces2") if args.traces2 is None
                           else ("--traces2", "--traces1"))
         raise ValidationError(f"{given} needs {missing}")
     if args.traces1 is not None:
-        tr1 = _read_traces_csv(args.traces1)
-        tr2 = _read_traces_csv(args.traces2)
-        rep = livne.livne_compare(tr1, tr2, s, t_set,
-                                  not args.dets_differ)
-        print(json.dumps({"status": rep.status, "detail": rep.detail}))
-        return 0 if rep.status == livne.STATUS_OK else 3
-    rep = livne.check_cover(s, t_set)
-    print(json.dumps({"complete": rep.complete,
-                      "missing": [list(m) for m in rep.missing]}))
-    return 0 if rep.complete else 3
+        op.update(traces1=_read_traces_csv(args.traces1),
+                  traces2=_read_traces_csv(args.traces2),
+                  dets_match_parity=not args.dets_differ)
+    doc, ok = _op_livne(op, None)
+    doc.pop("signatures", None)             # a cover check prints none
+    print(json.dumps(doc))
+    return 0 if ok else 3
 
 
 def _cmd_match(args):
-    rep = match_pipeline(args.variety, args.form, args.companion,
-                         _int_list(args.primes, "--primes"),
-                         args.calibration_prime)
-    doc = rep.to_json()
+    doc, ok = _op_match(_Op(op="match", variety=args.variety,
+                            form=args.form, companion=args.companion,
+                            primes=_int_list(args.primes, "--primes"),
+                            calibration_prime=args.calibration_prime), None)
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(doc, fh, indent=1, sort_keys=True)
@@ -637,10 +646,11 @@ def _cmd_match(args):
             w = csv.writer(fh)
             w.writerow(["p", "N_p", "b2", "correction", "t3", "candidate_ap",
                         "match"])
-            w.writerows([r.p, r.n_p, r.b2, r.correction, r.t3, r.candidate_ap,
-                         "true" if r.equal else "false"] for r in rep.rows)
+            w.writerows([*map(r.get, ("p", "n_p", "b2", "correction", "t3",
+                                      "candidate_ap")),
+                         "true" if r["equal"] else "false"] for r in doc["rows"])
     print(json.dumps(doc, indent=1, sort_keys=True))
-    return 0 if rep.overall else 3
+    return 0 if ok else 3
 
 
 def _cmd_run(args):

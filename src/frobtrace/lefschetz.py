@@ -109,7 +109,6 @@ _MOVES = {
     "resolve_nodes_big": (1, lambda chi, k: chi + 3 * k),
     "resolve_nodes_small": (1, lambda chi, k: chi + k),
 }
-LEDGER_KINDS = tuple(_MOVES)
 
 
 @dataclass(frozen=True)
@@ -125,30 +124,6 @@ class LedgerMove:
             raise ValidationError(f"{self.kind} takes {want} argument(s)")
 
 
-def base_chi(v):
-    return LedgerMove("base_chi", (v,))
-
-
-def contract_nodes(k):
-    return LedgerMove("contract_nodes", (k,))
-
-
-def riemann_hurwitz(chi_fixed):
-    return LedgerMove("riemann_hurwitz", (chi_fixed,))
-
-
-def replace(old, new):
-    return LedgerMove("replace", (old, new))
-
-
-def resolve_nodes_big(k):
-    return LedgerMove("resolve_nodes_big", (k,))
-
-
-def resolve_nodes_small(k):
-    return LedgerMove("resolve_nodes_small", (k,))
-
-
 @dataclass(frozen=True)
 class LedgerResult:
     final: int
@@ -159,13 +134,14 @@ def euler_ledger(moves):
     """Fold a list of LedgerMoves into an Euler characteristic, each by
     its step in _MOVES.
 
-    Moves: base_chi(v) starts the ledger (must come first and only first);
-    contract_nodes(k) contracts k vanishing 3-spheres to points (+k);
-    riemann_hurwitz(c) passes to a free-away-from-fixed double quotient,
-    chi -> (chi + c)/2 with c the fixed locus characteristic (must divide
-    evenly); replace(old, new) swaps a subset of characteristic old for one
-    of characteristic new; resolve_nodes_big(k) blows up k nodes into
-    quadric surfaces (+3k); resolve_nodes_small(k) into lines (+k).
+    Kinds, with their arguments: base_chi (v) starts the ledger (must come
+    first and only first); contract_nodes (k) contracts k vanishing
+    3-spheres to points (+k); riemann_hurwitz (c) passes to a
+    free-away-from-fixed double quotient, chi -> (chi + c)/2 with c the
+    fixed locus characteristic (must divide evenly); replace (old, new)
+    swaps a subset of characteristic old for one of characteristic new;
+    resolve_nodes_big (k) blows up k nodes into quadric surfaces (+3k);
+    resolve_nodes_small (k) into lines (+k).
     """
     if not moves or moves[0].kind != "base_chi":
         raise ValidationError("ledger must start with base_chi")
@@ -181,8 +157,10 @@ def quotient_ledger():
     contract 125 nodes, quotient by the involution (fixed locus a line plus
     a 5-nodal plane quintic curve, chi = 2 - 5), replace the line and the
     curve by P^1-bundles, then big-resolve the 70 remaining nodes."""
-    return [base_chi(-200), contract_nodes(125), riemann_hurwitz(-3),
-            replace(2, 4), replace(-5, -10), resolve_nodes_big(70)]
+    return [LedgerMove(*m) for m in (
+        ("base_chi", (-200,)), ("contract_nodes", (125,)),
+        ("riemann_hurwitz", (-3,)), ("replace", (2, 4)),
+        ("replace", (-5, -10)), ("resolve_nodes_big", (70,)))]
 
 
 # --------------------------------------------- elliptic curve normalization

@@ -138,6 +138,76 @@ def test_bad_normalization_refused_at_load():
             catalog_from_json(with_block(**edit))
 
 
+def _entry(doc, eid, kind="varieties"):
+    return next(v for v in doc[kind] if v["id"] == eid)
+
+
+def _odd_chi(doc):
+    # a chi variable needs b1, b2 and chi of even weight; on P^5 every
+    # weight is 1, and the refusal comes before the equations are compared
+    doc["varieties"].append({
+        "id": "odd_chi", "ambient": {"kind": "projective", "n": 5},
+        "dimension": 3, "equations": [[[1, [2, 0, 0, 0, 0, 0]]]],
+        "bad_primes": [2], "provenance": "test",
+        "count_model": {"shared": 0, "coupling": 0, "chi": 5, "groups": [
+            {"vars": [1, 2], "r": [[1, [1, 0, 0]]], "m": []},
+            {"vars": [3, 4], "r": [[1, [1, 0, 0]]], "m": []}]}})
+
+
+def _set(eid, path, value, kind="varieties"):
+    """An edit setting the value at path (keys and indices) in one entry."""
+    def edit(doc):
+        node = _entry(doc, eid, kind)
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return edit
+
+
+LOADER_REFUSALS = [
+    (_set("e_plane", ["ambient", "kind"], "affine"),
+     "unknown ambient kind 'affine'"),
+    (_set("e_plane", ["equations", 0], []), "e_plane: equation 0 is empty"),
+    (_set("iota_x", ["matrix", 2], [0, 1], kind="involutions"),
+     "iota_x: matrix not square"),
+    (_set("schoen_y", ["count_model", "groups", 0, "vars"], [1]),
+     "schoen_y: count_model needs two groups of two variables"),
+    (_set("schoen_y", ["count_model", "shared"], 1),
+     r"variables \[1, 1, 4, 2, 3\] are not distinct indices below 5"),
+    (_set("schoen_y", ["count_model", "groups", 0, "r", 0, 1], [0, 5]),
+     r"monomials must be in \(a, b, s\)"),
+    (_set("schoen_y", ["count_model", "groups", 0, "m", 0, 1], [2, 0, 1]),
+     "m may not contain the shared variable"),
+    (_set("schoen_quotient", ["count_model", "groups", 0, "vars"], [4, 1]),
+     "needs weight 1 on s, a1, a2 and one weight on b1, b2, chi"),
+    (_odd_chi, "odd_chi: count_model chi needs an even weight"),
+    (_set("schoen_y", ["count_model", "groups", 0, "m"],
+          [[1, [3, 0, 0]], [-1, [0, 3, 0]]]),
+     "coupling term has no positive power of s"),
+    (_set("schoen_x", ["count_model", "map", 4], [0, 1, 0, 0]),
+     "schoen_x: count_model map does not fit schoen_y"),
+    (_set("schoen_x", ["count_model", "onto"], "nope"),
+     "schoen_x: count_model maps onto unknown variety 'nope'"),
+    (_set("e_plane", ["normalization", "weierstrass"], [1, 1, 1, -3]),
+     "e_plane: normalization needs the five coefficients"),
+    (lambda doc: doc["varieties"].append(_entry(doc, "e_plane")),
+     "duplicate variety id 'e_plane'"),
+    (_set("iota_x", ["variety_id"], "nope", kind="involutions"),
+     "involution 'iota_x' references unknown variety"),
+]
+
+
+def test_loader_refusals():
+    # each structural refusal of catalog_from_json, on an edited copy of
+    # the shipped catalog, which itself loads
+    catalog_from_json(copy.deepcopy(SHIPPED))
+    for edit, why in LOADER_REFUSALS:
+        doc = copy.deepcopy(SHIPPED)
+        edit(doc)
+        with pytest.raises(ValidationError, match=why):
+            catalog_from_json(doc)
+
+
 def test_model_maps_onto_declared_model():
     doc = copy.deepcopy(SHIPPED)
     for v in doc["varieties"]:

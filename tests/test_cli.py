@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import shutil
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import frobtrace
-from frobtrace import catalog, cli, lefschetz, qexp
+from frobtrace import catalog, cli, counting, lefschetz, qexp
 from frobtrace.cli import (DISC_CANDIDATES, betti_report, main, match_pipeline,
                            match_quotient, match_rigid,
                            quotient_resolved_count, run_manifest)
@@ -375,6 +376,159 @@ def test_match_needs_a_check_row(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _printed(capsys, args):
+    """main(args)'s exit code and its stdout as JSON, wall times stripped."""
+    code = main(args)
+    return code, cli._strip_times(json.loads(capsys.readouterr().out))
+
+
+def _op_result(op):
+    """The result fields of one manifest op as JSON data, without "op",
+    and its ok."""
+    doc, ok = run_manifest({"operations": [op]})
+    fields = json.loads(json.dumps(doc["results"][0]))
+    del fields["op"]
+    return fields, ok
+
+
+def test_cli_commands_print_the_op_results(capsys, tmp_path):
+    # count, twisted-count, euler, betti, match and livne run the manifest
+    # op's handler: the same JSON and the same verdict
+    code, out = _printed(capsys, ["twisted-count", "--variety", "schoen_y",
+                                  "--involution", "iota_y", "--p", "7"])
+    assert code == 0 and out["count"] == 401 and out["twist_id"] == "iota_y"
+    assert {"record": out} == _op_result(
+        {"op": "twisted_count", "variety": "schoen_y", "involution": "iota_y",
+         "p": 7})[0]
+    code, out = _printed(capsys, ["count", "--variety", "e_plane", "--p", "7",
+                                  "--degree", "2"])
+    assert {"record": out} == _op_result(
+        {"op": "count", "variety": "e_plane", "p": 7, "degree": 2})[0]
+    assert out["field_degree"] == 2
+    code, out = _printed(capsys, ["euler"])
+    assert code == 0 and out == {"final": 168, "checkpoints":
+                                 [-200, -75, -39, -37, -42, 168]}
+    assert out == _op_result({"op": "euler", "ledger": "quotient"})[0]
+    moves = [["base_chi", [10]], ["contract_nodes", [4]]]
+    code, out = _printed(capsys, ["euler", "--moves", json.dumps(moves)])
+    assert code == 0 and out["final"] == 14
+    assert out == _op_result({"op": "euler", "moves": moves})[0]
+    code, out = _printed(capsys, ["betti", "--p", "31", "--chi", "168"])
+    assert code == 0 and out == _op_result(
+        {"op": "betti", "p": 31, "chi": 168})[0]
+    code, out = _printed(capsys, ["match", "--variety", "schoen_x",
+                                  "--primes", "3,7", "--calibration-prime",
+                                  "11"])
+    assert code == 0 and out == _op_result(
+        {"op": "match", "variety": "schoen_x", "primes": [3, 7],
+         "calibration_prime": 11})[0]
+    # a cover check prints no signatures; the exit code is the op's verdict
+    for check_set, want in (([3, 7, 11, 13, 17, 29, 31], 0), ([3, 7], 3)):
+        code, out = _printed(capsys, ["livne", "--bad-primes", "2,5",
+                                      "--check-set",
+                                      ",".join(map(str, check_set))])
+        fields, ok = _op_result({"op": "livne", "bad_primes": [2, 5],
+                                 "check_set": check_set})
+        assert code == want and ok == (want == 0)
+        assert "signatures" in fields and "signatures" not in out
+        assert out == {k: v for k, v in fields.items() if k != "signatures"}
+    # traces of 2 at every prime of the cover agree; on {3, 7} the cover
+    # is incomplete
+    traces = {p: 2 for p in (3, 7, 11, 13, 17, 29, 31)}
+    path = tmp_path / "traces.csv"
+    path.write_text("p,trace\n" + "".join(f"{p},{t}\n"
+                                           for p, t in traces.items()))
+    for check_set, status, want in (
+            ("3,7,11,13,17,29,31", "isomorphic_semisimplifications", 0),
+            ("3,7", "cover_incomplete", 3)):
+        code, out = _printed(capsys, ["livne", "--bad-primes", "2,5",
+                                      "--check-set", check_set,
+                                      "--traces1", str(path),
+                                      "--traces2", str(path)])
+        assert code == want and out["status"] == status
+        doc = {str(p): t for p, t in traces.items()}
+        assert (out, want == 0) == _op_result(
+            {"op": "livne", "bad_primes": [2, 5],
+             "check_set": [int(p) for p in check_set.split(",")],
+             "traces1": doc, "traces2": doc})
+
+
+def test_trace_command(capsys):
+    code, out = _printed(capsys, ["trace", "--variety", "schoen_x",
+                                  "--p", "11", "--b2", "25"])
+    assert code == 0 and out == {"N_p": 3300, "b2": 25, "correction": 1375,
+                                 "p": 11, "t3": -43}
+    # outside the rigid pipeline the nodes come from the node scan: 6 at 7
+    code, out = _printed(capsys, ["trace", "--variety", "hm_quintic",
+                                  "--p", "7", "--b2", "1"])
+    assert code == 0 and (out["N_p"], out["correction"]) == (406, -42)
+
+
+def test_eta_form_command(capsys):
+    code, out = _printed(capsys, ["eta", "--form", "f25", "--terms", "5"])
+    assert code == 0 and out == {"1": 1, "2": 1, "3": 7, "4": -7, "5": 0}
+
+
+def test_count_out_appends_records(capsys, tmp_path):
+    out = tmp_path / "counts.jsonl"
+    for args in (["count", "--variety", "schoen_x", "--p", "7"],
+                 ["twisted-count", "--variety", "schoen_y", "--involution",
+                  "iota_y", "--p", "7"]):
+        assert main([*args, "--out", str(out)]) == 0
+    printed = [json.loads(line) for line in
+               capsys.readouterr().out.splitlines()]
+    with open(out) as fh:
+        records = counting.read_records(fh)
+    assert [dataclasses.asdict(r) for r in records] == printed
+    assert [(r.variety_id, r.twist_id, r.count) for r in records] == \
+        [("schoen_x", None, 401), ("schoen_y", "iota_y", 401)]
+
+
+def test_catalog_command_id_and_path(capsys, tmp_path):
+    assert main(["catalog", "--id", "e_plane"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["id"] == "e_plane"
+    assert doc["normalization"]["weierstrass"] == [1, 1, 1, -3, 1]
+    # --path reads the catalog it names: here a copy without hm_quintic
+    shipped = catalog.catalog_to_json(catalog.load_catalog())
+    shipped["varieties"] = [v for v in shipped["varieties"]
+                            if v["id"] != "hm_quintic"]
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(shipped))
+    assert main(["catalog", "--path", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "schoen_x: projective" in out and "hm_quintic" not in out
+    assert main(["catalog", "--path", str(path), "--id", "hm_quintic"]) == 1
+
+
+def test_manifest_ops_and_verdicts(tmp_path, capsys):
+    torus = {"op": "torus_count", "a": [1, 1, 1, 1, 1], "t": 25, "p": 7}
+    betti = {"op": "betti", "p": 3, "chi": 168, "expect_unique": True}
+    cover = {"op": "livne", "bad_primes": [2, 5], "check_set": [3, 7]}
+    fields, ok = _op_result(torus)
+    assert ok and fields["record"]["count"] == 201
+    fields, ok = _op_result(betti)
+    assert not ok and fields["failed"] and not fields["unique"]
+    fields, ok = _op_result(cover)
+    assert not ok and not fields["complete"] and "failed" not in fields
+    manifest = tmp_path / "verdicts.json"
+    for op, code in ((torus, 0), (betti, 3), (cover, 3)):
+        manifest.write_text(json.dumps({"operations": [op]}))
+        assert main(["run", str(manifest)]) == code, op
+    capsys.readouterr()
+
+
+def test_match_rigid_refuses_other_varieties():
+    # the rigid pipeline is the nodal quintic's; no other variety is
+    # calibrated against f25 by it, and a bad prime of one is not reached
+    for vid in ("e_plane", "hm_quintic", "consani_scholten",
+                "schoen_quotient"):
+        with pytest.raises(ValidationError,
+                           match=f"^no match pipeline for '{vid}'"):
+            match_rigid(vid, [3, 7, 13], 11)
+    assert match_rigid("schoen_y", [3, 7], 11).overall
+
+
 def test_run_manifest_inline(tmp_path):
     manifest = {
         "id": "smoke",
@@ -446,6 +600,21 @@ def test_run_manifest_flags_are_typed(tmp_path, capsys):
         assert main(["run", str(manifest)]) == 1, op
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {field} "), err
+
+
+def test_run_manifest_refuses_unhashable_fields():
+    # a list where an id or a prime belongs is bad input, not a TypeError
+    for op, why in (
+            ({"op": "count", "variety": ["x"], "p": 7},
+             r"unknown variety \['x'\]"),
+            ({"op": "twisted_count", "variety": "schoen_y",
+              "involution": ["i"], "p": 7}, r"unknown involution \['i'\]"),
+            ({"op": "match", "variety": ["x"], "primes": [3],
+              "calibration_prime": 11}, r"no match pipeline for \['x'\]"),
+            ({"op": "livne", "bad_primes": [2, 5], "check_set": [[3]]},
+             r"check_set \[\[3\]\] has the wrong type")):
+        with pytest.raises(ValidationError, match=f"^{why}$"):
+            run_manifest({"operations": [op]})
 
 
 def test_run_manifest_unknown_op():

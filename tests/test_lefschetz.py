@@ -8,12 +8,9 @@ from frobtrace.catalog import (Ambient, Monomial, VarietySpec, load_catalog,
 from frobtrace.counting import count_projective
 from frobtrace.errors import RefusalError, ValidationError
 from frobtrace.ffield import is_prime
-from frobtrace.lefschetz import (LedgerMove, base_chi, contract_nodes,
-                                 declared_curve, elliptic_ap, euler_ledger,
-                                 nodal_curve,
-                                 node_correction, quotient_ledger, replace,
-                                 resolve_nodes_big, riemann_hurwitz,
-                                 solve_betti, trace_h3)
+from frobtrace.lefschetz import (LedgerMove, declared_curve, elliptic_ap,
+                                 euler_ledger, nodal_curve, node_correction,
+                                 quotient_ledger, solve_betti, trace_h3)
 
 CAT = load_catalog()
 
@@ -102,24 +99,42 @@ def test_euler_ledger():
     assert res.checkpoints == (-200, -75, -39, -37, -42, 168)
 
 
+def _ledger(*moves):
+    return [LedgerMove(kind, tuple(args)) for kind, *args in moves]
+
+
 def test_euler_ledger_equivalences():
-    # the two cheap moves commute; big resolution adds 3 per node
-    a = euler_ledger([base_chi(10), contract_nodes(4), replace(2, 6)]).final
-    b = euler_ledger([base_chi(10), replace(2, 6), contract_nodes(4)]).final
+    # the two cheap moves commute; big resolution adds 3 per node, small
+    # resolution 1, and the double quotient halves chi + chi_fixed
+    a = euler_ledger(_ledger(("base_chi", 10), ("contract_nodes", 4),
+                             ("replace", 2, 6))).final
+    b = euler_ledger(_ledger(("base_chi", 10), ("replace", 2, 6),
+                             ("contract_nodes", 4))).final
     assert a == b == 18
-    assert euler_ledger([base_chi(0), resolve_nodes_big(7)]).final == 21
+    assert euler_ledger(_ledger(("base_chi", 0),
+                                ("resolve_nodes_big", 7))).final == 21
+    assert euler_ledger(_ledger(("base_chi", 0), ("resolve_nodes_small", 7),
+                                ("riemann_hurwitz", 3))).checkpoints == \
+        (0, 7, 5)
+    assert quotient_ledger() == _ledger(
+        ("base_chi", -200), ("contract_nodes", 125), ("riemann_hurwitz", -3),
+        ("replace", 2, 4), ("replace", -5, -10), ("resolve_nodes_big", 70))
 
 
 def test_euler_ledger_guards():
-    with pytest.raises(ValidationError):
-        euler_ledger([contract_nodes(5)])
-    with pytest.raises(ValidationError):
-        euler_ledger([base_chi(1), base_chi(2)])
-    with pytest.raises(ValidationError):
-        euler_ledger([base_chi(-200), riemann_hurwitz(-3)])
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="start with base_chi"):
+        euler_ledger(_ledger(("contract_nodes", 5)))
+    with pytest.raises(ValidationError, match="start with base_chi"):
+        euler_ledger([])
+    with pytest.raises(ValidationError, match="only allowed as the first"):
+        euler_ledger(_ledger(("base_chi", 1), ("base_chi", 2)))
+    with pytest.raises(ValidationError, match="-203 is odd"):
+        euler_ledger(_ledger(("base_chi", -200), ("riemann_hurwitz", -3)))
+    with pytest.raises(ValidationError, match="replace takes 2 argument"):
         LedgerMove("replace", (2,))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="base_chi takes 1 argument"):
+        LedgerMove("base_chi", ())
+    with pytest.raises(ValidationError, match="unknown ledger move 'divide'"):
         LedgerMove("divide", (2,))
 
 
