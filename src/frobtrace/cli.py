@@ -533,12 +533,21 @@ def _cmd_trace(args):
 
 def _cmd_betti(args):
     if args.count is not None:
+        unread = [flag for flag, given in (
+            ("--variety", args.variety is not None),
+            ("--adjusted", args.adjusted)) if given]
+        if unread:
+            raise ValidationError(
+                f"betti --count reads no {' or '.join(unread)}; it solves "
+                "for the given count alone")
         cands = lefschetz.solve_betti(args.count, args.p, args.chi)
         doc = {"p": args.p, "chi": args.chi, "count": args.count,
                "candidates": cands, "unique": len(cands) == 1}
     else:
-        doc = _op_betti(_Op(op="betti", variety=args.variety, p=args.p,
-                            chi=args.chi, adjusted=args.adjusted), None)[0]
+        op = _Op(op="betti", p=args.p, chi=args.chi, adjusted=args.adjusted)
+        if args.variety is not None:         # else _op_betti's default
+            op["variety"] = args.variety
+        doc = _op_betti(op, None)[0]
     print(json.dumps(doc, indent=1, sort_keys=True))
     return 0
 
@@ -694,7 +703,7 @@ def build_parser():
     q.set_defaults(fn=_cmd_trace)
 
     q = sub.add_parser("betti", help="solve for Betti numbers from a count")
-    q.add_argument("--variety", default="schoen_quotient")
+    q.add_argument("--variety", help="schoen_quotient unless --count")
     q.add_argument("--p", type=int, required=True)
     q.add_argument("--chi", type=int, required=True)
     q.add_argument("--count", type=int)

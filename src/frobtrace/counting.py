@@ -24,6 +24,20 @@ coordinate, and the torus count at p = 2 one grid with the zero
 coordinates masked out.  count() picks the counter for a variety's
 ambient space.
 
+A chunk of one equation over F_p eliminates a coordinate where the
+equation's degrees allow it (_elimination): the free coordinate x_v of
+least degree d on the chart, when p^d is at most the chart's cells over p
+and at most _MAX_SLAB_CELLS.  The coefficients c_k of x_v^k are evaluated
+on the grid of the other free coordinates, p^(free-1) cells, and each
+cell adds the roots of sum_k c_k x^k, read from a cached table of root
+counts of monic polynomials of degree k (_root_table, p^k entries) at the
+coefficients scaled by the top one's inverse (_count_roots).  Table
+indices stay below p^d and products of residues below p^2, held by ifs
+that python -O keeps.  The rule reads no variety id, and is made per
+chart, so the slabs of a cut chart share one table; chunk lists, chunk
+counts and cell budgets are those of the full grid, which counts every
+other chunk and is the elimination's oracle in the tests.
+
 Every counter ends in the one dispatch _counted, which runs the two-group
 kernel where the declared model counts at p and the dense path otherwise,
 and times the run into the CountRecord; those of catalog varieties open
@@ -47,10 +61,10 @@ from math import gcd, prod
 
 import numpy as np
 
-from .catalog import (TORUS_FAMILY, Monomial, _charts, _chi_table,
-                      _compose_equation, _eval_mono_list, _field_degree,
-                      _grid, _power, _ratio, _require_cells, _restrict,
-                      _zeros)
+from .catalog import (_MAX_SLAB_CELLS, TORUS_FAMILY, Monomial, _charts,
+                      _chi_table, _compose_equation, _eval_mono_list,
+                      _field_degree, _grid, _power, _ratio, _require_cells,
+                      _restrict, _zeros)
 from .errors import FrobtraceError, RefusalError, ValidationError
 from .ffield import nonresidue, require_prime
 
@@ -135,13 +149,116 @@ def _counted(vid, p, dense, model=None, degree=1, twist_id=None,
 def _count_dense(spec, p, eqs, degree=1, on_chart=None):
     """(count, chunk count) of the common zeros of eqs, monomial lists on
     P^{nvars-1} (over F_{p^2}: their restrictions), or of on_chart(coords)
-    summed over the charts, chart by chart."""
+    summed over the charts, chart by chart.  A chunk of one equation over
+    F_p is counted by _count_roots where _elimination selects it, and on
+    the full grid otherwise."""
     nv = spec.ambient.nvars
     if degree == 1:          # _charts refuses F_{p^2} charts by its budget
         _require_cells("dense count", p, lambda q: q ** (nv - 1), _MAX_DENSE_TOTAL)
     chunks = _charts(p, nv, degree)
     on_chart = on_chart or (lambda c: int(np.count_nonzero(_zeros(eqs, c, p))))
-    return sum(_run_chunks(lambda f: on_chart(_grid(p, f)), chunks)), len(chunks)
+    one = degree == 1 and len(eqs) == 1
+
+    def worker(fixed):
+        plan = one and _elimination(
+            tuple(eqs[0]), fixed.index(1), nv,
+            tuple(i for i, x in enumerate(fixed) if x is None), p)
+        if not plan:
+            return on_chart(_grid(p, fixed))
+        v, parts = plan
+        return _count_roots(parts, _grid(p, fixed[:v] + [0] + fixed[v + 1:]),
+                            p)
+
+    return sum(_run_chunks(worker, chunks)), len(chunks)
+
+
+@lru_cache(maxsize=256)
+def _elimination(eq, lead, nv, free, p):
+    """How a chunk of the count of the one equation eq at p is counted: on
+    the chart x_lead = 1, x_i = 0 for i < lead, of P^{nv-1}, whose free
+    coordinates in the chunk are free (a slab fixes the chart's first),
+    the coordinate v of free of least degree d in eq mod p there is
+    eliminated, and (v, parts) is returned, parts[k] the coefficient c_k
+    of x_v^k as a monomial tuple without x_v.  The rule reads degrees
+    alone, per chart, so the slabs of a cut chart share one plan and one
+    table: it holds when p^d is at most the chart's p^(nv-lead-1) cells
+    over p and at most _MAX_SLAB_CELLS, so that the table of _root_table
+    is no larger than a slab.  Otherwise None: the full grid."""
+    if not free:
+        return None
+    live = [m for m in eq if m.coefficient % p and not any(m.exponents[:lead])]
+    d, v = min((max((m.exponents[i] for m in live), default=0), i)
+               for i in free)
+    if d > nv - lead - 2 or p ** d > _MAX_SLAB_CELLS:
+        return None
+    parts = [[] for _ in range(d + 1)]
+    for m in live:
+        e = m.exponents
+        parts[e[v]].append(Monomial(m.coefficient, e[:v] + (0,) + e[v + 1:]))
+    return v, tuple(map(tuple, parts))
+
+
+def _count_roots(parts, coords, p):
+    """The zeros on a chunk of sum_k c_k x_v^k, c_k the values of parts[k]
+    on coords (the chunk's _grid with x_v fixed): each cell adds the roots
+    of its polynomial in x_v.  A cell whose top nonzero coefficient is c_k,
+    k >= 1, reads _root_table(k, p) at the monic polynomial c_k^-1 sum_j
+    c_j x^j; a cell with c_k = 0 for every k >= 1 adds p where c_0 = 0 and
+    nothing otherwise.  Degree k runs on all cells left, with c_k^-1 read
+    as 0 where c_k = 0: those cells read index 0, x^k, whose one root is
+    taken back, and only they go on to degree k - 1.  Each product
+    c_j c_k^-1 is of two residues, below p^2 < 2^62 (the evaluator refuses
+    p >= 2^31), and each table index is below p^k <= p^d, which
+    _elimination holds to _MAX_SLAB_CELLS."""
+    c = [_eval_mono_list(part, coords, p) for part in parts]
+    total = 0
+    for k in range(len(c) - 1, 0, -1):
+        inv = _inverses(p)[c[k]]
+        idx = c[0] * inv
+        idx %= p
+        for j in range(1, k):
+            term = c[j] * inv
+            term %= p
+            term *= p ** j
+            idx += term
+        zero = c[k] == 0
+        total += int(_root_table(k, p)[idx].sum())
+        total -= int(np.count_nonzero(zero))
+        c = [x[zero] for x in c[:k]]
+    return total + p * int(np.count_nonzero(c[0] == 0))
+
+
+@lru_cache(maxsize=8)
+def _inverses(p):
+    """x^-1 mod p for each x in F_p, with 0 at 0; p int64 entries."""
+    x = np.arange(p, dtype=np.int64)
+    return _power(x, p - 2, p) if p > 2 else x
+
+
+@lru_cache(maxsize=8)
+def _root_table(k, p):
+    """T_k: at a_0 + a_1 p + ... + a_{k-1} p^(k-1), the number of roots in
+    F_p of x^k + a_{k-1} x^(k-1) + ... + a_0, as p^k uint8 entries (at most
+    k roots).  One bincount over x and a_1..a_{k-1}, each on an axis of its
+    own: each such tuple is a root of exactly the a_0 = -(x^k + ... +
+    a_1 x).  Horner keeps each product below p^2; tables beyond
+    _MAX_SLAB_CELLS entries are refused, and the cache holds at most 8 of
+    them, 32 MB at that bound."""
+    if p ** k > _MAX_SLAB_CELLS:
+        raise ValidationError(f"root table of degree {k} at p={p}: "
+                              f"{p ** k} entries, over {_MAX_SLAB_CELLS}")
+
+    def axis(i):            # x on axis 0, a_j on axis k - j
+        return np.arange(p, dtype=np.int64).reshape(
+            [p if i == a else 1 for a in range(k)])
+
+    x, acc = axis(0), 1
+    for j in range(k - 1, 0, -1):
+        acc = (acc * x + axis(k - j)) % p
+    a0 = -(acc * x) % p
+    high = np.arange(p ** (k - 1), dtype=np.int64).reshape([1] + [p] * (k - 1))
+    return np.bincount((a0 + high * p).ravel(),
+                       minlength=p ** k).astype(np.uint8)
 
 
 # ------------------------------------------------------ two-group kernel

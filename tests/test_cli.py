@@ -296,6 +296,28 @@ def test_betti_command_with_count(capsys):
     assert doc["unique"] and doc["candidates"] == [{"b2": 85, "b3": 4}]
 
 
+def test_betti_count_refuses_the_flags_it_does_not_read(capsys):
+    # with --count the solver reads p, chi and the count alone: --variety
+    # and --adjusted are invalid input, named on one error line
+    count = ["betti", "--p", "421", "--chi", "168", "--count", "89735308"]
+    for extra, named in ((["--variety", "hm_quintic"], "--variety"),
+                         (["--variety", "schoen_quotient"], "--variety"),
+                         (["--adjusted"], "--adjusted"),
+                         (["--variety", "hm_quintic", "--adjusted"],
+                          "--variety or --adjusted")):
+        assert main(count + extra) == 1, extra
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [f"error: betti --count reads no {named}; "
+                                    "it solves for the given count alone"]
+    # without --count, --variety still defaults to schoen_quotient
+    code, doc = _printed(capsys, ["betti", "--p", "31", "--chi", "168",
+                                  "--variety", "schoen_quotient"])
+    assert code == 0 and doc == _printed(
+        capsys, ["betti", "--p", "31", "--chi", "168"])[1]
+    assert doc["variety_id"] == "schoen_quotient"
+
+
 def test_match_command_csv(tmp_path, capsys):
     csv_path = tmp_path / "rows.csv"
     out_path = tmp_path / "report.json"

@@ -574,6 +574,135 @@ def test_slabs_do_not_change_counts(monkeypatch):
     assert singular_points(CAT.variety("schoen_x"), 11) == nodes
 
 
+def full_grid(spec, p, eqs=None):
+    """The full-grid count of a one-equation chart loop: every chunk of
+    _charts on the evaluator, no coordinate eliminated; the oracle of the
+    elimination path."""
+    return sum(int(np.count_nonzero(_zeros(eqs or spec.equations,
+                                           _grid(p, f), p)))
+               for f in catalog._charts(p, spec.ambient.nvars))
+
+
+def eliminated_chunks(monkeypatch):
+    """The chunks counted by _count_roots from here on, as (coordinate
+    eliminated, degree) pairs."""
+    seen, run = [], counting._count_roots
+
+    def spy(parts, coords, p):
+        seen.append(len(parts) - 1)
+        return run(parts, coords, p)
+
+    monkeypatch.setattr(counting, "_count_roots", spy)
+    return seen
+
+
+def test_elimination_matches_full_grid(monkeypatch):
+    # hm_quintic has no count model: its chart x0 = 1 eliminates a
+    # coordinate of degree 3, and the full grid agrees at every prime to
+    # 23 and at 47, where that chart is cut into 47 slabs sharing a table
+    hm = CAT.variety("hm_quintic")
+    seen = eliminated_chunks(monkeypatch)
+    for p in [2] + SMALL_PRIMES + [47]:
+        seen.clear()
+        rec = count_projective(hm, p)
+        assert rec.count == full_grid(hm, p), p
+        assert 3 in seen, p
+        assert rec.chunk_count == len(catalog._charts(p, 5)), p
+    assert seen.count(3) == 47
+    assert count_projective(hm, 41).count == 70666
+
+
+def test_elimination_is_chosen_by_degrees(monkeypatch):
+    # a copy of hm_quintic under another id takes the path; schoen_x, of
+    # degree 5 in every coordinate, has no chart whose p^5 table fits in
+    # its cells over p, so its dense oracle stays on the full grid; chunk
+    # counts and the budget refusal are those of the chart loop
+    copy = dataclasses.replace(CAT.variety("hm_quintic"), id="hm_copy")
+    seen = eliminated_chunks(monkeypatch)
+    for p in (7, 11):
+        assert count_projective(copy, p).count == HM_N[p]
+    assert seen and max(seen) == 3
+    # degrees are read on each chart: x0 = 1 eliminates x1 (degree 3 in
+    # every coordinate, p^3 <= p^4 / p); on x0 = x1 = x2 = 0, x3 = 1 no
+    # monomial left reads x4, which goes with degree 0
+    plans = [counting._elimination(copy.equations[0], f.index(1), 5,
+                                   tuple(i for i, x in enumerate(f)
+                                         if x is None), 41)
+             for f in catalog._charts(41, 5)]
+    assert [plan and (plan[0], len(plan[1]) - 1) for plan in plans] == \
+        [(1, 3), None, None, (4, 0), None]
+    seen.clear()
+    for p in SMALL_PRIMES:
+        assert count_projective(dense("schoen_x"), p).chunk_count == 5
+    assert seen == []
+    with pytest.raises(ValidationError) as err:
+        count_projective(copy, 157)
+    assert str(err.value) == (
+        "dense count at p=157 needs 607573201 cells, over the budget of "
+        "600000000; the largest prime it accepts is 151")
+
+
+@st.composite
+def _low_degree_hypersurface(draw):
+    """(spec, p): a random homogeneous equation on P^2 or P^3 of degree at
+    most nvars - 2 in its last coordinate, so that the chart x0 = 1 can
+    eliminate a coordinate; its coefficients, so its top coefficients,
+    vanish on some cells, and with last degree 0 it is constant there."""
+    nv = draw(st.sampled_from((3, 4)))
+    deg = draw(st.integers(1, 4))
+    top = draw(st.integers(0, nv - 2))
+    expos = st.lists(st.integers(0, deg), min_size=nv - 1, max_size=nv - 1)
+    terms = {}
+    for _ in range(draw(st.integers(1, 6))):
+        head = draw(expos.filter(lambda e: sum(e) <= deg
+                                 and deg - sum(e) <= top))
+        e = tuple(head) + (deg - sum(head),)
+        terms[e] = draw(st.integers(-20, 20))
+    p = draw(st.sampled_from((2, 3, 5, 7, 11, 13)))
+    assume(any(c % p for c in terms.values()))
+    return _spec(nv, [(c, e) for e, c in sorted(terms.items()) if c]), p
+
+
+def _spec(nv, terms):
+    """A hypersurface in P^{nv-1} of (coefficient, exponents) terms; the
+    chart loop never reads its bad primes."""
+    eq = tuple(Monomial(c, e) for c, e in terms)
+    return VarietySpec("case", Ambient("projective", n=nv - 1), (eq,),
+                       nv - 2, frozenset({2}), "test")
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_low_degree_hypersurface())
+# x1 x2 + x0^2: where x1 = 0 the top coefficient vanishes and c_0 = 1
+@example((_spec(3, [(1, (0, 1, 1)), (1, (2, 0, 0))]), 5))
+# x1 x2 - x0 x1: where x1 = 0 every coefficient vanishes, p roots
+@example((_spec(3, [(1, (0, 1, 1)), (-1, (1, 1, 0))]), 7))
+# x1^2 x3^2 + x0 x2^3 + x3^4: a top coefficient of degree 2 vanishing on
+# a conic of the chart
+@example((_spec(4, [(1, (0, 2, 0, 2)), (1, (1, 0, 3, 0)), (1, (0, 0, 0, 4))]),
+          13))
+# x1^2 - x0 x2 on P^3: constant in x3, eliminated with degree 0
+@example((_spec(4, [(1, (0, 2, 0, 0)), (-1, (1, 0, 1, 0))]), 11))
+def test_elimination_random_hypersurfaces(case):
+    spec, p = case
+    nv = spec.ambient.nvars
+    assert counting._elimination(spec.equations[0], 0, nv,
+                                 tuple(range(1, nv)), p) is not None
+    assert count_projective(spec, p).count == full_grid(spec, p)
+
+
+def test_root_tables_match_brute_force():
+    for p in (2, 3, 5, 7, 11, 13):
+        for k in (1, 2, 3):
+            table = counting._root_table(k, p)
+            assert table.shape == (p ** k,)
+            for index in range(p ** k):
+                a = [index // p ** j % p for j in range(k)] + [1]
+                roots = sum(sum(c * x ** j for j, c in enumerate(a)) % p == 0
+                            for x in range(p))
+                assert table[index] == roots, (p, k, a)
+
+
 def test_record_round_trip():
     recs = [count_projective(CAT.variety("schoen_x"), p) for p in (3, 7)]
     buf = io.StringIO()
