@@ -19,10 +19,10 @@ charts of _charts, cut into slabs that bound memory, the double cover
 factors chi over its forms' supports, each form on the grid of the
 coordinates it reads (O(p^2) a chart for the double octic), an F_{p^2}
 count is the F_p count of the common zeros of the Weil restrictions of
-the equations, the weighted count runs one slab per value of the first
-coordinate, and the torus count at p = 2 one grid with the zero
-coordinates masked out.  count() picks the counter for a variety's
-ambient space.
+the equations on half of each chart (_folded), the weighted count runs
+one slab per value of the first coordinate, and the torus count at p = 2
+one grid with the zero coordinates masked out.  count() picks the counter
+for a variety's ambient space.
 
 A chunk of one equation over F_p eliminates a coordinate where the
 equation's degrees allow it (_elimination): the free coordinate x_v of
@@ -37,6 +37,14 @@ that python -O keeps.  The rule reads no variety id, and is made per
 chart, so the slabs of a cut chart share one table; chunk lists, chunk
 counts and cell budgets are those of the full grid, which counts every
 other chunk and is the elimination's oracle in the tests.
+
+An F_{p^2} chart with a free coordinate is counted on half its grid by
+_folded.  The equations have integer coefficients, so conjugation, the
+Frobenius of F_{p^2}/F_p, maps zeros to zeros; it negates every b of
+x = a + b s and fixes each chart, so the first free b runs over
+0..(p-1)/2 only.  Chunk lists, chunk counts and the _MAX_EXT_CELLS
+refusal are those of the full chart, which is the fold's oracle in the
+tests; lefschetz.nodal_curve keeps its own full-grid scan.
 
 Every counter ends in the one dispatch _counted, which runs the two-group
 kernel where the declared model counts at p and the dense path otherwise,
@@ -148,10 +156,11 @@ def _counted(vid, p, dense, model=None, degree=1, twist_id=None,
 
 def _count_dense(spec, p, eqs, degree=1, on_chart=None):
     """(count, chunk count) of the common zeros of eqs, monomial lists on
-    P^{nvars-1} (over F_{p^2}: their restrictions), or of on_chart(coords)
-    summed over the charts, chart by chart.  A chunk of one equation over
-    F_p is counted by _count_roots where _elimination selects it, and on
-    the full grid otherwise."""
+    P^{nvars-1} (over F_{p^2}: their restrictions), or over F_p of
+    on_chart(coords) summed over the charts, chart by chart.  A chunk of one
+    equation over F_p is counted by _count_roots where _elimination selects
+    it, an F_{p^2} chart with a free coordinate by _folded on half its
+    grid, and every other chunk on the full grid."""
     nv = spec.ambient.nvars
     if degree == 1:          # _charts refuses F_{p^2} charts by its budget
         _require_cells("dense count", p, lambda q: q ** (nv - 1), _MAX_DENSE_TOTAL)
@@ -160,6 +169,8 @@ def _count_dense(spec, p, eqs, degree=1, on_chart=None):
     one = degree == 1 and len(eqs) == 1
 
     def worker(fixed):
+        if degree == 2 and None in fixed:
+            return _folded(eqs, fixed, p)
         plan = one and _elimination(
             tuple(eqs[0]), fixed.index(1), nv,
             tuple(i for i, x in enumerate(fixed) if x is None), p)
@@ -170,6 +181,27 @@ def _count_dense(spec, p, eqs, degree=1, on_chart=None):
                             p)
 
     return sum(_run_chunks(worker, chunks)), len(chunks)
+
+
+def _folded(eqs, fixed, p):
+    """The common zeros of the restrictions eqs on an F_{p^2} chart fixed
+    of _charts with a free coordinate, counted on half its grid.
+
+    The equations have integer coefficients, so conjugation s -> -s, the
+    Frobenius of F_{p^2}/F_p, negates every b of x = a + b s: it fixes R
+    and negates I (_restrict), so it maps common zeros to common zeros, and
+    it fixes the chart (a_lead = 1, b_lead = 0).  With b1 the b of the
+    first free coordinate and h = (p - 1)/2, b1 -> -b1 pairs the zeros with
+    b1 in 1..h with those in h+1..p-1.  The grid keeps b1 in 0..h, the
+    chart's second free axis: each zero there counts twice, less those at
+    b1 = 0 once.  Cutting the first b, not the last, halves the sub-grids
+    on which the evaluator runs the coefficients of the later coordinates
+    too.  p is odd, as _opening requires of every F_{p^2} count."""
+    coords = _grid(p, fixed)
+    b1 = fixed.index(None) + 1
+    coords[b1] = coords[b1][:, :(p + 1) // 2]
+    on = _zeros(eqs, coords, p)
+    return 2 * int(np.count_nonzero(on)) - int(np.count_nonzero(on[:, 0]))
 
 
 @lru_cache(maxsize=256)
@@ -479,7 +511,8 @@ def _two_group_count(model, p, label, flips=(False, False)):
 
 def count_projective(spec, p, degree=1):
     """#X(F_{p^degree}) for a variety in (straight) projective space; over
-    F_{p^2} the dense count of the Weil restrictions."""
+    F_{p^2} the dense count of the Weil restrictions, folded by
+    conjugation (_folded)."""
     _field_degree(degree)
     _opening(spec, p, "projective", "degree-2 counts" if degree == 2 else None)
     n = nonresidue(p) if degree == 2 else None

@@ -403,6 +403,30 @@ def test_ext_evaluator_restricts_to_fp(spec, p, data):
     assert (re[rational] == _eval_mono_list(spec.equations[0], at, p)).all()
 
 
+def _b_parities(eq, n):
+    """The total degrees mod 2 in b_0, b_1, ... of the monomials of R and
+    of I in _restrict(eq, n), as two sets."""
+    return [{sum(m.exponents[1::2]) % 2 for m in part}
+            for part in _restrict(eq, n)]
+
+
+def test_restriction_parity_in_b():
+    # conjugation a + b s -> a - b s negates every b: it fixes R, whose
+    # monomials are even in the b's, and negates I, whose monomials are
+    # odd; the F_{p^2} count folds its grid on this (counting._folded)
+    for v in CAT.varieties.values():
+        for eq in v.equations:
+            for p in (3, 5, 7, 11):
+                assert _b_parities(eq, nonresidue(p)) == [{0}, {1}], (v.id, p)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_homogeneous(), st.integers(-13, 13).filter(bool))
+def test_restriction_parity_in_b_random(spec, n):
+    re, im = _b_parities(spec.equations[0], n)
+    assert re <= {0} and im <= {1}
+
+
 def test_ext_evaluator_frobenius():
     # x^p is the conjugation a + bs -> a - bs, and x^(p^2) = x
     for p in (3, 7, 11, 13):

@@ -15,6 +15,7 @@ from frobtrace.cli import (DISC_CANDIDATES, betti_report, main, match_pipeline,
                            match_quotient, match_rigid,
                            quotient_resolved_count, run_manifest)
 from frobtrace.errors import RefusalError, ValidationError
+from frobtrace.ffield import kronecker
 
 QUOTIENT_COUNTS = {3: (60, 3), 7: (520, 3), 11: (11308, 75), 13: (3084, 5),
                    17: (6302, 5), 31: (104088, 75)}
@@ -538,6 +539,21 @@ def test_manifest_ops_and_verdicts(tmp_path, capsys):
         manifest.write_text(json.dumps({"operations": [op]}))
         assert main(["run", str(manifest)]) == code, op
     capsys.readouterr()
+
+
+def test_rigid_rows_at_two_three_and_seven():
+    # a_2, a_3 and a_7 of f25, which with a_5 = 0 fix a newform of level 25
+    # below its Sturm bound; the row at 2 runs on the dense path, and its
+    # one rational node gives the correction kronecker(5, 2) 2 = -2
+    rep = match_rigid("schoen_x", [2, 3, 7], 11)
+    rows = {r.p: (r.n_p, r.correction, r.t3) for r in rep.rows}
+    assert {p: rows[p] for p in (2, 3, 7)} == {
+        2: (16, -2, 1), 3: (36, -3, 7), 7: (401, -7, 6)}
+    assert kronecker(5, 2) == -1
+    form = qexp.f25(8)
+    assert [rows[p][2] for p in (2, 3, 7)] == \
+        [qexp.coefficient(form, p) for p in (2, 3, 7)]
+    assert rep.overall
 
 
 def test_match_rigid_refuses_other_varieties():

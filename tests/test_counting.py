@@ -19,7 +19,7 @@ from frobtrace.counting import (count, count_double_cover, count_projective,
                                 count_torus, count_twisted, count_weighted,
                                 check_preserves, read_records, write_records)
 from frobtrace.errors import FrobtraceError, RefusalError, ValidationError
-from frobtrace.ffield import is_prime
+from frobtrace.ffield import is_prime, nonresidue
 from frobtrace.lefschetz import declared_curve
 
 CAT = load_catalog()
@@ -224,6 +224,92 @@ def test_degree_two_counts():
         count_projective(CAT.variety("e_plane"), 3, degree=3)
     with pytest.raises(ValidationError):
         count_projective(CAT.variety("e_plane"), 2, degree=2)
+
+
+DEGREE_TWO = {("schoen_x", 7): 120701, ("hm_quintic", 7): 122556,
+              ("consani_scholten", 7): 128864, ("e_plane", 31): 1015}
+
+
+def full_grid_ext(spec, p):
+    """#X(F_{p^2}) from every cell of every chart of _charts(p, nv, 2): the
+    oracle of the conjugation fold."""
+    n = nonresidue(p)
+    eqs = [f for eq in spec.equations for f in catalog._restrict(eq, n)]
+    return sum(int(np.count_nonzero(_zeros(eqs, _grid(p, f), p)))
+               for f in catalog._charts(p, spec.ambient.nvars, 2))
+
+
+def test_degree_two_fold_matches_full_grid():
+    # each chart with a free coordinate runs on half its grid; the full
+    # grid agrees for e_plane at every odd prime to 23 and for the
+    # threefolds at 3 and 7, and the chunk list is the chart list
+    e = CAT.variety("e_plane")
+    for p in SMALL_PRIMES:
+        assert count_projective(e, p, degree=2).count == full_grid_ext(e, p), p
+    got = {("e_plane", 31): count_projective(e, 31, degree=2).count}
+    for vid in ("schoen_x", "hm_quintic", "consani_scholten"):
+        for p in (3, 7):
+            rec = count_projective(CAT.variety(vid), p, degree=2)
+            assert rec.count == full_grid_ext(CAT.variety(vid), p), (vid, p)
+            assert rec.chunk_count == 5
+            got[vid, p] = rec.count
+    assert {key: got[key] for key in DEGREE_TWO} == DEGREE_TWO
+
+
+@st.composite
+def _small_systems(draw):
+    """(spec, p): one or two random homogeneous equations on P^2 or P^3 at
+    p in {3, 5, 7}, none vanishing mod p."""
+    nv = draw(st.sampled_from((3, 4)))
+    p = draw(st.sampled_from((3, 5, 7)))
+    eqs = []
+    for _ in range(draw(st.integers(1, 2))):
+        deg = draw(st.integers(1, 4))
+        terms = {}
+        for _ in range(draw(st.integers(1, 5))):
+            cuts = sorted(draw(st.integers(0, deg)) for _ in range(nv - 1))
+            e = tuple(b - a for a, b in zip([0] + cuts, cuts + [deg]))
+            terms[e] = draw(st.integers(-20, 20))
+        assume(any(c % p for c in terms.values()))
+        eqs.append([(c, e) for e, c in sorted(terms.items()) if c])
+    return _spec(nv, *eqs), p
+
+
+def _spec(nv, *eqs):
+    """The variety in P^{nv-1} cut out by equations given as lists of
+    (coefficient, exponents) terms; the chart loop never reads its bad
+    primes."""
+    return VarietySpec("case", Ambient("projective", n=nv - 1),
+                       tuple(tuple(Monomial(c, e) for c, e in eq)
+                             for eq in eqs),
+                       nv - 1 - len(eqs), frozenset({2}), "test")
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(_small_systems())
+# x1 - x0, x2 - x0: the one point (1 : 1 : 1), at b1 = 0
+@example((_spec(3, [(1, (0, 1, 0)), (-1, (1, 0, 0))],
+                [(1, (0, 0, 1)), (-1, (1, 0, 0))]), 3))
+# x0^2 + x1^2 + x2^2: a conic with points off b1 = 0 on every chart
+@example((_spec(3, [(1, (2, 0, 0)), (1, (0, 2, 0)), (1, (0, 0, 2))]), 7))
+# x0 x1 on P^3: zero on the whole plane x0 = 0 and on x1 = 0
+@example((_spec(4, [(1, (1, 1, 0, 0))]), 5))
+def test_degree_two_fold_random_systems(case):
+    # chart by chart the fold equals the chart's full grid, on the charts
+    # with two, three and one free coordinates and on (0 : ... : 0 : 1),
+    # which has none and is counted on its one cell
+    spec, p = case
+    nv = spec.ambient.nvars
+    n = nonresidue(p)
+    eqs = [f for eq in spec.equations for f in catalog._restrict(eq, n)]
+    free = set()
+    for fixed in catalog._charts(p, nv, 2):
+        full = int(np.count_nonzero(_zeros(eqs, _grid(p, fixed), p)))
+        if None in fixed:
+            assert counting._folded(eqs, fixed, p) == full, fixed
+        free.add(fixed.count(None) // 2)
+    assert {0, 1} <= free
+    assert count_projective(spec, p, degree=2).count == full_grid_ext(spec, p)
 
 
 def _fixed_conic_correction(p):
@@ -661,14 +747,6 @@ def _low_degree_hypersurface(draw):
     p = draw(st.sampled_from((2, 3, 5, 7, 11, 13)))
     assume(any(c % p for c in terms.values()))
     return _spec(nv, [(c, e) for e, c in sorted(terms.items()) if c]), p
-
-
-def _spec(nv, terms):
-    """A hypersurface in P^{nv-1} of (coefficient, exponents) terms; the
-    chart loop never reads its bad primes."""
-    eq = tuple(Monomial(c, e) for c, e in terms)
-    return VarietySpec("case", Ambient("projective", n=nv - 1), (eq,),
-                       nv - 2, frozenset({2}), "test")
 
 
 @settings(max_examples=150, deadline=None, database=None)
