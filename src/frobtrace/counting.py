@@ -4,15 +4,14 @@ Counts are exact integers.  Varieties whose catalog entry declares a
 two-group count model (the nodal quintic in Schoen's fibre-product form,
 directly or through a linear map, its involution quotient, and
 Consani-Scholten's quintic P(x, y) = P(z, w)) are counted at odd primes by
-one O(p^2) kernel over per-group histograms.  One pass per (model, p)
-gives 3x3 matrices over the quadratic-character blocks of b, and the
-straight, twisted, chi-weighted and uncoupled counts are weightings of
-them.  The passes sit in a bounded per-process lru_cache, one entry per
-(model, p) and at most _PASS_CACHE of them (a few MB), so each pass runs
-once per process: schoen_x's count, schoen_y's twisted count and the
-quotient's count reuse schoen_y's pass at the same p, whichever count or
-pipeline asks first.  The torus count solves a quadratic in one
-coordinate over an O(p^3) grid.  Everything else, and every kernel's
+one O(p^2) kernel over per-group histograms.  One pass per (model, p),
+kept in a bounded per-process lru_cache, gives 3x3 matrices over the
+quadratic-character blocks of b, and the straight, twisted, chi-weighted
+and uncoupled counts are weightings of them, so schoen_x's count,
+schoen_y's twisted count and the quotient's count reuse schoen_y's pass.
+Its p^2 cells see no product mod p, only gathers from O(p) tables of
+discrete logs, adds and bincounts.  The torus count solves a quadratic in
+one coordinate over an O(p^3) grid.  Everything else, and every kernel's
 oracle, runs on the broadcast grids of the catalog module: the
 projective, twisted and double-cover counts share one dense loop over the
 charts of _charts, cut into slabs that bound memory, the double cover
@@ -65,6 +64,7 @@ import operator
 import time
 from dataclasses import dataclass, asdict
 from functools import lru_cache
+from itertools import accumulate
 from math import gcd, prod
 
 import numpy as np
@@ -74,12 +74,13 @@ from .catalog import (_MAX_SLAB_CELLS, TORUS_FAMILY, Monomial, _charts,
                       _field_degree, _grid, _power, _ratio, _require_cells,
                       _restrict, _zeros)
 from .errors import FrobtraceError, RefusalError, ValidationError
-from .ffield import nonresidue, require_prime
+from .ffield import nonresidue, primitive_root, require_prime
 
 _MAX_DENSE_TOTAL = 600_000_000     # refuse larger dense enumerations
 _MAX_HIST_CELLS = 4_000_000        # p^2 cells per two-group table (p < 2000)
 _MAX_TORUS_CELLS = 4_000_000       # (p-1)^3 cells of the torus kernel (p < 160)
 _PASS_CACHE = 512                  # kernel passes kept: 302 odd primes p < 2000
+_CHUNK = 1 << 15                   # cells a kernel gather runs on at once
 
 
 @dataclass(frozen=True)
@@ -268,6 +269,16 @@ def _inverses(p):
 
 
 @lru_cache(maxsize=8)
+def _logs(p):
+    """(E, L): E[i] = g^i, g = primitive_root(p), L[E[i]] = i, L[0] = 2p-2."""
+    exp = np.array(list(accumulate([primitive_root(p)] * (p - 2),
+                                   lambda y, g: y * g % p, initial=1)))
+    log = np.full(p, 2 * p - 2)
+    log[exp] = np.arange(p - 1)
+    return exp, log
+
+
+@lru_cache(maxsize=8)
 def _root_table(k, p):
     """T_k: at a_0 + a_1 p + ... + a_{k-1} p^(k-1), the number of roots in
     F_p of x^k + a_{k-1} x^(k-1) + ... + a_0, as p^k uint8 entries (at most
@@ -326,19 +337,19 @@ def _block_pass(groups, k, weights, p):
     """The 3x3 block-pair matrices (NF, Z, A) of one pass over the grids of
     groups ((r1, m1), (r2, m2)), as tuples of ints; see _two_group_count.
 
-    Cached per process, _PASS_CACHE entries: every odd prime the kernel
-    accepts for one model, with room for a second.  An entry keeps 27 ints
-    and its key, whose halved groups are a copy: under tracemalloc at
-    p < 400 it retains 1.9 KB (schoen_quotient), 4.6 KB (schoen_y, halved)
-    and 8.7 KB (consani_scholten), so a full cache holds at most about
-    4.5 MB.  A pass that raises is not cached."""
-    h = (p - 1) // 2
+    Products of residues (below p^2) run on O(p) tables only; the p^2
+    cells are gathered, added and bincounted _CHUNK at a time, with gather
+    indices below the (n + 1) 3q entries of T and values of Phi's rows
+    below 2p, checked on the tables by an if that python -O keeps.  The
+    _PASS_CACHE entries, 27 ints and a key each, hold at most about 4.5 MB;
+    a pass that raises is not cached."""
+    h, q = (p - 1) // 2, p - 1
     chi = _chi_table(p)
     order = np.concatenate([np.flatnonzero(chi == 1),
                             np.flatnonzero(chi == -1), [0]]).astype(np.int64)
     grid = [np.arange(p, dtype=np.int64).reshape(1, p), order.reshape(p, 1)]
     (g1r, g1m), (g2r, g2m) = groups
-    memo = {}
+    memo, hists = {}, {}
 
     def values(poly, s):
         """(v, c) with poly(a, b, s) = v + c on the grid, flattened, and c
@@ -359,63 +370,68 @@ def _block_pass(groups, k, weights, p):
                                         grid, p).ravel()
         return memo[key], const % p
 
-    def blocks(v, size, width=p):
-        """The bincounts of v over its three b blocks of width cells a row."""
+    def blocks(cells, size, width=p):
+        """Bincounts over the three b blocks of width cells a row of the
+        values cells(i, j) of cells i:j, made _CHUNK cells at a time."""
         ends = (0, h * width, 2 * h * width, p * width)
-        return np.stack([np.bincount(v[i:j], minlength=size)
-                         for i, j in zip(ends, ends[1:])])
+        out = np.zeros((3, size), dtype=np.int64)
+        for c in range(0, p * width, _CHUNK):
+            v = cells(c, min(c + _CHUNK, p * width))
+            for row, i, j in zip(out, ends, ends[1:]):
+                if i < c + v.size and c < j:
+                    row += np.bincount(v[max(i - c, 0):j - c], minlength=size)
+        return out
+
+    def hist(v, step=1):                # once per memo array and step
+        if (id(v), step) not in hists:
+            hists[id(v), step] = blocks(lambda i, j: v[::step][i:j], p,
+                                        p // step)
+        return hists[id(v), step]
 
     neg = -np.arange(p) % p                            # index of -x
 
     # at s = 0 the constant terms of r1 and r2 cancel, the equation being
     # homogeneous of positive degree; the a = 0 cells are every p-th
     (h1, _), (h2, _) = values(g1r, 0), values(g2r, 0)
-    z = blocks(h1, p) @ blocks(h2, p)[:, neg].T
-    a0 = blocks(h1[::p], p, 1) @ blocks(h2[::p], p, 1)[:, neg].T
+    z = hist(h1) @ hist(h2)[:, neg].T
+    a0 = hist(h1, p) @ hist(h2, p)[:, neg].T
 
-    # lam = rho l^(D-d) reads row rho of phi at c l^-D; lam^((p-1)/n) names
-    # the class of lam among the n = gcd(D - d, p - 1) classes
+    # w1's key is T[L[x] + G[m1]] (x = -r1 - c1 - c2, lam = k (m1 + d1) =
+    # g^j l^(D-d), j < n, G = (j+1) 3q + L[l^-D], T_j+1 = (E, E, 0) + (j+1) p)
     (r1, c1), (r2, c2) = values(g1r, 1), values(g2r, 1)
-    row = np.zeros(p, dtype=np.int64)
-    shift = np.ones(p, dtype=np.int64)
-    reps = [0]
+    exp, log = _logs(p)
+    target, levels = (-np.arange(p) - c1 - c2) % p, []
     if k:
         (m1, d1), (m2, d2) = values(g1m, 1), values(g2m, 1)
         wts = (1, weights[1], 1)
         dr, dm = g2r[0].degree(wts), g2m[0].degree(wts)
-        lams, q = np.arange(1, p, dtype=np.int64), p - 1
         n = gcd(dr - dm, q)
-        _, first = np.unique(_power(lams, q // n, p), return_index=True)
-        reps += lams[first].tolist()
-        orbit = lams[first, None] * _power(lams, (dr - dm) % q or q, p) % p
-        row[orbit] = np.arange(1, n + 1)[:, None]
-        shift[orbit] = _power(lams, -dr % q or q, p)
+        lg = log[k * np.arange(d1, p + d1) % p]
+        t = lg // n * pow((dr - dm) // n, -1, q // n) % (q // n)
+        shift = ((lg % n + 1) * 3 * q + -t * dr % q) * (lg < q)
+        table = np.hstack([exp, exp, 0 * exp]) + p * np.arange(n + 1)[:, None]
+        levels = np.outer(exp[:n], np.arange(d2, p + d2) % p) % p
+        target = log[target]
+        if log.max() + shift.max() >= table.size or levels.max() >= p:
+            raise FrobtraceError(f"kernel tables at p={p} leave their bounds")
+    buf = np.empty((2, min(_CHUNK, p * p)), dtype=np.int64)
 
-    def level(rho):
-        """r2 + rho m2 on the grid, less c2 and reduced; r2 itself at 0."""
-        if not rho:
-            return r2
-        v = np.multiply(m2, rho)
-        v += r2
-        v += rho * d2
-        v %= p
-        return v
+    def keys(i, j):
+        key = np.take(target, r1[i:j], out=buf[0, :j - i], mode="clip")
+        if k:
+            key += np.take(shift, m1[i:j], out=buf[1, :j - i], mode="clip")
+            key = np.take(table, key, out=buf[1, :j - i], mode="clip")
+        return key
 
-    phi = np.stack([blocks(level(rho), p) for rho in reps], axis=1)
-    phi = phi.reshape(3, -1)                           # [block, row p + c]
+    def phi(i, j):                      # r2 + rho (m2 + d2), below 2p
+        out = np.take(level, m2[i:j], out=buf[0, :j - i], mode="clip")
+        return np.add(out, r2[i:j], out=out)
 
-    # the key of w1 is row(k m1) p + (-r1 - c1 - c2) shift(k m1) mod p,
-    # built in place: products of residues below p^2, keys below
-    # len(reps) p; the tables below are indexed by m1's memoised values
-    key = np.negative(r1)
-    key -= c1 + c2
-    key %= p
-    if k:
-        lam = k * (np.arange(p) + d1) % p
-        key *= shift[lam][m1]
-        key %= p
-        key += (row[lam] * p)[m1]
-    nf = blocks(key, len(reps) * p) @ phi.T
+    nf, rows = blocks(keys, (len(levels) + 1) * p), [hist(r2)]
+    for level in levels:
+        two = blocks(phi, 2 * p)
+        rows.append(two[:, :p] + two[:, p:])
+    nf = nf @ np.stack(rows, axis=1).reshape(3, -1).T   # [block, row p + c]
     return tuple(tuple(tuple(x) for x in m.tolist()) for m in (nf, z, a0))
 
 
@@ -450,7 +466,7 @@ def _two_group_count(model, p, label, flips=(False, False)):
     row of lam = 0.  With row(lam) the row of lam's class and shift(lam) an
     l^-D that reaches it, N1 = <F, Phi> with F the histogram of the keys
     row(k m1) p + (-r1 shift(k m1) mod p) of the points w1 (r1 = r1(w1, 1),
-    m1 = m1(w1)): len(reps) p cells, and no pass over the values of m1.
+    m1 = m1(w1)): (n + 1) p cells for n classes, read off discrete logs.
 
     One O(p^2) pass serves every weighting.  A group of a model without chi
     whose r and m are even in b is halved first, b^2 -> b, and its b
@@ -463,23 +479,18 @@ def _two_group_count(model, p, label, flips=(False, False)):
     for a flipped one and (1, 1, 1) otherwise, plus s (x) s, s = (1, -1, 0),
     with chi.  Scaling by a non-square swaps the square and non-square
     blocks of a b of odd weight, in Phi's rows and on the cone, so such a
-    b takes (1, 1, 1).  The cache of _block_pass keeps each pass's
-    matrices, up to _PASS_CACHE of them, keyed by the halved groups, k, the
-    weights of b and p, not by variety or twist: schoen_x's count,
-    schoen_y's straight and twisted counts and its quotient's count share
-    one pass per p, across pipelines.  The contraction runs through
+    b takes (1, 1, 1).  The cache of _block_pass keys each pass by the
+    halved groups, k, the weights of b and p, not by variety or twist, so
+    counts share passes across pipelines.  The contraction runs through
     _run_chunks after the pass, on a hit too, so a lost cell there is
     never stored.
 
-    All arithmetic is exact.  Residue products, as in the keys, stay below
-    p^2, the keys below len(reps) p <= p^2, and the block matrices count
-    pairs (w1, w2), at most p^4: exact in int64 for p < 2^15; they are
-    weighted as Python ints.  The keys and the rows of Phi are built in
-    place, so beside the memoised value arrays (r_i at s = 0 and 1 and
-    m_i, fewer where two agree up to a constant) at most two p^2-cell int64
-    arrays are live at once.  schoen_y's pass memoises two and peaks below
-    4.5 p^2 8 bytes (4.06 p^2 8 under tracemalloc at 421).  The p^2-cell
-    tables are refused beyond _MAX_HIST_CELLS cells (p < 2000).
+    All arithmetic is exact, under the bounds _block_pass checks, and the
+    block matrices count pairs (w1, w2), at most p^4: exact in int64 for
+    p < 2^15; they are weighted as Python ints.  The memoised value arrays
+    (r_i at s = 0 and 1 and m_i, fewer where two agree up to a constant)
+    are the only p^2-cell arrays: schoen_y's pass memoises two and peaks
+    at 2.55 p^2 8 bytes under tracemalloc at 421 (p < 2000 by the budget).
     """
     _require_cells("two-group kernel", p, lambda q: q * q, _MAX_HIST_CELLS)
     halves = [_halved(g, model.chi) for g in model.groups]

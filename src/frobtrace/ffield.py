@@ -1,8 +1,9 @@
 """Primality, the Kronecker symbol at a prime, and prime-field data.
 
 Everything here is exact integer arithmetic on Python ints.  require_prime
-is the prime check every entry point makes, and nonresidue(p) is the
-distinguished non-residue n that defines F_{p^2} = F_p[s]/(s^2 - n).
+is the prime check every entry point makes, nonresidue(p) is the
+distinguished non-residue n that defines F_{p^2} = F_p[s]/(s^2 - n), and
+primitive_root(p) the base of the counting module's discrete-log tables.
 Elements of F_p and F_{p^2} are not objects: they are residues, and
 a + b s is the pair (a, b) of F_p coordinates on which the catalog module
 evaluates Weil restrictions.
@@ -10,6 +11,7 @@ evaluates Weil restrictions.
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 
 from .errors import ValidationError
@@ -81,3 +83,15 @@ def nonresidue(p):
     if p == 2:
         raise ValidationError("F_2 has no quadratic non-residue")
     return next(n for n in range(2, p) if kronecker(n, p) == -1)
+
+
+@functools.lru_cache(maxsize=64)
+def primitive_root(p):
+    """Smallest generator g of F_p^*, p an odd prime: no g^((p-1)/f) is 1."""
+    if p == 2 or not is_prime(p):
+        raise ValidationError(f"{p} is not an odd prime")
+    q = p - 1
+    factors = {d for f in range(1, math.isqrt(q) + 1) if q % f == 0
+               for d in (f, q // f) if is_prime(d)}
+    return next(g for g in range(2, p)
+                if all(pow(g, q // f, p) != 1 for f in factors))

@@ -1,7 +1,10 @@
 import pytest
 
+import numpy as np
+
+from frobtrace.counting import _logs
 from frobtrace.errors import ValidationError
-from frobtrace.ffield import is_prime, kronecker, nonresidue
+from frobtrace.ffield import is_prime, kronecker, nonresidue, primitive_root
 
 
 def test_is_prime_basics():
@@ -67,3 +70,40 @@ def test_nonresidue_minimal():
     for p in (2, 9, 1):
         with pytest.raises(ValidationError):
             nonresidue(p)
+
+
+def test_primitive_root_generates():
+    # at every odd prime the two-group kernel accepts (p < 2000) the
+    # powers of g run through all of F_p^* before returning to 1, and no
+    # smaller g does
+    for p in (p for p in range(3, 2000) if is_prime(p)):
+        g = primitive_root(p)
+        x, order = g, 1
+        while x != 1:
+            x, order = x * g % p, order + 1
+        assert order == p - 1, p
+        assert all(len({pow(h, i, p) for i in range(p - 1)}) < p - 1
+                   for h in range(2, g)), p
+    assert primitive_root(2147483647) == 7
+
+
+def test_log_tables_invert():
+    # E[L[x]] = x on F_p^*, L[E[i]] = i for i < p - 1, and L[0] is the
+    # sentinel 2(p - 1) past both periods of E in the kernel's table
+    for p in (3, 5, 7, 11, 13, 211, 419, 421, 1009, 1999):
+        exp, log = _logs(p)
+        q = p - 1
+        assert exp.dtype == log.dtype == np.int64
+        assert exp.shape == (q,) and log.shape == (p,)
+        assert np.array_equal(exp[log[1:]], np.arange(1, p))
+        assert np.array_equal(log[exp], np.arange(q))
+        assert log[0] == 2 * q
+        assert exp[1] == primitive_root(p)
+
+
+def test_primitive_root_refuses():
+    for p in (2, 1, 0, -3, 9, 15, 1 << 12):
+        with pytest.raises(ValidationError, match="not an odd prime"):
+            primitive_root(p)
+    with pytest.raises(ValidationError, match="not an integer"):
+        primitive_root(7.0)
