@@ -19,13 +19,15 @@ Weierstrass discriminant is 0 or has a prime factor, as do the root's order
 and the splitting discriminant, outside the variety's bad_primes.
 lefschetz.declared_curve reads the curve from it in O(p), with no scan.
 
-Every dense path (the chart, twisted, weighted, torus, degree-2 and
-double-cover counts and the node search) is built from four
+Every dense path (the chart, twisted, weighted, degree-2 and double-cover
+counts, the torus count's oracle and the node search) is built from four
 helpers: _charts lists the affine charts, cut into slabs when large;
 _grid gives a chart's coordinates as arrays that broadcast against each
 other; _eval_mono_list evaluates a monomial list mod p on them; and
 _restrict turns a polynomial over F_{p^2} into its pair of polynomials over
 F_p (Weil restriction), so that F_{p^2} counts run on F_p grids too.
+counting's elimination, which also counts the torus, builds its
+coefficients and root tables on _grid and _eval_mono_list as well.
 _chi_table is the one table of the quadratic character of F_p.
 
 _eval_mono_list is a multivariate Horner scheme: the monomials are grouped

@@ -10,17 +10,15 @@ quadratic-character blocks of b, and the straight, twisted, chi-weighted
 and uncoupled counts are weightings of them, so schoen_x's count,
 schoen_y's twisted count and the quotient's count reuse schoen_y's pass.
 Its p^2 cells see no product mod p, only gathers from O(p) tables of
-discrete logs, adds and bincounts.  The torus count solves a quadratic in
-one coordinate over an O(p^3) grid.  Everything else, and every kernel's
+discrete logs, adds and bincounts.  Everything else, and every kernel's
 oracle, runs on the broadcast grids of the catalog module: the
 projective, twisted and double-cover counts share one dense loop over the
 charts of _charts, cut into slabs that bound memory, the double cover
 factors chi over its forms' supports, each form on the grid of the
 coordinates it reads (O(p^2) a chart for the double octic), an F_{p^2}
 count is the F_p count of the common zeros of the Weil restrictions of
-the equations on half of each chart (_folded), the weighted count runs
-one slab per value of the first coordinate, and the torus count at p = 2
-one grid with the zero coordinates masked out.  count() picks the counter
+the equations on half of each chart (_folded), and the weighted count runs
+one slab per value of the first coordinate.  count() picks the counter
 for a variety's ambient space.
 
 A chunk of one equation over F_p eliminates a coordinate where the
@@ -35,7 +33,8 @@ indices stay below p^d and products of residues below p^2, held by ifs
 that python -O keeps.  The rule reads no variety id, and is made per
 chart, so the slabs of a cut chart share one table; chunk lists, chunk
 counts and cell budgets are those of the full grid, which counts every
-other chunk and is the elimination's oracle in the tests.
+other chunk and is the elimination's oracle in the tests.  The torus
+count eliminates X4 so on the (p - 1)^3 nonzero cells of X1..X3.
 
 An F_{p^2} chart with a free coordinate is counted on half its grid by
 _folded.  The equations have integer coefficients, so conjugation, the
@@ -78,7 +77,7 @@ from .ffield import nonresidue, primitive_root, require_prime
 
 _MAX_DENSE_TOTAL = 600_000_000     # refuse larger dense enumerations
 _MAX_HIST_CELLS = 4_000_000        # p^2 cells per two-group table (p < 2000)
-_MAX_TORUS_CELLS = 4_000_000       # (p-1)^3 cells of the torus kernel (p < 160)
+_MAX_TORUS_CELLS = 4_000_000       # (p-1)^3 cells of the torus count (p < 160)
 _PASS_CACHE = 512                  # kernel passes kept: 302 odd primes p < 2000
 _CHUNK = 1 << 15                   # cells a kernel gather runs on at once
 
@@ -178,8 +177,8 @@ def _count_dense(spec, p, eqs, degree=1, on_chart=None):
         if not plan:
             return on_chart(_grid(p, fixed))
         v, parts = plan
-        return _count_roots(parts, _grid(p, fixed[:v] + [0] + fixed[v + 1:]),
-                            p)
+        coords = _grid(p, fixed[:v] + [0] + fixed[v + 1:])
+        return _count_roots([_eval_mono_list(q, coords, p) for q in parts], p)
 
     return sum(_run_chunks(worker, chunks)), len(chunks)
 
@@ -224,26 +223,31 @@ def _elimination(eq, lead, nv, free, p):
                for i in free)
     if d > nv - lead - 2 or p ** d > _MAX_SLAB_CELLS:
         return None
+    return v, _by_degree(live, v, d)
+
+
+def _by_degree(eq, v, d):
+    """parts[k]: the monomials of eq of degree k <= d in x_v, without x_v."""
     parts = [[] for _ in range(d + 1)]
-    for m in live:
+    for m in eq:
         e = m.exponents
         parts[e[v]].append(Monomial(m.coefficient, e[:v] + (0,) + e[v + 1:]))
-    return v, tuple(map(tuple, parts))
+    return tuple(map(tuple, parts))
 
 
-def _count_roots(parts, coords, p):
-    """The zeros on a chunk of sum_k c_k x_v^k, c_k the values of parts[k]
-    on coords (the chunk's _grid with x_v fixed): each cell adds the roots
-    of its polynomial in x_v.  A cell whose top nonzero coefficient is c_k,
-    k >= 1, reads _root_table(k, p) at the monic polynomial c_k^-1 sum_j
-    c_j x^j; a cell with c_k = 0 for every k >= 1 adds p where c_0 = 0 and
-    nothing otherwise.  Degree k runs on all cells left, with c_k^-1 read
-    as 0 where c_k = 0: those cells read index 0, x^k, whose one root is
-    taken back, and only they go on to degree k - 1.  Each product
-    c_j c_k^-1 is of two residues, below p^2 < 2^62 (the evaluator refuses
-    p >= 2^31), and each table index is below p^k <= p^d, which
-    _elimination holds to _MAX_SLAB_CELLS."""
-    c = [_eval_mono_list(part, coords, p) for part in parts]
+def _count_roots(c, p):
+    """The roots in x of sum_k c_k x^k summed over the cells of the arrays
+    c, residues of one shape (the coefficients of x_v^k on a chunk's grid
+    with x_v fixed).  A cell whose top nonzero coefficient is c_k, k >= 1,
+    reads _root_table(k, p) at the monic polynomial c_k^-1 sum_j c_j x^j;
+    a cell with c_k = 0 for every k >= 1 adds p where c_0 = 0 and nothing
+    otherwise.  Degree k runs on all cells left, with c_k^-1 read as 0
+    where c_k = 0: those cells read index 0, x^k, whose one root is taken
+    back, and only they go on to degree k - 1.  c is not written.  Each
+    product c_j c_k^-1 is of two residues, below p^2 < 2^62 (the evaluator
+    refuses p >= 2^31), and each table index is below p^k, which
+    _root_table refuses beyond _MAX_SLAB_CELLS: _elimination picks no
+    degree past it, and the torus budget keeps p^2 <= 157^2 below it."""
     total = 0
     for k in range(len(c) - 1, 0, -1):
         inv = _inverses(p)[c[k]]
@@ -283,22 +287,17 @@ def _root_table(k, p):
     """T_k: at a_0 + a_1 p + ... + a_{k-1} p^(k-1), the number of roots in
     F_p of x^k + a_{k-1} x^(k-1) + ... + a_0, as p^k uint8 entries (at most
     k roots).  One bincount over x and a_1..a_{k-1}, each on an axis of its
-    own: each such tuple is a root of exactly the a_0 = -(x^k + ... +
-    a_1 x).  Horner keeps each product below p^2; tables beyond
-    _MAX_SLAB_CELLS entries are refused, and the cache holds at most 8 of
-    them, 32 MB at that bound."""
+    own of _grid(p, [None] * k): each such tuple is a root of exactly the
+    a_0 = -(x^k + ... + a_1 x), evaluated by _eval_mono_list.  Tables
+    beyond _MAX_SLAB_CELLS entries (the torus count's at most 157^2) are
+    refused, and the cache holds at most 8 of them, 32 MB at that bound."""
     if p ** k > _MAX_SLAB_CELLS:
         raise ValidationError(f"root table of degree {k} at p={p}: "
                               f"{p ** k} entries, over {_MAX_SLAB_CELLS}")
-
-    def axis(i):            # x on axis 0, a_j on axis k - j
-        return np.arange(p, dtype=np.int64).reshape(
-            [p if i == a else 1 for a in range(k)])
-
-    x, acc = axis(0), 1
-    for j in range(k - 1, 0, -1):
-        acc = (acc * x + axis(k - j)) % p
-    a0 = -(acc * x) % p
+    # x on axis 0 and a_j on axis k - j, so that high = a_1 + a_2 p + ...
+    a0 = _eval_mono_list([Monomial(-1, (j,) + tuple(int(i == k - j)
+                                                    for i in range(1, k)))
+                          for j in range(1, k + 1)], _grid(p, [None] * k), p)
     high = np.arange(p ** (k - 1), dtype=np.int64).reshape([1] + [p] * (k - 1))
     return np.bincount((a0 + high * p).ravel(),
                        minlength=p ** k).astype(np.uint8)
@@ -631,43 +630,24 @@ def _torus_equation(a, t):
 
 def _torus_dense(a, t, p):
     """Torus count of _torus_equation on the p^4 cells of X1..X4, X5 = 1:
-    the path at p = 2 and the oracle of _torus_kernel."""
+    the oracle of _torus_roots."""
     on = _zeros([_torus_equation(a, t)], _grid(p, [None] * 4 + [1]), p)
     # index 0 of each free axis is the coordinate 0, off the torus
     return int(np.count_nonzero(on[1:, 1:, 1:, 1:]))
 
 
-def _torus_kernel(a, t, p):
-    """Torus count at an odd prime from the roots in X4 of each cell of
-    X1..X3 on the nonzero grid, X5 = 1.  With S = X1 + X2 + X3 + 1,
-    P = X1 X2 X3 and U = P (a1/X1 + a2/X2 + a3/X3 + a5), the equation is
-
-        U X4^2 + (S U + a4 P - t P) X4 + S a4 P = 0,
-
-    with 1 + chi(disc) roots in F_p when U != 0 and one (B != 0) or p
-    (B = C = 0) when U = 0; a root X4 = 0, present exactly when
-    C = S a4 P = 0, is dropped.  (p - 1)^3 cells.
-
-    Every product is of two residues and every sum of at most four such
-    products, so the largest intermediate is below 4 p^2.  The (p - 1)^3
-    cells are refused beyond _MAX_TORUS_CELLS (p < 160), where that is
-    below 2^17; at that bound the arrays take about 300 MB.
-    """
-    _require_cells("torus kernel", p, lambda q: (q - 1) ** 3, _MAX_TORUS_CELLS)
-    a = [x % p for x in a]
-    nz = np.arange(1, p, dtype=np.int64)
-    x1, x2, x3 = nz.reshape(-1, 1, 1), nz.reshape(1, -1, 1), nz.reshape(1, 1, -1)
-    s = (x1 + x2 + x3 + 1) % p
-    x12 = x1 * x2 % p
-    prod = x12 * x3 % p
-    u = (a[0] * (x2 * x3 % p) + a[1] * (x1 * x3 % p) + a[2] * x12
-         + a[4] * prod) % p
-    b = (s * u + (a[3] - t) % p * prod) % p
-    c = s * (a[3] * prod % p) % p
-    disc = (b * b - 4 * u % p * c) % p
-    roots = np.where(u != 0, 1 + _chi_table(p)[disc],
-                     np.where(b != 0, 1, np.where(c == 0, p, 0)))
-    return int(roots.sum()) - int(np.count_nonzero(c == 0))
+def _torus_roots(eq, p):
+    """Torus count of eq = _torus_equation by the chart counter's
+    elimination: _count_roots adds the roots in X4 on each of the (p - 1)^3
+    cells of X1..X3 on the torus, X5 = 1, less the root X4 = 0 where the
+    constant coefficient vanishes.  The cells are refused beyond
+    _MAX_TORUS_CELLS (p < 160); at that bound the arrays take about 190 MB."""
+    _require_cells("torus count", p, lambda q: (q - 1) ** 3, _MAX_TORUS_CELLS)
+    coords = _grid(p, [None] * 3 + [0, 1])
+    for i in range(3):                  # X_i = 0 is off the torus
+        coords[i] = np.delete(coords[i], 0, axis=i)
+    c = [_eval_mono_list(q, coords, p) for q in _by_degree(eq, 3, 2)]
+    return _count_roots(c, p) - int(np.count_nonzero(c[0] == 0))
 
 
 def count_torus(a, t, p):
@@ -675,6 +655,8 @@ def count_torus(a, t, p):
     equation of (X1+...+X5)(a1/X1+...+a5/X5) = t, normalized X5 = 1."""
     require_prime(p)
     try:
+        if bool in map(type, (*a, t)):
+            raise TypeError
         a, t = [operator.index(x) for x in a], operator.index(t)
     except TypeError:
         raise ValidationError(f"torus parameters a = {a!r} and t = {t!r} "
@@ -682,8 +664,10 @@ def count_torus(a, t, p):
     if len(a) != 5:
         raise ValidationError("parameter vector a must have 5 entries")
     vid = "%s[a=%s;t=%d]" % (TORUS_FAMILY, ",".join(str(x) for x in a), t)
-    return _counted(vid, p, lambda: (_torus_dense(a, t, p) if p == 2
-                                     else _torus_kernel(a, t % p, p), 1))
+    eq = _torus_equation(a, t)
+    if all(m.coefficient % p == 0 for m in eq):
+        raise ValidationError(f"{vid}: equation 0 vanishes identically mod {p}")
+    return _counted(vid, p, lambda: (_torus_roots(eq, p), 1))
 
 
 def count_double_cover(spec, p):

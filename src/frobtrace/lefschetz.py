@@ -68,7 +68,7 @@ def solve_betti(n_p, p, chi):
     leaves the window from above.  p must be prime.
     """
     require_prime(p)
-    if not isinstance(chi, numbers.Integral):
+    if type(chi) is bool or not isinstance(chi, numbers.Integral):
         raise ValidationError(f"chi {chi!r} is not an integer")
     out = []
     b2 = max(1, -((2 - chi) // 2))

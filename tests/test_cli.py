@@ -207,6 +207,9 @@ def test_exit_codes(capsys, tmp_path):
         ({**torus, "a": 5}, "a = 5"),
         ({**torus, "a": ["1", 1, 1, 1, 1]}, "a = ['1'"),
         ({**torus, "t": "25"}, "t = '25'"),
+        ({**torus, "a": [True, 1, 1, 1, 1]}, "a = [True,"),
+        ({**torus, "t": True}, "t = True"),
+        ({"op": "betti", "p": 3, "chi": True}, "chi True is not an integer"),
         ({"op": "euler", "moves": 5}, "moves 5"),
         ({"op": "euler", "moves": [["base_chi", 5]]}, "moves [['base_chi', 5]]"),
         ({**compare, "bad_primes": 5}, "bad_primes 5"),
@@ -226,7 +229,7 @@ def test_exit_codes(capsys, tmp_path):
     for moves in ("5", '[["base_chi"]]'):
         assert main(["euler", "--moves", moves]) == 1, moves
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 21 and all(e.startswith("error: ") for e in err)
+    assert len(err) == 24 and all(e.startswith("error: ") for e in err)
     assert "nonexistent.json" in err[0] and "nope.csv" in err[1]
     assert "Expecting" in err[2] and "Expecting" in err[3]
     assert "'7' is not an integer" in err[4]

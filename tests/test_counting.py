@@ -68,11 +68,15 @@ def test_consani_scholten_kernel_matches_dense():
     assert count_projective(cs, 37).count == 52060
 
 
-def test_torus_kernel_matches_dense():
-    for p in [2] + SMALL_PRIMES:
+def test_torus_count_matches_dense():
+    # the dense oracle at every prime to 41, and counts pinned at 41, 101
+    # and 157, the largest prime the torus budget accepts
+    for p in [2] + [q for q in range(3, 42) if is_prime(q)]:
         for a, t in TORUS_AT:
             assert count_torus(a, t, p).count == \
                 counting._torus_dense(a, t, p), (a, t, p)
+    for p, want in ((41, 61411), (101, 971611), (157, 3744621)):
+        assert count_torus((1, 1, 1, 1, 1), 25, p).count == want, p
 
 
 def test_torus_cell_budget():
@@ -123,7 +127,7 @@ CELL_BUDGETS = [
      lambda p: singular_points(CAT.variety("schoen_x"), p), 337),
     ("two-group kernel", lambda p: p ** 2, counting._MAX_HIST_CELLS,
      lambda p: count_projective(CAT.variety("schoen_y"), p), 1999),
-    ("torus kernel", lambda p: (p - 1) ** 3, counting._MAX_TORUS_CELLS,
+    ("torus count", lambda p: (p - 1) ** 3, counting._MAX_TORUS_CELLS,
      lambda p: count_torus((1, 1, 1, 1, 1), 25, p), 157),
     ("Weierstrass a_p", lambda p: p, catalog._MAX_SLAB_CELLS,
      lambda p: declared_curve(CAT.variety("e_plane"), p), 3999971),
@@ -152,7 +156,12 @@ def test_cell_budgets_name_the_largest_accepted_prime():
 @given(st.lists(st.integers(-50, 50), min_size=5, max_size=5),
        st.integers(-50, 50), st.sampled_from((3, 5, 7, 11, 13)))
 def test_torus_kernel_random(a, t, p):
-    assert count_torus(a, t, p).count == counting._torus_dense(a, t, p)
+    # an equation whose every coefficient vanishes mod p is refused
+    if all(m.coefficient % p == 0 for m in counting._torus_equation(a, t)):
+        with pytest.raises(ValidationError, match="vanishes identically"):
+            count_torus(a, t, p)
+    else:
+        assert count_torus(a, t, p).count == counting._torus_dense(a, t, p)
 
 
 def test_schoen_histogram_large_primes():
@@ -480,6 +489,15 @@ def test_torus_counts():
     assert count_torus((1, 1, 1, 1, 1), 25 + 7 * 2 ** 60, 7).count == 201
     with pytest.raises(ValidationError):
         count_torus((1, 1, 1), 25, 7)
+    # 7 (X1 + ... + X5)(1/X1 + ... + 1/X5) = 35 vanishes mod 7, not mod 11
+    with pytest.raises(ValidationError,
+                       match=r"a=7,7,7,7,7;t=35\]: equation 0 vanishes .* 7$"):
+        count_torus((7, 7, 7, 7, 7), 35, 7)
+    assert count_torus((7, 7, 7, 7, 7), 35, 11).count == 730
+    # a bool is no integer, though operator.index takes it
+    for a, t in (((True, 1, 1, 1, 1), 25), ((1, 1, 1, 1, 1), True)):
+        with pytest.raises(ValidationError, match="must be integers"):
+            count_torus(a, t, 7)
 
 
 def test_double_cover_counts():
@@ -787,13 +805,12 @@ def full_grid(spec, p, eqs=None):
 
 
 def eliminated_chunks(monkeypatch):
-    """The chunks counted by _count_roots from here on, as (coordinate
-    eliminated, degree) pairs."""
+    """The degrees of the chunks counted by _count_roots from here on."""
     seen, run = [], counting._count_roots
 
-    def spy(parts, coords, p):
-        seen.append(len(parts) - 1)
-        return run(parts, coords, p)
+    def spy(c, p):
+        seen.append(len(c) - 1)
+        return run(c, p)
 
     monkeypatch.setattr(counting, "_count_roots", spy)
     return seen

@@ -48,6 +48,9 @@ def test_node_correction_guards():
 
 def test_solve_betti_p3():
     assert solve_betti(40, 3, 4) == [{"b2": 1, "b3": 0}]
+    # True == 1, but a bool is no Euler characteristic
+    with pytest.raises(ValidationError, match="chi True is not an integer"):
+        solve_betti(40, 3, True)
 
 
 def test_solve_betti_quotient_counts():
