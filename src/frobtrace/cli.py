@@ -1,14 +1,16 @@
 """Match pipelines, reproduction manifests, and the command line interface.
 
 The pipelines assemble counts into H^3 traces and compare them against
-newform coefficients.  Free parameters of the resolution bookkeeping (the
-splitting discriminant of the node quadrics and the number of Galois-gated
-divisor classes) are calibrated at a single prime and then frozen for all
-other rows, which is what makes the agreement at the remaining primes a
-check rather than a fit.  Each pipeline is a model (its counts, rational
-nodes, base b2 and companion a_p at a prime); one calibration and one
-freeze serve the rigid match, the quotient match and the Betti count,
-whose frozen values are those the quotient calibration gives at p = 11.
+newform coefficients.  The resolution bookkeeping has one declared
+parameter and one free one.  The splitting discriminant D of the node
+quadrics is read from the variety's known block in the catalog.  The
+number of Galois-gated divisor classes is calibrated at a single prime
+and then frozen for all other rows, which is what makes the agreement at
+the remaining primes a check rather than a fit.  Each pipeline is a model
+(its counts, rational nodes, base b2 and companion a_p at a prime); one
+calibration and one freeze serve the rigid match, the quotient match and
+the Betti count, whose gated classes are those the quotient calibration
+gives at p = 11.
 """
 from __future__ import annotations
 
@@ -25,12 +27,6 @@ from . import counting, lefschetz, livne, qexp
 from .catalog import _require_good, load_catalog, singular_points
 from .errors import FrobtraceError, RefusalError, ValidationError
 from .ffield import is_prime, kronecker, require_prime
-
-# Candidate splitting discriminants, tried in this order during
-# calibration.  The list covers the square classes supported on the bad
-# primes of the catalog's quintic models; the order makes calibration
-# deterministic when several candidates fit at the calibration prime.
-DISC_CANDIDATES = (5, -5, -1, 2, -2)
 
 
 @dataclass(frozen=True)
@@ -85,47 +81,33 @@ class _Model(NamedTuple):
     resolved_n_p: bool      # rows report the resolved count as n_p
 
 
-class _Frozen(NamedTuple):
-    """The free parameters that calibration fixes for every other row."""
-    disc: int       # splitting discriminant D of the node quadrics
-    gated: int      # divisor classes Frobenius invariant only at p = 1 mod 5
-
-
-def _freeze(model, frozen, p, c, target):
-    """The MatchRow at p under the frozen parameters."""
-    corr = lefschetz.node_correction(p, model.resolution, frozen.disc,
-                                     c.nodes)
-    b2 = c.b2 + (frozen.gated if p % 5 == 1 else 0)
+def _freeze(model, disc, gated, p, c, target):
+    """The MatchRow at p under the splitting discriminant disc and gated
+    divisor classes, Frobenius invariant only at p = 1 mod 5."""
+    corr = lefschetz.node_correction(p, model.resolution, disc, c.nodes)
+    b2 = c.b2 + (gated if p % 5 == 1 else 0)
     t3 = lefschetz.trace_h3(c.count, p, b2, corr)
     n_p = c.count + corr if model.resolved_n_p else c.count
     return MatchRow(p, n_p, corr, b2, t3, target, t3 == target)
 
 
-def _calibrate(model, p0, c, target):
-    """The first discriminant in DISC_CANDIDATES, with its number of gated
-    classes, whose freeze gives the target trace at p0.  Each H^2 class
-    adds p0 + p0^2 to t3."""
+def _calibrate(model, disc, p0, c, target):
+    """The number of gated classes whose freeze under the declared
+    discriminant disc gives the target trace at p0.  Each H^2 class adds
+    p0 + p0^2 to t3."""
     step = p0 + p0 * p0
-    rejected = []
-    for d in DISC_CANDIDATES:
-        if d % p0 == 0:
-            rejected.append(f"D={d}: p={p0} divides D")
-            continue
-        row = _freeze(model, _Frozen(d, 0), p0, c, target)
-        gated, rem = divmod(target - row.t3, step)
-        if rem:
-            rejected.append(f"D={d}: b2 = {row.b2 * step + target - row.t3}"
-                            f"/{step} is not an integer")
-        elif gated < 0:
-            rejected.append(f"D={d}: b2 = {row.b2 + gated} is below the "
-                            f"base {row.b2}")
-        elif gated and p0 % 5 != 1:
-            rejected.append(f"D={d}: {gated} gated classes at p={p0}, "
-                            f"which is not 1 mod 5")
-        else:
-            return _Frozen(d, gated)
-    raise ValidationError(f"calibration at p={p0} admits no integer "
-                          f"solution: {'; '.join(rejected)}")
+    row = _freeze(model, disc, 0, p0, c, target)
+    gated, rem = divmod(target - row.t3, step)
+    if rem:
+        why = f"b2 = {row.b2 * step + target - row.t3}/{step} is not an integer"
+    elif gated < 0:
+        why = f"b2 = {row.b2 + gated} is below the base {row.b2}"
+    elif gated and p0 % 5 != 1:
+        why = f"{gated} gated classes at p={p0}, which is not 1 mod 5"
+    else:
+        return gated
+    raise ValidationError(f"calibration at p={p0} under the declared D={disc} "
+                          f"admits no integer solution: {why}")
 
 
 def _match(model, variety_id, primes, calibration_prime, cat):
@@ -147,18 +129,19 @@ def _match(model, variety_id, primes, calibration_prime, cat):
             f"so the rows at {gated_rows} cannot be checked; use a "
             f"calibration prime = 1 mod 5, such as 11")
     cat = cat or load_catalog()
+    disc = cat.variety(variety_id).known["splitting_discriminant"]
     primes = sorted(primes)
     nform = qexp.f25(max(primes))
     counts = {p: model.counts(cat, variety_id, p) for p in primes}
     targets = {p: qexp.coefficient(nform, p) + p * counts[p].companion_ap
                for p in primes}
-    frozen = _calibrate(model, p0, counts[p0], targets[p0])
-    calibrated = {"b2": counts[p0].b2 + frozen.gated, "correction": {
+    gated = _calibrate(model, disc, p0, counts[p0], targets[p0])
+    calibrated = {"b2": counts[p0].b2 + gated, "correction": {
         "resolution": model.resolution,
-        "splitting_discriminant": frozen.disc,
+        "splitting_discriminant": disc,
         **model.described,
-        "gated_classes": frozen.gated}}
-    rows = tuple(_freeze(model, frozen, p, counts[p], targets[p])
+        "gated_classes": gated}}
+    rows = tuple(_freeze(model, disc, gated, p, counts[p], targets[p])
                  for p in primes)
     checks = [r.equal for r in rows if r.p != p0]
     ok = bool(checks) and all(checks)
@@ -224,10 +207,11 @@ def match_rigid(variety_id, primes, calibration_prime, cat=None):
     """Match the nodal quintic's H^3 traces against the level-25 form.
 
     Calibration solves 1 + (p+p^2) b2 + p^3 - N_p - c(D) = a_p at the
-    calibration prime for an integer b2 over the discriminant candidates;
-    the small-resolution correction c(D) adds kronecker(D,p) p per rational
-    node.  b2 splits as 1 + (b2-1): the hyperplane class plus classes
-    supported on the node web, rational exactly when p = 1 mod 5.
+    calibration prime for an integer b2, under the splitting discriminant D
+    that the variety declares; the small-resolution correction c(D) adds
+    kronecker(D,p) p per rational node.  b2 splits as 1 + (b2-1): the
+    hyperplane class plus classes supported on the node web, rational
+    exactly when p = 1 mod 5.
     """
     rigid = sorted(v for v, m in _MODELS.items() if m is _RIGID)
     if variety_id not in rigid:
@@ -240,9 +224,10 @@ def match_quotient(primes, calibration_prime, cat=None):
     """Match the quotient's H^3 traces against a_p(f25) + p a_p(E).
 
     Same calibration contract as the rigid match: the splitting
-    discriminant of the exceptional quadrics and the number of
-    Galois-gated invariant classes are fixed at one prime; every other row
-    is then parameter free.  A row reports the resolved count as n_p.
+    discriminant of the exceptional quadrics is declared by schoen_quotient
+    and the number of Galois-gated invariant classes is fixed at one prime;
+    every other row is then parameter free.  A row reports the resolved
+    count as n_p.
     """
     return _match(_QUOTIENT, "schoen_quotient", primes, calibration_prime,
                   cat)
@@ -262,26 +247,28 @@ def match_pipeline(variety_id, form, companion, primes, calibration_prime,
     return _match(model, variety_id, primes, calibration_prime, cat)
 
 
-# What match_quotient calibrates at p = 11, as the Betti count uses it; the
-# Tier-1 tests check the two agree.  Taken as data, so that the Betti count
-# makes point counts at its own prime only.
-QUOTIENT_FROZEN = _Frozen(disc=5, gated=12)
-QUOTIENT_FULL_B2 = 85         # b2 of the resolved quotient: chi 168, b3 4
+# The gated classes match_quotient calibrates at p = 11, as the Betti count
+# uses them; the Tier-1 tests check the two agree.  Taken as data, so that
+# the Betti count makes point counts at its own prime only.
+QUOTIENT_FROZEN = 12
 
 
 def quotient_resolved_count(p, adjusted=False, cat=None):
     """Point count of the big resolution of the quotient, and its b2 at p,
-    under the freeze of match_quotient at p = 11 (QUOTIENT_FROZEN).
+    under the declared splitting discriminant and the gated classes of
+    match_quotient at p = 11 (QUOTIENT_FROZEN).
 
     With adjusted=True the count is shifted by (85 - g)(p + p^2), modelling
-    a prime where all 85 divisor classes are Frobenius invariant; the
-    unadjusted count is the honest one.
+    a prime where all 85 divisor classes (schoen_quotient's resolved_b2)
+    are Frobenius invariant; the unadjusted count is the honest one.
     """
     require_prime(p)
     cat = cat or load_catalog()
+    known = cat.variety("schoen_quotient").known
     c = _quotient_counts(cat, "schoen_quotient", p)
-    row = _freeze(_QUOTIENT, QUOTIENT_FROZEN, p, c, None)
-    shift = (QUOTIENT_FULL_B2 - row.b2) * (p + p * p) if adjusted else 0
+    row = _freeze(_QUOTIENT, known["splitting_discriminant"], QUOTIENT_FROZEN,
+                  p, c, None)
+    shift = (known["resolved_b2"] - row.b2) * (p + p * p) if adjusted else 0
     return row.n_p + shift, row.b2
 
 
@@ -338,15 +325,21 @@ def _typed(convert, value, field):
         raise ValidationError(f"{field} {value!r} has the wrong type") from None
 
 
+def _integer(value):
+    """value as an int, or a TypeError: JSON's true is no integer."""
+    if type(value) is bool:
+        raise TypeError
+    return operator.index(value)
+
+
 def _ledger(moves):
     """LedgerMoves from [[kind, [integer args]], ...]."""
-    return [lefschetz.LedgerMove(k, tuple(map(operator.index, a)))
-            for k, a in moves]
+    return [lefschetz.LedgerMove(k, tuple(map(_integer, a))) for k, a in moves]
 
 
 def _traces(doc):
     """{p: trace} from an object of integer traces keyed by primes."""
-    return {int(k): operator.index(v) for k, v in doc.items()}
+    return {int(k): _integer(v) for k, v in doc.items()}
 
 
 # Each handler takes an _Op and the catalog, which the match and Betti
@@ -403,7 +396,7 @@ def _op_match(op, cat):
 
 def _op_livne(op, cat):
     bad = _typed(set, op["bad_primes"], "bad_primes")
-    t_set = _typed(lambda v: sorted(map(operator.index, v)), op["check_set"],
+    t_set = _typed(lambda v: sorted(map(_integer, v)), op["check_set"],
                    "check_set")
     if "traces1" in op or "traces2" in op:
         tr1, tr2 = (_typed(_traces, op[k], k) for k in ("traces1", "traces2"))
@@ -590,6 +583,9 @@ def _cmd_ap(args):
     if args.form:
         if args.form != "f25":
             raise ValidationError(f"unknown form {args.form!r}")
+        if args.degree != 1:
+            raise ValidationError("ap --form reads no --degree other than 1; "
+                                  "it prints the coefficient a_p")
         require_prime(args.p)
         _require_terms(args.p + 1, f"f25 a_p at p = {args.p}")
         s = qexp.f25(args.p + 1)

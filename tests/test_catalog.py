@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frobtrace import catalog
+from frobtrace import catalog, cli
 from frobtrace.catalog import (Ambient, InvolutionSpec, Monomial, VarietySpec,
                                _charts, _eval_mono_list, _grid, _restrict,
                                catalog_from_json, catalog_to_json, evaluate,
                                load_catalog, save_catalog, singular_points)
 from frobtrace.errors import RefusalError, ValidationError
-from frobtrace.ffield import nonresidue
+from frobtrace.ffield import kronecker, nonresidue
 
 CAT = load_catalog()
 
@@ -301,6 +301,53 @@ def test_singular_points_plane_curve():
     ep = CAT.variety("e_plane")
     assert len(singular_points(ep, 11)) == 5
     assert len(singular_points(ep, 13)) == 1
+
+
+def _hessian_classes(spec, p):
+    """kronecker((-1)^(n/2) det H, p) at every F_p-rational node of spec,
+    H the Hessian mod p of its equation in the affine chart of the node's
+    first nonzero coordinate (that row and column deleted)."""
+    eq = spec.equations[0]
+    nv = spec.ambient.nvars
+    second = [[catalog._partial(catalog._partial(eq, i), j)
+               for j in range(nv)] for i in range(nv)]
+
+    def value(poly, point):
+        return sum(m.coefficient * math.prod(x ** e for x, e in
+                                             zip(point, m.exponents))
+                   for m in poly) % p
+
+    classes = []
+    for point in singular_points(spec, p):
+        first = next(i for i, x in enumerate(point) if x)
+        chart = [i for i in range(nv) if i != first]
+        hessian = [[value(second[i][j], point) for j in chart] for i in chart]
+        sign = (-1) ** (len(chart) // 2)
+        classes.append(kronecker(sign * catalog._det(hessian), p))
+    return classes
+
+
+def test_splitting_discriminant_from_the_hessians():
+    # a node's quadric splits, its rulings or branches rational, exactly
+    # when (-1)^(n/2) det of its n x n Hessian is a square: that class is
+    # kronecker(D, p) for the D each variety declares
+    declared = {vid: CAT.variety(vid).known["splitting_discriminant"]
+                for vid in cli._MODELS}
+    assert all(type(d) is int for d in declared.values()), declared
+    # the quotient's 60 free node pairs have schoen_x's local rings; its
+    # nodes over the fixed curve's nodes are checked by the match rows
+    assert declared["schoen_quotient"] == declared["schoen_x"]
+    ep = CAT.variety("e_plane")
+    cases = [(CAT.variety("schoen_x"), declared["schoen_x"]),
+             (CAT.variety("schoen_y"), declared["schoen_y"]),
+             (ep, ep.normalization.splitting_discriminant)]
+    for spec, d in cases:
+        for p in (3, 7, 11, 13, 17, 19, 31, 41):
+            classes = _hessian_classes(spec, p)
+            if spec.dimension == 3:
+                assert len(classes) == (125 if p % 5 == 1 else 1)
+            assert classes and set(classes) == {kronecker(d, p)}, \
+                (spec.id, p, classes)
 
 
 def test_singular_points_guards():

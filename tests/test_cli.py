@@ -11,9 +11,8 @@ import pytest
 
 import frobtrace
 from frobtrace import catalog, cli, counting, lefschetz, qexp
-from frobtrace.cli import (DISC_CANDIDATES, betti_report, main, match_pipeline,
-                           match_quotient, match_rigid,
-                           quotient_resolved_count, run_manifest)
+from frobtrace.cli import (betti_report, main, match_pipeline, match_quotient,
+                           match_rigid, quotient_resolved_count, run_manifest)
 from frobtrace.errors import RefusalError, ValidationError
 from frobtrace.ffield import kronecker
 
@@ -71,10 +70,13 @@ def test_quotient_refusal_names_nearest_accepted_primes(capsys):
 
 
 def test_betti_count_uses_the_match_freeze():
-    # the Betti count's frozen values are the quotient calibration at 11
+    # the Betti count's gated classes are the quotient calibration at 11,
+    # and its D is the one schoen_quotient declares, as the match's is
     frozen = match_quotient([11], 11).calibrated["correction"]
-    assert cli.QUOTIENT_FROZEN == (frozen["splitting_discriminant"],
-                                   frozen["gated_classes"])
+    assert cli.QUOTIENT_FROZEN == frozen["gated_classes"] == 12
+    known = catalog.load_catalog().variety("schoen_quotient").known
+    assert frozen["splitting_discriminant"] == \
+        known["splitting_discriminant"] == 5
     for p in (3, 7, 11, 13, 31):
         row = next(r for r in match_quotient([p], 11).rows if r.p == p)
         assert quotient_resolved_count(p) == (row.n_p, row.b2)
@@ -99,25 +101,46 @@ def test_calibration_refuses_when_gated_classes_are_invisible(capsys):
 
 
 def test_failed_calibration_says_why(monkeypatch):
-    # targets read from eta(z) in place of f25: no candidate fits at 11
+    # targets read from eta(z) in place of f25: no number of gated classes
+    # fits at 11 under the declared D, and the error names D and the reason
     monkeypatch.setattr(qexp, "f25", lambda n: qexp.eta(1, 40))
-    with pytest.raises(ValidationError) as err:
+    with pytest.raises(ValidationError, match=r"^calibration at p=11 under "
+                       r"the declared D=5 admits no integer solution: "
+                       r"b2 = 3343/132 is not an integer$"):
         match_rigid("schoen_x", [3, 7, 11], 11)
-    msg = str(err.value)
-    assert all(f"D={d}: " in msg for d in DISC_CANDIDATES), msg
-    assert msg.count("is not an integer") == 5
-    # the other three reasons, at p0 = 5 with a count of 156 and one node:
-    # D = -1 gives t3 = -5 before any gated class, D = 2 and -2 give 5
-    counts = cli._Counts(156, 1, 1)
-    with pytest.raises(ValidationError) as err:
-        cli._calibrate(cli._RIGID, 5, counts, 25)
-    msg = str(err.value)
-    assert "D=5: p=5 divides D" in msg and "D=-5: p=5 divides D" in msg
-    assert "D=-1: 1 gated classes at p=5, which is not 1 mod 5" in msg
-    assert "D=2: b2 = 50/30 is not an integer" in msg
-    with pytest.raises(ValidationError, match="D=-1: b2 = 0 is below the "
-                                              "base 1"):
-        cli._calibrate(cli._RIGID, 5, counts, -35)
+    # the other two reasons, at p0 = 3 with a count of 43 and one node:
+    # D = 5 gives t3 = 0 before any gated class, and each class adds 12
+    counts = cli._Counts(43, 1, 1)
+    assert cli._calibrate(cli._RIGID, 5, 3, counts, 0) == 0
+    for target, why in ((12, "1 gated classes at p=3, which is not 1 mod 5"),
+                        (-12, "b2 = 0 is below the base 1"),
+                        (5, "b2 = 17/12 is not an integer")):
+        with pytest.raises(ValidationError, match=rf"D=5 admits no integer "
+                                                  rf"solution: {why}$"):
+            cli._calibrate(cli._RIGID, 5, 3, counts, target)
+    # at a prime dividing D the node correction refuses
+    with pytest.raises(ValidationError, match="divisible by p=5"):
+        cli._calibrate(cli._RIGID, 5, 5, cli._Counts(156, 1, 1), 25)
+
+
+def test_a_wrong_declared_discriminant_fails_the_matches():
+    # D = -2 is a catalog edit that still calibrates at 11, with 24 and 12
+    # gated classes; the rows where kronecker(-2, p) != kronecker(5, p) at
+    # a rational node then disagree with f25
+    doc = catalog.catalog_to_json(catalog.load_catalog())
+    for v in doc["varieties"]:
+        if v["id"] in cli._MODELS:
+            v["known"]["splitting_discriminant"] = -2
+    cat = catalog.catalog_from_json(doc)
+    for rep, gated, wrong in (
+            (match_rigid("schoen_x", [3, 7, 13, 17, 19, 23, 29, 31], 11,
+                         cat=cat), 24, [3, 17, 29, 31]),
+            (match_quotient([3, 7, 13, 17, 31, 41, 61], 11, cat=cat),
+             12, [17, 31, 61])):
+        assert rep.calibrated["correction"]["splitting_discriminant"] == -2
+        assert rep.calibrated["correction"]["gated_classes"] == gated
+        assert not rep.overall
+        assert [r.p for r in rep.rows if not r.equal] == wrong
 
 
 def test_betti_report_shrinks_with_p():
@@ -214,7 +237,13 @@ def test_exit_codes(capsys, tmp_path):
         ({"op": "euler", "moves": [["base_chi", 5]]}, "moves [['base_chi', 5]]"),
         ({**compare, "bad_primes": 5}, "bad_primes 5"),
         ({**compare, "traces1": {"x": 2}}, "traces1 {'x': 2}"),
-        ({**compare, "traces1": [1]}, "traces1 [1]")]
+        ({**compare, "traces1": [1]}, "traces1 [1]"),
+        # JSON's true is no integer, as a trace, a ledger argument or a prime
+        ({**compare, "traces1": {"3": True}}, "traces1 {'3': True}"),
+        ({"op": "euler", "moves": [["base_chi", [True]],
+                                   ["contract_nodes", [True]]]},
+         "moves [['base_chi', [True]]"),
+        ({**compare, "check_set": [True, 3]}, "check_set [True, 3]")]
     for doc in ({"operations": [{"op": "count", "variety": "schoen_x",
                                  "p": "7"}]},
                 [1, 2], {"operations": [5]}, {"operations": 5},
@@ -229,7 +258,7 @@ def test_exit_codes(capsys, tmp_path):
     for moves in ("5", '[["base_chi"]]'):
         assert main(["euler", "--moves", moves]) == 1, moves
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 24 and all(e.startswith("error: ") for e in err)
+    assert len(err) == 27 and all(e.startswith("error: ") for e in err)
     assert "nonexistent.json" in err[0] and "nope.csv" in err[1]
     assert "Expecting" in err[2] and "Expecting" in err[3]
     assert "'7' is not an integer" in err[4]
@@ -278,6 +307,10 @@ def test_ap_command(capsys):
     assert json.loads(capsys.readouterr().out)["ap"] == 1302
     assert main(["ap", "--p", "13"]) == 0
     assert json.loads(capsys.readouterr().out)["ap"] == 4
+    # a_{p^2} and the trace over F_{p^2} differ, so --form takes no degree
+    assert main(["ap", "--form", "f25", "--p", "7", "--degree", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ap --form reads no --degree")
 
 
 def test_eta_command(capsys):

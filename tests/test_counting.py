@@ -696,6 +696,9 @@ def test_matches_share_one_pass_per_prime(monkeypatch):
         counting._block_pass.cache_clear()
         shared = {name: runs[name]().to_json() for name in order}
         assert counting._block_pass.cache_info().misses == 45, order
+        # the quotient's rows at 41, 61, 101, ... check its declared D at
+        # the nodes over the fixed curve's nodes
+        assert shared["rigid"]["overall"] and shared["quotient"]["overall"]
     # the cache holds a pass of one model at every prime the kernel accepts
     accepted = [p for p in range(3, 2000) if is_prime(p)
                 and p * p <= counting._MAX_HIST_CELLS]
