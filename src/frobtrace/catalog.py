@@ -484,6 +484,10 @@ def catalog_from_json(doc):
         v = _variety_from_json(d)
         if v.id in vs:
             raise ValidationError(f"duplicate variety id {v.id!r}")
+        disc = (v.known or {}).get("splitting_discriminant", 0)
+        if type(disc) is not int:
+            raise ValidationError(f"{v.id}: splitting_discriminant {disc!r} "
+                                  "is not an integer")
         vs[v.id] = v
     decls = {d["id"]: d["count_model"] for d in doc["varieties"]
              if "count_model" in d}

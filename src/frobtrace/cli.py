@@ -110,6 +110,15 @@ def _calibrate(model, disc, p0, c, target):
                           f"admits no integer solution: {why}")
 
 
+def _declared_disc(spec, hint=""):
+    """The splitting discriminant D that spec's known block declares."""
+    disc = (spec.known or {}).get("splitting_discriminant")
+    if type(disc) is not int:
+        raise ValidationError(f"{spec.id} declares no integer known."
+                              f"splitting_discriminant ({disc!r}){hint}")
+    return disc
+
+
 def _match(model, variety_id, primes, calibration_prime, cat):
     """Calibrate at one prime, freeze, and compare every row's trace with
     its target; the calibration row itself does not count as a check, and a
@@ -129,7 +138,7 @@ def _match(model, variety_id, primes, calibration_prime, cat):
             f"so the rows at {gated_rows} cannot be checked; use a "
             f"calibration prime = 1 mod 5, such as 11")
     cat = cat or load_catalog()
-    disc = cat.variety(variety_id).known["splitting_discriminant"]
+    disc = _declared_disc(cat.variety(variety_id))
     primes = sorted(primes)
     nform = qexp.f25(max(primes))
     counts = {p: model.counts(cat, variety_id, p) for p in primes}
@@ -264,11 +273,12 @@ def quotient_resolved_count(p, adjusted=False, cat=None):
     """
     require_prime(p)
     cat = cat or load_catalog()
-    known = cat.variety("schoen_quotient").known
+    spec = cat.variety("schoen_quotient")
+    disc = _declared_disc(spec)
     c = _quotient_counts(cat, "schoen_quotient", p)
-    row = _freeze(_QUOTIENT, known["splitting_discriminant"], QUOTIENT_FROZEN,
-                  p, c, None)
-    shift = (known["resolved_b2"] - row.b2) * (p + p * p) if adjusted else 0
+    row = _freeze(_QUOTIENT, disc, QUOTIENT_FROZEN, p, c, None)
+    shift = (spec.known["resolved_b2"] - row.b2) * (p + p * p) if adjusted \
+        else 0
     return row.n_p + shift, row.b2
 
 
@@ -516,8 +526,10 @@ def _cmd_trace(args):
         n_rat = _schoen_rational_nodes(args.p)
     else:
         n_rat = len(singular_points(spec, args.p))
-    corr = lefschetz.node_correction(args.p, args.resolution,
-                                     args.splitting_discriminant, n_rat)
+    disc = args.splitting_discriminant
+    if disc is None:
+        disc = _declared_disc(spec, "; pass --splitting-discriminant")
+    corr = lefschetz.node_correction(args.p, args.resolution, disc, n_rat)
     t3 = lefschetz.trace_h3(rec.count, args.p, args.b2, corr)
     print(json.dumps({"p": args.p, "N_p": rec.count, "b2": args.b2,
                       "correction": corr, "t3": t3}, sort_keys=True))
@@ -695,7 +707,8 @@ def build_parser():
     q.add_argument("--p", type=int, required=True)
     q.add_argument("--b2", type=int, required=True)
     q.add_argument("--resolution", choices=("small", "big"), default="small")
-    q.add_argument("--splitting-discriminant", type=int, default=5)
+    q.add_argument("--splitting-discriminant", type=int,
+                   help="D of the node quadrics; default the declared one")
     q.set_defaults(fn=_cmd_trace)
 
     q = sub.add_parser("betti", help="solve for Betti numbers from a count")

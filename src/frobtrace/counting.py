@@ -16,15 +16,16 @@ projective, twisted and double-cover counts share one dense loop over the
 charts of _charts, cut into slabs that bound memory, the double cover
 factors chi over its forms' supports, each form on the grid of the
 coordinates it reads (O(p^2) a chart for the double octic), an F_{p^2}
-count is the F_p count of the common zeros of the Weil restrictions of
-the equations on half of each chart (_folded), and the weighted count runs
-one slab per value of the first coordinate.  count() picks the counter
-for a variety's ambient space.
+chart is counted from a scaled root table (_scaled_roots) or as the F_p
+count of the common zeros of the Weil restrictions of the equations on
+half of it (_folded), and the weighted count runs one slab per value of
+the first coordinate.  count() picks the counter for a variety's ambient
+space.
 
-A chunk of one equation over F_p eliminates a coordinate where the
-equation's degrees allow it (_elimination): the free coordinate x_v of
-least degree d on the chart, when p^d is at most the chart's cells over p
-and at most _MAX_SLAB_CELLS.  The coefficients c_k of x_v^k are evaluated
+A chunk of one equation eliminates a coordinate where the equation's
+exponents allow it.  Over F_p (_elimination) that is the free coordinate
+x_v of least degree d on the chart, when p^d is at most the chart's cells
+over p and at most _MAX_SLAB_CELLS.  The coefficients c_k of x_v^k are evaluated
 on the grid of the other free coordinates, p^(free-1) cells, and each
 cell adds the roots of sum_k c_k x^k, read from a cached table of root
 counts of monic polynomials of degree k (_root_table, p^k entries) at the
@@ -36,13 +37,20 @@ counts and cell budgets are those of the full grid, which counts every
 other chunk and is the elimination's oracle in the tests.  The torus
 count eliminates X4 so on the (p - 1)^3 nonzero cells of X1..X3.
 
-An F_{p^2} chart with a free coordinate is counted on half its grid by
-_folded.  The equations have integer coefficients, so conjugation, the
-Frobenius of F_{p^2}/F_p, maps zeros to zeros; it negates every b of
-x = a + b s and fixes each chart, so the first free b runs over
-0..(p-1)/2 only.  Chunk lists, chunk counts and the _MAX_EXT_CELLS
-refusal are those of the full chart, which is the fold's oracle in the
-tests; lefschetz.nodal_curve keeps its own full-grid scan.
+Over F_{p^2}, q = p^2, a chart on which the equation reads alpha z^D +
+beta z^d + gamma or alpha z^D + gamma in a free coordinate z, D > d > 0
+and alpha a constant (_scaling), evaluates beta and gamma as Weil
+restrictions on the q^k cells of its k other free coordinates, and each
+cell reads its roots in z from a table of one row per class of F_q^*
+modulo (D - d)-th powers, q entries each, on the discrete logs of F_q^*
+(_scaled_table).  Every other F_{p^2} chart with a free coordinate is
+counted on half its grid by _folded.  The equations have integer
+coefficients, so conjugation, the Frobenius of F_{p^2}/F_p, maps zeros
+to zeros; it negates every b of x = a + b s and fixes each chart, so the
+first free b runs over 0..(p-1)/2 only.  Chunk lists, chunk counts and
+the _MAX_EXT_CELLS refusal are those of the full chart, which with the
+fold is the scaled count's oracle in the tests; lefschetz.nodal_curve
+keeps its own full-grid scan.
 
 Every counter ends in the one dispatch _counted, which runs the two-group
 kernel where the declared model counts at p and the dense path otherwise,
@@ -155,24 +163,32 @@ def _counted(vid, p, dense, model=None, degree=1, twist_id=None,
 # ------------------------------------------------------------------ generic
 
 def _count_dense(spec, p, eqs, degree=1, on_chart=None):
-    """(count, chunk count) of the common zeros of eqs, monomial lists on
-    P^{nvars-1} (over F_{p^2}: their restrictions), or over F_p of
-    on_chart(coords) summed over the charts, chart by chart.  A chunk of one
-    equation over F_p is counted by _count_roots where _elimination selects
-    it, an F_{p^2} chart with a free coordinate by _folded on half its
-    grid, and every other chunk on the full grid."""
+    """(count, chunk count) of the common zeros over F_{p^degree} of eqs,
+    monomial lists on P^{nvars-1}, or over F_p of on_chart(coords) summed
+    over the charts, chart by chart.  A chunk of one equation is counted by
+    _count_roots where _elimination selects it over F_p and by
+    _scaled_roots where _scaling selects it over F_{p^2}; any other F_{p^2}
+    chart with a free coordinate by _folded on half the grid of the Weil
+    restrictions, and every other chunk, (0 : ... : 0 : 1) over F_{p^2}
+    too, on the full F_p grid."""
     nv = spec.ambient.nvars
     if degree == 1:          # _charts refuses F_{p^2} charts by its budget
         _require_cells("dense count", p, lambda q: q ** (nv - 1), _MAX_DENSE_TOTAL)
     chunks = _charts(p, nv, degree)
+    one = len(eqs) == 1 and tuple(eqs[0])
     on_chart = on_chart or (lambda c: int(np.count_nonzero(_zeros(eqs, c, p))))
-    one = degree == 1 and len(eqs) == 1
 
     def worker(fixed):
-        if degree == 2 and None in fixed:
-            return _folded(eqs, fixed, p)
+        if degree == 2 and None not in fixed:   # (0 : ... : 0 : 1), in F_p
+            fixed = fixed[::2]
+        elif degree == 2:
+            plan = one and _scaling(one, fixed.index(1) // 2, nv, p)
+            if plan:
+                return _scaled_roots(plan, fixed, p)
+            n = nonresidue(p)
+            return _folded([f for eq in eqs for f in _restrict(eq, n)], fixed, p)
         plan = one and _elimination(
-            tuple(eqs[0]), fixed.index(1), nv,
+            one, fixed.index(1), nv,
             tuple(i for i, x in enumerate(fixed) if x is None), p)
         if not plan:
             return on_chart(_grid(p, fixed))
@@ -202,6 +218,96 @@ def _folded(eqs, fixed, p):
     coords[b1] = coords[b1][:, :(p + 1) // 2]
     on = _zeros(eqs, coords, p)
     return 2 * int(np.count_nonzero(on)) - int(np.count_nonzero(on[:, 0]))
+
+
+@lru_cache(maxsize=256)
+def _scaling(eq, lead, nv, p):
+    """How the F_{p^2} chart x_lead = 1, x_i = 0 for i < lead, of the one
+    equation eq on P^{nv-1} is counted by _scaled_roots: the first free
+    coordinate z = x_v in which the live monomials (coefficient prime to p,
+    no x_i with i < lead) have the exponents {D, d, 0} or {D, 0}, D > d > 0,
+    z^D's coefficient is a constant alpha prime to p, and the table of
+    _scaled_table, 3 (n + 1) (q - 1) entries for n = gcd(D - d, q - 1) (0
+    without d), is no larger than _MAX_SLAB_CELLS.  (v, D, d, alpha, beta,
+    gamma) is returned, beta and gamma the Weil restrictions of the
+    coefficients of z^d (empty without d) and z^0.  The rule reads
+    exponents alone; otherwise None: _folded."""
+    q1 = p * p - 1
+    live = [m for m in eq if m.coefficient % p and not any(m.exponents[:lead])]
+    for v in range(lead + 1, nv):
+        degs = sorted({m.exponents[v] for m in live})
+        if len(degs) not in (2, 3) or degs[0]:
+            continue
+        d, D = degs[-2:]
+        parts = _by_degree(live, v, D)
+        alpha = sum(m.coefficient for m in parts[D]) % p
+        n = gcd(D - d, q1) if d else 0
+        if alpha and 3 * (n + 1) * q1 <= _MAX_SLAB_CELLS and \
+                not any(any(m.exponents[lead + 1:]) for m in parts[D]):
+            s = nonresidue(p)
+            return (v, D, d, alpha, _restrict(parts[d] if d else (), s),
+                    _restrict(parts[0], s))
+    return None
+
+
+def _scaled_roots(plan, fixed, p):
+    """The zeros of alpha z^D + beta z^d + gamma (_scaling's plan) on the
+    F_{p^2} chart fixed: beta and gamma are evaluated on the grid of the
+    other free coordinates, q^k cells with z = 0, as elements a + b p, and
+    each cell adds its roots in z, read from _scaled_table by two gathers
+    (products below p^2)."""
+    v, D, d, alpha, beta, gamma = plan
+    coords = _grid(p, fixed[:2 * v] + [0, 0] + fixed[2 * v + 2:])
+    (br, bi), (cr, ci) = ([_eval_mono_list(f, coords, p).ravel() for f in pair]
+                          for pair in (beta, gamma))
+    table, shift = _scaled_table(D, d, alpha, p)
+    key = _logs(p, 2)[1][cr + ci * p]
+    key += shift[br + bi * p]
+    return int(table[key].sum())
+
+
+@lru_cache(maxsize=8)
+def _scaled_table(D, d, alpha, p):
+    """(T, G) for the roots in F_q, q = p^2, of alpha z^D + beta z^d +
+    gamma (d = 0: alpha z^D + gamma), alpha in F_p^*: at beta and gamma,
+    elements a + b p, there are T[L[gamma] + G[beta]] of them, L the log
+    table of _logs(p, 2), and E its exp table.
+
+    With g the generator of the tables, n = gcd(D - d, q - 1) and rho_j =
+    g^j, j < n, each lambda = beta/alpha != 0 is rho_j t^(D-d) for one j
+    and one t = g^m, m < (q - 1)/n.  z = t w turns z^D + lambda z^d + c
+    into t^D (w^D + rho_j w^d + c t^-D), the scaling of Weil (Bull. AMS
+    55, 1949), so the roots are R_{j+1}[c t^-D], c = gamma/alpha, where
+    R_r[c] = #{w : w^D + rho w^d + c = 0}, rho = rho_{r-1} and rho = 0 in
+    R_0, the row of lambda = 0.  Each row is one bincount over F_q.  T's
+    row r is R_r read at E3 = (E, E, 0) on 3 (q - 1) entries, and G[beta]
+    = 3 (q - 1) r + (-L[alpha] - D m mod q - 1) puts L[gamma] + G[beta] at
+    L[c t^-D] < 2 (q - 1) on row r, or past it, on the zero block, from
+    L[0] = 2 (q - 1).  Indices of E stay below D q and every gather index
+    of T below its size, checked on the tables by an if that python -O
+    keeps."""
+    exp, log = _logs(p, 2)
+    q1 = exp.size
+    n = gcd(D - d, q1) if d else 0
+    i, e3 = np.arange(q1), np.concatenate([exp, exp, 0 * exp])
+    wd, rows = exp[D * i % q1], []                 # w^D at w = g^i
+    for r in range(n + 1):
+        rw = exp[(r - 1 + d * i) % q1] if r else 0   # rho w^d
+        # c = -(w^D + rho w^d) as an index, and w = 0 at c = 0
+        at = np.bincount(-(wd % p + rw % p) % p + -(wd // p + rw // p) % p * p,
+                         minlength=p * p)
+        at[0] += 1
+        rows.append(at[e3])
+    la = log[alpha]
+    shift = np.full(p * p, -la % q1)               # beta = 0: R_0, t = 1
+    if n:
+        j, m = np.divmod(i, q1 // n)
+        shift[exp[(la + j + (D - d) * m) % q1]] = \
+            (j + 1) * 3 * q1 + (-la - D * m) % q1
+    table = np.concatenate(rows)
+    if D * p * p >= 1 << 62 or log.max() + shift.max() >= table.size:
+        raise FrobtraceError(f"scaled root table at p={p} leaves its bounds")
+    return table, shift
 
 
 @lru_cache(maxsize=256)
@@ -273,12 +379,26 @@ def _inverses(p):
 
 
 @lru_cache(maxsize=8)
-def _logs(p):
-    """(E, L): E[i] = g^i, g = primitive_root(p), L[E[i]] = i, L[0] = 2p-2."""
-    exp = np.array(list(accumulate([primitive_root(p)] * (p - 2),
-                                   lambda y, g: y * g % p, initial=1)))
-    log = np.full(p, 2 * p - 2)
-    log[exp] = np.arange(p - 1)
+def _logs(p, degree=1):
+    """(E, L) on F_q^*, q = p^degree, a + b s in F_{p^2} read as its index
+    a + b p: E[i] = g^i, g = primitive_root(p, degree), L[E[i]] = i, L[0] =
+    2q - 2.  Over F_{p^2} E follows a table of x -> g x on the q indices,
+    whose products of three residues are below p^3, checked below 2^62 by
+    an if that python -O keeps (every caller's budget keeps p below 2000).
+    """
+    if p ** 3 >= 1 << 62:
+        raise FrobtraceError(f"log tables at p={p}: products reach 2^62")
+    q, g = p ** degree, primitive_root(p, degree)
+    if degree == 2:             # (a + b s)(c + d s), s^2 = n, on the indices
+        (b, a), c, d = np.divmod(np.arange(q), p), g % p, g // p
+        n = nonresidue(p)
+        table = ((a * c + b * d * n) % p + (a * d + b * c) % p * p).tolist()
+        step = lambda y, _: table[y]
+    else:
+        step = lambda y, _: y * g % p
+    exp = np.array(list(accumulate(range(q - 2), step, initial=1)))
+    log = np.full(q, 2 * q - 2)
+    log[exp] = np.arange(q - 1)
     return exp, log
 
 
@@ -521,13 +641,12 @@ def _two_group_count(model, p, label, flips=(False, False)):
 
 def count_projective(spec, p, degree=1):
     """#X(F_{p^degree}) for a variety in (straight) projective space; over
-    F_{p^2} the dense count of the Weil restrictions, folded by
-    conjugation (_folded)."""
+    F_{p^2} chart by chart from scaled root tables (_scaled_roots) or the
+    Weil restrictions folded by conjugation (_folded)."""
     _field_degree(degree)
     _opening(spec, p, "projective", "degree-2 counts" if degree == 2 else None)
-    n = nonresidue(p) if degree == 2 else None
-    eqs = [f for eq in spec.equations for f in _restrict(eq, n)]
-    return _counted(spec.id, p, lambda: _count_dense(spec, p, eqs, degree),
+    return _counted(spec.id, p,
+                    lambda: _count_dense(spec, p, spec.equations, degree),
                     spec.count_model if degree == 1 else None, degree)
 
 

@@ -3,10 +3,11 @@
 Everything here is exact integer arithmetic on Python ints.  require_prime
 is the prime check every entry point makes, nonresidue(p) is the
 distinguished non-residue n that defines F_{p^2} = F_p[s]/(s^2 - n), and
-primitive_root(p) the base of the counting module's discrete-log tables.
-Elements of F_p and F_{p^2} are not objects: they are residues, and
-a + b s is the pair (a, b) of F_p coordinates on which the catalog module
-evaluates Weil restrictions.
+primitive_root(p, degree) the base of the counting module's discrete-log
+tables of F_p^* and F_{p^2}^*.  Elements of F_p and F_{p^2} are not
+objects: they are residues, and a + b s is the pair (a, b) of F_p
+coordinates on which the catalog module evaluates Weil restrictions, or
+the index a + b p of a table.
 """
 from __future__ import annotations
 
@@ -86,12 +87,29 @@ def nonresidue(p):
 
 
 @functools.lru_cache(maxsize=64)
-def primitive_root(p):
-    """Smallest generator g of F_p^*, p an odd prime: no g^((p-1)/f) is 1."""
+def primitive_root(p, degree=1):
+    """Smallest generator g of F_q^*, q = p^degree, p an odd prime: no
+    g^((q-1)/f) is 1 for a prime f of q - 1.  Over F_{p^2} = F_p[s]/(s^2 -
+    nonresidue(p)) the element a + b s is its index a + b p, the order in
+    which the search runs; it starts at s, as no element of F_p generates."""
     if p == 2 or not is_prime(p):
         raise ValidationError(f"{p} is not an odd prime")
-    q = p - 1
-    factors = {d for f in range(1, math.isqrt(q) + 1) if q % f == 0
-               for d in (f, q // f) if is_prime(d)}
-    return next(g for g in range(2, p)
-                if all(pow(g, q // f, p) != 1 for f in factors))
+    if degree not in (1, 2):
+        raise ValidationError(f"field degree {degree!r} is not 1 or 2")
+    q, n = p ** degree, nonresidue(p) if degree == 2 else 0
+
+    def power(x, e):                    # x^e in F_q, by squaring
+        if q == p:
+            return pow(x, e, p)
+        a, b, ra, rb = x % p, x // p, 1, 0
+        while e:
+            if e & 1:
+                ra, rb = (ra * a + rb * b * n) % p, (ra * b + rb * a) % p
+            a, b, e = (a * a + b * b * n) % p, 2 * a * b % p, e >> 1
+        return ra + rb * p
+
+    m = q - 1
+    factors = {d for f in range(1, math.isqrt(m) + 1) if m % f == 0
+               for d in (f, m // f) if is_prime(d)}
+    return next(g for g in range(2 if degree == 1 else p, q)
+                if all(power(g, m // f) != 1 for f in factors))

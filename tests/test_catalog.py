@@ -194,6 +194,10 @@ LOADER_REFUSALS = [
      "duplicate variety id 'e_plane'"),
     (_set("iota_x", ["variety_id"], "nope", kind="involutions"),
      "involution 'iota_x' references unknown variety"),
+    (_set("schoen_x", ["known", "splitting_discriminant"], True),
+     "schoen_x: splitting_discriminant True is not an integer"),
+    (_set("schoen_y", ["known", "splitting_discriminant"], 5.0),
+     "schoen_y: splitting_discriminant 5.0 is not an integer"),
 ]
 
 

@@ -143,6 +143,28 @@ def test_a_wrong_declared_discriminant_fails_the_matches():
         assert [r.p for r in rep.rows if not r.equal] == wrong
 
 
+def test_a_missing_declared_discriminant_is_a_validation_error():
+    # the matches and the Betti count read D through one helper, which
+    # names the variety and the key when D is absent or known is null,
+    # before any count is made
+    doc = catalog.catalog_to_json(catalog.load_catalog())
+    for v in doc["varieties"]:
+        if v["id"] == "schoen_x":
+            del v["known"]["splitting_discriminant"]
+        if v["id"] == "schoen_quotient":
+            v["known"] = None
+    cat = catalog.catalog_from_json(doc)
+    for run, vid in ((lambda: match_rigid("schoen_x", [3], 11, cat=cat),
+                      "schoen_x"),
+                     (lambda: match_quotient([3], 11, cat=cat),
+                      "schoen_quotient"),
+                     (lambda: quotient_resolved_count(3, cat=cat),
+                      "schoen_quotient")):
+        with pytest.raises(ValidationError, match=f"^{vid} declares no "
+                           r"integer known\.splitting_discriminant \(None\)$"):
+            run()
+
+
 def test_betti_report_shrinks_with_p():
     # at full-splitting primes the window of admissible pairs narrows
     c11 = betti_report(11, 168, adjusted=True)["candidates"]
@@ -517,10 +539,17 @@ def test_trace_command(capsys):
                                   "--p", "11", "--b2", "25"])
     assert code == 0 and out == {"N_p": 3300, "b2": 25, "correction": 1375,
                                  "p": 11, "t3": -43}
-    # outside the rigid pipeline the nodes come from the node scan: 6 at 7
-    code, out = _printed(capsys, ["trace", "--variety", "hm_quintic",
-                                  "--p", "7", "--b2", "1"])
+    # outside the rigid pipeline the nodes come from the node scan: 6 at 7;
+    # hm_quintic declares no D, so the flag gives it, and without the flag
+    # the command exits 1 and names it
+    args = ["trace", "--variety", "hm_quintic", "--p", "7", "--b2", "1"]
+    code, out = _printed(capsys, args + ["--splitting-discriminant", "5"])
     assert code == 0 and (out["N_p"], out["correction"]) == (406, -42)
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: hm_quintic declares no integer known."
+                   "splitting_discriminant (None); pass "
+                   "--splitting-discriminant\n")
 
 
 def test_eta_form_command(capsys):

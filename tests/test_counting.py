@@ -22,7 +22,7 @@ from frobtrace.counting import (count, count_double_cover, count_projective,
                                 check_preserves, read_records, write_records)
 from frobtrace.errors import FrobtraceError, RefusalError, ValidationError
 from frobtrace.ffield import is_prime, nonresidue
-from frobtrace.lefschetz import declared_curve
+from frobtrace.lefschetz import declared_curve, nodal_curve
 
 CAT = load_catalog()
 
@@ -434,6 +434,131 @@ def test_degree_two_fold_random_systems(case):
             assert counting._folded(eqs, fixed, p) == full, fixed
         free.add(fixed.count(None) // 2)
     assert {0, 1} <= free
+    assert count_projective(spec, p, degree=2).count == full_grid_ext(spec, p)
+
+
+def _charts_agree(spec, p):
+    """Chart by chart, where _scaling plans the scaled root count, that
+    count, and always _folded, equal the chart's full grid; returns the
+    number of scaled charts."""
+    eq = spec.equations[0]
+    eqs = list(catalog._restrict(eq, nonresidue(p)))
+    scaled = 0
+    for fixed in catalog._charts(p, spec.ambient.nvars, 2):
+        if None not in fixed:
+            continue
+        full = int(np.count_nonzero(_zeros(eqs, _grid(p, fixed), p)))
+        assert counting._folded(eqs, fixed, p) == full, fixed
+        plan = counting._scaling(eq, fixed.index(1) // 2, spec.ambient.nvars, p)
+        if plan:
+            assert counting._scaled_roots(plan, fixed, p) == full, fixed
+            scaled += 1
+    return scaled
+
+
+def test_scaled_roots_match_the_fold_on_e_plane():
+    # at every odd good prime to 23 both of e_plane's charts with a free
+    # coordinate are counted from the scaled root tables, as _folded and
+    # the full grid count them, and the total is nodal_curve's scan of the
+    # same F_{p^2} points; pinned at 31 and at 83, the largest prime the
+    # degree-2 budget accepts on P^2
+    e = CAT.variety("e_plane")
+    for p in SMALL_PRIMES:
+        if p not in e.bad_primes:
+            assert _charts_agree(e, p) == 2, p
+            assert count_projective(e, p, degree=2).count == \
+                nodal_curve(e, p, 2).points, p
+    assert count_projective(e, 31, degree=2).count == 1015
+    assert count_projective(e, 83, degree=2).count == 6974
+
+
+def scaled_charts(monkeypatch):
+    """(D, d) of each F_{p^2} chart counted by _scaled_roots from here on."""
+    seen, run = [], counting._scaled_roots
+
+    def spy(plan, fixed, p):
+        seen.append(plan[1:3])
+        return run(plan, fixed, p)
+
+    monkeypatch.setattr(counting, "_scaled_roots", spy)
+    return seen
+
+
+def test_scaled_roots_are_chosen_by_exponents(monkeypatch):
+    # e_plane's charts x0 = 1 (2 y^5 - 5 y^2 z^2 + 2 z^5 + 1, y taken
+    # first) and x0 = 0, x1 = 1 (2 z^5 + 2) take the path, and so does a
+    # copy under another id; with 2 x1 x2^4 for 2 x2^5, the top coefficient
+    # 2 y of z^4 on x0 = 1 is not constant and y has four exponents, so
+    # that chart falls back to the fold, while x0 = 0, x1 = 1 still scales
+    seen = scaled_charts(monkeypatch)
+    copy = dataclasses.replace(CAT.variety("e_plane"), id="e_copy")
+    for p in (7, 11):
+        seen.clear()
+        assert count_projective(copy, p, degree=2).count == \
+            full_grid_ext(copy, p), p
+        assert seen == [(5, 2), (5, 0)], p
+    other = _spec(3, [(1, (5, 0, 0)), (2, (0, 5, 0)), (2, (0, 1, 4)),
+                      (-5, (1, 2, 2))])
+    assert counting._scaling(other.equations[0], 0, 3, 7) is None
+    seen.clear()
+    assert count_projective(other, 7, degree=2).count == full_grid_ext(other, 7)
+    assert seen == [(4, 0)]
+
+
+def test_scaled_tables_are_bounded(monkeypatch):
+    # the table checks the gather indices its logs can make before any
+    # gather, also under python -O, and a table that raises is not cached
+    exp, log = counting._logs(7, 2)
+    bad = log.copy()
+    bad[0] = 7 ** 4
+    counting._scaled_table.cache_clear()
+    monkeypatch.setattr(counting, "_logs", lambda p, degree=1: (exp, bad))
+    with pytest.raises(FrobtraceError, match="p=7 leaves its bounds"):
+        count_projective(CAT.variety("e_plane"), 7, degree=2)
+    assert counting._scaled_table.cache_info().currsize == 0
+
+
+@st.composite
+def _trinomial_curves(draw):
+    """(spec, p): alpha x0^(N-D) x2^D + beta(x0, x1) x2^d + gamma(x0, x1)
+    on P^2 at p in {3, 7, 11, 13}, D > d >= 0, with beta empty (a binomial
+    in x2) when d = 0; any coefficient, alpha too, may vanish mod p."""
+    p = draw(st.sampled_from((3, 7, 11, 13)))
+    big = draw(st.integers(1, 6))
+    top = draw(st.integers(1, big))
+    low = draw(st.integers(0, top - 1))
+    coefficient = st.integers(-20, 20)
+    terms = {(big - top, 0, top): draw(coefficient)}
+    for deg in {low, 0}:
+        for i in draw(st.lists(st.integers(0, big - deg), min_size=1,
+                               max_size=3)):
+            terms[i, big - deg - i, deg] = draw(coefficient)
+    assume(any(c % p for c in terms.values()))
+    return _spec(3, [(c, e) for e, c in sorted(terms.items()) if c]), p
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_trinomial_curves())
+# x2^3 + x0 x1 x2 + x1^3: beta and gamma vanish at x1 = 0; gcd(2, 48) = 2
+@example((_spec(3, [(1, (0, 0, 3)), (1, (1, 1, 1)), (1, (0, 3, 0))]), 7))
+# x2^2 + x0 x1 x2 + x0^2 - x1^2: gcd(1, 8) = 1
+@example((_spec(3, [(1, (0, 0, 2)), (1, (1, 1, 0)), (1, (2, 0, 0)),
+                    (-1, (0, 2, 0))]), 3))
+# x2^4 + 3 x1^3 x2 + x0^4 - x1^4: gamma vanishes where x1^4 = x0^4;
+# gcd(3, 120) = 3
+@example((_spec(3, [(1, (0, 0, 4)), (3, (0, 3, 1)), (1, (4, 0, 0)),
+                    (-1, (0, 4, 0))]), 11))
+# x2^5 + 2 x0^3 x1 x2 + x1^5: gcd(4, 168) = 4
+@example((_spec(3, [(1, (0, 0, 5)), (2, (3, 1, 1)), (1, (0, 5, 0))]), 13))
+# 7 x2^3 + x0 x1 x2 + x1^3 at 7: alpha = 0 mod p, the fold counts
+@example((_spec(3, [(7, (0, 0, 3)), (1, (1, 1, 1)), (1, (0, 3, 0))]), 7))
+# x2^3 + x0^2 x1: a binomial in x2
+@example((_spec(3, [(1, (0, 0, 3)), (1, (2, 1, 0))]), 11))
+def test_scaled_roots_random_curves(case):
+    # chart by chart the scaled root count equals the fold and the full
+    # grid wherever _scaling plans it, and so does the total
+    spec, p = case
+    _charts_agree(spec, p)
     assert count_projective(spec, p, degree=2).count == full_grid_ext(spec, p)
 
 

@@ -101,9 +101,40 @@ def test_log_tables_invert():
         assert exp[1] == primitive_root(p)
 
 
+def test_f_p2_generator_and_log_tables():
+    # over F_{p^2} = F_p[s]/(s^2 - n) the generator, an index a + b p, has
+    # order q - 1 and no smaller index does; E steps by g, log(exp(i)) = i
+    # and exp(log(x)) = x, and L[0] is the sentinel 2(q - 1)
+    for p in (3, 5, 7, 11, 13):
+        q, n = p * p, nonresidue(p)
+
+        def times(x, y):
+            a, b, c, d = x % p, x // p, y % p, y // p
+            return (a * c + b * d * n) % p + (a * d + b * c) % p * p
+
+        def order(h):
+            x, k = h, 1
+            while x != 1:
+                x, k = times(x, h), k + 1
+            return k
+
+        g = primitive_root(p, 2)
+        assert order(g) == q - 1, p
+        assert all(order(h) < q - 1 for h in range(2, g)), p
+        exp, log = _logs(p, 2)
+        assert exp.shape == (q - 1,) and log.shape == (q,)
+        assert exp[0] == 1 and all(times(int(x), g) == y
+                                   for x, y in zip(exp, exp[1:])), p
+        assert np.array_equal(log[exp], np.arange(q - 1))
+        assert np.array_equal(exp[log[1:]], np.arange(1, q))
+        assert log[0] == 2 * (q - 1)
+
+
 def test_primitive_root_refuses():
     for p in (2, 1, 0, -3, 9, 15, 1 << 12):
         with pytest.raises(ValidationError, match="not an odd prime"):
             primitive_root(p)
     with pytest.raises(ValidationError, match="not an integer"):
         primitive_root(7.0)
+    with pytest.raises(ValidationError, match="field degree 3 is not 1 or 2"):
+        primitive_root(7, 3)
