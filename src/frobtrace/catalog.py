@@ -46,10 +46,12 @@ lefschetz.nodal_curve both read it.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from importlib import resources
 from math import comb
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -286,7 +288,7 @@ def _variety_to_json(v):
         "dimension": v.dimension,
         "equations": [_poly_to_json(eq) for eq in v.equations],
         "bad_primes": sorted(v.bad_primes),
-        "known": v.known,
+        "known": _thawed(v.known),
         "provenance": v.provenance,
     }
     if v.count_model is not None:
@@ -301,6 +303,25 @@ def _variety_to_json(v):
     return d
 
 
+def _frozen(x):
+    """x with its dicts read-only and its lists tuples, all the way down:
+    one parsed catalog is shared by every caller of load_catalog()."""
+    if isinstance(x, dict):
+        return MappingProxyType({k: _frozen(y) for k, y in x.items()})
+    if isinstance(x, list):
+        return tuple(_frozen(y) for y in x)
+    return x
+
+
+def _thawed(x):
+    """A fresh copy of a _frozen value as JSON dicts and lists."""
+    if isinstance(x, Mapping):
+        return {k: _thawed(y) for k, y in x.items()}
+    if isinstance(x, tuple):
+        return [_thawed(y) for y in x]
+    return x
+
+
 def _variety_from_json(d):
     return VarietySpec(
         id=d["id"],
@@ -308,7 +329,7 @@ def _variety_from_json(d):
         equations=tuple(_poly_from_json(eq) for eq in d["equations"]),
         dimension=int(d["dimension"]),
         bad_primes=frozenset(int(p) for p in d["bad_primes"]),
-        known=d.get("known"),
+        known=_frozen(d.get("known")),
         provenance=d["provenance"],
     )
 
@@ -449,11 +470,17 @@ def _declared_normalization(spec, d):
     def bad(why):
         return ValidationError(f"{spec.id}: normalization {why}")
 
-    a = tuple(int(x) for x in d["weierstrass"])
-    nodes = RootNodes(int(d["nodes"]["order"]),
-                      tuple(tuple(int(e) for e in v)
+    def integer(x, key):
+        if type(x) is not int:
+            raise bad(f"{key} {x!r} is not an integer")
+        return x
+
+    a = tuple(integer(x, "weierstrass") for x in d["weierstrass"])
+    nodes = RootNodes(integer(d["nodes"]["order"], "nodes.order"),
+                      tuple(tuple(integer(e, "nodes.exponents") for e in v)
                             for v in d["nodes"]["exponents"]))
-    norm = Normalization(a, nodes, int(d["splitting_discriminant"]))
+    norm = Normalization(a, nodes, integer(d["splitting_discriminant"],
+                                           "splitting_discriminant"))
     m, nv = nodes.order, spec.ambient.nvars
     if len(a) != 5:
         raise bad("needs the five coefficients a1, a2, a3, a4, a6")
@@ -514,7 +541,7 @@ def catalog_from_json(doc):
         if inv.variety_id not in vs:
             raise ValidationError(f"involution {inv.id!r} references unknown variety")
         invs[inv.id] = inv
-    return Catalog(vs, invs)
+    return Catalog(MappingProxyType(vs), MappingProxyType(invs))
 
 
 def catalog_to_json(cat):
@@ -533,12 +560,18 @@ def save_catalog(cat, path):
 
 
 def load_catalog(path=None):
-    """Load the shipped catalog, or one from an explicit path."""
+    """Load the shipped catalog, parsed and validated once per process, or
+    one from an explicit path, read on every call.  Its mappings and known
+    blocks are read-only, since every caller shares the shipped one."""
     if path is None:
-        text = resources.files("frobtrace").joinpath("data/catalog.json").read_text()
-    else:
-        with open(path) as fh:
-            text = fh.read()
+        return _shipped_catalog()
+    with open(path) as fh:
+        return catalog_from_json(json.load(fh))
+
+
+@lru_cache(maxsize=1)
+def _shipped_catalog():
+    text = resources.files("frobtrace").joinpath("data/catalog.json").read_text()
     return catalog_from_json(json.loads(text))
 
 

@@ -110,13 +110,14 @@ def _calibrate(model, disc, p0, c, target):
                           f"admits no integer solution: {why}")
 
 
-def _declared_disc(spec, hint=""):
-    """The splitting discriminant D that spec's known block declares."""
-    disc = (spec.known or {}).get("splitting_discriminant")
-    if type(disc) is not int:
+def _declared(spec, key="splitting_discriminant", hint=""):
+    """The integer that spec's known block declares under key, by default
+    the splitting discriminant D."""
+    value = (spec.known or {}).get(key)
+    if type(value) is not int:
         raise ValidationError(f"{spec.id} declares no integer known."
-                              f"splitting_discriminant ({disc!r}){hint}")
-    return disc
+                              f"{key} ({value!r}){hint}")
+    return value
 
 
 def _match(model, variety_id, primes, calibration_prime, cat):
@@ -138,7 +139,7 @@ def _match(model, variety_id, primes, calibration_prime, cat):
             f"so the rows at {gated_rows} cannot be checked; use a "
             f"calibration prime = 1 mod 5, such as 11")
     cat = cat or load_catalog()
-    disc = _declared_disc(cat.variety(variety_id))
+    disc = _declared(cat.variety(variety_id))
     primes = sorted(primes)
     nform = qexp.f25(max(primes))
     counts = {p: model.counts(cat, variety_id, p) for p in primes}
@@ -274,11 +275,11 @@ def quotient_resolved_count(p, adjusted=False, cat=None):
     require_prime(p)
     cat = cat or load_catalog()
     spec = cat.variety("schoen_quotient")
-    disc = _declared_disc(spec)
+    disc = _declared(spec)
+    full = _declared(spec, "resolved_b2") if adjusted else None
     c = _quotient_counts(cat, "schoen_quotient", p)
     row = _freeze(_QUOTIENT, disc, QUOTIENT_FROZEN, p, c, None)
-    shift = (spec.known["resolved_b2"] - row.b2) * (p + p * p) if adjusted \
-        else 0
+    shift = (full - row.b2) * (p + p * p) if adjusted else 0
     return row.n_p + shift, row.b2
 
 
@@ -528,7 +529,7 @@ def _cmd_trace(args):
         n_rat = len(singular_points(spec, args.p))
     disc = args.splitting_discriminant
     if disc is None:
-        disc = _declared_disc(spec, "; pass --splitting-discriminant")
+        disc = _declared(spec, hint="; pass --splitting-discriminant")
     corr = lefschetz.node_correction(args.p, args.resolution, disc, n_rat)
     t3 = lefschetz.trace_h3(rec.count, args.p, args.b2, corr)
     print(json.dumps({"p": args.p, "N_p": rec.count, "b2": args.b2,

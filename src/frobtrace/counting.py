@@ -10,17 +10,21 @@ quadratic-character blocks of b, and the straight, twisted, chi-weighted
 and uncoupled counts are weightings of them, so schoen_x's count,
 schoen_y's twisted count and the quotient's count reuse schoen_y's pass.
 Its p^2 cells see no product mod p, only gathers from O(p) tables of
-discrete logs, adds and bincounts.  Everything else, and every kernel's
-oracle, runs on the broadcast grids of the catalog module: the
-projective, twisted and double-cover counts share one dense loop over the
-charts of _charts, cut into slabs that bound memory, the double cover
-factors chi over its forms' supports, each form on the grid of the
-coordinates it reads (O(p^2) a chart for the double octic), an F_{p^2}
-chart is counted from a scaled root table (_scaled_roots) or as the F_p
-count of the common zeros of the Weil restrictions of the equations on
-half of it (_folded), and the weighted count runs one slab per value of
-the first coordinate.  count() picks the counter for a variety's ambient
-space.
+discrete logs, adds and bincounts.  Where the declared groups are
+weighted-homogeneous with even weights (schoen_y, so schoen_x, and the
+quotient) the cells run along the scaling orbits, each a broadcast add of
+discrete logs, and no p^2-cell array is made; other models
+(consani_scholten) evaluate their values on the grid.  Everything else,
+and every kernel's oracle, runs on the broadcast grids of the catalog
+module: the projective, twisted and double-cover counts share one dense
+loop over the charts of _charts, cut into slabs that bound memory, the
+double cover factors chi over its forms' supports, each form on the grid
+of the coordinates it reads (O(p^2) a chart for the double octic), an
+F_{p^2} chart is counted from a scaled root table (_scaled_roots) or as
+the F_p count of the common zeros of the Weil restrictions of the
+equations on half of it (_folded), and the weighted count runs one slab
+per value of the first coordinate.  count() picks the counter for a
+variety's ambient space.
 
 A chunk of one equation eliminates a coordinate where the equation's
 exponents allow it.  Over F_p (_elimination) that is the free coordinate
@@ -451,30 +455,73 @@ def _flips(model, diag):
     return tuple(flips)
 
 
+def _orbit_cells(v, D, blocks, p):
+    """(cells, hists) of a weighted-homogeneous polynomial f of degree D on
+    the scaling orbits, from v = (f(0, b'), f(1, b')) on each row b' and
+    the chi block of each row: column 0 is (0, b') and column j >= 1 is
+    (g^(j-1), g^(w(j-1)) b'), where f is g^(D(j-1)) f(1, b').
+
+    cells(i, j, out) writes into out the indices of rows i:j into E3 = (E,
+    E, 0) of _logs(p): L[f(0, b')] in column 0 and L[f(1, b')] + D(j - 1)
+    mod p - 1 in column j, below L[0] + p - 1 = 3 (p - 1).  hists() is the
+    histogram of the values of each block in O(p): a row with f(1, b') = x
+    != 0 reaches each value x g^u with u = L[x] mod gcd(D, p - 1),
+    gcd(D, p - 1) times, and one with x = 0 reaches 0 p - 1 times."""
+    exp, log = _logs(p)
+    q, n = p - 1, gcd(D, p - 1)
+    col0, base = log[v[:, 0]], log[v[:, 1]]
+    off = D * np.arange(-1, q) % q
+
+    def cells(i, j, out):
+        out = np.add(base[i:j, None], off, out=out[:(j - i) * p].reshape(-1, p))
+        out[:, 0] = col0[i:j]
+        return out.reshape(-1)
+
+    def hists():
+        out = np.bincount(blocks * p + v[:, 0], minlength=3 * p).reshape(3, p)
+        on = base < q
+        out[:, 0] += q * np.bincount(blocks[~on], minlength=3)
+        rows = np.bincount(blocks[on] * n + base[on] % n, minlength=3 * n)
+        out[:, exp] += n * rows.reshape(3, n)[:, np.arange(q) % n]
+        return out
+
+    return cells, hists
+
+
 @lru_cache(maxsize=_PASS_CACHE)
 def _block_pass(groups, k, weights, p):
     """The 3x3 block-pair matrices (NF, Z, A) of one pass over the grids of
     groups ((r1, m1), (r2, m2)), as tuples of ints; see _two_group_count.
 
-    Products of residues (below p^2) run on O(p) tables only; the p^2
-    cells are gathered, added and bincounted _CHUNK at a time, with gather
-    indices below the (n + 1) 3q entries of T and values of Phi's rows
+    A group's p^2 cells (a, b) lie in p rows b', in chi blocks.  Where each
+    value polynomial of the pass (r at s = 0 and 1, and m when coupled) is
+    one weighted-homogeneous part in (a, b) plus a constant, under weights
+    (1, w) with w even, the rows run along the scaling orbits
+    (_orbit_cells): an even w keeps each chi block, so the blocks and the
+    counts are those of the grid.  A cell is then an index into E3 = (E,
+    E, 0), made by one broadcast add, every table is composed with E3
+    once, in O(p), and the histograms of r fold in O(p): no p^2-cell array
+    and no Horner step on the p^2 cells.  Otherwise the values are
+    evaluated on the grid, columns a.  The layout is read off the model
+    alone.
+
+    Products of residues (below p^2) run on O(p) tables only.  The cells
+    are gathered, added and bincounted in chunks of whole rows, at most
+    _CHUNK cells or one row, with gather indices below the tables' sizes,
+    keys below the (n + 1) 3q bins they fold from and values of Phi's rows
     below 2p, checked on the tables by an if that python -O keeps.  The
-    _PASS_CACHE entries, 27 ints and a key each, hold at most about 4.5 MB;
-    a pass that raises is not cached."""
+    _PASS_CACHE entries, 27 ints and a key each, hold at most about 4.5
+    MB; a pass that raises is not cached."""
     h, q = (p - 1) // 2, p - 1
     chi = _chi_table(p)
     order = np.concatenate([np.flatnonzero(chi == 1),
                             np.flatnonzero(chi == -1), [0]]).astype(np.int64)
-    grid = [np.arange(p, dtype=np.int64).reshape(1, p), order.reshape(p, 1)]
-    (g1r, g1m), (g2r, g2m) = groups
-    memo, hists = {}, {}
+    blocks = np.repeat(np.arange(3), (h, h, 1))         # of each row b'
+    exp, log = _logs(p)
 
-    def values(poly, s):
-        """(v, c) with poly(a, b, s) = v + c on the grid, flattened, and c
-        the constant term; polynomials that agree up to a constant share v,
-        and constants move the histogram indices instead.  v is memoised:
-        read it, never write it."""
+    def split(poly, s):
+        """(terms, c): poly(a, b, s) is the sum of terms, ((a, b), coefficient
+        mod p) pairs sorted and nonzero, plus the constant c mod p"""
         terms, const = {}, 0
         for mono in poly:
             a, b, e = mono.exponents
@@ -483,74 +530,110 @@ def _block_pass(groups, k, weights, p):
                 terms[a, b] = terms.get((a, b), 0) + c
             else:
                 const += c
-        key = tuple(sorted((e, c % p) for e, c in terms.items() if c % p))
-        if key not in memo:
-            memo[key] = _eval_mono_list([Monomial(c, e) for e, c in key],
-                                        grid, p).ravel()
-        return memo[key], const % p
+        return tuple(sorted((e, c % p) for e, c in terms.items() if c % p)), \
+            const % p
 
-    def blocks(cells, size, width=p):
-        """Bincounts over the three b blocks of width cells a row of the
-        values cells(i, j) of cells i:j, made _CHUNK cells at a time."""
-        ends = (0, h * width, 2 * h * width, p * width)
-        out = np.zeros((3, size), dtype=np.int64)
-        for c in range(0, p * width, _CHUNK):
-            v = cells(c, min(c + _CHUNK, p * width))
-            for row, i, j in zip(out, ends, ends[1:]):
-                if i < c + v.size and c < j:
-                    row += np.bincount(v[max(i - c, 0):j - c], minlength=size)
+    parts = [[split(r, 0), split(r, 1), split(m, 1)][:3 if k else 2]
+             for r, m in groups]
+    orbit = all(
+        w % 2 == 0 and len({a + w * b for (a, b), _ in t}) < 2
+        for w, ps in zip(weights, parts) for t, _ in ps)
+    lift = np.concatenate([exp, exp, 0 * exp]) if orbit else np.arange(p)
+    grid = [np.arange(2 if orbit else p).reshape(1, -1), order.reshape(p, 1)]
+    memo = {}
+
+    def view(g, i):
+        """(cells, hists, histograms at a = 0, c) of value polynomial i of
+        group g, r at s = 0 and 1 and m, the cells of its part without the
+        constant c; polynomials that agree up to a constant share them."""
+        terms, const = parts[g][i]
+        w = weights[g]
+        if (terms, w) not in memo:
+            v = _eval_mono_list([Monomial(c, e) for e, c in terms], grid, p)
+            if orbit:
+                (a, b), _ = terms[0] if terms else ((0, 0), 0)
+                cells, hists = _orbit_cells(v, a + w * b, blocks, p)
+            else:
+                flat = v.reshape(-1)
+                cells = lambda i, j, out: flat[i * p:j * p]
+                hists = lambda: stream(lambda i, j: [cells(i, j, None)], [p])[0]
+            memo[terms, w] = cells, lru_cache(None)(hists), np.bincount(
+                blocks * p + v[:, 0], minlength=3 * p).reshape(3, p)
+        return memo[terms, w] + (const,)
+
+    ends = (0, h, 2 * h, p)
+
+    def stream(arrays, sizes):
+        """Per block, the bincounts into sizes bins of the arrays that
+        arrays(i, j) yields on the cells of rows i:j, made a chunk of rows
+        at a time."""
+        out = [np.zeros((3, size), dtype=np.int64) for size in sizes]
+        step = max(1, _CHUNK // p)
+        for i in range(0, p, step):
+            j = min(i + step, p)
+            for acc, v in zip(out, arrays(i, j)):
+                for row, a, b in zip(acc, ends, ends[1:]):
+                    if a < j and i < b:
+                        row += np.bincount(v[(max(a, i) - i) * p:
+                                             (min(b, j) - i) * p],
+                                           minlength=row.size)
         return out
 
-    def hist(v, step=1):                # once per memo array and step
-        if (id(v), step) not in hists:
-            hists[id(v), step] = blocks(lambda i, j: v[::step][i:j], p,
-                                        p // step)
-        return hists[id(v), step]
-
-    neg = -np.arange(p) % p                            # index of -x
-
-    # at s = 0 the constant terms of r1 and r2 cancel, the equation being
-    # homogeneous of positive degree; the a = 0 cells are every p-th
-    (h1, _), (h2, _) = values(g1r, 0), values(g2r, 0)
-    z = hist(h1) @ hist(h2)[:, neg].T
-    a0 = hist(h1, p) @ hist(h2, p)[:, neg].T
-
-    # w1's key is T[L[x] + G[m1]] (x = -r1 - c1 - c2, lam = k (m1 + d1) =
-    # g^j l^(D-d), j < n, G = (j+1) 3q + L[l^-D], T_j+1 = (E, E, 0) + (j+1) p)
-    (r1, c1), (r2, c2) = values(g1r, 1), values(g2r, 1)
-    exp, log = _logs(p)
-    target, levels = (-np.arange(p) - c1 - c2) % p, []
+    # w1's key is L[x] + G[m1] (x = -r1 - c1 - c2, lam = k (m1 + d1) =
+    # g^j l^(D-d), j < n, G = (j+1) 3q + L[l^-D]), binned on n + 1 rows of
+    # 3q and folded to values by (E, E, 0) on each row
+    (r1, _, _, c1), (r2, hr2, _, c2) = view(0, 1), view(1, 1)
+    target, levels, shift = log[(-np.arange(p) - c1 - c2) % p], [], 0
     if k:
-        (m1, d1), (m2, d2) = values(g1m, 1), values(g2m, 1)
+        (m1, _, _, d1), (m2, _, _, d2) = view(0, 2), view(1, 2)
         wts = (1, weights[1], 1)
-        dr, dm = g2r[0].degree(wts), g2m[0].degree(wts)
+        dr, dm = groups[1][0][0].degree(wts), groups[1][1][0].degree(wts)
         n = gcd(dr - dm, q)
         lg = log[k * np.arange(d1, p + d1) % p]
         t = lg // n * pow((dr - dm) // n, -1, q // n) % (q // n)
         shift = ((lg % n + 1) * 3 * q + -t * dr % q) * (lg < q)
-        table = np.hstack([exp, exp, 0 * exp]) + p * np.arange(n + 1)[:, None]
         levels = np.outer(exp[:n], np.arange(d2, p + d2) % p) % p
-        target = log[target]
-        if log.max() + shift.max() >= table.size or levels.max() >= p:
-            raise FrobtraceError(f"kernel tables at p={p} leave their bounds")
-    buf = np.empty((2, min(_CHUNK, p * p)), dtype=np.int64)
+    size = (len(levels) + 1) * 3 * q
+    if exp.min() < 1 or exp.max() >= p or log.min() < 0 or \
+            orbit and log.max() + q > lift.size or \
+            log.max() + np.max(shift) >= size or np.max(levels, initial=0) >= p:
+        raise FrobtraceError(f"kernel tables at p={p} leave their bounds")
+    target, levels = target[lift], [x[lift] for x in levels]
+    if k:
+        shift = shift[lift]
 
-    def keys(i, j):
-        key = np.take(target, r1[i:j], out=buf[0, :j - i], mode="clip")
-        if k:
-            key += np.take(shift, m1[i:j], out=buf[1, :j - i], mode="clip")
-            key = np.take(table, key, out=buf[1, :j - i], mode="clip")
-        return key
+    # at s = 0 the constant terms of r1 and r2 cancel, the equation being
+    # homogeneous of positive degree; A counts the cells a = 0
+    neg = -np.arange(p) % p
+    (_, h1, a1, _), (_, h2, a2, _) = view(0, 0), view(1, 0)
+    z, a0 = h1() @ h2()[:, neg].T, a1 @ a2[:, neg].T
+    buf = np.empty((3 if k else 2, min(p * p, max(p, _CHUNK))), dtype=np.int64)
 
-    def phi(i, j):                      # r2 + rho (m2 + d2), below 2p
-        out = np.take(level, m2[i:j], out=buf[0, :j - i], mode="clip")
-        return np.add(out, r2[i:j], out=out)
+    def keys_and_phis(i, j):
+        """The key of each cell of rows i:j of group 1, then Phi's value on
+        each row of group 2 at each level, r2 + rho (m2 + d2) below 2p; m1's
+        cells serve as m2's where the two share them."""
+        cut = buf[:, :(j - i) * p]
+        key = np.take(target, r1(i, j, buf[0]), out=cut[1], mode="clip")
+        if not k:
+            yield key
+            return
+        y = m1(i, j, buf[2])
+        key += np.take(shift, y, out=cut[0], mode="clip")
+        yield key
+        r = np.take(lift, r2(i, j, buf[0]), out=cut[1], mode="clip")
+        y = y if m2 is m1 else m2(i, j, buf[2])
+        for level in levels:
+            v = np.take(level, y, out=cut[0], mode="clip")
+            yield np.add(v, r, out=v)
 
-    nf, rows = blocks(keys, (len(levels) + 1) * p), [hist(r2)]
-    for level in levels:
-        two = blocks(phi, 2 * p)
-        rows.append(two[:, :p] + two[:, p:])
-    nf = nf @ np.stack(rows, axis=1).reshape(3, -1).T   # [block, row p + c]
+    keys, *two = stream(keys_and_phis, [size] + [2 * p] * len(levels))
+    keys = keys.reshape(3, -1, 3, q)
+    nf = np.zeros((3, len(levels) + 1, p), dtype=np.int64)
+    nf[..., exp] = keys[:, :, 0] + keys[:, :, 1]
+    nf[..., 0] = keys[:, :, 2].sum(axis=2)
+    phis = np.stack([hr2()] + [x[:, :p] + x[:, p:] for x in two], axis=1)
+    nf = nf.reshape(3, -1) @ phis.reshape(3, -1).T      # [block, row p + c]
     return tuple(tuple(tuple(x) for x in m.tolist()) for m in (nf, z, a0))
 
 
@@ -592,9 +675,10 @@ def _two_group_count(model, p, label, flips=(False, False)):
     weighs twice: a value b then has 1 + chi(b) square roots, or 1 - chi(b)
     after the twist by a non-square.  The b axis of each grid is laid out
     in chi blocks, b-major: the (p - 1)/2 squares, the non-squares, then
-    0.  Each histogram is three bincounts over contiguous slices, and the
-    pass yields the 3x3 block-pair matrices of <F, Phi>, Z and A.  A count
-    weights them by w1 (x) w2, w = (2, 0, 1) for a halved group, (0, 2, 1)
+    0, and a group whose b has even weight runs along its scaling orbits
+    within each block.  Each histogram is three sums over the blocks' rows,
+    and the pass yields the 3x3 block-pair matrices of <F, Phi>, Z and A.
+    A count weights them by w1 (x) w2, w = (2, 0, 1) for a halved group, (0, 2, 1)
     for a flipped one and (1, 1, 1) otherwise, plus s (x) s, s = (1, -1, 0),
     with chi.  Scaling by a non-square swaps the square and non-square
     blocks of a b of odd weight, in Phi's rows and on the cone, so such a
@@ -606,10 +690,12 @@ def _two_group_count(model, p, label, flips=(False, False)):
 
     All arithmetic is exact, under the bounds _block_pass checks, and the
     block matrices count pairs (w1, w2), at most p^4: exact in int64 for
-    p < 2^15; they are weighted as Python ints.  The memoised value arrays
-    (r_i at s = 0 and 1 and m_i, fewer where two agree up to a constant)
-    are the only p^2-cell arrays: schoen_y's pass memoises two and peaks
-    at 2.55 p^2 8 bytes under tracemalloc at 421 (p < 2000 by the budget).
+    p < 2^15; they are weighted as Python ints.  On the scaling orbits a
+    pass holds no p^2-cell array: under tracemalloc schoen_y's peaks at
+    0.9 p^2 8 bytes at 421 and 0.09 at 1999, mostly its chunk buffers.  On
+    the grid the value arrays (r_i at s = 0 and 1 and m_i, fewer where two
+    agree up to a constant) are the only p^2-cell arrays: consani_scholten's
+    pass holds four and peaks at 4.5 p^2 8 bytes (p < 2000 by the budget).
     """
     _require_cells("two-group kernel", p, lambda q: q * q, _MAX_HIST_CELLS)
     halves = [_halved(g, model.chi) for g in model.groups]

@@ -8,14 +8,16 @@ silent zero.
 
 Eta products are built sparse: by Euler's pentagonal theorem eta(mz) has
 O(sqrt(n/m)) nonzero terms below q^n, so `eta_product` multiplies each
-factor into a dense int64 array with one shifted add per term.  Every
-product is checked against the int64 range first and falls back to Python
-ints when it could leave it.  `qs_mul` and `qs_pow` are the dense
-reference products the tests compare against.
+factor into a dense int64 array with one shifted add per term, and a
+combination adds its products into one array.  Every product and every
+sum is checked against the int64 range first and falls back to Python
+ints when it could leave it.  `qs_mul`, `qs_pow`, `qs_scale` and `qs_add`
+are the dense references the tests compare against.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,9 +38,11 @@ def qs_one(n):
     return QSeries(0, (1,) + (0,) * (n - 1))
 
 
+@lru_cache(maxsize=64)
 def _pentagonal(m, n):
     """The nonzero terms (e, sign) of prod_{k>=1} (1 - q^{mk}) below q^n:
-    e = m j(3j-1)/2 over j in Z, sign (-1)^j (Euler's pentagonal theorem)."""
+    e = m j(3j-1)/2 over j in Z, sign (-1)^j (Euler's pentagonal theorem),
+    as a tuple."""
     terms = [(0, 1)]
     j = 1
     while m * (j * (3 * j - 1) // 2) < n:
@@ -47,7 +51,7 @@ def _pentagonal(m, n):
             if e < n:
                 terms.append((e, sign))
         j += 1
-    return terms
+    return tuple(terms)
 
 
 def eta(m, n):
@@ -132,13 +136,16 @@ def _times_eta(d, m):
 
 def eta_combination(terms, n):
     """sum c prod_m eta(mz)^k over the pairs (c, {m: k}) of terms, each
-    product truncated to n coefficients, summed with qs_add.
+    product truncated to n coefficients, summed as qs_add sums: from the
+    lowest leading exponent, with n coefficients.
 
     A product is built one eta factor at a time, in the order its map
     lists them.  The longest partial product each later term starts with
-    is kept, so products that begin alike share that work.  The sum is in
-    Python ints and the coefficients are Python ints, whichever path a
-    product took.
+    is kept, so products that begin alike share that work.  Each scaled
+    product is added at its offset into one array, int64 while the sum of
+    |c| max|product| over the terms so far is at most _INT64_LIMIT, which
+    bounds every partial sum, and Python ints past it.  The coefficients
+    are Python ints, whichever path a product took.
     """
     if n < 1:
         raise ValidationError("need at least one coefficient")
@@ -151,6 +158,11 @@ def eta_combination(terms, n):
                     f"eta products need m >= 1 and k >= 0, got eta({m}z)^{k}")
     paths = [tuple(m for m, k in exponents.items() for _ in range(k))
              for _, exponents in terms]
+    lead = min(map(sum, paths))
+    for path in paths:
+        if (sum(path) - lead) % 24:
+            raise ValidationError(f"incompatible exponent grids: {lead}/24 "
+                                  f"and {sum(path)}/24")
     unit = np.zeros(n, dtype=np.int64)
     unit[0] = 1
     partial = {(): unit}
@@ -158,7 +170,7 @@ def eta_combination(terms, n):
     def longest(path):
         return max((key for key in partial if path[:len(key)] == key), key=len)
 
-    total = None
+    total, bound = np.zeros(n, dtype=np.int64), 0
     for j, ((c, _), path) in enumerate(zip(terms, paths)):
         key = longest(path)
         d = partial[key]
@@ -167,9 +179,13 @@ def eta_combination(terms, n):
             d = partial[key] = _times_eta(d, m)
         keep = {longest(later) for later in paths[j + 1:]}
         partial = {key: partial[key] for key in keep}
-        t = qs_scale(QSeries(sum(path), tuple(d.tolist())), c)
-        total = t if total is None else qs_add(total, t)
-    return total
+        bound += abs(c) * int(np.abs(d).max())
+        if total.dtype != object and (d.dtype == object or bound > _INT64_LIMIT):
+            total = total.astype(object)
+        shift = (sum(path) - lead) // 24
+        if shift < n:
+            total[shift:] += c * d[:n - shift].astype(total.dtype, copy=False)
+    return QSeries(lead, tuple(total.tolist()))
 
 
 def eta_product(exponents, n):
@@ -203,7 +219,7 @@ F25_TERMS = tuple((c, {5: 4, 1: 4 - i, 25: i})
 def f25(n):
     """Weight-4 level-25 newform as the eta combination F25_TERMS, with n
     coefficients available (a_1 .. a_n).  Term i leads at q^{1+i}, so
-    qs_add places it at offset i.
+    eta_combination adds it at offset i.
 
     Up to 10^5 coefficients every partial product stays on the int64
     path: the largest value of any of them is 123499668 (< 2^27), and the

@@ -198,6 +198,19 @@ LOADER_REFUSALS = [
      "schoen_x: splitting_discriminant True is not an integer"),
     (_set("schoen_y", ["known", "splitting_discriminant"], 5.0),
      "schoen_y: splitting_discriminant 5.0 is not an integer"),
+    # JSON true loaded as D = 1 and -5.7 as -5 through int()
+    (_set("e_plane", ["normalization", "splitting_discriminant"], True),
+     "e_plane: normalization splitting_discriminant True is not an integer"),
+    (_set("e_plane", ["normalization", "splitting_discriminant"], -5.7),
+     "e_plane: normalization splitting_discriminant -5.7 is not an integer"),
+    (_set("e_plane", ["normalization", "weierstrass", 3], -3.0),
+     "e_plane: normalization weierstrass -3.0 is not an integer"),
+    (_set("e_plane", ["normalization", "weierstrass", 0], True),
+     "e_plane: normalization weierstrass True is not an integer"),
+    (_set("e_plane", ["normalization", "nodes", "order"], "5"),
+     "e_plane: normalization nodes.order '5' is not an integer"),
+    (_set("e_plane", ["normalization", "nodes", "exponents", 1, 2], False),
+     "e_plane: normalization nodes.exponents False is not an integer"),
 ]
 
 
@@ -210,6 +223,35 @@ def test_loader_refusals():
         edit(doc)
         with pytest.raises(ValidationError, match=why):
             catalog_from_json(doc)
+
+
+def test_the_shipped_catalog_is_parsed_once_and_not_aliased(tmp_path):
+    # load_catalog() parses and validates catalog.json once per process,
+    # read-only; its exported doc is a copy, so editing it, known blocks included,
+    # leaves the shared catalog as it was.  An explicit path is read anew
+    assert load_catalog() is load_catalog()
+    before = copy.deepcopy(catalog_to_json(load_catalog()))
+    doc = catalog_to_json(load_catalog())
+    for v in doc["varieties"]:
+        if v["known"]:
+            v["known"].clear()
+    assert catalog_to_json(load_catalog()) == before
+    assert load_catalog().variety("schoen_quotient").known["resolved_b2"] == 85
+    # and the shared catalog itself is read-only
+    known = load_catalog().variety("schoen_quotient").known
+    with pytest.raises(TypeError):
+        known["resolved_b2"] = 0
+    with pytest.raises(TypeError):
+        del load_catalog().varieties["schoen_quotient"]
+    with pytest.raises(TypeError):
+        load_catalog().involutions["iota_z"] = None
+    with pytest.raises(AttributeError):
+        known["forms"].append("f9")
+    assert catalog_to_json(load_catalog()) == before
+    path = tmp_path / "catalog.json"
+    save_catalog(load_catalog(), path)
+    assert load_catalog(path) is not load_catalog(path)
+    assert catalog_to_json(load_catalog(path)) == before
 
 
 def test_model_maps_onto_declared_model():

@@ -165,6 +165,29 @@ def test_a_missing_declared_discriminant_is_a_validation_error():
             run()
 
 
+def test_a_missing_resolved_b2_is_a_validation_error(monkeypatch):
+    # the adjusted Betti count reads schoen_quotient's resolved_b2 through
+    # the same helper as D, before any count; the unadjusted one reads none
+    doc = catalog.catalog_to_json(catalog.load_catalog())
+    quotient = next(v for v in doc["varieties"]
+                    if v["id"] == "schoen_quotient")
+    for value in (None, True):
+        quotient["known"]["resolved_b2"] = value
+        cat = catalog.catalog_from_json(doc)
+        assert quotient_resolved_count(31, cat=cat) == \
+            quotient_resolved_count(31)
+        counted = []
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_quotient_counts", lambda *a: counted.append(a))
+            for run in (lambda: quotient_resolved_count(31, True, cat),
+                        lambda: betti_report(31, 168, True, cat)):
+                with pytest.raises(ValidationError, match=(
+                        r"^schoen_quotient declares no integer known\."
+                        rf"resolved_b2 \({value}\)$")):
+                    run()
+        assert counted == []
+
+
 def test_betti_report_shrinks_with_p():
     # at full-splitting primes the window of admissible pairs narrows
     c11 = betti_report(11, 168, adjusted=True)["candidates"]

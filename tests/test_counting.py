@@ -185,21 +185,24 @@ def test_schoen_histogram_cell_budget():
 
 
 def test_schoen_histogram_memory():
-    # the kernel keeps no p^2-cell array beside the memoised value arrays
-    # (two for schoen_y's model, four for consani_scholten's, with the
-    # evaluator's temporaries while it builds them): the gathers run on
-    # chunks of counting._CHUNK cells.  One p^2 key array beside them would
-    # exceed both bounds.  The pass cache is cleared before each run, so
-    # each run makes a full pass rather than reading the pass of the run
-    # before it
+    # on the scaling orbits (schoen_y's model, so its twist, and the
+    # quotient's) the kernel holds no p^2-cell array, only three buffers of
+    # counting._CHUNK cells; on the grid (consani_scholten's) it keeps no
+    # p^2-cell array beside its four memoised value arrays, with the
+    # evaluator's temporaries while it builds them.  One p^2 array beside
+    # them would exceed every bound.  The pass cache is cleared before each
+    # run, so each run makes a full pass rather than reading the pass of
+    # the run before it
     sy = CAT.variety("schoen_y")
     iy = CAT.involution("iota_y")
-    for run, bound in (
-            (lambda: count_projective(sy, 421), 3.0),
-            (lambda: count_twisted(sy, iy, 421), 3.0),
-            (lambda: count_weighted(CAT.variety("schoen_quotient"), 421), 3.0),
+    for run, p, bound in (
+            (lambda: count_projective(sy, 421), 421, 1.0),
+            (lambda: count_twisted(sy, iy, 421), 421, 1.0),
+            (lambda: count_weighted(CAT.variety("schoen_quotient"), 421),
+             421, 1.0),
             (lambda: count_projective(CAT.variety("consani_scholten"), 421),
-             5.0)):
+             421, 5.0),
+            (lambda: count_projective(sy, 1999), 1999, 0.25)):
         counting._block_pass.cache_clear()
         tracemalloc.start()
         try:
@@ -207,7 +210,7 @@ def test_schoen_histogram_memory():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < bound * 421 ** 2 * 8, (peak / (421 ** 2 * 8), bound)
+        assert peak < bound * p ** 2 * 8, (p, peak / (p ** 2 * 8), bound)
 
 
 def _percent_pass(groups, k, weights, p):
@@ -307,15 +310,118 @@ def test_kernel_matches_percent_reference(p):
 def test_kernel_tables_are_bounded(monkeypatch):
     # the pass checks the gather indices its O(p) tables can make before
     # any gather, also under python -O: a log table whose sentinel runs
-    # past T would otherwise be clipped into a wrong count without a word
+    # past the 3q key bins of a row, or past E3 = (E, E, 0) once the
+    # orbits add their offsets below q, a negative log or an exp table
+    # with a value past p would otherwise be clipped or binned into a wrong
+    # count without a word.  schoen_y and the quotient run on the scaling
+    # orbits, consani_scholten (uncoupled, no Phi levels) on the grid
     exp, log = counting._logs(7)
-    bad = log.copy()
-    bad[0] = 7 ** 3
-    counting._block_pass.cache_clear()
-    monkeypatch.setattr(counting, "_logs", lambda p: (exp, bad))
-    with pytest.raises(FrobtraceError, match="p=7 leave their bounds"):
-        count_projective(CAT.variety("schoen_y"), 7)
-    assert counting._block_pass.cache_info().currsize == 0
+    orbits, grid = ("schoen_y", "schoen_quotient"), ("consani_scholten",)
+    bins, e3, past = log.copy(), log.copy(), exp.copy()
+    bins[0], e3[0], past[3] = 3 * 6, 2 * 6 + 1, 7
+    for logs, vids in (((exp, bins), orbits + grid), ((exp, e3), orbits),
+                       ((past, log), orbits + grid),
+                       ((exp, -log), orbits + grid)):
+        for vid in vids:
+            counting._block_pass.cache_clear()
+            monkeypatch.setattr(counting, "_logs", lambda p: logs)
+            with pytest.raises(FrobtraceError, match="p=7 leave their bounds"):
+                count(CAT.variety(vid), 7)
+            assert counting._block_pass.cache_info().currsize == 0
+
+
+def _weighted_part(draw, w, D):
+    """A weighted-homogeneous polynomial of degree D in (a, b), weights
+    (1, w), a^D first, with coefficients that may vanish mod p."""
+    return tuple(Monomial(draw(st.integers(-40, 40)), (D - w * j, j, 0))
+                 for j in range(D // w + 1) if not j or draw(st.booleans()))
+
+
+@st.composite
+def even_models(draw):
+    """(groups, k, weights, p) of a random two-group model on the scaling
+    orbits: even weights, r1 a part of degree D plus c s^D, r2 a part of
+    degree D, m1 a part of lower degree plus a constant, m2 a part of lower
+    degree, coupled or not."""
+    p = draw(st.sampled_from((3, 5, 7, 11, 13)))
+    weights = tuple(draw(st.sampled_from((2, 4, 6))) for _ in range(2))
+    D = draw(st.integers(2, 9))
+    r1 = _weighted_part(draw, weights[0], D) + (
+        Monomial(draw(st.integers(-40, 40)), (0, 0, D)),)
+    r2 = _weighted_part(draw, weights[1], D)
+    m1, m2 = (_weighted_part(draw, w, draw(st.integers(1, D - 1)))
+              for w in weights)
+    m1 += (Monomial(draw(st.integers(-3, 3)), (0, 0, 0)),)
+    return ((r1, m1), (r2, m2)), draw(st.integers(0, p - 1)), weights, p
+
+
+def orbit_spy(monkeypatch):
+    """The degrees each pass lays out on the scaling orbits, as run."""
+    seen, orbit_cells = [], counting._orbit_cells
+
+    def spy(v, D, *args):
+        seen.append(D)
+        return orbit_cells(v, D, *args)
+
+    monkeypatch.setattr(counting, "_orbit_cells", spy)
+    return seen
+
+
+_SCHOEN_PARTS = (Monomial(1, (5, 0, 0)), Monomial(10, (3, 1, 0)),
+                 Monomial(5, (1, 2, 0)))
+_SCHOEN_M = (Monomial(1, (2, 0, 0)), Monomial(-1, (0, 1, 0)))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(even_models())
+@example(((((Monomial(1, (2, 0, 0)), Monomial(3, (0, 1, 0)),
+             Monomial(1, (0, 0, 2))), (Monomial(1, (1, 0, 0)),)),
+           ((Monomial(2, (2, 0, 0)),), (Monomial(1, (1, 0, 0)),))),
+          1, (2, 2), 3))
+# m1 = m2 + 2 shares m2's cells; a0 where only group 2's m differs
+@example((((_SCHOEN_PARTS + (Monomial(16, (0, 0, 5)),),
+            _SCHOEN_M + (Monomial(2, (0, 0, 0)),)),
+           (_SCHOEN_PARTS, _SCHOEN_M)), 8, (2, 2), 13))
+@example((((_SCHOEN_PARTS + (Monomial(16, (0, 0, 5)),), _SCHOEN_M),
+           (_SCHOEN_PARTS, (Monomial(1, (2, 0, 0)),))), 8, (2, 2), 13))
+def test_orbit_pass_matches_percent_pass(model):
+    # the scaling orbits keep each chi block of the grid, so the block
+    # matrices agree with the percent reference's, which shares no code
+    # with the orbits, at every k (0: uncoupled) and at every p, whether
+    # gcd(D, p - 1) and the Phi levels are 1 or more
+    with pytest.MonkeyPatch.context() as m:
+        seen = orbit_spy(m)
+        got = counting._block_pass.__wrapped__(*model)
+        assert seen
+    assert got == _percent_pass(*model)
+
+
+def test_pass_layout_is_read_off_the_declared_model(monkeypatch):
+    # schoen_y, through schoen_x's map and its twist, and the quotient run
+    # on the scaling orbits; consani_scholten (weight 1, five homogeneous
+    # parts of r at s = 1) takes the grid, and so do an even model with an
+    # odd weight or with an s-term of lower degree in r1
+    seen = orbit_spy(monkeypatch)
+    for vid, orbits in (("schoen_x", True), ("schoen_y", True),
+                        ("schoen_quotient", True),
+                        ("consani_scholten", False)):
+        counting._block_pass.cache_clear()
+        seen.clear()
+        count(CAT.variety(vid), 13)
+        assert bool(seen) == orbits, vid
+    model = ((((Monomial(1, (4, 0, 0)), Monomial(1, (0, 2, 0)),
+                Monomial(2, (0, 0, 4))), (Monomial(1, (2, 0, 0)),)),
+              ((Monomial(1, (4, 0, 0)),), (Monomial(1, (0, 1, 0)),))),
+             3, (2, 2), 7)
+    groups = model[0]
+    odd = (groups, 3, (2, 1), 7)
+    mixed = (((groups[0][0] + (Monomial(1, (1, 0, 3)),), groups[0][1]),
+              groups[1]), 3, (2, 2), 7)
+    for args, orbits in ((model, True), (odd, False), (mixed, False)):
+        seen.clear()
+        got = counting._block_pass.__wrapped__(*args)
+        assert bool(seen) == orbits, args
+        assert got == _percent_pass(*args)
 
 
 def test_twisted_counts():

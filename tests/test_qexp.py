@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from frobtrace import qexp
 from frobtrace.errors import ValidationError
@@ -167,6 +167,44 @@ def test_int64_bound_falls_back_to_python_ints(monkeypatch):
     assert got == want
     assert np.dtype(np.int64) in dtypes and np.dtype(object) in dtypes
     assert all(type(c) is int for c in got.coeffs)
+
+
+@st.composite
+def combinations(draw):
+    """Random eta combinations on one exponent grid: eta(z)'s power sets
+    each lead to the first one's mod 24, and coefficients run past
+    _INT64_LIMIT, so some sums go over to Python ints."""
+    terms, residue = [], draw(st.integers(0, 23))
+    for _ in range(draw(st.integers(1, 4))):
+        k5, k25 = draw(st.integers(0, 3)), draw(st.integers(0, 2))
+        k1 = (residue - 5 * k5 - 25 * k25) % 24 + 24 * draw(st.integers(0, 1))
+        c = draw(st.one_of(st.integers(-30, 30),
+                           st.integers(2 ** 60, 2 ** 70).map(lambda x: -x),
+                           st.integers(2 ** 60, 2 ** 70)))
+        terms.append((c, {5: k5, 1: k1, 25: k25}))
+    return terms
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(combinations(), st.integers(1, 120))
+@example([(1, {}), (3, {1: 96})], 3)        # a term four steps past n
+def test_eta_combination_matches_qs_add(terms, n):
+    # the one summed array equals the sum by qs_scale and qs_add of the
+    # dense products, its lead the lowest and its precision n, whether it
+    # stays int64 or goes over to Python ints
+    want = None
+    for c, exponents in terms:
+        t = qs_scale(_dense_eta_product(exponents, n), c)
+        want = t if want is None else qs_add(want, t)
+    got = eta_combination(terms, n)
+    assert got == want
+    assert all(type(c) is int for c in got.coeffs)
+
+
+def test_eta_combination_refuses_mixed_grids():
+    # eta(z) leads at 1/24 and eta(5z) at 5/24: no sum places both
+    with pytest.raises(ValidationError, match="incompatible exponent grids"):
+        eta_combination([(1, {1: 1}), (1, {5: 1})], 8)
 
 
 def test_eta_combination_tail_coefficients_pinned():
