@@ -28,7 +28,7 @@ _restrict turns a polynomial over F_{p^2} into its pair of polynomials over
 F_p (Weil restriction), so that F_{p^2} counts run on F_p grids too.
 counting's elimination, which also counts the torus, builds its
 coefficients and root tables on _grid and _eval_mono_list as well.
-_chi_table is the one table of the quadratic character of F_p.
+The field tables and the evaluator's powers are the ffield module's.
 
 _eval_mono_list is a multivariate Horner scheme: the monomials are grouped
 by the exponent of the last coordinate, each group's coefficient polynomial
@@ -57,7 +57,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import RefusalError, ValidationError
-from .ffield import is_prime, require_prime
+from .ffield import _BOUND, is_prime, power, require_prime
 
 AMBIENT_KINDS = ("projective", "weighted_projective", "torus", "double_cover_p3")
 TORUS_FAMILY = "hulek_verrill"   # the family count_torus names its records by
@@ -623,13 +623,6 @@ def _require_good(spec, p):
         raise RefusalError(f"{spec.id}: {p} is a bad prime")
 
 
-def _field_degree(degree):
-    """Refuse a field degree other than the int 1 or 2: True == 1 is no
-    degree."""
-    if type(degree) is not int or degree not in (1, 2):
-        raise ValidationError(f"field_degree must be 1 or 2, not {degree!r}")
-
-
 def _require_cells(what, p, cells, limit):
     """Refuse, with a ValidationError naming the largest prime the budget
     accepts, a count at p whose cells(p) cells exceed limit: the one
@@ -686,9 +679,6 @@ def _charts(p, nvars, degree=1):
     return chunks
 
 
-_BOUND = 1 << 62                 # every accumulator value stays below this
-
-
 @lru_cache(maxsize=1024)
 def _horner_plan(eq):
     """The Horner tree of a tuple of monomials, independent of p.  A node
@@ -718,23 +708,6 @@ def _horner_node(terms, v):
                              in zip(exps, exps[1:] + [0], kids[1:]) if a > b)
 
 
-def _power(x, e, p):
-    """x^e mod p for e >= 1 by squaring; products of residues, < p^2."""
-    if e == 1:
-        return x
-    y = _power(x, e // 2, p)
-    y = y * y % p
-    return y * x % p if e % 2 else y
-
-
-def _chi_table(p):
-    """The quadratic character of F_p as an int64 table, chi(0) = 0."""
-    chi = -np.ones(p, dtype=np.int64)
-    chi[np.arange(p, dtype=np.int64) ** 2 % p] = 1
-    chi[0] = 0
-    return chi
-
-
 def _horner(node, coords, shapes, p):
     """(value, bound) of a plan node, value an int or a fresh int64 array
     and 0 <= value <= bound < _BOUND.  Before a step acc * x^gap + kid the
@@ -755,7 +728,7 @@ def _horner(node, coords, shapes, p):
             acc, bound = _reduce(acc, p)
             if bound * q + ib >= _BOUND:
                 inner, ib = _reduce(inner, p)
-        xg = _power(x, gap, p)
+        xg = power(x, gap, p)
         if full:
             np.multiply(acc, xg, out=acc)
         else:

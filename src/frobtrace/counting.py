@@ -19,12 +19,9 @@ and every kernel's oracle, runs on the broadcast grids of the catalog
 module: the projective, twisted and double-cover counts share one dense
 loop over the charts of _charts, cut into slabs that bound memory, the
 double cover factors chi over its forms' supports, each form on the grid
-of the coordinates it reads (O(p^2) a chart for the double octic), an
-F_{p^2} chart is counted from a scaled root table (_scaled_roots) or as
-the F_p count of the common zeros of the Weil restrictions of the
-equations on half of it (_folded), and the weighted count runs one slab
-per value of the first coordinate.  count() picks the counter for a
-variety's ambient space.
+of the coordinates it reads (O(p^2) a chart for the double octic), and
+the weighted count runs one slab per value of the first coordinate.
+count() picks the counter for a variety's ambient space.
 
 A chunk of one equation eliminates a coordinate where the equation's
 exponents allow it.  Over F_p (_elimination) that is the free coordinate
@@ -45,16 +42,13 @@ Over F_{p^2}, q = p^2, a chart on which the equation reads alpha z^D +
 beta z^d + gamma or alpha z^D + gamma in a free coordinate z, D > d > 0
 and alpha a constant (_scaling), evaluates beta and gamma as Weil
 restrictions on the q^k cells of its k other free coordinates, and each
-cell reads its roots in z from a table of one row per class of F_q^*
-modulo (D - d)-th powers, q entries each, on the discrete logs of F_q^*
-(_scaled_table).  Every other F_{p^2} chart with a free coordinate is
-counted on half its grid by _folded.  The equations have integer
-coefficients, so conjugation, the Frobenius of F_{p^2}/F_p, maps zeros
-to zeros; it negates every b of x = a + b s and fixes each chart, so the
-first free b runs over 0..(p-1)/2 only.  Chunk lists, chunk counts and
-the _MAX_EXT_CELLS refusal are those of the full chart, which with the
-fold is the scaled count's oracle in the tests; lefschetz.nodal_curve
-keeps its own full-grid scan.
+cell reads its roots in z from a table of one row per class of
+ffield.scaling (_scaled_table).  Every other F_{p^2} chart with a free
+coordinate is counted on half its grid by _folded, as conjugation maps
+its zeros to zeros.  Chunk lists, chunk counts and the _MAX_EXT_CELLS
+refusal are those of the full chart, which with the fold is the scaled
+count's oracle in the tests; lefschetz.nodal_curve keeps its own
+full-grid scan.
 
 Every counter ends in the one dispatch _counted, which runs the two-group
 kernel where the declared model counts at p and the dense path otherwise,
@@ -75,17 +69,16 @@ import operator
 import time
 from dataclasses import dataclass, asdict
 from functools import lru_cache
-from itertools import accumulate
 from math import gcd, prod
 
 import numpy as np
 
 from .catalog import (_MAX_SLAB_CELLS, TORUS_FAMILY, Monomial, _charts,
-                      _chi_table, _compose_equation, _eval_mono_list,
-                      _field_degree, _grid, _power, _ratio, _require_cells,
-                      _restrict, _zeros)
+                      _compose_equation, _eval_mono_list, _grid, _ratio,
+                      _require_cells, _restrict, _zeros)
 from .errors import FrobtraceError, RefusalError, ValidationError
-from .ffield import nonresidue, primitive_root, require_prime
+from .ffield import (_field_degree, chi_table, inverses, log_tables,
+                     nonresidue, require_prime, scaling)
 
 _MAX_DENSE_TOTAL = 600_000_000     # refuse larger dense enumerations
 _MAX_HIST_CELLS = 4_000_000        # p^2 cells per two-group table (p < 2000)
@@ -265,32 +258,22 @@ def _scaled_roots(plan, fixed, p):
     (br, bi), (cr, ci) = ([_eval_mono_list(f, coords, p).ravel() for f in pair]
                           for pair in (beta, gamma))
     table, shift = _scaled_table(D, d, alpha, p)
-    key = _logs(p, 2)[1][cr + ci * p]
+    key = log_tables(p, 2)[1][cr + ci * p]
     key += shift[br + bi * p]
     return int(table[key].sum())
 
 
 @lru_cache(maxsize=8)
 def _scaled_table(D, d, alpha, p):
-    """(T, G) for the roots in F_q, q = p^2, of alpha z^D + beta z^d +
-    gamma (d = 0: alpha z^D + gamma), alpha in F_p^*: at beta and gamma,
-    elements a + b p, there are T[L[gamma] + G[beta]] of them, L the log
-    table of _logs(p, 2), and E its exp table.
-
-    With g the generator of the tables, n = gcd(D - d, q - 1) and rho_j =
-    g^j, j < n, each lambda = beta/alpha != 0 is rho_j t^(D-d) for one j
-    and one t = g^m, m < (q - 1)/n.  z = t w turns z^D + lambda z^d + c
-    into t^D (w^D + rho_j w^d + c t^-D), the scaling of Weil (Bull. AMS
-    55, 1949), so the roots are R_{j+1}[c t^-D], c = gamma/alpha, where
-    R_r[c] = #{w : w^D + rho w^d + c = 0}, rho = rho_{r-1} and rho = 0 in
-    R_0, the row of lambda = 0.  Each row is one bincount over F_q.  T's
-    row r is R_r read at E3 = (E, E, 0) on 3 (q - 1) entries, and G[beta]
-    = 3 (q - 1) r + (-L[alpha] - D m mod q - 1) puts L[gamma] + G[beta] at
-    L[c t^-D] < 2 (q - 1) on row r, or past it, on the zero block, from
-    L[0] = 2 (q - 1).  Indices of E stay below D q and every gather index
-    of T below its size, checked on the tables by an if that python -O
-    keeps."""
-    exp, log = _logs(p, 2)
+    """(T, S) for the roots in F_q, q = p^2, of alpha z^D + beta z^d +
+    gamma (d = 0: alpha z^D + gamma), alpha in F_p^*: T[L[gamma] + S[beta]]
+    at indices beta and gamma, S = ffield.scaling and L of log_tables(p,
+    2).  Row r of T, one bincount, counts the w with w^D + g^(r-1) w^d + c
+    = 0 (w^D + c = 0 in row 0, the only row without d) at E3 = (E, E, 0).
+    Every gather index of T is below its size, checked on the tables by an
+    if that python -O keeps."""
+    shift = scaling(D, d, alpha, p, 2)[:p * p if d else 1]  # d = 0: beta = 0
+    exp, log = log_tables(p, 2)
     q1 = exp.size
     n = gcd(D - d, q1) if d else 0
     i, e3 = np.arange(q1), np.concatenate([exp, exp, 0 * exp])
@@ -302,14 +285,8 @@ def _scaled_table(D, d, alpha, p):
                          minlength=p * p)
         at[0] += 1
         rows.append(at[e3])
-    la = log[alpha]
-    shift = np.full(p * p, -la % q1)               # beta = 0: R_0, t = 1
-    if n:
-        j, m = np.divmod(i, q1 // n)
-        shift[exp[(la + j + (D - d) * m) % q1]] = \
-            (j + 1) * 3 * q1 + (-la - D * m) % q1
     table = np.concatenate(rows)
-    if D * p * p >= 1 << 62 or log.max() + shift.max() >= table.size:
+    if log.max() + shift.max() >= table.size:
         raise FrobtraceError(f"scaled root table at p={p} leaves its bounds")
     return table, shift
 
@@ -360,7 +337,7 @@ def _count_roots(c, p):
     degree past it, and the torus budget keeps p^2 <= 157^2 below it."""
     total = 0
     for k in range(len(c) - 1, 0, -1):
-        inv = _inverses(p)[c[k]]
+        inv = inverses(p)[c[k]]
         idx = c[0] * inv
         idx %= p
         for j in range(1, k):
@@ -373,37 +350,6 @@ def _count_roots(c, p):
         total -= int(np.count_nonzero(zero))
         c = [x[zero] for x in c[:k]]
     return total + p * int(np.count_nonzero(c[0] == 0))
-
-
-@lru_cache(maxsize=8)
-def _inverses(p):
-    """x^-1 mod p for each x in F_p, with 0 at 0; p int64 entries."""
-    x = np.arange(p, dtype=np.int64)
-    return _power(x, p - 2, p) if p > 2 else x
-
-
-@lru_cache(maxsize=8)
-def _logs(p, degree=1):
-    """(E, L) on F_q^*, q = p^degree, a + b s in F_{p^2} read as its index
-    a + b p: E[i] = g^i, g = primitive_root(p, degree), L[E[i]] = i, L[0] =
-    2q - 2.  Over F_{p^2} E follows a table of x -> g x on the q indices,
-    whose products of three residues are below p^3, checked below 2^62 by
-    an if that python -O keeps (every caller's budget keeps p below 2000).
-    """
-    if p ** 3 >= 1 << 62:
-        raise FrobtraceError(f"log tables at p={p}: products reach 2^62")
-    q, g = p ** degree, primitive_root(p, degree)
-    if degree == 2:             # (a + b s)(c + d s), s^2 = n, on the indices
-        (b, a), c, d = np.divmod(np.arange(q), p), g % p, g // p
-        n = nonresidue(p)
-        table = ((a * c + b * d * n) % p + (a * d + b * c) % p * p).tolist()
-        step = lambda y, _: table[y]
-    else:
-        step = lambda y, _: y * g % p
-    exp = np.array(list(accumulate(range(q - 2), step, initial=1)))
-    log = np.full(q, 2 * q - 2)
-    log[exp] = np.arange(q - 1)
-    return exp, log
 
 
 @lru_cache(maxsize=8)
@@ -462,12 +408,13 @@ def _orbit_cells(v, D, blocks, p):
     (g^(j-1), g^(w(j-1)) b'), where f is g^(D(j-1)) f(1, b').
 
     cells(i, j, out) writes into out the indices of rows i:j into E3 = (E,
-    E, 0) of _logs(p): L[f(0, b')] in column 0 and L[f(1, b')] + D(j - 1)
-    mod p - 1 in column j, below L[0] + p - 1 = 3 (p - 1).  hists() is the
-    histogram of the values of each block in O(p): a row with f(1, b') = x
-    != 0 reaches each value x g^u with u = L[x] mod gcd(D, p - 1),
-    gcd(D, p - 1) times, and one with x = 0 reaches 0 p - 1 times."""
-    exp, log = _logs(p)
+    E, 0) of log_tables(p): L[f(0, b')] in column 0 and L[f(1, b')] +
+    D(j - 1) mod p - 1 in column j, below L[0] + p - 1 = 3 (p - 1).
+    hists() is the histogram of the values of each block in O(p): a row
+    with f(1, b') = x != 0 reaches each value x g^u with u = L[x] mod
+    gcd(D, p - 1), gcd(D, p - 1) times, and one with x = 0 reaches 0 p - 1
+    times."""
+    exp, log = log_tables(p)
     q, n = p - 1, gcd(D, p - 1)
     col0, base = log[v[:, 0]], log[v[:, 1]]
     off = D * np.arange(-1, q) % q
@@ -513,11 +460,9 @@ def _block_pass(groups, k, weights, p):
     _PASS_CACHE entries, 27 ints and a key each, hold at most about 4.5
     MB; a pass that raises is not cached."""
     h, q = (p - 1) // 2, p - 1
-    chi = _chi_table(p)
-    order = np.concatenate([np.flatnonzero(chi == 1),
-                            np.flatnonzero(chi == -1), [0]]).astype(np.int64)
+    exp, log = log_tables(p)
+    order = np.concatenate([exp[::2], exp[1::2], [0]])  # chi 1, -1, 0
     blocks = np.repeat(np.arange(3), (h, h, 1))         # of each row b'
-    exp, log = _logs(p)
 
     def split(poly, s):
         """(terms, c): poly(a, b, s) is the sum of terms, ((a, b), coefficient
@@ -579,9 +524,9 @@ def _block_pass(groups, k, weights, p):
                                            minlength=row.size)
         return out
 
-    # w1's key is L[x] + G[m1] (x = -r1 - c1 - c2, lam = k (m1 + d1) =
-    # g^j l^(D-d), j < n, G = (j+1) 3q + L[l^-D]), binned on n + 1 rows of
-    # 3q and folded to values by (E, E, 0) on each row
+    # w1's key is L[x] + S[lam] (x = -r1 - c1 - c2, lam = k (m1 + d1), S
+    # the offsets of ffield.scaling for r2 + lam m2, of degrees D and d),
+    # binned on n + 1 rows of 3q, folded to values by (E, E, 0) on each row
     (r1, _, _, c1), (r2, hr2, _, c2) = view(0, 1), view(1, 1)
     target, levels, shift = log[(-np.arange(p) - c1 - c2) % p], [], 0
     if k:
@@ -589,9 +534,7 @@ def _block_pass(groups, k, weights, p):
         wts = (1, weights[1], 1)
         dr, dm = groups[1][0][0].degree(wts), groups[1][1][0].degree(wts)
         n = gcd(dr - dm, q)
-        lg = log[k * np.arange(d1, p + d1) % p]
-        t = lg // n * pow((dr - dm) // n, -1, q // n) % (q // n)
-        shift = ((lg % n + 1) * 3 * q + -t * dr % q) * (lg < q)
+        shift = scaling(dr, dm, 1, p)[k * np.arange(d1, p + d1) % p]
         levels = np.outer(exp[:n], np.arange(d2, p + d2) % p) % p
     size = (len(levels) + 1) * 3 * q
     if exp.min() < 1 or exp.max() >= p or log.min() < 0 or \
@@ -660,15 +603,10 @@ def _two_group_count(model, p, label, flips=(False, False)):
     point with s = a1 = a2 = 0 (the a = 0 part A of Z), its stabilizer
     gcd(weight, p - 1) less 1.  The count is that total over p - 1.  An
     uncoupled model (k = 0 mod p, Consani-Scholten's P(x, y) = P(z, w))
-    uses the row Phi_0 = H only.
-
-    When coupled, r2 and m2 are homogeneous of degrees D and d in (a, b),
-    so substituting w2 -> l w2 gives Phi_{rho l^(D-d)}[c] = Phi_rho[c l^-D]:
-    one row of Phi per class of F_p^* modulo (D - d)-th powers, plus the
-    row of lam = 0.  With row(lam) the row of lam's class and shift(lam) an
-    l^-D that reaches it, N1 = <F, Phi> with F the histogram of the keys
-    row(k m1) p + (-r1 shift(k m1) mod p) of the points w1 (r1 = r1(w1, 1),
-    m1 = m1(w1)): (n + 1) p cells for n classes, read off discrete logs.
+    uses the row Phi_0 = H only.  When coupled, r2 and m2 are homogeneous
+    of degrees D and d in (a, b), so w2 -> l w2 gives Phi_{rho l^(D-d)}[c]
+    = Phi_rho[c l^-D]: Phi has one row per class of ffield.scaling, and N1
+    = <F, Phi> for F the histogram of the points w1 keyed on those rows.
 
     One O(p^2) pass serves every weighting.  A group of a model without chi
     whose r and m are even in b is halved first, b^2 -> b, and its b
@@ -895,7 +833,7 @@ def count_double_cover(spec, p):
     O(p^3) grid when a form reads every coordinate.
     """
     _opening(spec, p, "double_cover_p3", "double cover counts")
-    chi = _chi_table(p)
+    chi = chi_table(p)
     unread = np.zeros((), dtype=np.int64)
     reads = [[any(m.exponents[i] and m.coefficient % p for m in eq)
               for i in range(4)] for eq in spec.equations]

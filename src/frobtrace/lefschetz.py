@@ -17,11 +17,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .catalog import (_MAX_SLAB_CELLS, Monomial, _chi_table, _eval_mono_list,
-                      _field_degree, _partial, _require_cells, _require_good,
-                      _restrict, _singular_scan)
+from .catalog import (_MAX_SLAB_CELLS, Monomial, _eval_mono_list, _partial,
+                      _require_cells, _require_good, _restrict, _singular_scan)
 from .errors import ValidationError
-from .ffield import kronecker, nonresidue, require_prime
+from .ffield import (_field_degree, chi_table, kronecker, nonresidue,
+                     require_prime)
 
 
 def trace_h3(n_p, p, b2, correction):
@@ -192,8 +192,8 @@ def nodal_curve(spec, p, degree=1):
     search of the catalog, as a NodalCurve.
 
     In the chart x_lead = 1 the cone at a node is a h_i^2 + b h_i h_j +
-    c h_j^2, which splits when b^2 - 4ac is a square.  Over F_{p^2} a
-    nonzero value is a square exactly when its norm is a square mod p.  In
+    c h_j^2, which splits when b^2 - 4ac is a square: chi_table(p, degree)
+    at its index, over F_{p^2} R + I p from the Weil restriction (R, I).  In
     characteristic 2 the discriminant is b^2, so a node has b = 1 and its
     cone splits exactly when ac = 0.  A singular point whose discriminant
     vanishes is not a node, and is a ValidationError.
@@ -217,18 +217,16 @@ def nodal_curve(spec, p, degree=1):
         at = [x[node] for x in at]
         abc = [_eval_mono_list(g, at, p)
                for ij in ((i, i), (i, j), (j, j)) for g in taylor[ij]]
-        disc = [_eval_mono_list(g, abc, p) for g in disc_poly]
-        if n is not None:                       # over F_{p^2}: its norm
-            disc = [_eval_mono_list((Monomial(1, (2, 0)),
-                                     Monomial(-n, (0, 2))), disc, p)]
-        if np.any(disc[0] == 0):
+        disc = sum(_eval_mono_list(g, abc, p) * p ** k
+                   for k, g in enumerate(disc_poly))
+        if np.any(disc == 0):
             raise ValidationError(
                 f"{spec.id}: singular point at p={p} is not a node")
         if p == 2:
             # b = 1: a h^2 + h k + c k^2 splits iff a c = 0 (Artin-Schreier)
             split += int(np.count_nonzero(abc[0] * abc[2] % 2 == 0))
         else:
-            split += int(np.count_nonzero(_chi_table(p)[disc[0]] == 1))
+            split += int(np.count_nonzero(chi_table(p, degree)[disc] == 1))
     return NodalCurve(points, nodes, split,
                       p ** degree + 1 - (points - nodes + 2 * split))
 
@@ -238,13 +236,11 @@ def declared_curve(spec, p):
     declared normalization, in O(p) and with no scan; equal to
     nodal_curve(spec, p) wherever the declaration is right.
 
-    a_p = -sum_x chi(4x^3 + b2 x^2 + 2 b4 x + b6), read from _chi_table;
+    a_p = -sum_x chi(4x^3 + b2 x^2 + 2 b4 x + b6), read from chi_table;
     the rational nodes are the declared vectors that Frobenius fixes
     (RootNodes.rational); each splits exactly when the splitting
     discriminant D is a square, and points = p + 1 - a_p - nodes (D/p).
-    Under the budget of _MAX_SLAB_CELLS values of x, the largest
-    intermediate value is (p - 1)^2 < 2^44, in the character table; the
-    cubic's evaluator keeps its own bound of 2^62.
+    The budget is _MAX_SLAB_CELLS values of x, under the tables' bounds.
     """
     _require_good(spec, p)
     norm = spec.normalization
@@ -257,7 +253,7 @@ def declared_curve(spec, p):
     f = _eval_mono_list((Monomial(4, (3,)), Monomial(b2, (2,)),
                          Monomial(2 * b4, (1,)), Monomial(b6, (0,))),
                         [np.arange(p, dtype=np.int64)], p)
-    ap = -int(_chi_table(p)[f].sum())
+    ap = -int(chi_table(p)[f].sum())
     nodes = norm.nodes.rational(p)
     sym = kronecker(norm.splitting_discriminant, p)
     return NodalCurve(p + 1 - ap - nodes * sym, nodes,

@@ -21,7 +21,7 @@ from frobtrace.counting import (count, count_double_cover, count_projective,
                                 count_torus, count_twisted, count_weighted,
                                 check_preserves, read_records, write_records)
 from frobtrace.errors import FrobtraceError, RefusalError, ValidationError
-from frobtrace.ffield import is_prime, nonresidue
+from frobtrace.ffield import is_prime, kronecker, log_tables, nonresidue
 from frobtrace.lefschetz import declared_curve, nodal_curve
 
 CAT = load_catalog()
@@ -152,6 +152,13 @@ def test_cell_budgets_name_the_largest_accepted_prime():
         assert peak < 1 << 20, (name, peak)
 
 
+def test_weierstrass_budget_accepts_the_prime_it_names():
+    # the budget counts at 3999971 too, not only refuses the next prime:
+    # the character table there is 32 MB, built in numpy and not kept
+    assert declared_curve(CAT.variety("e_plane"), 3999971) == \
+        (3998210, 5, 0, 1767)
+
+
 @settings(max_examples=60, deadline=None, database=None)
 @given(st.lists(st.integers(-50, 50), min_size=5, max_size=5),
        st.integers(-50, 50), st.sampled_from((3, 5, 7, 11, 13)))
@@ -213,13 +220,29 @@ def test_schoen_histogram_memory():
         assert peak < bound * p ** 2 * 8, (p, peak / (p ** 2 * 8), bound)
 
 
+def _chi(p):
+    """The quadratic character of F_p as a table, from kronecker."""
+    return np.array([kronecker(x, p) for x in range(p)], dtype=np.int64)
+
+
+def _power(x, e, p):
+    """x^e mod p elementwise for e >= 1, by squaring."""
+    y = np.ones_like(x)
+    while e:
+        if e & 1:
+            y = y * x % p
+        x, e = x * x % p, e >> 1
+    return y
+
+
 def _percent_pass(groups, k, weights, p):
     """The two-group pass as it was before the discrete-log tables: every
     key and every row of Phi reduced mod p on the p^2 cells, and the
     classes modulo (D - d)-th powers found by np.unique.  The reference of
-    counting._block_pass, which must serve the same counts."""
+    counting._block_pass, which must serve the same counts; its character
+    and powers are its own, not the field tables the pass reads."""
     h = (p - 1) // 2
-    chi = catalog._chi_table(p)
+    chi = _chi(p)
     order = np.concatenate([np.flatnonzero(chi == 1),
                             np.flatnonzero(chi == -1), [0]]).astype(np.int64)
     grid = [np.arange(p, dtype=np.int64).reshape(1, p), order.reshape(p, 1)]
@@ -260,12 +283,11 @@ def _percent_pass(groups, k, weights, p):
         dr, dm = g2r[0].degree(wts), g2m[0].degree(wts)
         lams, q = np.arange(1, p, dtype=np.int64), p - 1
         n = gcd(dr - dm, q)
-        power = catalog._power
-        _, first = np.unique(power(lams, q // n, p), return_index=True)
+        _, first = np.unique(_power(lams, q // n, p), return_index=True)
         reps += lams[first].tolist()
-        orbit = lams[first, None] * power(lams, (dr - dm) % q or q, p) % p
+        orbit = lams[first, None] * _power(lams, (dr - dm) % q or q, p) % p
         row[orbit] = np.arange(1, n + 1)[:, None]
-        shift[orbit] = power(lams, -dr % q or q, p)
+        shift[orbit] = _power(lams, -dr % q or q, p)
 
     def level(rho):
         return r2 if not rho else (m2 * rho + r2 + rho * d2) % p
@@ -315,7 +337,7 @@ def test_kernel_tables_are_bounded(monkeypatch):
     # with a value past p would otherwise be clipped or binned into a wrong
     # count without a word.  schoen_y and the quotient run on the scaling
     # orbits, consani_scholten (uncoupled, no Phi levels) on the grid
-    exp, log = counting._logs(7)
+    exp, log = log_tables(7)
     orbits, grid = ("schoen_y", "schoen_quotient"), ("consani_scholten",)
     bins, e3, past = log.copy(), log.copy(), exp.copy()
     bins[0], e3[0], past[3] = 3 * 6, 2 * 6 + 1, 7
@@ -324,7 +346,7 @@ def test_kernel_tables_are_bounded(monkeypatch):
                        ((exp, -log), orbits + grid)):
         for vid in vids:
             counting._block_pass.cache_clear()
-            monkeypatch.setattr(counting, "_logs", lambda p: logs)
+            monkeypatch.setattr(counting, "log_tables", lambda p: logs)
             with pytest.raises(FrobtraceError, match="p=7 leave their bounds"):
                 count(CAT.variety(vid), 7)
             assert counting._block_pass.cache_info().currsize == 0
@@ -614,11 +636,11 @@ def test_scaled_roots_are_chosen_by_exponents(monkeypatch):
 def test_scaled_tables_are_bounded(monkeypatch):
     # the table checks the gather indices its logs can make before any
     # gather, also under python -O, and a table that raises is not cached
-    exp, log = counting._logs(7, 2)
+    exp, log = log_tables(7, 2)
     bad = log.copy()
     bad[0] = 7 ** 4
     counting._scaled_table.cache_clear()
-    monkeypatch.setattr(counting, "_logs", lambda p, degree=1: (exp, bad))
+    monkeypatch.setattr(counting, "log_tables", lambda p, degree=1: (exp, bad))
     with pytest.raises(FrobtraceError, match="p=7 leaves its bounds"):
         count_projective(CAT.variety("e_plane"), 7, degree=2)
     assert counting._scaled_table.cache_info().currsize == 0
@@ -744,7 +766,7 @@ def _double_cover_reference(forms, p):
     """The full-grid oracle of count_double_cover: on each chart the product
     of the forms on every cell, reduced after each factor, then
     sum 1 + chi."""
-    chi, total = catalog._chi_table(p), 0
+    chi, total = _chi(p), 0
     for fixed in catalog._charts(p, 4):
         coords = _grid(p, fixed)
         f = np.ones(np.broadcast_shapes(*(c.shape for c in coords)), np.int64)
