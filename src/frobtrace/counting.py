@@ -4,23 +4,31 @@ Counts are exact integers.  Varieties whose catalog entry declares a
 two-group count model (the nodal quintic in Schoen's fibre-product form,
 directly or through a linear map, its involution quotient, and
 Consani-Scholten's quintic P(x, y) = P(z, w)) are counted at odd primes by
-one O(p^2) kernel over per-group histograms.  One pass per (model, p),
-kept in a bounded per-process lru_cache, gives 3x3 matrices over the
+one kernel over per-group histograms.  One pass per (model, p), kept in a
+bounded per-process lru_cache, gives 3x3 matrices over the
 quadratic-character blocks of b, and the straight, twisted, chi-weighted
 and uncoupled counts are weightings of them, so schoen_x's count,
-schoen_y's twisted count and the quotient's count reuse schoen_y's pass.
-Its p^2 cells see no product mod p, only gathers from O(p) tables of
-discrete logs, adds and bincounts.  Where the declared groups are
-weighted-homogeneous with even weights (schoen_y, so schoen_x, and the
-quotient) the cells run along the scaling orbits, each a broadcast add of
-discrete logs, and no p^2-cell array is made; other models
-(consani_scholten) evaluate their values on the grid.  Everything else,
-and every kernel's oracle, runs on the broadcast grids of the catalog
-module: the projective, twisted and double-cover counts share one dense
-loop over the charts of _charts, cut into slabs that bound memory, the
-double cover factors chi over its forms' supports, each form on the grid
-of the coordinates it reads (O(p^2) a chart for the double octic), and
-the weighted count runs one slab per value of the first coordinate.
+schoen_y's twist and the quotient's count reuse schoen_y's pass.  Where
+the declared groups are weighted-homogeneous with even weights and, when
+coupled, the m have no constant (schoen_y, so schoen_x, and the
+quotient), the pass runs from p = _ORBIT_FROM = 151 on along Weil's
+scaling orbits: every row of a group is a scaled copy of one of a few
+base histograms, so the key histogram and the rows of Phi are cyclic
+convolutions of O(p) rows against them on discrete logs, made by numpy's
+float64 FFT in O(n^2 p log p), n <= D - d, with no p^2-cell array, and
+checked to be exact (_orbit_convolution).  Below 151, and for every other
+model (consani_scholten), the values are evaluated on the p^2 cells of
+the grid, whose keys and Phi rows are gathers from O(p) tables of
+discrete logs, adds and bincounts, with no product mod p on the cells:
+the orbit convolution's fixed cost, about 1 ms, exceeds the grid's there
+(medians of 25 passes in 6 alternating processes, 2 vCPUs).  Everything
+else, and every kernel's oracle, runs on the broadcast grids of the
+catalog module: the projective, twisted and double-cover counts share one
+dense loop over the charts of _charts, cut into slabs that bound memory,
+the double cover factors chi over its forms' supports, each form on the
+grid of the coordinates it reads (O(p^2) a chart for the double octic)
+and once per chart when it does not read the slab coordinate, and the
+weighted count runs one slab per value of the first coordinate.
 count() picks the counter for a variety's ambient space.
 
 A chunk of one equation eliminates a coordinate where the equation's
@@ -72,6 +80,7 @@ from functools import lru_cache
 from math import gcd, prod
 
 import numpy as np
+from numpy.fft import irfft, rfft
 
 from .catalog import (_MAX_SLAB_CELLS, TORUS_FAMILY, Monomial, _charts,
                       _compose_equation, _eval_mono_list, _grid, _ratio,
@@ -85,6 +94,8 @@ _MAX_HIST_CELLS = 4_000_000        # p^2 cells per two-group table (p < 2000)
 _MAX_TORUS_CELLS = 4_000_000       # (p-1)^3 cells of the torus count (p < 160)
 _PASS_CACHE = 512                  # kernel passes kept: 302 odd primes p < 2000
 _CHUNK = 1 << 15                   # cells a kernel gather runs on at once
+_ORBIT_FROM = 151                  # least prime of the orbit convolution
+_MAX_ORBIT_BINS = 4_000_000        # its rows' bins: 3 n (G + n + 6) Q
 
 
 @dataclass(frozen=True)
@@ -161,19 +172,20 @@ def _counted(vid, p, dense, model=None, degree=1, twist_id=None,
 
 def _count_dense(spec, p, eqs, degree=1, on_chart=None):
     """(count, chunk count) of the common zeros over F_{p^degree} of eqs,
-    monomial lists on P^{nvars-1}, or over F_p of on_chart(coords) summed
-    over the charts, chart by chart.  A chunk of one equation is counted by
-    _count_roots where _elimination selects it over F_p and by
-    _scaled_roots where _scaling selects it over F_{p^2}; any other F_{p^2}
-    chart with a free coordinate by _folded on half the grid of the Weil
-    restrictions, and every other chunk, (0 : ... : 0 : 1) over F_{p^2}
-    too, on the full F_p grid."""
+    monomial lists on P^{nvars-1}, or over F_p of on_chart(coords, fixed)
+    summed over the chunks of _charts, each with its fixed list.  A chunk
+    of one equation is counted by _count_roots where _elimination selects
+    it over F_p and by _scaled_roots where _scaling selects it over
+    F_{p^2}; any other F_{p^2} chart with a free coordinate by _folded on
+    half the grid of the Weil restrictions, and every other chunk, (0 :
+    ... : 0 : 1) over F_{p^2} too, on the full F_p grid."""
     nv = spec.ambient.nvars
     if degree == 1:          # _charts refuses F_{p^2} charts by its budget
         _require_cells("dense count", p, lambda q: q ** (nv - 1), _MAX_DENSE_TOTAL)
     chunks = _charts(p, nv, degree)
     one = len(eqs) == 1 and tuple(eqs[0])
-    on_chart = on_chart or (lambda c: int(np.count_nonzero(_zeros(eqs, c, p))))
+    on_chart = on_chart or (
+        lambda c, _: int(np.count_nonzero(_zeros(eqs, c, p))))
 
     def worker(fixed):
         if degree == 2 and None not in fixed:   # (0 : ... : 0 : 1), in F_p
@@ -188,7 +200,7 @@ def _count_dense(spec, p, eqs, degree=1, on_chart=None):
             one, fixed.index(1), nv,
             tuple(i for i, x in enumerate(fixed) if x is None), p)
         if not plan:
-            return on_chart(_grid(p, fixed))
+            return on_chart(_grid(p, fixed), fixed)
         v, parts = plan
         coords = _grid(p, fixed[:v] + [0] + fixed[v + 1:])
         return _count_roots([_eval_mono_list(q, coords, p) for q in parts], p)
@@ -401,38 +413,175 @@ def _flips(model, diag):
     return tuple(flips)
 
 
-def _orbit_cells(v, D, blocks, p):
-    """(cells, hists) of a weighted-homogeneous polynomial f of degree D on
-    the scaling orbits, from v = (f(0, b'), f(1, b')) on each row b' and
-    the chi block of each row: column 0 is (0, b') and column j >= 1 is
-    (g^(j-1), g^(w(j-1)) b'), where f is g^(D(j-1)) f(1, b').
-
-    cells(i, j, out) writes into out the indices of rows i:j into E3 = (E,
-    E, 0) of log_tables(p): L[f(0, b')] in column 0 and L[f(1, b')] +
-    D(j - 1) mod p - 1 in column j, below L[0] + p - 1 = 3 (p - 1).
-    hists() is the histogram of the values of each block in O(p): a row
-    with f(1, b') = x != 0 reaches each value x g^u with u = L[x] mod
-    gcd(D, p - 1), gcd(D, p - 1) times, and one with x = 0 reaches 0 p - 1
-    times."""
+def _fold(v, D, blocks, p, col=slice(None), row=slice(None)):
+    """The histogram over F_p, per chi block, of a weighted-homogeneous f of
+    degree D on the scaling orbits, from v = (f(0, b'), f(1, b')) on each
+    row b' of _block_pass: column 0, (0, b'), holds f(0, b') and the p - 1
+    cells (t, t^w b'), t != 0, hold t^D f(1, b').  A row with f(1, b') = x
+    != 0 reaches each value x g^u, u = L[x] mod gcd(D, p - 1), gcd(D, p -
+    1) times, and one with x = 0 reaches 0 p - 1 times: O(p).  col and row,
+    masks of the rows, keep the column-0 cells and the orbits of some rows
+    only."""
     exp, log = log_tables(p)
     q, n = p - 1, gcd(D, p - 1)
-    col0, base = log[v[:, 0]], log[v[:, 1]]
-    off = D * np.arange(-1, q) % q
+    out = np.bincount(blocks[col] * p + v[col, 0], minlength=3 * p)
+    out = out.reshape(3, p)
+    x, b = v[row, 1], blocks[row]
+    on = x != 0
+    out[:, 0] += q * np.bincount(b[~on], minlength=3)
+    rows = np.bincount(b[on] * n + log[x[on]] % n, minlength=3 * n)
+    out[:, exp] += n * rows.reshape(3, n)[:, np.arange(q) % n]
+    return out
 
-    def cells(i, j, out):
-        out = np.add(base[i:j, None], off, out=out[:(j - i) * p].reshape(-1, p))
-        out[:, 0] = col0[i:j]
-        return out.reshape(-1)
 
-    def hists():
-        out = np.bincount(blocks * p + v[:, 0], minlength=3 * p).reshape(3, p)
-        on = base < q
-        out[:, 0] += q * np.bincount(blocks[~on], minlength=3)
-        rows = np.bincount(blocks[on] * n + base[on] % n, minlength=3 * n)
-        out[:, exp] += n * rows.reshape(3, n)[:, np.arange(q) % n]
-        return out
+def _orbit_convolution(r1, m1, r2, m2, c, k, hr2, blocks, p):
+    """(F, Phi), each of shape (3, p + n (Q + 1)), with N1's block matrix F
+    Phi^T, for a coupled pass on the scaling orbits (_block_pass): r1, m1,
+    r2 and m2 are (v, D), v = (f(0, b'), f(1, b')) on each row b' of f's
+    part of degree D, with D > d for r2 and m2 and no constant in the m;
+    c is the constant of r1 + r2 at s = 1 and hr2 r2's histogram, Phi_0.
 
-    return cells, hists
+    Write D and d for r2's and m2's degrees, e = D - d and n = gcd(e, p -
+    1).  Row 0 of F is the histogram of c' = -r1 - c on F_p over the w1
+    with lam = k m1(w1) = 0.  Any other lam is rho_j T^e, rho_j = g^j, j <
+    n, and Phi_lam[c'] = Phi_j[c' T^-D] (ffield.scaling).  Phi_j is
+    constant on the cosets of M = {z^D : z^e = 1}, so w1 is keyed on j and
+    the coset of c' T^-D, a discrete log mod Q = (p - 1) gcd(D, n) / n, or
+    on c' = 0; Phi_j is folded onto Z/Q, |M| times Phi_j at each log.
+
+    Along a row of group 2 (x = r2(1, b'), y = m2(1, b')), t = g^s gives
+    t^D x + rho_j t^d y = sigma t'^d (g^a t'^e + 1) with a = L[x / rho_j y]
+    mod n and t' = g^m t, e m = L[x / rho_j y] - a: base B_a shifted by L
+    sigma.  Along a row of group 1 (x = r1(1, b'), y = m1(1, b'), degrees
+    D1 and delta), in steps s = n i + s0, j is fixed and T^-D moves by beta
+    = g^(-D delta / (e / n)) per step, so c' T^-D = B beta^i (u gamma^i +
+    1), gamma = g^(n D1), u = x g^(D1 s0) / c: base H_a, a = L[u] mod
+    gcd(n D1, p - 1), shifted, exact on Z/Q as beta^((p - 1) / n) lies in
+    M.  A row with x = 0 or y = 0 is a coset fold (t^D x, rho_j t^d y;
+    beta^i, x t^D1 beta^i in group 1) shifted, and one with x = y = 0 (x =
+    0 and c = 0 in group 1) p - 1 zeros.  The column a = 0 is binned cell
+    by cell, and the rows of group 1 with y = 0 and the column-0 cells with
+    lam = 0 fold into row 0 (_fold).  On Z/Q each base is periodic in s
+    with period (p - 1) / n, so it is built on that many steps.
+
+    So every histogram is a sum of cyclic convolutions on Z/Q, the rows
+    counted by their shift against G + n + 6 bases, G = gcd(n D1, p - 1),
+    made by one batch of numpy's float64 FFT over the rows that have an
+    entry, in O(n^2 p log p): no p^2-cell array.  The 3 n (G + n + 6) Q
+    bins of the rows, 72k for schoen_y at 1999, are refused beyond
+    _MAX_ORBIT_BINS before any is allocated; only degrees far beyond the
+    catalog's reach it.  Each entry counts cells, at most p^2 < 2^22;
+    FrobtraceError is raised unless every value lies within 1/4 of an
+    integer and each block's histograms total its cells, by an if that
+    python -O keeps."""
+    exp, log = log_tables(p)
+    q = p - 1
+    (v1, D1), (u1, delta), (v2, D), (u2, d) = r1, m1, r2, m2
+    e = D - d
+    n = gcd(e, q)
+    qn, Q = q // n, q // n * gcd(D, n)
+    inv = pow(e // n, -1, qn)
+    G = gcd(n * D1, q) if D1 else 1
+    nb = G + n + 6          # F: H_a, two steps, zeros; Phi: B_a, two steps, zeros
+    size = 3 * n * nb * Q
+    if size > _MAX_ORBIT_BINS:
+        raise RefusalError(f"orbit convolution at p={p}: {size} bins for D "
+                           f"- d = {e}, over {_MAX_ORBIT_BINS}")
+    beta = -D * inv * delta % Q
+    i, j = np.arange(qn), np.arange(n)[:, None]
+
+    # the bases: F's H_a, Phi's B_a (n times: s runs over q steps), steps
+    off = np.concatenate([np.arange(G), np.arange(n)])[:, None]
+    mult, step = (np.repeat(x, (G, n))[:, None]
+                  for x in ((n * D1, e), (beta, d)))
+    u = (exp[(off + mult * i) % q] + 1) % p
+    vals = np.concatenate([(step * i + log[u]) % Q,
+                           np.outer((beta, n * D1 + beta, D, d), i) % Q])
+    slot = np.concatenate([off[:G, 0], G + 3 + off[G:, 0],
+                           [G, G + 1, nb - 3, nb - 2]])
+    hit = np.concatenate([u != 0, np.ones((4, qn), dtype=bool)])
+    table = np.bincount((slot[:, None] * Q + vals)[hit],
+                        minlength=nb * Q).reshape(nb, Q)
+    table[G + 3:] *= n
+    zeros = np.zeros(nb, dtype=np.int64)
+    zeros[:G] = (u[:G] == 0).sum(axis=1)
+    zeros[G + 3:-3] = n * (u[G:] == 0).sum(axis=1)
+    zeros[G + 2], zeros[-1] = qn, q
+
+    def row(block, level, base, shift):
+        return (((block * n + level) * nb + base) * Q + shift % Q).ravel()
+
+    def cell(side, block, level, value):
+        """a column-0 cell of value c' T^-D, by its log, or 0"""
+        return size + (((side * 3 + block) * n + level) * (Q + 1) + np.where(
+            value == 0, Q, log[value] % Q)).ravel()
+
+    # Phi: the rows of group 2 at each level j, then column a = 0
+    (x0, x), (y0, y) = v2.T, u2.T
+    lx, ly = log[x], log[y]
+    ell = (lx - ly - j) % q
+    a = ell % n
+    ox, oy = x != 0, y != 0
+    m = ox * d * ((ell - a) // n * inv % qn)
+    keys = [row(blocks, j, G + 3 + np.where(oy, np.where(ox, a, n + 1),
+                                            np.where(ox, n, n + 2)),
+                np.where(oy, j + ly - m, lx)),
+            cell(1, blocks, j, (x0 + exp[j] * y0) % p)]
+
+    # F: the rows of group 1 with y != 0 in n steps s0 < n, then column 0
+    (x0, x), (y0, y) = v1.T, u1.T
+    live = y != 0
+    x = x[live]
+    ox = x != 0
+    lam = log[k * y[live] % p] + delta * j
+    level = lam % n
+    m0 = (lam - level) // n * inv % qn
+    if c:
+        mu = (log[x] - log[c] + D1 * j) % q
+        a = mu % G
+        nu = (mu - a) // G * pow(n * D1 // G, -1, q // G) if D1 else 0
+        base = np.where(ox, a, G)
+        shift = log[-c % p] - D * m0 + ox * (D * inv * delta * nu)
+    else:
+        base = np.where(ox, G + 1, G + 2)
+        shift = log[-x % p] + D1 * j - D * m0
+    lam0, c0 = k * y0 % p, (-x0 - c) % p
+    at = lam0 != 0
+    l0 = log[lam0[at]]
+    mm = (l0 - l0 % n) // n * inv % qn
+    keys += [row(blocks[live], level, base, shift),
+             cell(0, blocks[at], l0 % n, exp[-D * mm % q] * c0[at] % p)]
+    row0 = _fold(v1, D1, blocks, p, ~at, ~live)[:, (-np.arange(p) - c) % p]
+
+    counts = np.bincount(np.concatenate(keys),
+                         minlength=size + 6 * n * (Q + 1))
+    conv = counts[:size].reshape(-1, Q)
+    direct = counts[size:].reshape(2, 3, n, Q + 1)
+    # only rows with an entry and a base with values are transformed; each
+    # sums into its block, level and side
+    rows = np.flatnonzero(conv.any(axis=1) & np.tile(table.any(axis=1), 3 * n))
+    spec = rfft(conv[rows].astype(np.float64))
+    spec *= rfft(table)[rows % nb]
+    side = rows // nb * 2 + (rows % nb >= G + 3)
+    first = np.flatnonzero(np.concatenate([[True], side[1:] != side[:-1]]))
+    total = np.zeros((6 * n, Q // 2 + 1), dtype=complex)
+    total[side[first]] = np.add.reduceat(spec, first)
+    out = irfft(total, Q).reshape(3, n, 2, Q).transpose(2, 0, 1, 3)
+    out += direct[..., :Q]
+    out[1] *= Q / q                                   # 1 / |M|
+    got = np.rint(out)
+    at0 = conv.sum(axis=1).reshape(3, n, nb) * zeros
+    at0 = direct[..., Q] + np.stack([at0[..., :G + 3].sum(axis=2),
+                                     at0[..., G + 3:].sum(axis=2)])
+    both = np.concatenate([got, at0[..., None]], axis=3)
+    cells = np.bincount(blocks, minlength=3) * p
+    if np.abs(out - got).max() >= 0.25 or \
+            np.any(row0.sum(axis=1) + both[0].sum(axis=(1, 2)) != cells) or \
+            np.any(got[1].sum(axis=2) * (q // Q) + at0[1] != cells[:, None]):
+        raise FrobtraceError(f"orbit convolution at p={p} is not exact")
+    both = both.astype(np.int64).reshape(2, 3, -1)
+    return (np.concatenate([row0, both[0]], axis=1),
+            np.concatenate([hr2, both[1]], axis=1))
 
 
 @lru_cache(maxsize=_PASS_CACHE)
@@ -440,29 +589,44 @@ def _block_pass(groups, k, weights, p):
     """The 3x3 block-pair matrices (NF, Z, A) of one pass over the grids of
     groups ((r1, m1), (r2, m2)), as tuples of ints; see _two_group_count.
 
-    A group's p^2 cells (a, b) lie in p rows b', in chi blocks.  Where each
-    value polynomial of the pass (r at s = 0 and 1, and m when coupled) is
-    one weighted-homogeneous part in (a, b) plus a constant, under weights
-    (1, w) with w even, the rows run along the scaling orbits
-    (_orbit_cells): an even w keeps each chi block, so the blocks and the
-    counts are those of the grid.  A cell is then an index into E3 = (E,
-    E, 0), made by one broadcast add, every table is composed with E3
-    once, in O(p), and the histograms of r fold in O(p): no p^2-cell array
-    and no Horner step on the p^2 cells.  Otherwise the values are
-    evaluated on the grid, columns a.  The layout is read off the model
-    alone.
+    A group's p^2 cells (a, b) lie in p rows b', in chi blocks.  The pass
+    runs along the scaling orbits from p = _ORBIT_FROM = 151 on, where
+    each value polynomial of the pass (r at s = 0 and 1, and m when
+    coupled) is one weighted-homogeneous part in (a, b) plus a constant,
+    under weights (1, w) with w even, and when coupled the m have no
+    constant and r2's degree exceeds m2's > 0, mod p: the cells (t, t^w
+    b'), t != 0, of row b' hold t^D f(1, b'), and an even w keeps each chi
+    block, so the blocks and the counts are those of the grid.  Each
+    polynomial is then evaluated at a = 0 and 1 only, every histogram
+    folds in O(p) (_fold), and N1 comes from _orbit_convolution in O(n^2 p
+    log p), n <= D - d, or from the folds alone when uncoupled: no
+    p^2-cell array.  Every shipped orbit model (schoen_y, so schoen_x, its
+    twist and the quotient) qualifies at every odd prime.  A model with a
+    constant in m has no base histograms (lam = k (t^delta y + d1) is no
+    monomial in t) and takes the grid, as do odd weights, mixed degrees
+    (consani_scholten) and every prime below 151, where the grid costs
+    less than the convolution's fixed ~1 ms: the values are evaluated on
+    the p^2 cells, columns a, and keys and Phi's rows are gathered and
+    bincounted over them.  The layout is read off the model and p alone.
 
-    Products of residues (below p^2) run on O(p) tables only.  The cells
-    are gathered, added and bincounted in chunks of whole rows, at most
-    _CHUNK cells or one row, with gather indices below the tables' sizes,
-    keys below the (n + 1) 3q bins they fold from and values of Phi's rows
-    below 2p, checked on the tables by an if that python -O keeps.  The
-    _PASS_CACHE entries, 27 ints and a key each, hold at most about 4.5
-    MB; a pass that raises is not cached."""
+    Value polynomials that agree up to a constant and a sign share their
+    values (consani_scholten's r2 is -r1): the values of -f are read at
+    neg.  On the grid, products of residues (below p^2) run on O(p) tables
+    only; the cells are gathered, added and bincounted in chunks of whole
+    rows, at most _CHUNK cells or one row, with gather indices below the
+    tables' sizes, keys below the (n + 1) 3q bins they fold from and values
+    of Phi's rows below 2p.  The log tables are checked to be inverse
+    bijections of F_p^* with the sentinel L[0] = 2q, by an if that python
+    -O keeps.  The _PASS_CACHE entries, 27 ints and a key each, hold at
+    most about 4.5 MB; a pass that raises is not cached."""
     h, q = (p - 1) // 2, p - 1
     exp, log = log_tables(p)
+    if exp.min() < 1 or exp.max() >= p or log.min() < 0 or log[0] != 2 * q \
+            or np.any(log[exp] != np.arange(q)):
+        raise FrobtraceError(f"kernel tables at p={p} leave their bounds")
     order = np.concatenate([exp[::2], exp[1::2], [0]])  # chi 1, -1, 0
     blocks = np.repeat(np.arange(3), (h, h, 1))         # of each row b'
+    ident, neg = np.arange(p), -np.arange(p) % p
 
     def split(poly, s):
         """(terms, c): poly(a, b, s) is the sum of terms, ((a, b), coefficient
@@ -480,31 +644,39 @@ def _block_pass(groups, k, weights, p):
 
     parts = [[split(r, 0), split(r, 1), split(m, 1)][:3 if k else 2]
              for r, m in groups]
-    orbit = all(
+
+    def degree(g, i):
+        """the degree of the part of value polynomial i of group g, or 0"""
+        terms = parts[g][i][0]
+        return terms[0][0][0] + weights[g] * terms[0][0][1] if terms else 0
+
+    orbit = p >= _ORBIT_FROM and all(
         w % 2 == 0 and len({a + w * b for (a, b), _ in t}) < 2
-        for w, ps in zip(weights, parts) for t, _ in ps)
-    lift = np.concatenate([exp, exp, 0 * exp]) if orbit else np.arange(p)
+        for w, ps in zip(weights, parts) for t, _ in ps) and (
+        not k or not parts[0][2][1] and not parts[1][2][1]
+        and degree(1, 1) > degree(1, 2) > 0)
     grid = [np.arange(2 if orbit else p).reshape(1, -1), order.reshape(p, 1)]
     memo = {}
 
     def view(g, i):
-        """(cells, hists, histograms at a = 0, c) of value polynomial i of
-        group g, r at s = 0 and 1 and m, the cells of its part without the
-        constant c; polynomials that agree up to a constant share them."""
+        """(v, perm, hist, D, c) of value polynomial i of group g, r at s =
+        0 and 1 and m: it is perm[v] + c, v its part of degree D on the
+        rows, at a = 0 and 1 on the orbits and at every a on the grid, and
+        hist() its part's histogram per block.  Parts that agree up to sign
+        share v, the first coefficient made at most p/2."""
         terms, const = parts[g][i]
-        w = weights[g]
-        if (terms, w) not in memo:
+        flip = bool(terms) and 2 * terms[0][1] > p
+        terms = tuple((e, p - c if flip else c) for e, c in terms)
+        D = degree(g, i)
+        if (terms, D) not in memo:
             v = _eval_mono_list([Monomial(c, e) for e, c in terms], grid, p)
-            if orbit:
-                (a, b), _ = terms[0] if terms else ((0, 0), 0)
-                cells, hists = _orbit_cells(v, a + w * b, blocks, p)
-            else:
-                flat = v.reshape(-1)
-                cells = lambda i, j, out: flat[i * p:j * p]
-                hists = lambda: stream(lambda i, j: [cells(i, j, None)], [p])[0]
-            memo[terms, w] = cells, lru_cache(None)(hists), np.bincount(
-                blocks * p + v[:, 0], minlength=3 * p).reshape(3, p)
-        return memo[terms, w] + (const,)
+            flat = v.reshape(-1)
+            memo[terms, D] = v, lru_cache(None)(
+                (lambda: _fold(v, D, blocks, p)) if orbit else
+                (lambda: stream(lambda i, j: [flat[i * p:j * p]], [p])[0]))
+        v, hist = memo[terms, D]
+        perm = neg if flip else ident
+        return v, perm, lambda: hist()[:, perm], D, const
 
     ends = (0, h, 2 * h, p)
 
@@ -524,59 +696,63 @@ def _block_pass(groups, k, weights, p):
                                            minlength=row.size)
         return out
 
-    # w1's key is L[x] + S[lam] (x = -r1 - c1 - c2, lam = k (m1 + d1), S
-    # the offsets of ffield.scaling for r2 + lam m2, of degrees D and d),
-    # binned on n + 1 rows of 3q, folded to values by (E, E, 0) on each row
-    (r1, _, _, c1), (r2, hr2, _, c2) = view(0, 1), view(1, 1)
-    target, levels, shift = log[(-np.arange(p) - c1 - c2) % p], [], 0
-    if k:
-        (m1, _, _, d1), (m2, _, _, d2) = view(0, 2), view(1, 2)
-        wts = (1, weights[1], 1)
-        dr, dm = groups[1][0][0].degree(wts), groups[1][1][0].degree(wts)
-        n = gcd(dr - dm, q)
-        shift = scaling(dr, dm, 1, p)[k * np.arange(d1, p + d1) % p]
-        levels = np.outer(exp[:n], np.arange(d2, p + d2) % p) % p
-    size = (len(levels) + 1) * 3 * q
-    if exp.min() < 1 or exp.max() >= p or log.min() < 0 or \
-            orbit and log.max() + q > lift.size or \
-            log.max() + np.max(shift) >= size or np.max(levels, initial=0) >= p:
-        raise FrobtraceError(f"kernel tables at p={p} leave their bounds")
-    target, levels = target[lift], [x[lift] for x in levels]
-    if k:
-        shift = shift[lift]
-
     # at s = 0 the constant terms of r1 and r2 cancel, the equation being
     # homogeneous of positive degree; A counts the cells a = 0
-    neg = -np.arange(p) % p
-    (_, h1, a1, _), (_, h2, a2, _) = view(0, 0), view(1, 0)
-    z, a0 = h1() @ h2()[:, neg].T, a1 @ a2[:, neg].T
-    buf = np.empty((3 if k else 2, min(p * p, max(p, _CHUNK))), dtype=np.int64)
+    (v1, p1, h1, _, _), (v2, p2, h2, _, _) = view(0, 0), view(1, 0)
+    z = h1() @ h2()[:, neg].T
+    a1, a2 = (np.bincount(blocks * p + x, minlength=3 * p).reshape(3, p)
+              for x in (p1[v1[:, 0]], neg[p2[v2[:, 0]]]))
+    a0 = a1 @ a2.T
+    (r1, p1, h1, D1, c1), (r2, p2, hr2, D2, c2) = view(0, 1), view(1, 1)
+    if orbit and k:
+        (m1, q1, _, d1, _), (m2, q2, _, d2, _) = view(0, 2), view(1, 2)
+        F, phi = _orbit_convolution((p1[r1], D1), (q1[m1], d1), (p2[r2], D2),
+                                    (q2[m2], d2), (c1 + c2) % p, k, hr2(),
+                                    blocks, p)
+    elif orbit:
+        F, phi = h1()[:, (-np.arange(p) - c1 - c2) % p], hr2()
+    else:
+        # w1's key is L[x] + S[lam] (x = -r1 - c1 - c2, lam = k (m1 + k1), S
+        # the offsets of ffield.scaling for r2 + lam m2, of degrees D and
+        # d), binned on n + 1 rows of 3q, folded to values by (E, E, 0)
+        target, levels, shift = log[(-p1 - c1 - c2) % p], [], 0
+        if k:
+            (m1, q1, _, _, k1), (m2, q2, _, _, k2) = view(0, 2), view(1, 2)
+            m1, m2 = m1.reshape(-1), m2.reshape(-1)
+            wts = (1, weights[1], 1)
+            dr, dm = groups[1][0][0].degree(wts), groups[1][1][0].degree(wts)
+            shift = scaling(dr, dm, 1, p)[k * (q1 + k1) % p]
+            levels = np.outer(exp[:gcd(dr - dm, q)], (q2 + k2) % p) % p
+        size = (len(levels) + 1) * 3 * q
+        if log.max() + np.max(shift) >= size or np.max(levels, initial=0) >= p:
+            raise FrobtraceError(f"kernel tables at p={p} leave their bounds")
+        r1, r2 = r1.reshape(-1), r2.reshape(-1)
+        buf = np.empty((2, min(p * p, max(p, _CHUNK))), dtype=np.int64)
 
-    def keys_and_phis(i, j):
-        """The key of each cell of rows i:j of group 1, then Phi's value on
-        each row of group 2 at each level, r2 + rho (m2 + d2) below 2p; m1's
-        cells serve as m2's where the two share them."""
-        cut = buf[:, :(j - i) * p]
-        key = np.take(target, r1(i, j, buf[0]), out=cut[1], mode="clip")
-        if not k:
+        def keys_and_phis(i, j):
+            """The key of each cell of rows i:j of group 1, then Phi's value
+            on each row of group 2 at each level, r2 + rho (m2 + k2) below
+            2p."""
+            cut, cells = buf[:, :(j - i) * p], slice(i * p, j * p)
+            key = np.take(target, r1[cells], out=cut[1], mode="clip")
+            if not k:
+                yield key
+                return
+            key += np.take(shift, m1[cells], out=cut[0], mode="clip")
             yield key
-            return
-        y = m1(i, j, buf[2])
-        key += np.take(shift, y, out=cut[0], mode="clip")
-        yield key
-        r = np.take(lift, r2(i, j, buf[0]), out=cut[1], mode="clip")
-        y = y if m2 is m1 else m2(i, j, buf[2])
-        for level in levels:
-            v = np.take(level, y, out=cut[0], mode="clip")
-            yield np.add(v, r, out=v)
+            r = np.take(p2, r2[cells], out=cut[1], mode="clip")
+            for level in levels:
+                v = np.take(level, m2[cells], out=cut[0], mode="clip")
+                yield np.add(v, r, out=v)
 
-    keys, *two = stream(keys_and_phis, [size] + [2 * p] * len(levels))
-    keys = keys.reshape(3, -1, 3, q)
-    nf = np.zeros((3, len(levels) + 1, p), dtype=np.int64)
-    nf[..., exp] = keys[:, :, 0] + keys[:, :, 1]
-    nf[..., 0] = keys[:, :, 2].sum(axis=2)
-    phis = np.stack([hr2()] + [x[:, :p] + x[:, p:] for x in two], axis=1)
-    nf = nf.reshape(3, -1) @ phis.reshape(3, -1).T      # [block, row p + c]
+        keys, *two = stream(keys_and_phis, [size] + [2 * p] * len(levels))
+        keys = keys.reshape(3, -1, 3, q)
+        F = np.zeros((3, len(levels) + 1, p), dtype=np.int64)
+        F[..., exp] = keys[:, :, 0] + keys[:, :, 1]
+        F[..., 0] = keys[:, :, 2].sum(axis=2)
+        phi = np.stack([hr2()] + [x[:, :p] + x[:, p:] for x in two], axis=1)
+        F, phi = F.reshape(3, -1), phi.reshape(3, -1)
+    nf = F @ phi.T                                       # [block, block]
     return tuple(tuple(tuple(x) for x in m.tolist()) for m in (nf, z, a0))
 
 
@@ -608,7 +784,9 @@ def _two_group_count(model, p, label, flips=(False, False)):
     = Phi_rho[c l^-D]: Phi has one row per class of ffield.scaling, and N1
     = <F, Phi> for F the histogram of the points w1 keyed on those rows.
 
-    One O(p^2) pass serves every weighting.  A group of a model without chi
+    One pass serves every weighting: O(n^2 p log p) along the scaling
+    orbits, by FFT (_orbit_convolution), from 151 on, and O(p^2) on the
+    grid otherwise (_block_pass).  A group of a model without chi
     whose r and m are even in b is halved first, b^2 -> b, and its b
     weighs twice: a value b then has 1 + chi(b) square roots, or 1 - chi(b)
     after the twist by a non-square.  The b axis of each grid is laid out
@@ -628,12 +806,15 @@ def _two_group_count(model, p, label, flips=(False, False)):
 
     All arithmetic is exact, under the bounds _block_pass checks, and the
     block matrices count pairs (w1, w2), at most p^4: exact in int64 for
-    p < 2^15; they are weighted as Python ints.  On the scaling orbits a
-    pass holds no p^2-cell array: under tracemalloc schoen_y's peaks at
-    0.9 p^2 8 bytes at 421 and 0.09 at 1999, mostly its chunk buffers.  On
-    the grid the value arrays (r_i at s = 0 and 1 and m_i, fewer where two
-    agree up to a constant) are the only p^2-cell arrays: consani_scholten's
-    pass holds four and peaks at 4.5 p^2 8 bytes (p < 2000 by the budget).
+    p < 2^15; they are weighted as Python ints.  The orbit convolution
+    rounds float64 FFT values that count cells, at most p^2 < 2^22, and
+    raises FrobtraceError unless each lies within 1/4 of an integer and
+    every block's histograms total its cells.  It holds no p^2-cell array:
+    under tracemalloc schoen_y's pass peaks at 0.64 p^2 8 bytes at 421 and
+    0.089 at 1999.  On the grid the value arrays (r_i at s = 0 and 1 and
+    m_i, fewer where two agree up to a constant and a sign) are the only
+    p^2-cell arrays: consani_scholten's pass holds two, as r2 = -r1, and
+    peaks at 2.45 p^2 8 bytes at 421 (p < 2000 by the budget).
     """
     _require_cells("two-group kernel", p, lambda q: q * q, _MAX_HIST_CELLS)
     halves = [_halved(g, model.chi) for g in model.groups]
@@ -830,28 +1011,45 @@ def count_double_cover(spec, p):
     most _MAX_SLAB_CELLS = 4 10^6 in absolute value.  The cost is that of
     the largest support grid: O(p^2) per chart for a double octic whose
     planes each read at most two coordinates of a chart, and the full
-    O(p^3) grid when a form reads every coordinate.
+    O(p^3) grid when a form reads every coordinate.  The slabs of a cut
+    chart (p^3 > _MAX_SLAB_CELLS: p > 158 on the chart x0 = 1) differ only
+    in their first free coordinate, so a form that does not read it is
+    evaluated once per chart, and the einsum's contraction path is found
+    once per chart.
     """
     _opening(spec, p, "double_cover_p3", "double cover counts")
     chi = chi_table(p)
     unread = np.zeros((), dtype=np.int64)
     reads = [[any(m.exponents[i] and m.coefficient % p for m in eq)
               for i in range(4)] for eq in spec.equations]
+    forms, paths = {}, {}
 
-    def on_chart(coords):
+    def on_chart(coords, fixed):
+        lead = fixed.index(1)
+        # a slab of the chart x_lead = 1 fixes its first free coordinate
+        slab = lead < 3 and fixed[lead + 1] is not None
         shape = np.broadcast_shapes(*(c.shape for c in coords))
         groups = {}
-        for eq, read in zip(spec.equations, reads):
-            v = _eval_mono_list(
-                eq, [c if r else unread for c, r in zip(coords, read)], p)
-            key = tuple(i for i, n in enumerate(v.shape) if n > 1)
-            if key in groups:
-                v *= groups[key]
+        for i, (eq, read) in enumerate(zip(spec.equations, reads)):
+            shared = slab and not read[lead + 1]
+            v = forms.get((lead, i)) if shared else None
+            if v is None:
+                v = _eval_mono_list(
+                    eq, [c if r else unread for c, r in zip(coords, read)], p)
+                if shared:
+                    forms[lead, i] = v
+            key = tuple(j for j, n in enumerate(v.shape) if n > 1)
+            if key in groups:   # in place, unless v serves the later slabs
+                v = v * groups[key] if shared else np.multiply(
+                    v, groups[key], out=v)
                 v %= p
             groups[key] = v
         # the empty product is 1: a chunk with no form sums chi(1) per cell
         ops = [x for key, v in groups.items() for x in (chi[v.squeeze()], key)]
-        chi_sum = int(np.einsum(*ops, (), optimize="greedy")) if ops else 1
+        if slab and ops and lead not in paths:
+            paths[lead] = np.einsum_path(*ops, (), optimize="greedy")[0]
+        chi_sum = int(np.einsum(*ops, (), optimize=paths.get(lead, "greedy"))
+                      ) if ops else 1
         seen = {i for key in groups for i in key}
         chi_sum *= prod(n for i, n in enumerate(shape) if i not in seen)
         return prod(shape) + chi_sum

@@ -192,14 +192,16 @@ def test_schoen_histogram_cell_budget():
 
 
 def test_schoen_histogram_memory():
-    # on the scaling orbits (schoen_y's model, so its twist, and the
-    # quotient's) the kernel holds no p^2-cell array, only three buffers of
-    # counting._CHUNK cells; on the grid (consani_scholten's) it keeps no
-    # p^2-cell array beside its four memoised value arrays, with the
-    # evaluator's temporaries while it builds them.  One p^2 array beside
-    # them would exceed every bound.  The pass cache is cleared before each
-    # run, so each run makes a full pass rather than reading the pass of
-    # the run before it
+    # the orbit convolution (schoen_y's model, so its twist, and the
+    # quotient's) holds no p^2-cell array, only O(p) rows and bases: 0.64
+    # p^2 8 bytes at 421 and 0.089 at 1999 measured in a fresh process, its
+    # log tables included.  On the grid (consani_scholten's) the pass keeps
+    # two value arrays, r1 at s = 0 and 1, as r2 = -r1 reads them at neg,
+    # with the evaluator's temporaries while it builds them: 2.45 p^2 8
+    # bytes at 421 measured, against 4.49 when r2 kept arrays of its own.
+    # One p^2 array beside them would exceed every bound.  The pass cache
+    # is cleared before each run, so each run makes a full pass rather than
+    # reading the pass of the run before it
     sy = CAT.variety("schoen_y")
     iy = CAT.involution("iota_y")
     for run, p, bound in (
@@ -208,8 +210,8 @@ def test_schoen_histogram_memory():
             (lambda: count_weighted(CAT.variety("schoen_quotient"), 421),
              421, 1.0),
             (lambda: count_projective(CAT.variety("consani_scholten"), 421),
-             421, 5.0),
-            (lambda: count_projective(sy, 1999), 1999, 0.25)):
+             421, 2.75),
+            (lambda: count_projective(sy, 1999), 1999, 0.1)):
         counting._block_pass.cache_clear()
         tracemalloc.start()
         try:
@@ -330,41 +332,48 @@ def test_kernel_matches_percent_reference(p):
 
 
 def test_kernel_tables_are_bounded(monkeypatch):
-    # the pass checks the gather indices its O(p) tables can make before
-    # any gather, also under python -O: a log table whose sentinel runs
-    # past the 3q key bins of a row, or past E3 = (E, E, 0) once the
-    # orbits add their offsets below q, a negative log or an exp table
-    # with a value past p would otherwise be clipped or binned into a wrong
-    # count without a word.  schoen_y and the quotient run on the scaling
-    # orbits, consani_scholten (uncoupled, no Phi levels) on the grid
+    # the pass checks its O(p) tables before any gather, also under python
+    # -O: L and E must be inverse bijections of F_p^* and L[0] the sentinel
+    # 2q.  A log table whose sentinel runs past the 3q key bins of a row or
+    # past E3 = (E, E, 0), a negative log or an exp table with a value past
+    # p would otherwise be clipped or binned into a wrong count without a
+    # word, or shift a row of the orbit convolution.  At 7 every model takes
+    # the grid; with the convolution from 7 on, schoen_y and the quotient
+    # take it, consani_scholten (uncoupled, no Phi levels) the grid
     exp, log = log_tables(7)
     orbits, grid = ("schoen_y", "schoen_quotient"), ("consani_scholten",)
     bins, e3, past = log.copy(), log.copy(), exp.copy()
     bins[0], e3[0], past[3] = 3 * 6, 2 * 6 + 1, 7
-    for logs, vids in (((exp, bins), orbits + grid), ((exp, e3), orbits),
-                       ((past, log), orbits + grid),
-                       ((exp, -log), orbits + grid)):
-        for vid in vids:
-            counting._block_pass.cache_clear()
-            monkeypatch.setattr(counting, "log_tables", lambda p: logs)
-            with pytest.raises(FrobtraceError, match="p=7 leave their bounds"):
-                count(CAT.variety(vid), 7)
-            assert counting._block_pass.cache_info().currsize == 0
+    for start in (counting._ORBIT_FROM, 7):
+        monkeypatch.setattr(counting, "_ORBIT_FROM", start)
+        for logs, vids in (((exp, bins), orbits + grid), ((exp, e3), orbits),
+                           ((past, log), orbits + grid),
+                           ((exp, -log), orbits + grid)):
+            for vid in vids:
+                counting._block_pass.cache_clear()
+                monkeypatch.setattr(counting, "log_tables", lambda p: logs)
+                with pytest.raises(FrobtraceError,
+                                   match="p=7 leave their bounds"):
+                    count(CAT.variety(vid), 7)
+                assert counting._block_pass.cache_info().currsize == 0
+        monkeypatch.undo()
 
 
-def _weighted_part(draw, w, D):
+def _weighted_part(draw, w, D, lead=None):
     """A weighted-homogeneous polynomial of degree D in (a, b), weights
-    (1, w), a^D first, with coefficients that may vanish mod p."""
-    return tuple(Monomial(draw(st.integers(-40, 40)), (D - w * j, j, 0))
+    (1, w), a^D first, with coefficients that may vanish mod p; lead, when
+    given, is the coefficient of a^D."""
+    return tuple(Monomial(lead if lead is not None and not j
+                          else draw(st.integers(-40, 40)), (D - w * j, j, 0))
                  for j in range(D // w + 1) if not j or draw(st.booleans()))
 
 
 @st.composite
 def even_models(draw):
-    """(groups, k, weights, p) of a random two-group model on the scaling
-    orbits: even weights, r1 a part of degree D plus c s^D, r2 a part of
-    degree D, m1 a part of lower degree plus a constant, m2 a part of lower
-    degree, coupled or not."""
+    """(groups, k, weights, p) of a random two-group model with even
+    weights: r1 a part of degree D plus c s^D, r2 a part of degree D, m1 a
+    part of lower degree plus a constant, m2 a part of lower degree,
+    coupled or not."""
     p = draw(st.sampled_from((3, 5, 7, 11, 13)))
     weights = tuple(draw(st.sampled_from((2, 4, 6))) for _ in range(2))
     D = draw(st.integers(2, 9))
@@ -377,40 +386,85 @@ def even_models(draw):
     return ((r1, m1), (r2, m2)), draw(st.integers(0, p - 1)), weights, p
 
 
-def orbit_spy(monkeypatch):
-    """The degrees each pass lays out on the scaling orbits, as run."""
-    seen, orbit_cells = [], counting._orbit_cells
+@st.composite
+def convolution_models(draw):
+    """(groups, k, weights, p) of a random coupled model that the orbit
+    convolution counts: even weights, r1 a part of degree D plus c s^D,
+    either of which may vanish mod p, r2 a part of degree D and m1 and m2
+    parts of lower degree without a constant, with k and the coefficients
+    of a^D in r2 and a^d in m2 prime to p."""
+    p = draw(st.sampled_from((3, 5, 7, 11, 13, 31, 37)))
+    unit = st.integers(1, p - 1)
+    weights = tuple(draw(st.sampled_from((2, 4, 6))) for _ in range(2))
+    D = draw(st.integers(2, 9))
+    r1 = _weighted_part(draw, weights[0], D) + (
+        Monomial(draw(st.just(0) | st.integers(-40, 40)), (0, 0, D)),)
+    r2 = _weighted_part(draw, weights[1], D, draw(unit))
+    m1 = _weighted_part(draw, weights[0], draw(st.integers(1, D - 1)))
+    m2 = _weighted_part(draw, weights[1], draw(st.integers(1, D - 1)),
+                        draw(unit))
+    return ((r1, m1), (r2, m2)), draw(unit), weights, p
 
-    def spy(v, D, *args):
-        seen.append(D)
-        return orbit_cells(v, D, *args)
 
-    monkeypatch.setattr(counting, "_orbit_cells", spy)
+def orbit_spy(monkeypatch, start=3):
+    """The degrees (D, d) of r2 and m2 of each pass that runs the orbit
+    convolution, as run, with the convolution taken from the prime start
+    on (counting._ORBIT_FROM)."""
+    seen, convolution = [], counting._orbit_convolution
+
+    def spy(r1, m1, r2, m2, *args):
+        seen.append((r2[1], m2[1]))
+        return convolution(r1, m1, r2, m2, *args)
+
+    monkeypatch.setattr(counting, "_orbit_convolution", spy)
+    monkeypatch.setattr(counting, "_ORBIT_FROM", start)
     return seen
 
 
 _SCHOEN_PARTS = (Monomial(1, (5, 0, 0)), Monomial(10, (3, 1, 0)),
                  Monomial(5, (1, 2, 0)))
 _SCHOEN_M = (Monomial(1, (2, 0, 0)), Monomial(-1, (0, 1, 0)))
+_SCHOEN_HALVED = ((_SCHOEN_PARTS + (Monomial(16, (0, 0, 5)),), _SCHOEN_M),
+                  (_SCHOEN_PARTS, _SCHOEN_M))
 
 
 @settings(max_examples=150, deadline=None, database=None)
-@given(even_models())
+@given(convolution_models())
 @example(((((Monomial(1, (2, 0, 0)), Monomial(3, (0, 1, 0)),
              Monomial(1, (0, 0, 2))), (Monomial(1, (1, 0, 0)),)),
            ((Monomial(2, (2, 0, 0)),), (Monomial(1, (1, 0, 0)),))),
           1, (2, 2), 3))
-# m1 = m2 + 2 shares m2's cells; a0 where only group 2's m differs
-@example((((_SCHOEN_PARTS + (Monomial(16, (0, 0, 5)),),
-            _SCHOEN_M + (Monomial(2, (0, 0, 0)),)),
-           (_SCHOEN_PARTS, _SCHOEN_M)), 8, (2, 2), 13))
+# schoen_y's halved groups: three classes modulo cubes at 13 and 211
+@example((_SCHOEN_HALVED, 8, (2, 2), 13))
+@example((_SCHOEN_HALVED, 206, (2, 2), 211))
 @example((((_SCHOEN_PARTS + (Monomial(16, (0, 0, 5)),), _SCHOEN_M),
            (_SCHOEN_PARTS, (Monomial(1, (2, 0, 0)),))), 8, (2, 2), 13))
+# r2 = a^4 - a^2 b and m2 = a^2 - b both vanish on the row b' = 1; n = 2
+@example(((((Monomial(1, (4, 0, 0)), Monomial(3, (0, 0, 4))),
+            (Monomial(1, (2, 0, 0)),)),
+           ((Monomial(1, (4, 0, 0)), Monomial(-1, (2, 1, 0))),
+            (Monomial(1, (2, 0, 0)), Monomial(-1, (0, 1, 0))))),
+          1, (2, 2), 7))
+# no s-term in r1, so c = 0; e = 5 and n = 1 at 7
+@example(((((Monomial(1, (6, 0, 0)), Monomial(2, (2, 2, 0))),
+            (Monomial(1, (2, 0, 0)), Monomial(-1, (0, 1, 0)))),
+           ((Monomial(1, (6, 0, 0)),), (Monomial(1, (1, 0, 0)),))),
+          3, (2, 2), 7))
+# c = 0 with n = 2 at 7: group 1's keys are -x t^D1 T^-D along its rows
+@example(((((Monomial(1, (4, 0, 0)), Monomial(1, (2, 1, 0))),
+            (Monomial(1, (2, 0, 0)),)),
+           ((Monomial(1, (4, 0, 0)),), (Monomial(1, (0, 1, 0)),))),
+          1, (2, 2), 7))
+# r1 is its s-term alone: every key of group 1 is -c T^-D or lam = 0
+@example(((((Monomial(1, (0, 0, 4)),), (Monomial(1, (0, 1, 0)),)),
+           ((Monomial(1, (4, 0, 0)), Monomial(1, (0, 2, 0))),
+            (Monomial(1, (2, 0, 0)),))), 2, (2, 2), 5))
 def test_orbit_pass_matches_percent_pass(model):
-    # the scaling orbits keep each chi block of the grid, so the block
+    # the orbit convolution keeps each chi block of the grid, so its block
     # matrices agree with the percent reference's, which shares no code
-    # with the orbits, at every k (0: uncoupled) and at every p, whether
-    # gcd(D, p - 1) and the Phi levels are 1 or more
+    # with it, at every p, with one class modulo (D - d)-th powers or more,
+    # on rows where r2 or m2 or both vanish at a = 1, and with r1 without a
+    # constant or without a part mod p; a spy requires the convolution
     with pytest.MonkeyPatch.context() as m:
         seen = orbit_spy(m)
         got = counting._block_pass.__wrapped__(*model)
@@ -418,19 +472,45 @@ def test_orbit_pass_matches_percent_pass(model):
     assert got == _percent_pass(*model)
 
 
+@settings(max_examples=60, deadline=None, database=None)
+@given(even_models())
+# m1 = m2 + 2 shares m2's cells; a0 where only group 2's m differs
+@example((((_SCHOEN_PARTS + (Monomial(16, (0, 0, 5)),),
+            _SCHOEN_M + (Monomial(2, (0, 0, 0)),)),
+           (_SCHOEN_PARTS, _SCHOEN_M)), 8, (2, 2), 13))
+def test_even_models_with_a_constant_in_m_take_the_grid(model):
+    # lam = k (m1 + d1) is no monomial along an orbit when d1 != 0 mod p,
+    # so such a model takes the grid, as does every uncoupled one (k = 0 mod
+    # p, no Phi levels); whichever layout runs, the pass equals the percent
+    # reference
+    (_, (*_, const)), _ = model[0]
+    with pytest.MonkeyPatch.context() as m:
+        seen = orbit_spy(m)
+        got = counting._block_pass.__wrapped__(*model)
+    if const.coefficient % model[3] or not model[1] % model[3]:
+        assert not seen
+    assert got == _percent_pass(*model)
+
+
 def test_pass_layout_is_read_off_the_declared_model(monkeypatch):
-    # schoen_y, through schoen_x's map and its twist, and the quotient run
-    # on the scaling orbits; consani_scholten (weight 1, five homogeneous
-    # parts of r at s = 1) takes the grid, and so do an even model with an
-    # odd weight or with an s-term of lower degree in r1
-    seen = orbit_spy(monkeypatch)
+    # from counting._ORBIT_FROM on, schoen_y, through schoen_x's map and
+    # its twist, and the quotient run the orbit convolution, and below it
+    # the grid; consani_scholten (weight 1, five homogeneous parts of r at
+    # s = 1) takes the grid at every prime, and so do an even model with an
+    # odd weight, with an s-term of lower degree in r1 or with a constant in
+    # m1
+    start = counting._ORBIT_FROM
+    below = max(q for q in range(3, start) if is_prime(q))
+    seen = orbit_spy(monkeypatch, start)
     for vid, orbits in (("schoen_x", True), ("schoen_y", True),
                         ("schoen_quotient", True),
                         ("consani_scholten", False)):
-        counting._block_pass.cache_clear()
-        seen.clear()
-        count(CAT.variety(vid), 13)
-        assert bool(seen) == orbits, vid
+        for p, on in ((start, orbits), (below, False)):
+            counting._block_pass.cache_clear()
+            seen.clear()
+            count(CAT.variety(vid), p)
+            assert bool(seen) == on, (vid, p)
+    monkeypatch.setattr(counting, "_ORBIT_FROM", 3)
     model = ((((Monomial(1, (4, 0, 0)), Monomial(1, (0, 2, 0)),
                 Monomial(2, (0, 0, 4))), (Monomial(1, (2, 0, 0)),)),
               ((Monomial(1, (4, 0, 0)),), (Monomial(1, (0, 1, 0)),))),
@@ -439,11 +519,68 @@ def test_pass_layout_is_read_off_the_declared_model(monkeypatch):
     odd = (groups, 3, (2, 1), 7)
     mixed = (((groups[0][0] + (Monomial(1, (1, 0, 3)),), groups[0][1]),
               groups[1]), 3, (2, 2), 7)
-    for args, orbits in ((model, True), (odd, False), (mixed, False)):
+    constant = (((groups[0][0], groups[0][1] + (Monomial(1, (0, 0, 0)),)),
+                 groups[1]), 3, (2, 2), 7)
+    for args, orbits in ((model, True), (odd, False), (mixed, False),
+                         (constant, False)):
         seen.clear()
         got = counting._block_pass.__wrapped__(*args)
         assert bool(seen) == orbits, args
         assert got == _percent_pass(*args)
+
+
+def test_orbit_convolution_pins_the_split_primes():
+    # the counts the grid-era kernel made at the split primes 421 and 1009
+    # (three classes modulo cubes): schoen_y, its twist by iota_y and the
+    # quotient's weighted count, all from one orbit convolution per prime
+    sy, iy = CAT.variety("schoen_y"), CAT.involution("iota_y")
+    sq = CAT.variety("schoen_quotient")
+    with pytest.MonkeyPatch.context() as m:
+        seen = orbit_spy(m, counting._ORBIT_FROM)
+        counting._block_pass.cache_clear()
+        for p, want in ((421, (79011175, 74797807, 76904913)),
+                        (1009, (1028288566, 1036417070, 1032353828))):
+            assert (count_projective(sy, p).count,
+                    count_twisted(sy, iy, p).count,
+                    count_weighted(sq, p).count) == want, p
+    assert seen == [(5, 2), (5, 2)]
+
+
+def test_orbit_convolution_bins_are_bounded(monkeypatch):
+    # the convolution's rows hold 3 n (G + n + 6) Q bins: 3 3 24 140 =
+    # 30240 for schoen_y at 421 (n = 3 classes modulo cubes, G = 15, Q =
+    # 140); past counting._MAX_ORBIT_BINS it refuses before any allocation
+    # and caches nothing
+    counting._block_pass.cache_clear()
+    monkeypatch.setattr(counting, "_MAX_ORBIT_BINS", 30239)
+    with pytest.raises(RefusalError, match="p=421: 30240 bins for D - d = 3"):
+        count_projective(CAT.variety("schoen_y"), 421)
+    assert counting._block_pass.cache_info().currsize == 0
+    monkeypatch.setattr(counting, "_MAX_ORBIT_BINS", 30240)
+    assert count_projective(CAT.variety("schoen_y"), 421).count == \
+        SCHOEN_Y_LARGE[421][0]
+
+
+def test_orbit_convolution_is_checked(monkeypatch):
+    # a convolved value 0.3 off its integer, or a whole count off, raises
+    # FrobtraceError and caches no pass, also under python -O; the check
+    # reads the float values before rounding and each block's totals after
+    sy = CAT.variety("schoen_y")
+    irfft = counting.irfft
+    for off in (0.3, 1.0):
+        def skewed(x, size, off=off):
+            out = irfft(x, size)
+            out[0, 0] += off
+            return out
+
+        counting._block_pass.cache_clear()
+        monkeypatch.setattr(counting, "irfft", skewed)
+        with pytest.raises(FrobtraceError,
+                           match="orbit convolution at p=421 is not exact"):
+            count_projective(sy, 421)
+        assert counting._block_pass.cache_info().currsize == 0
+        monkeypatch.undo()
+    assert count_projective(sy, 421).count == SCHOEN_Y_LARGE[421][0]
 
 
 def test_twisted_counts():
@@ -785,6 +922,27 @@ def test_double_cover_matches_full_grid_product():
         == _double_cover_reference(do.equations, 101) == 1040503
 
 
+def test_double_cover_slabs_share_their_forms(monkeypatch):
+    # from 163 on the chart x0 = 1 of P^3 is cut into p slabs on x1; the
+    # five planes of the template that do not read x1 are evaluated once on
+    # it, not once per slab, and the chunk list stays: 1 + p + 2 + 1 chunks.
+    # Each other chunk evaluates all eight planes.  The counts are the
+    # per-slab counts' (163, 211)
+    do = CAT.variety("double_octic_template")
+    calls, run = [], counting._eval_mono_list
+
+    def spy(eq, coords, p):
+        calls.append(eq)
+        return run(eq, coords, p)
+
+    monkeypatch.setattr(counting, "_eval_mono_list", spy)
+    for p, want in ((163, 4357321), (211, 9438649)):
+        calls.clear()
+        rec = count_double_cover(do, p)
+        assert (rec.count, rec.chunk_count) == (want, p + 3)
+        assert len(calls) == 5 + 3 * p + 3 * 8
+
+
 def _linear_form(terms):
     return tuple(Monomial(c, tuple(int(i == v) for i in range(4)))
                  for v, c in terms)
@@ -923,6 +1081,7 @@ def test_counter_invariants_raise_under_O():
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
          f"{__file__}::test_counter_invariants_raise",
          f"{__file__}::test_kernel_tables_are_bounded",
+         f"{__file__}::test_orbit_convolution_is_checked",
          f"{__file__}::test_cell_budgets_name_the_largest_accepted_prime"]
         + [f"{evaluator}::{name}" for name in (
             "test_evaluator_matches_python_ints",
@@ -930,7 +1089,7 @@ def test_counter_invariants_raise_under_O():
             "test_ext_evaluator_frobenius")],
         capture_output=True, text=True, env=env, timeout=300)
     assert res.returncode == 0, res.stdout + res.stderr
-    assert "6 passed" in res.stdout
+    assert "7 passed" in res.stdout
 
 
 def test_matches_share_one_pass_per_prime(monkeypatch):
