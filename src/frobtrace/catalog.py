@@ -37,11 +37,13 @@ size), and Horner steps combine them in place on the full grid.  The
 grouping tree depends on the monomials only and is cached per equation
 (_horner_plan).  Reduction mod p is lazy under a tracked bound, so that no
 intermediate reaches 2^62 for the moduli p < 2^31 it accepts; the bound is
-checked by plain ifs, which python -O keeps.
+checked by plain ifs, which python -O keeps.  Large arrays are reduced by
+ffield.reduce_mod.
 
 The one node search, _singular_scan, gives chart by chart the points of a
-hypersurface and the mask of its singular ones; singular_points and
-lefschetz.nodal_curve both read it.
+hypersurface and the mask of its singular ones, with no partial evaluated
+on a chart without points; singular_points and lefschetz.nodal_curve both
+read it.
 """
 from __future__ import annotations
 
@@ -57,7 +59,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import RefusalError, ValidationError
-from .ffield import _BOUND, is_prime, power, require_prime
+from .ffield import _BOUND, is_prime, power, reduce_mod, require_prime
 
 AMBIENT_KINDS = ("projective", "weighted_projective", "torus", "double_cover_p3")
 TORUS_FAMILY = "hulek_verrill"   # the family count_torus names its records by
@@ -747,7 +749,7 @@ def _reduce(value, p):
     """(value mod p, p - 1); an array is reduced in place, as every array
     _horner holds is its own."""
     if type(value) is np.ndarray:
-        return np.remainder(value, p, out=value), p - 1
+        return reduce_mod(value, p), p - 1
     return value % p, p - 1
 
 
@@ -772,7 +774,7 @@ def _eval_mono_list(eq, coords, p):
     shape = np.broadcast(*coords).shape
     value, _ = _horner(_horner_plan(tuple(eq)), coords, shapes, p)
     if type(value) is np.ndarray and value.shape == shape:
-        return np.remainder(value, p, out=value)
+        return reduce_mod(value, p)
     return np.remainder(value, p, out=np.empty(shape, dtype=np.int64))
 
 
@@ -832,7 +834,8 @@ def _singular_scan(spec, p, n=None):
         coords = _grid(p, fixed)
         on = _zeros(eqs, coords, p)
         at = [np.broadcast_to(x, on.shape)[on] for x in coords]
-        yield fixed, at, _zeros(parts, at, p)
+        # a chart with no point has no singular point: on[on] is empty
+        yield fixed, at, _zeros(parts, at, p) if on.any() else on[on]
 
 
 def singular_points(spec, p):

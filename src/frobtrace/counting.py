@@ -44,7 +44,9 @@ that python -O keeps.  The rule reads no variety id, and is made per
 chart, so the slabs of a cut chart share one table; chunk lists, chunk
 counts and cell budgets are those of the full grid, which counts every
 other chunk and is the elimination's oracle in the tests.  The torus
-count eliminates X4 so on the (p - 1)^3 nonzero cells of X1..X3.
+count evaluates no polynomial: it meets two histograms of pairs (X1, X2)
+and (X3, X4) by sum and sum of a_i/X_i in the middle (_torus_pairs), p^3
+int32 products in O(p^2) memory.
 
 Over F_{p^2}, q = p^2, a chart on which the equation reads alpha z^D +
 beta z^d + gamma or alpha z^D + gamma in a free coordinate z, D > d > 0
@@ -87,7 +89,7 @@ from .catalog import (_MAX_SLAB_CELLS, TORUS_FAMILY, Monomial, _charts,
                       _require_cells, _restrict, _zeros)
 from .errors import FrobtraceError, RefusalError, ValidationError
 from .ffield import (_field_degree, chi_table, inverses, log_tables,
-                     nonresidue, require_prime, scaling)
+                     nonresidue, reduce_mod, require_prime, scaling)
 
 _MAX_DENSE_TOTAL = 600_000_000     # refuse larger dense enumerations
 _MAX_HIST_CELLS = 4_000_000        # p^2 cells per two-group table (p < 2000)
@@ -346,19 +348,18 @@ def _count_roots(c, p):
     product c_j c_k^-1 is of two residues, below p^2 < 2^62 (the evaluator
     refuses p >= 2^31), and each table index is below p^k, which
     _root_table refuses beyond _MAX_SLAB_CELLS: _elimination picks no
-    degree past it, and the torus budget keeps p^2 <= 157^2 below it."""
+    degree past it.  A table is built before the arrays of its degree."""
     total = 0
     for k in range(len(c) - 1, 0, -1):
+        table = _root_table(k, p)
         inv = inverses(p)[c[k]]
-        idx = c[0] * inv
-        idx %= p
+        idx = reduce_mod(c[0] * inv, p)
         for j in range(1, k):
-            term = c[j] * inv
-            term %= p
+            term = reduce_mod(c[j] * inv, p)
             term *= p ** j
             idx += term
         zero = c[k] == 0
-        total += int(_root_table(k, p)[idx].sum())
+        total += int(table[idx].sum())
         total -= int(np.count_nonzero(zero))
         c = [x[zero] for x in c[:k]]
     return total + p * int(np.count_nonzero(c[0] == 0))
@@ -371,8 +372,8 @@ def _root_table(k, p):
     k roots).  One bincount over x and a_1..a_{k-1}, each on an axis of its
     own of _grid(p, [None] * k): each such tuple is a root of exactly the
     a_0 = -(x^k + ... + a_1 x), evaluated by _eval_mono_list.  Tables
-    beyond _MAX_SLAB_CELLS entries (the torus count's at most 157^2) are
-    refused, and the cache holds at most 8 of them, 32 MB at that bound."""
+    beyond _MAX_SLAB_CELLS entries are refused, and the cache holds at
+    most 8 of them, 32 MB at that bound."""
     if p ** k > _MAX_SLAB_CELLS:
         raise ValidationError(f"root table of degree {k} at p={p}: "
                               f"{p ** k} entries, over {_MAX_SLAB_CELLS}")
@@ -952,31 +953,53 @@ def _torus_equation(a, t):
     return tuple(Monomial(c, e) for e, c in sorted(terms.items()) if c)
 
 
-def _torus_dense(a, t, p):
-    """Torus count of _torus_equation on the p^4 cells of X1..X4, X5 = 1:
-    the oracle of _torus_roots."""
-    on = _zeros([_torus_equation(a, t)], _grid(p, [None] * 4 + [1]), p)
-    # index 0 of each free axis is the coordinate 0, off the torus
-    return int(np.count_nonzero(on[1:, 1:, 1:, 1:]))
+def _pair_histogram(b, c, p):
+    """H[s, u] = #{(x, y) in (F_p^*)^2 : x + y = s, b/x + c/y = u} for
+    residues b and c, int32 entries of at most p - 1 (y = s - x): one
+    bincount of the (p - 1)^2 pairs on the unreduced (s, u) in [0, 2p)^2,
+    folded mod p, with b/x read off ffield.inverses."""
+    x, inv = np.arange(2 * p, 2 * p * p, 2 * p), inverses(p)[1:]
+    key = (x + b * inv % p)[:, None] + (x + c * inv % p)
+    h = np.bincount(key.ravel(), minlength=4 * p * p).reshape(2, p, 2, p)
+    return h.sum(axis=(0, 2), dtype=np.int32)
 
 
-def _torus_roots(eq, p):
-    """Torus count of eq = _torus_equation by the chart counter's
-    elimination: _count_roots adds the roots in X4 on each of the (p - 1)^3
-    cells of X1..X3 on the torus, X5 = 1, less the root X4 = 0 where the
-    constant coefficient vanishes.  The cells are refused beyond
-    _MAX_TORUS_CELLS (p < 160); at that bound the arrays take about 190 MB."""
+def _torus_pairs(a, t, p):
+    """Torus count of count_torus's equation, met in the middle: at X5 = 1
+    it reads (1 + S)(a5 + U) = t, S = X1 + ... + X4, U = a1/X1 + ... +
+    a4/X4.  With H and H' the _pair_histogram of (X1, X2) and (X3, X4),
+    the count is the sum over s, s' with r = 1 + s + s' != 0 of sum_u
+    H[s, u] H'[s', t/r - a5 - u], plus, when t = 0, |H[s]| |H'[s']| for
+    each r = 0.  For each r that is one int32 einsum of H against a window
+    of F[x, y] = H'[-x, -y] tiled to 2p x 2p: p^3 products in O(p^2)
+    memory, no polynomial evaluated.  A histogram entry is at most p - 1,
+    a product at most (p - 1)^2 and every sum at most the count, at most
+    (p - 1)^4 < 2^31, held by an if that python -O keeps (p <= 211; the
+    budget stops at 157)."""
     _require_cells("torus count", p, lambda q: (q - 1) ** 3, _MAX_TORUS_CELLS)
-    coords = _grid(p, [None] * 3 + [0, 1])
-    for i in range(3):                  # X_i = 0 is off the torus
-        coords[i] = np.delete(coords[i], 0, axis=i)
-    c = [_eval_mono_list(q, coords, p) for q in _by_degree(eq, 3, 2)]
-    return _count_roots(c, p) - int(np.count_nonzero(c[0] == 0))
+    if (p - 1) ** 4 >= 1 << 31:
+        raise FrobtraceError(f"torus count at p={p}: (p - 1)^4 points "
+                             "reach 2^31, past its int32 sums")
+    a, t = [x % p for x in a], t % p
+    h, neg = _pair_histogram(a[0], a[1], p), -np.arange(2 * p) % p
+    f = _pair_histogram(a[2], a[3], p)[np.ix_(neg, neg)]
+    # H'[r - 1 - s, t/r - a5 - u] = F[s + 1 - r, u + a5 - t/r]
+    shifts = ((a[4] - t * inverses(p)[1:]) % p).tolist()
+    total = 0
+    for r, d in enumerate(shifts, 1):
+        c = (1 - r) % p
+        total += int(np.einsum("ij,ij->", h, f[c:c + p, d:d + p]))
+    if t == 0:                          # r = 0: F's row 1 + s is |H'[-1 - s]|
+        total += int(h.sum(axis=1) @ f[1:p + 1, :p].sum(axis=1))
+    return total
 
 
 def count_torus(a, t, p):
     """Points with all coordinates nonzero on the cleared-denominator
-    equation of (X1+...+X5)(a1/X1+...+a5/X5) = t, normalized X5 = 1."""
+    equation of (X1+...+X5)(a1/X1+...+a5/X5) = t, normalized X5 = 1,
+    counted by _torus_pairs from two histograms of coordinate pairs.  An
+    equation that vanishes mod p is refused, as is p past the budget of
+    (p - 1)^3 cells: the largest prime accepted is 157."""
     require_prime(p)
     try:
         if bool in map(type, (*a, t)):
@@ -991,7 +1014,7 @@ def count_torus(a, t, p):
     eq = _torus_equation(a, t)
     if all(m.coefficient % p == 0 for m in eq):
         raise ValidationError(f"{vid}: equation 0 vanishes identically mod {p}")
-    return _counted(vid, p, lambda: (_torus_roots(eq, p), 1))
+    return _counted(vid, p, lambda: (_torus_pairs(a, t, p), 1))
 
 
 def count_double_cover(spec, p):
@@ -1042,7 +1065,7 @@ def count_double_cover(spec, p):
             if key in groups:   # in place, unless v serves the later slabs
                 v = v * groups[key] if shared else np.multiply(
                     v, groups[key], out=v)
-                v %= p
+                reduce_mod(v, p)
             groups[key] = v
         # the empty product is 1: a chunk with no form sums chi(1) per cell
         ops = [x for key, v in groups.items() for x in (chi[v.squeeze()], key)]

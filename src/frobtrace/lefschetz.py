@@ -213,7 +213,10 @@ def nodal_curve(spec, p, degree=1):
         lead = fixed.index(1) // degree         # x_lead = 1 is the first 1
         i, j = (v for v in range(3) if v != lead)
         points += node.size
-        nodes += int(np.count_nonzero(node))
+        k = int(np.count_nonzero(node))
+        if not k:                       # no Taylor or discriminant to read
+            continue
+        nodes += k
         at = [x[node] for x in at]
         abc = [_eval_mono_list(g, at, p)
                for ij in ((i, i), (i, j), (j, j)) for g in taylor[ij]]

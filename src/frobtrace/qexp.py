@@ -11,8 +11,8 @@ O(sqrt(n/m)) nonzero terms below q^n, so `eta_product` multiplies each
 factor into a dense int64 array with one shifted add per term, and a
 combination adds its products into one array.  Every product and every
 sum is checked against the int64 range first and falls back to Python
-ints when it could leave it.  `qs_mul`, `qs_pow`, `qs_scale` and `qs_add`
-are the dense references the tests compare against.
+ints when it could leave it.  The dense references the tests compare
+against live with the tests (tests/oracles.py).
 """
 from __future__ import annotations
 
@@ -32,10 +32,6 @@ class QSeries:
     @property
     def precision(self):
         return len(self.coeffs)
-
-
-def qs_one(n):
-    return QSeries(0, (1,) + (0,) * (n - 1))
 
 
 @lru_cache(maxsize=64)
@@ -68,49 +64,6 @@ def eta(m, n):
     return QSeries(m, tuple(coeffs))
 
 
-def qs_scale(a, c):
-    return QSeries(a.lead_num, tuple(c * x for x in a.coeffs))
-
-
-def qs_add(a, b):
-    """Sum of two series; their grids must agree modulo 24."""
-    if (a.lead_num - b.lead_num) % 24 != 0:
-        raise ValidationError(
-            f"incompatible exponent grids: {a.lead_num}/24 and {b.lead_num}/24")
-    if a.lead_num > b.lead_num:
-        a, b = b, a
-    shift = (b.lead_num - a.lead_num) // 24
-    n = min(a.precision, shift + b.precision)
-    out = list(a.coeffs[:n])
-    for k, c in enumerate(b.coeffs):
-        i = shift + k
-        if i >= n:
-            break
-        out[i] += c
-    return QSeries(a.lead_num, tuple(out))
-
-
-def qs_mul(a, b):
-    n = min(a.precision, b.precision)
-    out = [0] * n
-    for i, ai in enumerate(a.coeffs[:n]):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b.coeffs[: n - i]):
-            if bj:
-                out[i + j] += ai * bj
-    return QSeries(a.lead_num + b.lead_num, tuple(out))
-
-
-def qs_pow(a, k):
-    if k < 0:
-        raise ValidationError("negative powers not supported")
-    r = qs_one(a.precision)
-    for _ in range(k):
-        r = qs_mul(r, a)
-    return r
-
-
 # Largest |value| a product may reach and stay on the int64 path.
 _INT64_LIMIT = 2**63 - 1
 
@@ -136,8 +89,8 @@ def _times_eta(d, m):
 
 def eta_combination(terms, n):
     """sum c prod_m eta(mz)^k over the pairs (c, {m: k}) of terms, each
-    product truncated to n coefficients, summed as qs_add sums: from the
-    lowest leading exponent, with n coefficients.
+    product truncated to n coefficients, summed from the lowest leading
+    exponent, with n coefficients.
 
     A product is built one eta factor at a time, in the order its map
     lists them.  The longest partial product each later term starts with
@@ -190,7 +143,7 @@ def eta_combination(terms, n):
 
 def eta_product(exponents, n):
     """prod_m eta(mz)^k over exponents = {m: k}, truncated to n
-    coefficients: the qs_pow/qs_mul chain of eta factors, built sparse."""
+    coefficients: the chain of eta factors, built sparse."""
     return eta_combination([(1, exponents)], n)
 
 

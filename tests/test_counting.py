@@ -23,6 +23,7 @@ from frobtrace.counting import (count, count_double_cover, count_projective,
 from frobtrace.errors import FrobtraceError, RefusalError, ValidationError
 from frobtrace.ffield import is_prime, kronecker, log_tables, nonresidue
 from frobtrace.lefschetz import declared_curve, nodal_curve
+from oracles import TORUS_AT, torus_dense, torus_eliminated
 
 CAT = load_catalog()
 
@@ -35,8 +36,6 @@ QUOTIENT_W = {3: 40, 7: 409, 11: 2388}
 SCHOEN_Y_LARGE = {211: (10481550, 9433302), 419: (73729356, 75127140),
                   421: (79011175, 74797807)}
 SMALL_PRIMES = [p for p in range(3, 24) if is_prime(p)]
-TORUS_AT = [((1, 1, 1, 1, 1), 25), ((1, 1, 1, 9, 9), 9), ((2, 3, 5, 0, 7), 4),
-            ((0, 1, 4, 2, 0), 0)]
 
 
 def dense(vid):
@@ -74,9 +73,46 @@ def test_torus_count_matches_dense():
     for p in [2] + [q for q in range(3, 42) if is_prime(q)]:
         for a, t in TORUS_AT:
             assert count_torus(a, t, p).count == \
-                counting._torus_dense(a, t, p), (a, t, p)
+                torus_dense(a, t, p), (a, t, p)
     for p, want in ((41, 61411), (101, 971611), (157, 3744621)):
         assert count_torus((1, 1, 1, 1, 1), 25, p).count == want, p
+
+
+def test_torus_count_matches_elimination():
+    # the elimination oracle past the dense one's reach, on all four pairs
+    for p in (43, 53, 67):
+        for a, t in TORUS_AT:
+            assert count_torus(a, t, p).count == \
+                torus_eliminated(a, t, p), (a, t, p)
+
+
+def test_torus_count_is_bounded(monkeypatch):
+    # the int32 sums hold while (p - 1)^4 < 2^31, so the count refuses 223
+    # (222^4 > 2^31) even with the cell budget lifted, also under python
+    # -O, before any histogram; 211 is counted
+    monkeypatch.setattr(counting, "_MAX_TORUS_CELLS", 10 ** 8)
+    assert count_torus((1, 1, 1, 1, 1), 25, 211).count > 0
+    tracemalloc.start()
+    try:
+        with pytest.raises(FrobtraceError, match="p=223: .* reach 2\\^31"):
+            count_torus((1, 1, 1, 1, 1), 25, 223)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16, peak
+
+
+def test_torus_count_memory():
+    # two p^2 histograms and a 2p x 2p window table: under 2 MB at 157,
+    # where the elimination's (p - 1)^3 cells took about 190 MB
+    count_torus((1, 1, 1, 1, 1), 25, 157)
+    tracemalloc.start()
+    try:
+        assert count_torus((1, 1, 1, 1, 1), 25, 157).count == 3744621
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20, peak
 
 
 def test_torus_cell_budget():
@@ -168,7 +204,7 @@ def test_torus_kernel_random(a, t, p):
         with pytest.raises(ValidationError, match="vanishes identically"):
             count_torus(a, t, p)
     else:
-        assert count_torus(a, t, p).count == counting._torus_dense(a, t, p)
+        assert count_torus(a, t, p).count == torus_dense(a, t, p)
 
 
 def test_schoen_histogram_large_primes():
@@ -1082,6 +1118,7 @@ def test_counter_invariants_raise_under_O():
          f"{__file__}::test_counter_invariants_raise",
          f"{__file__}::test_kernel_tables_are_bounded",
          f"{__file__}::test_orbit_convolution_is_checked",
+         f"{__file__}::test_torus_count_is_bounded",
          f"{__file__}::test_cell_budgets_name_the_largest_accepted_prime"]
         + [f"{evaluator}::{name}" for name in (
             "test_evaluator_matches_python_ints",
@@ -1089,7 +1126,7 @@ def test_counter_invariants_raise_under_O():
             "test_ext_evaluator_frobenius")],
         capture_output=True, text=True, env=env, timeout=300)
     assert res.returncode == 0, res.stdout + res.stderr
-    assert "7 passed" in res.stdout
+    assert "8 passed" in res.stdout
 
 
 def test_matches_share_one_pass_per_prime(monkeypatch):

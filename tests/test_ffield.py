@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from frobtrace.errors import ValidationError
 from frobtrace.ffield import (chi_table, inverses, is_prime, kronecker,
                               log_tables, nonresidue, power, primitive_root,
-                              scaling)
+                              reduce_mod, scaling)
 
 ODD_PRIMES = [p for p in range(3, 2000) if is_prime(p)]
 
@@ -177,6 +177,23 @@ def test_inverses_invert():
         inv = inverses(p)
         x = np.arange(p)
         assert inv[0] == 0 and np.all(x[1:] * inv[1:] % p == 1), p
+
+
+def test_reduce_mod_is_remainder_in_place():
+    # np.remainder below 2^16 cells, blocks of a - (a // p) p from there:
+    # each side of the threshold and a partial last block, negatives
+    # included, reduce in place to np.remainder's values; a strided view
+    # takes np.remainder, in place too
+    rng = np.random.default_rng(5)
+    for p in (2, 41, 2 ** 31 - 1):
+        for shape in (0, (1 << 16) - 1, 1 << 16, (1 << 16) + 12345, (300, 700)):
+            a = rng.integers(-(1 << 62), 1 << 62, shape)
+            want = np.remainder(a, p)
+            assert reduce_mod(a, p) is a and np.array_equal(a, want), p
+        b = rng.integers(0, 1 << 62, (300, 700))
+        view, want = b[:, ::2], b[:, ::2] % p
+        assert reduce_mod(view, p) is view
+        assert np.array_equal(b[:, ::2], want) and not np.array_equal(b, b % p)
 
 
 def test_power_over_f_p2():

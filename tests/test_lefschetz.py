@@ -3,6 +3,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from frobtrace import catalog, lefschetz
 from frobtrace.catalog import (Ambient, Monomial, VarietySpec, load_catalog,
                                singular_points)
 from frobtrace.counting import count_projective
@@ -220,6 +221,28 @@ def test_elliptic_ap_degree_two():
     # the five nodes are defined over F_{p^2} only
     for p in (3, 7, 11, 19):
         assert elliptic_ap(ep, p, degree=2) == E_PLANE_AP[p] ** 2 - 2 * p
+
+
+def test_node_search_skips_empty_charts(monkeypatch):
+    # the node search evaluates no partial on a chart with no point, and
+    # nodal_curve no Taylor coefficient or discriminant on a chart with no
+    # singular point: no evaluator call runs on an empty array, and over
+    # F_{11^2} e_plane takes 26 calls (48 when every chart ran them all)
+    sizes, run = [], catalog._eval_mono_list
+
+    def spy(eq, coords, p):
+        value = run(eq, coords, p)
+        sizes.append(value.size)
+        return value
+
+    monkeypatch.setattr(catalog, "_eval_mono_list", spy)
+    monkeypatch.setattr(lefschetz, "_eval_mono_list", spy)
+    ep = CAT.variety("e_plane")
+    assert elliptic_ap(ep, 11, degree=2) == E_PLANE_AP[11] ** 2 - 2 * 11
+    assert len(sizes) == 26 and 0 not in sizes
+    assert elliptic_ap(ep, 11) == E_PLANE_AP[11]
+    assert len(singular_points(CAT.variety("schoen_x"), 11)) == 125
+    assert 0 not in sizes
 
 
 def test_elliptic_ap_weil_bound():

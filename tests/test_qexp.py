@@ -8,8 +8,8 @@ from frobtrace import qexp
 from frobtrace.errors import ValidationError
 from frobtrace.qexp import (F25_TERMS, QSeries, coefficient, eta,
                             eta_combination, eta_product, f25, hasse_check,
-                            hecke_check, qs_add, qs_mul, qs_one, qs_pow,
-                            qs_scale)
+                            hecke_check)
+from oracles import qs_add, qs_mul, qs_one, qs_pow, qs_scale
 
 F25_COEFFS = {1: 1, 2: 1, 3: 7, 4: -7, 5: 0, 6: 7, 7: 6, 8: -15, 9: 22,
               10: 0, 11: -43, 12: -49, 13: -28, 17: 91, 19: -35, 23: 162,
