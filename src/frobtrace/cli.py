@@ -605,9 +605,11 @@ def _cmd_ap(args):
         print(json.dumps({"form": "f25", "p": args.p,
                           "ap": qexp.coefficient(s, args.p)}))
     else:
-        cat = load_catalog()
-        ap = lefschetz.elliptic_ap(cat.variety(args.variety), args.p,
-                                   args.degree)
+        spec = load_catalog().variety(args.variety)
+        if args.degree == 1 and args.p != 2 and spec.normalization:
+            ap = lefschetz.declared_curve(spec, args.p).ap     # O(p), no scan
+        else:
+            ap = lefschetz.elliptic_ap(spec, args.p, args.degree)
         print(json.dumps({"variety": args.variety, "p": args.p,
                           "degree": args.degree, "ap": ap}))
     return 0

@@ -9,19 +9,21 @@ bounded per-process lru_cache, gives 3x3 matrices over the
 quadratic-character blocks of b, and the straight, twisted, chi-weighted
 and uncoupled counts are weightings of them, so schoen_x's count,
 schoen_y's twist and the quotient's count reuse schoen_y's pass.  Where
-the declared groups are weighted-homogeneous with even weights and, when
-coupled, the m have no constant (schoen_y, so schoen_x, and the
-quotient), the pass runs from p = _ORBIT_FROM = 151 on along Weil's
-scaling orbits: every row of a group is a scaled copy of one of a few
-base histograms, so the key histogram and the rows of Phi are cyclic
-convolutions of O(p) rows against them on discrete logs, made by numpy's
-float64 FFT in O(n^2 p log p), n <= D - d, with no p^2-cell array, and
-checked to be exact (_orbit_convolution).  Below 151, and for every other
-model (consani_scholten), the values are evaluated on the p^2 cells of
-the grid, whose keys and Phi rows are gathers from O(p) tables of
-discrete logs, adds and bincounts, with no product mod p on the cells:
-the orbit convolution's fixed cost, about 1 ms, exceeds the grid's there
-(medians of 25 passes in 6 alternating processes, 2 vCPUs).  Everything
+the declared groups are weighted-homogeneous with even weights, the pass
+runs along Weil's scaling orbits, where every row of a group is a scaled
+copy of one of a few base histograms: uncoupled, every histogram folds
+from O(p) values (_fold); coupled, when the m have no constant (schoen_y,
+so schoen_x, and the quotient), from p = _ORBIT_FROM = 151 on, the key
+histogram and the rows of Phi are cyclic convolutions of O(p) rows
+against them on discrete logs, made by numpy's float64 FFT in O(n^2 p log
+p), n <= D - d, with no p^2-cell array, and checked to be exact
+(_orbit_convolution).  Coupled models below 151, where the convolution's
+fixed cost, about 1 ms, exceeds the grid's (medians of 25 passes in 6
+alternating processes, 2 vCPUs), and every other model
+(consani_scholten) evaluate their values on the p^2 cells of the grid,
+bincounted one chi block's rows at a time.  An uncoupled model reads F
+off r1's histogram; a coupled one's keys and Phi rows are gathers from
+O(p) tables of discrete logs and adds, with no product mod p.  Everything
 else, and every kernel's oracle, runs on the broadcast grids of the
 catalog module: the projective, twisted and double-cover counts share one
 dense loop over the charts of _charts, cut into slabs that bound memory,
@@ -95,7 +97,6 @@ _MAX_DENSE_TOTAL = 600_000_000     # refuse larger dense enumerations
 _MAX_HIST_CELLS = 4_000_000        # p^2 cells per two-group table (p < 2000)
 _MAX_TORUS_CELLS = 4_000_000       # (p-1)^3 cells of the torus count (p < 160)
 _PASS_CACHE = 512                  # kernel passes kept: 302 odd primes p < 2000
-_CHUNK = 1 << 15                   # cells a kernel gather runs on at once
 _ORBIT_FROM = 151                  # least prime of the orbit convolution
 _MAX_ORBIT_BINS = 4_000_000        # its rows' bins: 3 n (G + n + 6) Q
 
@@ -591,35 +592,35 @@ def _block_pass(groups, k, weights, p):
     groups ((r1, m1), (r2, m2)), as tuples of ints; see _two_group_count.
 
     A group's p^2 cells (a, b) lie in p rows b', in chi blocks.  The pass
-    runs along the scaling orbits from p = _ORBIT_FROM = 151 on, where
-    each value polynomial of the pass (r at s = 0 and 1, and m when
-    coupled) is one weighted-homogeneous part in (a, b) plus a constant,
-    under weights (1, w) with w even, and when coupled the m have no
-    constant and r2's degree exceeds m2's > 0, mod p: the cells (t, t^w
-    b'), t != 0, of row b' hold t^D f(1, b'), and an even w keeps each chi
-    block, so the blocks and the counts are those of the grid.  Each
-    polynomial is then evaluated at a = 0 and 1 only, every histogram
-    folds in O(p) (_fold), and N1 comes from _orbit_convolution in O(n^2 p
-    log p), n <= D - d, or from the folds alone when uncoupled: no
-    p^2-cell array.  Every shipped orbit model (schoen_y, so schoen_x, its
-    twist and the quotient) qualifies at every odd prime.  A model with a
-    constant in m has no base histograms (lam = k (t^delta y + d1) is no
-    monomial in t) and takes the grid, as do odd weights, mixed degrees
-    (consani_scholten) and every prime below 151, where the grid costs
-    less than the convolution's fixed ~1 ms: the values are evaluated on
-    the p^2 cells, columns a, and keys and Phi's rows are gathered and
-    bincounted over them.  The layout is read off the model and p alone.
+    runs along the scaling orbits where each value polynomial of the pass
+    (r at s = 0 and 1, and m when coupled) is one weighted-homogeneous
+    part in (a, b) plus a constant, under weights (1, w) with w even, and
+    when coupled p >= _ORBIT_FROM = 151, the m have no constant and r2's
+    degree exceeds m2's > 0, mod p: the cells (t, t^w b'), t != 0, of row
+    b' hold t^D f(1, b'), and an even w keeps each chi block, so the
+    blocks and the counts are those of the grid.  Each polynomial is then
+    evaluated at a = 0 and 1 only, every histogram folds in O(p) (_fold),
+    and N1 comes from _orbit_convolution in O(n^2 p log p), n <= D - d, or
+    from the folds alone when uncoupled: no p^2-cell array.  Every shipped
+    orbit model (schoen_y, so schoen_x, its twist and the quotient)
+    qualifies from 151 on.  A model with a constant in m has no base
+    histograms (lam = k (t^delta y + d1) is no monomial in t) and takes the
+    grid, as do odd weights, mixed degrees (consani_scholten) and coupled
+    models below 151, where the grid costs less than the convolution's
+    fixed ~1 ms: the values are evaluated on the p^2 cells, columns a, and
+    each histogram is one bincount per chi block over its slice of rows.
+    The layout is read off the model and p alone.
 
     Value polynomials that agree up to a constant and a sign share their
     values (consani_scholten's r2 is -r1): the values of -f are read at
-    neg.  On the grid, products of residues (below p^2) run on O(p) tables
-    only; the cells are gathered, added and bincounted in chunks of whole
-    rows, at most _CHUNK cells or one row, with gather indices below the
-    tables' sizes, keys below the (n + 1) 3q bins they fold from and values
-    of Phi's rows below 2p.  The log tables are checked to be inverse
-    bijections of F_p^* with the sentinel L[0] = 2q, by an if that python
-    -O keeps.  The _PASS_CACHE entries, 27 ints and a key each, hold at
-    most about 4.5 MB; a pass that raises is not cached."""
+    neg.  Uncoupled, on either layout, F is r1's histogram shifted by -c1
+    - c2.  On the coupled grid, products of residues (below p^2) run on
+    O(p) tables only: a block's keys and Phi values are gathers from them,
+    with checked indexing, and adds, the keys below the (n + 1) 3q bins
+    they fold from and Phi's values below 2p.  The log tables are checked
+    to be inverse bijections of F_p^* with the sentinel L[0] = 2q, by an if
+    that python -O keeps.  The _PASS_CACHE entries, 27 ints and a key
+    each, hold at most about 4.5 MB; a pass that raises is not cached."""
     h, q = (p - 1) // 2, p - 1
     exp, log = log_tables(p)
     if exp.min() < 1 or exp.max() >= p or log.min() < 0 or log[0] != 2 * q \
@@ -651,13 +652,18 @@ def _block_pass(groups, k, weights, p):
         terms = parts[g][i][0]
         return terms[0][0][0] + weights[g] * terms[0][0][1] if terms else 0
 
-    orbit = p >= _ORBIT_FROM and all(
-        w % 2 == 0 and len({a + w * b for (a, b), _ in t}) < 2
-        for w, ps in zip(weights, parts) for t, _ in ps) and (
-        not k or not parts[0][2][1] and not parts[1][2][1]
-        and degree(1, 1) > degree(1, 2) > 0)
+    orbit = all(w % 2 == 0 and len({a + w * b for (a, b), _ in t}) < 2
+                for w, ps in zip(weights, parts) for t, _ in ps) and (
+        not k or p >= _ORBIT_FROM and not parts[0][2][1]
+        and not parts[1][2][1] and degree(1, 1) > degree(1, 2) > 0)
     grid = [np.arange(2 if orbit else p).reshape(1, -1), order.reshape(p, 1)]
-    memo = {}
+    ends, memo = (0, h, 2 * h, p), {}
+
+    def binned(f, size):
+        """Per block, the bincount into size bins of f(rows), an array on
+        the cells of the block's slice of rows"""
+        return np.stack([np.bincount(f(slice(a, b)).reshape(-1), minlength=size)
+                         for a, b in zip(ends, ends[1:])])
 
     def view(g, i):
         """(v, perm, hist, D, c) of value polynomial i of group g, r at s =
@@ -671,31 +677,12 @@ def _block_pass(groups, k, weights, p):
         D = degree(g, i)
         if (terms, D) not in memo:
             v = _eval_mono_list([Monomial(c, e) for e, c in terms], grid, p)
-            flat = v.reshape(-1)
             memo[terms, D] = v, lru_cache(None)(
                 (lambda: _fold(v, D, blocks, p)) if orbit else
-                (lambda: stream(lambda i, j: [flat[i * p:j * p]], [p])[0]))
+                (lambda: binned(v.__getitem__, p)))
         v, hist = memo[terms, D]
         perm = neg if flip else ident
         return v, perm, lambda: hist()[:, perm], D, const
-
-    ends = (0, h, 2 * h, p)
-
-    def stream(arrays, sizes):
-        """Per block, the bincounts into sizes bins of the arrays that
-        arrays(i, j) yields on the cells of rows i:j, made a chunk of rows
-        at a time."""
-        out = [np.zeros((3, size), dtype=np.int64) for size in sizes]
-        step = max(1, _CHUNK // p)
-        for i in range(0, p, step):
-            j = min(i + step, p)
-            for acc, v in zip(out, arrays(i, j)):
-                for row, a, b in zip(acc, ends, ends[1:]):
-                    if a < j and i < b:
-                        row += np.bincount(v[(max(a, i) - i) * p:
-                                             (min(b, j) - i) * p],
-                                           minlength=row.size)
-        return out
 
     # at s = 0 the constant terms of r1 and r2 cancel, the equation being
     # homogeneous of positive degree; A counts the cells a = 0
@@ -705,52 +692,34 @@ def _block_pass(groups, k, weights, p):
               for x in (p1[v1[:, 0]], neg[p2[v2[:, 0]]]))
     a0 = a1 @ a2.T
     (r1, p1, h1, D1, c1), (r2, p2, hr2, D2, c2) = view(0, 1), view(1, 1)
-    if orbit and k:
+    if not k:
+        F, phi = h1()[:, (-np.arange(p) - c1 - c2) % p], hr2()
+    elif orbit:
         (m1, q1, _, d1, _), (m2, q2, _, d2, _) = view(0, 2), view(1, 2)
         F, phi = _orbit_convolution((p1[r1], D1), (q1[m1], d1), (p2[r2], D2),
                                     (q2[m2], d2), (c1 + c2) % p, k, hr2(),
                                     blocks, p)
-    elif orbit:
-        F, phi = h1()[:, (-np.arange(p) - c1 - c2) % p], hr2()
     else:
         # w1's key is L[x] + S[lam] (x = -r1 - c1 - c2, lam = k (m1 + k1), S
         # the offsets of ffield.scaling for r2 + lam m2, of degrees D and
-        # d), binned on n + 1 rows of 3q, folded to values by (E, E, 0)
-        target, levels, shift = log[(-p1 - c1 - c2) % p], [], 0
-        if k:
-            (m1, q1, _, _, k1), (m2, q2, _, _, k2) = view(0, 2), view(1, 2)
-            m1, m2 = m1.reshape(-1), m2.reshape(-1)
-            wts = (1, weights[1], 1)
-            dr, dm = groups[1][0][0].degree(wts), groups[1][1][0].degree(wts)
-            shift = scaling(dr, dm, 1, p)[k * (q1 + k1) % p]
-            levels = np.outer(exp[:gcd(dr - dm, q)], (q2 + k2) % p) % p
+        # d), binned on n + 1 rows of 3q, folded to values by (E, E, 0);
+        # a level's Phi value r2 + rho (m2 + k2) lies below 2p
+        (m1, q1, _, _, k1), (m2, q2, _, _, k2) = view(0, 2), view(1, 2)
+        wts = (1, weights[1], 1)
+        dr, dm = groups[1][0][0].degree(wts), groups[1][1][0].degree(wts)
+        target = log[(-p1 - c1 - c2) % p]
+        shift = scaling(dr, dm, 1, p)[k * (q1 + k1) % p]
+        levels = np.outer(exp[:gcd(dr - dm, q)], (q2 + k2) % p) % p
         size = (len(levels) + 1) * 3 * q
-        if log.max() + np.max(shift) >= size or np.max(levels, initial=0) >= p:
+        if log.max() + shift.max() >= size:
             raise FrobtraceError(f"kernel tables at p={p} leave their bounds")
-        r1, r2 = r1.reshape(-1), r2.reshape(-1)
-        buf = np.empty((2, min(p * p, max(p, _CHUNK))), dtype=np.int64)
-
-        def keys_and_phis(i, j):
-            """The key of each cell of rows i:j of group 1, then Phi's value
-            on each row of group 2 at each level, r2 + rho (m2 + k2) below
-            2p."""
-            cut, cells = buf[:, :(j - i) * p], slice(i * p, j * p)
-            key = np.take(target, r1[cells], out=cut[1], mode="clip")
-            if not k:
-                yield key
-                return
-            key += np.take(shift, m1[cells], out=cut[0], mode="clip")
-            yield key
-            r = np.take(p2, r2[cells], out=cut[1], mode="clip")
-            for level in levels:
-                v = np.take(level, m2[cells], out=cut[0], mode="clip")
-                yield np.add(v, r, out=v)
-
-        keys, *two = stream(keys_and_phis, [size] + [2 * p] * len(levels))
+        keys = binned(lambda rows: target[r1[rows]] + shift[m1[rows]], size)
         keys = keys.reshape(3, -1, 3, q)
         F = np.zeros((3, len(levels) + 1, p), dtype=np.int64)
         F[..., exp] = keys[:, :, 0] + keys[:, :, 1]
         F[..., 0] = keys[:, :, 2].sum(axis=2)
+        two = [binned(lambda rows: level[m2[rows]] + p2[r2[rows]], 2 * p)
+               for level in levels]
         phi = np.stack([hr2()] + [x[:, :p] + x[:, p:] for x in two], axis=1)
         F, phi = F.reshape(3, -1), phi.reshape(3, -1)
     nf = F @ phi.T                                       # [block, block]
@@ -812,10 +781,14 @@ def _two_group_count(model, p, label, flips=(False, False)):
     raises FrobtraceError unless each lies within 1/4 of an integer and
     every block's histograms total its cells.  It holds no p^2-cell array:
     under tracemalloc schoen_y's pass peaks at 0.64 p^2 8 bytes at 421 and
-    0.089 at 1999.  On the grid the value arrays (r_i at s = 0 and 1 and
-    m_i, fewer where two agree up to a constant and a sign) are the only
-    p^2-cell arrays: consani_scholten's pass holds two, as r2 = -r1, and
-    peaks at 2.45 p^2 8 bytes at 421 (p < 2000 by the budget).
+    0.089 at 1999 (the tests bound them at 1.0 and 0.1).  On the grid the
+    value arrays (r_i at s = 0 and 1 and m_i, fewer where two agree up to a
+    constant and a sign) are the only p^2-cell arrays, and the coupled
+    gathers add two of a chi block's size: consani_scholten's pass holds
+    two, as r2 = -r1, and peaks at 2.15 p^2 8 bytes at 421 (bound 2.3);
+    schoen_y's at 149 holds r and m and peaks at 3.88 (bound 4.2); a model
+    with a constant in m1 holds four and peaks at 5.07 at 1009 (bound 5.5;
+    gathers on the whole grid read 6.06).  p < 2000 by the budget.
     """
     _require_cells("two-group kernel", p, lambda q: q * q, _MAX_HIST_CELLS)
     halves = [_halved(g, model.chi) for g in model.groups]

@@ -358,6 +358,33 @@ def test_ap_command(capsys):
     assert out == "" and err.startswith("error: ap --form reads no --degree")
 
 
+def test_ap_reads_the_declared_normalization(capsys, monkeypatch):
+    # over F_p at an odd good prime, ap --variety reads a declared
+    # normalization in O(p) (lefschetz.declared_curve) and runs no node
+    # search; degree 2 keeps the scan
+    scans = []
+    scan = lefschetz.nodal_curve
+    monkeypatch.setattr(lefschetz, "nodal_curve",
+                        lambda *a: scans.append(a) or scan(*a))
+    ep = catalog.load_catalog().variety("e_plane")
+    assert main(["ap", "--variety", "e_plane", "--p", "101"]) == 0
+    assert json.loads(capsys.readouterr().out)["ap"] == -18 == \
+        scan(ep, 101).ap
+    assert not scans
+    assert main(["ap", "--variety", "e_plane", "--p", "7", "--degree", "2"]) == 0
+    assert len(scans) == 1
+    # 3999971, the largest prime the Weierstrass budget accepts, in a few
+    # seconds (the scan ran for minutes there); 4000037 is refused naming it
+    res = _run_module("ap", "--variety", "e_plane", "--p", "3999971",
+                      timeout=20)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["ap"] == 1767
+    res = _run_module("ap", "--variety", "e_plane", "--p", "4000037",
+                      timeout=20)
+    assert res.returncode == 1 and res.stdout == ""
+    assert "the largest prime it accepts is 3999971" in res.stderr
+
+
 def test_eta_command(capsys):
     assert main(["eta", "--m", "1", "--terms", "10"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -789,15 +816,17 @@ def test_run_manifest_refuses_unread_fields(tmp_path, capsys, monkeypatch):
         == [2, 1, None]
 
 
-def _run_module(*args, module="frobtrace"):
+def _run_module(*args, module="frobtrace", timeout=None):
     """Run ``python -m MODULE ARGS`` in a child process that imports the
-    same frobtrace package as this test, installed or not."""
+    same frobtrace package as this test, installed or not, within timeout
+    seconds."""
     env = dict(os.environ)
     src = str(Path(frobtrace.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", module, *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env,
+                          timeout=timeout)
 
 
 def test_console_script_smoke():

@@ -231,22 +231,35 @@ def test_schoen_histogram_memory():
     # the orbit convolution (schoen_y's model, so its twist, and the
     # quotient's) holds no p^2-cell array, only O(p) rows and bases: 0.64
     # p^2 8 bytes at 421 and 0.089 at 1999 measured in a fresh process, its
-    # log tables included.  On the grid (consani_scholten's) the pass keeps
+    # log tables included.  The uncoupled grid (consani_scholten's) keeps
     # two value arrays, r1 at s = 0 and 1, as r2 = -r1 reads them at neg,
-    # with the evaluator's temporaries while it builds them: 2.45 p^2 8
-    # bytes at 421 measured, against 4.49 when r2 kept arrays of its own.
-    # One p^2 array beside them would exceed every bound.  The pass cache
-    # is cleared before each run, so each run makes a full pass rather than
-    # reading the pass of the run before it
+    # and reads F off r1's histogram: 2.15 p^2 8 bytes at 421 measured
+    # (2.46 with a key array gathered in chunks, 4.49 when r2 kept arrays
+    # of its own).  The coupled grid gathers its keys and Phi rows one chi
+    # block's rows at a time: schoen_y's pass at 149, below the
+    # convolution, keeps r and m (shared by both groups) and peaks at 3.88,
+    # and a model with a constant in m1 (the convolution does not admit
+    # it; the `constant` model of the layout test below) keeps four value
+    # arrays and peaks at 5.07 at 1009, where gathers over the whole grid
+    # read 6.06.  The pass cache is cleared
+    # before each run, so each run makes a full pass rather than reading
+    # the pass of the run before it
     sy = CAT.variety("schoen_y")
     iy = CAT.involution("iota_y")
+    r1 = (Monomial(1, (4, 0, 0)), Monomial(1, (0, 2, 0)),
+          Monomial(2, (0, 0, 4)))
+    constant = (((r1, (Monomial(1, (2, 0, 0)), Monomial(1, (0, 0, 0)))),
+                 ((Monomial(1, (4, 0, 0)),), (Monomial(1, (0, 1, 0)),))),
+                3, (2, 2), 1009)
     for run, p, bound in (
             (lambda: count_projective(sy, 421), 421, 1.0),
             (lambda: count_twisted(sy, iy, 421), 421, 1.0),
             (lambda: count_weighted(CAT.variety("schoen_quotient"), 421),
              421, 1.0),
             (lambda: count_projective(CAT.variety("consani_scholten"), 421),
-             421, 2.75),
+             421, 2.3),
+            (lambda: count_projective(sy, 149), 149, 4.2),
+            (lambda: counting._block_pass.__wrapped__(*constant), 1009, 5.5),
             (lambda: count_projective(sy, 1999), 1999, 0.1)):
         counting._block_pass.cache_clear()
         tracemalloc.start()
@@ -516,9 +529,9 @@ def test_orbit_pass_matches_percent_pass(model):
            (_SCHOEN_PARTS, _SCHOEN_M)), 8, (2, 2), 13))
 def test_even_models_with_a_constant_in_m_take_the_grid(model):
     # lam = k (m1 + d1) is no monomial along an orbit when d1 != 0 mod p,
-    # so such a model takes the grid, as does every uncoupled one (k = 0 mod
-    # p, no Phi levels); whichever layout runs, the pass equals the percent
-    # reference
+    # so such a model takes the grid; an uncoupled one (k = 0 mod p, no Phi
+    # levels) runs no convolution either; whichever layout runs, the pass
+    # equals the percent reference
     (_, (*_, const)), _ = model[0]
     with pytest.MonkeyPatch.context() as m:
         seen = orbit_spy(m)
@@ -563,6 +576,41 @@ def test_pass_layout_is_read_off_the_declared_model(monkeypatch):
         got = counting._block_pass.__wrapped__(*args)
         assert bool(seen) == orbits, args
         assert got == _percent_pass(*args)
+
+
+def test_uncoupled_even_models_fold_at_every_prime(monkeypatch):
+    # an uncoupled model whose halved groups have even weights and
+    # homogeneous parts takes the O(p) folds at every odd prime, below
+    # counting._ORBIT_FROM too, where only the convolution waits: a spy
+    # sees _fold run, and the evaluator makes no array past the 2p cells
+    # of a = 0 and 1.  Its counts equal the percent reference's, and at 13
+    # the dense path's
+    spec = _pair_catalog(((1, (3, 0, 0)), (2, (1, 2, 0)), (1, (0, 0, 3))),
+                         ((1, (3, 0, 0)), (-1, (1, 2, 0))))
+    fold, evaluate = counting._fold, counting._eval_mono_list
+    folds, cells = [], []
+
+    def evaluated(*args):
+        v = evaluate(*args)
+        cells.append(v.size)
+        return v
+
+    monkeypatch.setattr(counting, "_fold",
+                        lambda *a, **kw: folds.append(a[3]) or fold(*a, **kw))
+    monkeypatch.setattr(counting, "_eval_mono_list", evaluated)
+    got = {}
+    for p in (13, 149):
+        counting._block_pass.cache_clear()
+        folds.clear()
+        cells.clear()
+        got[p] = count_projective(spec, p).count
+        assert folds and set(folds) == {p} and max(cells) <= 2 * p, p
+    monkeypatch.undo()
+    for p, n in got.items():
+        assert _served_counts(lambda: count_projective(spec, p).count,
+                              True) == n, p
+    assert count_projective(dataclasses.replace(spec, count_model=None),
+                            13).count == got[13]
 
 
 def test_orbit_convolution_pins_the_split_primes():
@@ -1394,7 +1442,8 @@ def _pair_catalog(r1, r2, coupling=0, m=((), ())):
         for c2, (a2, b2, _) in m[1]:
             add((a1, b1, a2, b2, 1), coupling * c1 * c2)
     eq = [[c, list(e)] for e, c in eq.items() if c]
-    assume(eq)
+    if not eq:              # a draw that cancels; fixed pairs never do
+        assume(False)
     groups = [{"vars": [2 * g, 2 * g + 1], "r": [[c, list(e)] for c, e in r],
                "m": [[c, list(e)] for c, e in mg]}
               for g, (r, mg) in enumerate(zip((r1, r2), m))]
