@@ -602,16 +602,12 @@ def _cmd_ap(args):
         require_prime(args.p)
         _require_terms(args.p + 1, f"f25 a_p at p = {args.p}")
         s = qexp.f25(args.p + 1)
-        print(json.dumps({"form": "f25", "p": args.p,
-                          "ap": qexp.coefficient(s, args.p)}))
+        doc = {"form": "f25", "p": args.p, "ap": qexp.coefficient(s, args.p)}
     else:
         spec = load_catalog().variety(args.variety)
-        if args.degree == 1 and args.p != 2 and spec.normalization:
-            ap = lefschetz.declared_curve(spec, args.p).ap     # O(p), no scan
-        else:
-            ap = lefschetz.elliptic_ap(spec, args.p, args.degree)
-        print(json.dumps({"variety": args.variety, "p": args.p,
-                          "degree": args.degree, "ap": ap}))
+        doc = {"variety": args.variety, "p": args.p, "degree": args.degree,
+               "ap": lefschetz.elliptic_ap(spec, args.p, args.degree)}
+    print(json.dumps(doc))
     return 0
 
 

@@ -2,12 +2,12 @@
 formula, node corrections for the two resolution types, an exact Betti
 number solver, an Euler characteristic ledger, and two readings of a nodal
 plane curve's points, nodes, split nodes and a_p of its normalization.
-nodal_curve makes one pass of the catalog's node search over the curve's
-p^2 cells.  declared_curve reads the same four numbers in O(p) from the
+nodal_curve scans the curve's p^2 cells with the catalog's node search.
+declared_curve reads the same four numbers in O(p), with no scan, from the
 normalization the catalog declares (a Weierstrass model, nodes as exponent
-vectors of a root of unity, and their splitting discriminant), with no
-scan; the quotient pipeline reads its companion curve this way, and
-Tier-1 checks it against nodal_curve.
+vectors of a root of unity, and their splitting discriminant).  The
+quotient pipeline and elliptic_ap read a curve this way, elliptic_ap over
+F_{p^2} by a_{p^2} = a_p^2 - 2p; Tier-1 checks both against nodal_curve.
 """
 from __future__ import annotations
 
@@ -17,8 +17,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .catalog import (_MAX_SLAB_CELLS, Monomial, _eval_mono_list, _partial,
-                      _require_cells, _require_good, _restrict, _singular_scan)
+from .catalog import (_MAX_SLAB_CELLS, Monomial, _charts, _eval_mono_list,
+                      _partial, _require_cells, _require_good, _restrict,
+                      _singular_scan)
 from .errors import ValidationError
 from .ffield import (_field_degree, chi_table, kronecker, nonresidue,
                      require_prime)
@@ -71,8 +72,7 @@ def solve_betti(n_p, p, chi):
     if type(chi) is bool or not isinstance(chi, numbers.Integral):
         raise ValidationError(f"chi {chi!r} is not an integer")
     out = []
-    b2 = max(1, -((2 - chi) // 2))
-    while b2 <= _MAX_B2:
+    for b2 in range(max(1, -((2 - chi) // 2)), _MAX_B2 + 1):
         b3 = 2 + 2 * b2 - chi
         if b3 >= 0:
             t3 = trace_h3(n_p, p, b2, 0)
@@ -80,7 +80,6 @@ def solve_betti(n_p, p, chi):
                 out.append({"b2": b2, "b3": b3})
             elif t3 > 0:
                 break
-        b2 += 1
     return out
 
 
@@ -204,8 +203,7 @@ def nodal_curve(spec, p, degree=1):
             or spec.ambient.n != 2:
         raise ValidationError(f"{spec.id}: need a plane curve")
     n = nonresidue(p) if degree == 2 else None
-    eq = spec.equations[0]
-    taylor = {(i, j): _restrict(_second_taylor(eq, i, j), n)
+    taylor = {(i, j): _restrict(_second_taylor(spec.equations[0], i, j), n)
               for i in range(3) for j in range(i, 3)}
     disc_poly = _restrict(_DISCRIMINANT, n)
     points = nodes = split = 0
@@ -264,7 +262,14 @@ def declared_curve(spec, p):
 
 
 def elliptic_ap(spec, p, degree=1):
-    """a_p (or a_{p^degree}) of the normalization of a nodal plane curve:
-    q + 1 minus the count of smooth points plus two branch points for each
-    rational node whose tangent cone splits over F_q, from nodal_curve."""
-    return nodal_curve(spec, p, degree).ap
+    """a_q, q = p^degree, of the normalization of a nodal plane curve: at odd
+    p from a declared one in O(p), a_p or a_{p^2} = a_p^2 - 2p, else from
+    nodal_curve, the oracle, whose F_{p^2} chart budget bounds degree 2."""
+    _require_good(spec, p)
+    _field_degree(degree)
+    if spec.normalization is None or p == 2:
+        return nodal_curve(spec, p, degree).ap
+    if degree == 2:
+        _charts(p, spec.ambient.nvars, 2)      # the oracle's budget
+    a = declared_curve(spec, p).ap
+    return a * a - 2 * p if degree == 2 else a

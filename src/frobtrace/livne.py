@@ -83,8 +83,7 @@ def find_cover_set(s, bound=1000):
     basis = build_basis(s)
     k = len(basis.entries)
     identity = (1,) * k
-    seen = set()
-    out = []
+    seen, out = set(), []
     p = 3                    # odd primes outside S: every symbol is +-1
     while len(seen) < (1 << k) - 1:
         if p > bound:

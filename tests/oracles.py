@@ -1,16 +1,23 @@
 """References that the tests and CI compare the fast paths with.
 
 The torus counts run on the catalog's polynomial evaluator, which
-counting.count_torus does not use.  The q-series arithmetic is the dense
+counting.count_torus does not use.  _percent_pass is the two-group pass
+before the discrete-log tables, on a character (_chi) and powers (_power)
+of its own, and _double_cover_reference multiplies the branch forms on
+every cell of the full grid.  The q-series arithmetic is the dense
 one, coefficient by coefficient in Python ints, that qexp's sparse eta
 products replace.  Import them with tests/ on the path: pytest puts it
 there for the test modules, and a script sets PYTHONPATH=src:tests.
 """
+from math import gcd
+
 import numpy as np
 
-from frobtrace.catalog import _eval_mono_list, _grid, _zeros
+from frobtrace import catalog
+from frobtrace.catalog import Monomial, _eval_mono_list, _grid, _zeros
 from frobtrace.counting import _by_degree, _count_roots, _torus_equation
 from frobtrace.errors import ValidationError
+from frobtrace.ffield import kronecker
 from frobtrace.qexp import QSeries
 
 # (a, t) pairs the torus count is checked at: hulek_verrill's, one with
@@ -37,6 +44,104 @@ def torus_eliminated(a, t, p):
     c = [_eval_mono_list(q, coords, p)
          for q in _by_degree(_torus_equation(a, t), 3, 2)]
     return _count_roots(c, p) - int(np.count_nonzero(c[0] == 0))
+
+
+# ------------------------------------------------ dense counts
+
+def _chi(p):
+    """The quadratic character of F_p as a table, from kronecker."""
+    return np.array([kronecker(x, p) for x in range(p)], dtype=np.int64)
+
+
+def _power(x, e, p):
+    """x^e mod p elementwise for e >= 1, by squaring."""
+    y = np.ones_like(x)
+    while e:
+        if e & 1:
+            y = y * x % p
+        x, e = x * x % p, e >> 1
+    return y
+
+
+def _percent_pass(groups, k, weights, p):
+    """The two-group pass as it was before the discrete-log tables: every
+    key and every row of Phi reduced mod p on the p^2 cells, and the
+    classes modulo (D - d)-th powers found by np.unique.  The reference of
+    counting._block_pass, which must serve the same counts; its character
+    and powers are its own, not the field tables the pass reads."""
+    h = (p - 1) // 2
+    chi = _chi(p)
+    order = np.concatenate([np.flatnonzero(chi == 1),
+                            np.flatnonzero(chi == -1), [0]]).astype(np.int64)
+    grid = [np.arange(p, dtype=np.int64).reshape(1, p), order.reshape(p, 1)]
+    (g1r, g1m), (g2r, g2m) = groups
+    memo = {}
+
+    def values(poly, s):
+        terms, const = {}, 0
+        for mono in poly:
+            a, b, e = mono.exponents
+            c = mono.coefficient * s ** e
+            if a or b:
+                terms[a, b] = terms.get((a, b), 0) + c
+            else:
+                const += c
+        key = tuple(sorted((e, c % p) for e, c in terms.items() if c % p))
+        if key not in memo:
+            memo[key] = catalog._eval_mono_list(
+                [Monomial(c, e) for e, c in key], grid, p).ravel()
+        return memo[key], const % p
+
+    def blocks(v, size, width=p):
+        ends = (0, h * width, 2 * h * width, p * width)
+        return np.stack([np.bincount(v[i:j], minlength=size)
+                         for i, j in zip(ends, ends[1:])])
+
+    neg = -np.arange(p) % p
+    (h1, _), (h2, _) = values(g1r, 0), values(g2r, 0)
+    z = blocks(h1, p) @ blocks(h2, p)[:, neg].T
+    a0 = blocks(h1[::p], p, 1) @ blocks(h2[::p], p, 1)[:, neg].T
+    (r1, c1), (r2, c2) = values(g1r, 1), values(g2r, 1)
+    row = np.zeros(p, dtype=np.int64)
+    shift = np.ones(p, dtype=np.int64)
+    reps = [0]
+    if k:
+        (m1, d1), (m2, d2) = values(g1m, 1), values(g2m, 1)
+        wts = (1, weights[1], 1)
+        dr, dm = g2r[0].degree(wts), g2m[0].degree(wts)
+        lams, q = np.arange(1, p, dtype=np.int64), p - 1
+        n = gcd(dr - dm, q)
+        _, first = np.unique(_power(lams, q // n, p), return_index=True)
+        reps += lams[first].tolist()
+        orbit = lams[first, None] * _power(lams, (dr - dm) % q or q, p) % p
+        row[orbit] = np.arange(1, n + 1)[:, None]
+        shift[orbit] = _power(lams, -dr % q or q, p)
+
+    def level(rho):
+        return r2 if not rho else (m2 * rho + r2 + rho * d2) % p
+
+    phi = np.stack([blocks(level(rho), p) for rho in reps], axis=1)
+    phi = phi.reshape(3, -1)
+    key = (-r1 - c1 - c2) % p
+    if k:
+        lam = k * (np.arange(p) + d1) % p
+        key = key * shift[lam][m1] % p + (row[lam] * p)[m1]
+    nf = blocks(key, len(reps) * p) @ phi.T
+    return tuple(tuple(tuple(x) for x in m.tolist()) for m in (nf, z, a0))
+
+
+def _double_cover_reference(forms, p):
+    """The full-grid oracle of count_double_cover: on each chart the product
+    of the forms on every cell, reduced after each factor, then
+    sum 1 + chi."""
+    chi, total = _chi(p), 0
+    for fixed in catalog._charts(p, 4):
+        coords = _grid(p, fixed)
+        f = np.ones(np.broadcast_shapes(*(c.shape for c in coords)), np.int64)
+        for eq in forms:
+            f = f * catalog._eval_mono_list(eq, coords, p) % p
+        total += f.size + int(chi[f].sum())
+    return total
 
 
 # ------------------------------------------------ dense q-series

@@ -9,7 +9,8 @@ from frobtrace.cli import (betti_report, match_quotient, match_rigid,
                            quotient_resolved_count, run_manifest)
 from frobtrace.counting import count_double_cover, count_projective, count_twisted
 from frobtrace.ffield import is_prime
-from frobtrace.lefschetz import elliptic_ap, euler_ledger, quotient_ledger
+from frobtrace.lefschetz import (elliptic_ap, euler_ledger, nodal_curve,
+                                 quotient_ledger)
 from frobtrace.livne import check_cover
 from frobtrace.qexp import coefficient, f25, hasse_check, hecke_check
 
@@ -105,8 +106,8 @@ def test_elliptic_consistency():
             continue
         a = elliptic_ap(ep, p)
         assert a * a <= 4 * p, (p, a)
-    for p in (3, 7):
-        assert elliptic_ap(ep, p, degree=2) == elliptic_ap(ep, p) ** 2 - 2 * p
+    for p in (3, 7):      # the law a_{p^2} = a_p^2 - 2p against the scan
+        assert elliptic_ap(ep, p, degree=2) == nodal_curve(ep, p, 2).ap
 
 
 def test_counts_deterministic_across_workers():

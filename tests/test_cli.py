@@ -359,9 +359,9 @@ def test_ap_command(capsys):
 
 
 def test_ap_reads_the_declared_normalization(capsys, monkeypatch):
-    # over F_p at an odd good prime, ap --variety reads a declared
-    # normalization in O(p) (lefschetz.declared_curve) and runs no node
-    # search; degree 2 keeps the scan
+    # at an odd good prime, ap --variety reads a declared normalization in
+    # O(p) (lefschetz.declared_curve) and runs no node search, over F_{p^2}
+    # too, where a_{p^2} = a_p^2 - 2p
     scans = []
     scan = lefschetz.nodal_curve
     monkeypatch.setattr(lefschetz, "nodal_curve",
@@ -372,7 +372,9 @@ def test_ap_reads_the_declared_normalization(capsys, monkeypatch):
         scan(ep, 101).ap
     assert not scans
     assert main(["ap", "--variety", "e_plane", "--p", "7", "--degree", "2"]) == 0
-    assert len(scans) == 1
+    assert json.loads(capsys.readouterr().out)["ap"] == -10 == \
+        scan(ep, 7, 2).ap
+    assert not scans
     # 3999971, the largest prime the Weierstrass budget accepts, in a few
     # seconds (the scan ran for minutes there); 4000037 is refused naming it
     res = _run_module("ap", "--variety", "e_plane", "--p", "3999971",

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import pytest
@@ -217,10 +218,13 @@ def test_elliptic_ap_degree_two():
     ep = CAT.variety("e_plane")
     assert elliptic_ap(ep, 3, degree=2) == -5
     assert elliptic_ap(ep, 7, degree=2) == -10
-    # a over F_{p^2} determined by a over F_p: a' = a^2 - 2p; at 19 four of
-    # the five nodes are defined over F_{p^2} only
-    for p in (3, 7, 11, 19):
-        assert elliptic_ap(ep, p, degree=2) == E_PLANE_AP[p] ** 2 - 2 * p
+    # a over F_{p^2} determined by a over F_p: a' = a^2 - 2p, which
+    # elliptic_ap reads off the declared normalization; the scan of F_{p^2}
+    # is its oracle at every odd good prime up to 23, and at 19 four of the
+    # five nodes are defined over F_{p^2} only
+    for p in (3, 7, 11, 13, 17, 19, 23):
+        assert elliptic_ap(ep, p, degree=2) == nodal_curve(ep, p, 2).ap \
+            == E_PLANE_AP[p] ** 2 - 2 * p, p
 
 
 def test_node_search_skips_empty_charts(monkeypatch):
@@ -238,9 +242,9 @@ def test_node_search_skips_empty_charts(monkeypatch):
     monkeypatch.setattr(catalog, "_eval_mono_list", spy)
     monkeypatch.setattr(lefschetz, "_eval_mono_list", spy)
     ep = CAT.variety("e_plane")
-    assert elliptic_ap(ep, 11, degree=2) == E_PLANE_AP[11] ** 2 - 2 * 11
+    assert nodal_curve(ep, 11, 2).ap == E_PLANE_AP[11] ** 2 - 2 * 11
     assert len(sizes) == 26 and 0 not in sizes
-    assert elliptic_ap(ep, 11) == E_PLANE_AP[11]
+    assert nodal_curve(ep, 11).ap == E_PLANE_AP[11]
     assert len(singular_points(CAT.variety("schoen_x"), 11)) == 125
     assert 0 not in sizes
 
@@ -277,6 +281,56 @@ def test_elliptic_ap_guards():
     for degree in (1, 2):
         with pytest.raises(ValidationError, match="not a node"):
             elliptic_ap(cusp, 7, degree)
+
+
+def test_elliptic_ap_reads_the_declared_normalization(monkeypatch):
+    # with a declared normalization at an odd good prime elliptic_ap runs
+    # no node search at either degree; the cusp, the nodal cubics and p = 2
+    # still scan, and every refusal comes before any scan
+    ep = CAT.variety("e_plane")
+    want = {(p, d): nodal_curve(ep, p, d).ap for p in (3, 7) for d in (1, 2)}
+    want[101, 1] = nodal_curve(ep, 101).ap
+
+    class Scanned(Exception):
+        pass
+
+    def scan(*args, **kwargs):
+        raise Scanned
+
+    monkeypatch.setattr(lefschetz, "nodal_curve", scan)
+    monkeypatch.setattr(lefschetz, "_singular_scan", scan)
+    monkeypatch.setattr(catalog, "_singular_scan", scan)
+    for (p, d), ap in want.items():
+        assert elliptic_ap(ep, p, d) == ap, (p, d)
+    cusp = VarietySpec("cusp", Ambient("projective", n=2),
+                       ((Monomial(1, (3, 0, 0)), Monomial(-1, (0, 2, 1))),),
+                       1, frozenset({2, 3}), "test")
+    nodal = _plane_cubic("nodal_cubic", (2, 0, 1), (1, 1, 1), (0, 2, 1),
+                         (3, 0, 0))
+    for spec, p in ((cusp, 7), (nodal, 7), (nodal, 2),
+                    (dataclasses.replace(ep, bad_primes=frozenset({5})), 2)):
+        for d in (1, 2):
+            with pytest.raises(Scanned):
+                elliptic_ap(spec, p, d)
+    with pytest.raises(RefusalError, match="5 is a bad prime"):
+        elliptic_ap(ep, 5)
+    with pytest.raises(ValidationError, match="9 is not prime"):
+        elliptic_ap(ep, 9)
+    for degree in (True, 2.0, "1", 3):
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"not {degree!r}") + "$"):
+            elliptic_ap(ep, 7, degree)
+    # the oracle's F_{p^2} chart budget bounds degree 2, though the read
+    # itself is O(p)
+    for p in (89, 101):
+        with pytest.raises(ValidationError,
+                           match="the largest prime it accepts is 83$"):
+            elliptic_ap(ep, p, 2)
+    # over F_p declared_curve's Weierstrass budget bounds elliptic_ap, as it
+    # bounds ap --variety
+    with pytest.raises(ValidationError,
+                       match="the largest prime it accepts is 3999971$"):
+        elliptic_ap(ep, 4000037)
 
 
 def _plane_cubic(vid, *terms):
