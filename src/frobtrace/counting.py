@@ -35,17 +35,19 @@ count() picks the counter for a variety's ambient space.
 
 A chunk of one equation eliminates a coordinate where the equation's
 exponents allow it.  Over F_p (_elimination) that is the free coordinate
-x_v of least degree d on the chart, when p^d is at most the chart's cells
-over p and at most _MAX_SLAB_CELLS.  The coefficients c_k of x_v^k are evaluated
-on the grid of the other free coordinates, p^(free-1) cells, and each
-cell adds the roots of sum_k c_k x^k, read from a cached table of root
-counts of monic polynomials of degree k (_root_table, p^k entries) at the
-coefficients scaled by the top one's inverse (_count_roots).  Table
-indices stay below p^d and products of residues below p^2, held by ifs
-that python -O keeps.  The rule reads no variety id, and is made per
-chart, so the slabs of a cut chart share one table; chunk lists, chunk
-counts and cell budgets are those of the full grid, which counts every
-other chunk and is the elimination's oracle in the tests.  The torus
+x_v of least degree d on the chart, when p^d is at most p^(nvars-2), the
+largest chart's cells over p, and at most _MAX_SLAB_CELLS.  The cached
+tables of root counts of monic polynomials of degree k <= d (_root_table,
+p^k entries) are built first; the coefficients c_k of x_v^k are evaluated
+on the grid of the other free coordinates, c_d (d > 0) only on those it
+reads, and each cell adds the roots of sum_k c_k x^k, read from a table
+at the c_k scaled in place by the top one's inverse (_count_roots).
+Table indices stay below p^d and products of residues below p^2, held by
+ifs that python -O keeps.  The rule reads no variety id and is made per
+chart against one bound per count, so slabs and charts of one degree
+share a table; chunk lists, chunk counts and cell budgets are those of
+the full grid, which counts every other chunk and is the elimination's
+oracle in the tests.  The torus
 count evaluates no polynomial: it meets two histograms of pairs (X1, X2)
 and (X3, X4) by sum and sum of a_i/X_i in the middle (_torus_pairs), p^3
 int32 products in O(p^2) memory.
@@ -99,6 +101,8 @@ _MAX_TORUS_CELLS = 4_000_000       # (p-1)^3 cells of the torus count (p < 160)
 _PASS_CACHE = 512                  # kernel passes kept: 302 odd primes p < 2000
 _ORBIT_FROM = 151                  # least prime of the orbit convolution
 _MAX_ORBIT_BINS = 4_000_000        # its rows' bins: 3 n (G + n + 6) Q
+_FFT_C = 32                        # its error: _FFT_C eps log2 Q |a|_2 |b|_2
+_FFT_SLACK = 0.25                  # an error below it rounds to the integer
 
 
 @dataclass(frozen=True)
@@ -205,8 +209,14 @@ def _count_dense(spec, p, eqs, degree=1, on_chart=None):
         if not plan:
             return on_chart(_grid(p, fixed), fixed)
         v, parts = plan
+        for k in range(1, len(parts)):          # the tables before the arrays
+            _root_table(k, p)
         coords = _grid(p, fixed[:v] + [0] + fixed[v + 1:])
-        return _count_roots([_eval_mono_list(q, coords, p) for q in parts], p)
+        # c_d, d > 0, on the grid of the coordinates it reads
+        top = [x if len(parts) == 1 or any(m.exponents[i] for m in parts[-1])
+               else x[(slice(1),) * x.ndim] for i, x in enumerate(coords)]
+        return _count_roots([_eval_mono_list(q, coords, p) for q in parts[:-1]]
+                            + [_eval_mono_list(parts[-1], top, p)], p)
 
     return sum(_run_chunks(worker, chunks)), len(chunks)
 
@@ -314,16 +324,17 @@ def _elimination(eq, lead, nv, free, p):
     the coordinate v of free of least degree d in eq mod p there is
     eliminated, and (v, parts) is returned, parts[k] the coefficient c_k
     of x_v^k as a monomial tuple without x_v.  The rule reads degrees
-    alone, per chart, so the slabs of a cut chart share one plan and one
-    table: it holds when p^d is at most the chart's p^(nv-lead-1) cells
-    over p and at most _MAX_SLAB_CELLS, so that the table of _root_table
-    is no larger than a slab.  Otherwise None: the full grid."""
+    alone, per chart, so the slabs of a cut chart share one plan: it holds
+    when p^d is at most p^(nv-2), the largest chart's cells over p, and at
+    most _MAX_SLAB_CELLS, one bound per count, so that the charts of one
+    degree share a table (_root_table caches per (k, p)).  Otherwise None:
+    the full grid."""
     if not free:
         return None
     live = [m for m in eq if m.coefficient % p and not any(m.exponents[:lead])]
     d, v = min((max((m.exponents[i] for m in live), default=0), i)
                for i in free)
-    if d > nv - lead - 2 or p ** d > _MAX_SLAB_CELLS:
+    if d > nv - 2 or p ** d > _MAX_SLAB_CELLS:
         return None
     return v, _by_degree(live, v, d)
 
@@ -339,30 +350,32 @@ def _by_degree(eq, v, d):
 
 def _count_roots(c, p):
     """The roots in x of sum_k c_k x^k summed over the cells of the arrays
-    c, residues of one shape (the coefficients of x_v^k on a chunk's grid
-    with x_v fixed).  A cell whose top nonzero coefficient is c_k, k >= 1,
-    reads _root_table(k, p) at the monic polynomial c_k^-1 sum_j c_j x^j;
-    a cell with c_k = 0 for every k >= 1 adds p where c_0 = 0 and nothing
-    otherwise.  Degree k runs on all cells left, with c_k^-1 read as 0
-    where c_k = 0: those cells read index 0, x^k, whose one root is taken
-    back, and only they go on to degree k - 1.  c is not written.  Each
-    product c_j c_k^-1 is of two residues, below p^2 < 2^62 (the evaluator
-    refuses p >= 2^31), and each table index is below p^k, which
-    _root_table refuses beyond _MAX_SLAB_CELLS: _elimination picks no
-    degree past it.  A table is built before the arrays of its degree."""
+    c, fresh residue arrays that it consumes (the coefficients of x_v^k on
+    a chunk's grid with x_v fixed, the top one, c_d, on a grid that
+    broadcasts to the others').  A cell whose top nonzero coefficient is
+    c_k, k >= 1, reads _root_table(k, p) at the monic polynomial c_k^-1
+    sum_j c_j x^j; a cell with c_k = 0 for every k >= 1 adds p where c_0 =
+    0 and nothing otherwise.  Degree k first takes
+    the cells with c_k = 0, the only ones that go on to degree k - 1, then
+    writes c_0 c_k^-1 and each c_j c_k^-1 p^j into c_0..c_(k-1) in place,
+    c_k^-1 read as 0 where c_k = 0: those cells read index 0, x^k, whose
+    one root is taken back.  Each product c_j c_k^-1 is of two residues,
+    below p^2 < 2^62 (the evaluator refuses p >= 2^31), and each table
+    index is below p^k, which _root_table refuses beyond _MAX_SLAB_CELLS:
+    _elimination picks no degree past it."""
     total = 0
     for k in range(len(c) - 1, 0, -1):
         table = _root_table(k, p)
+        zero = np.broadcast_to(c[k] == 0, c[0].shape)
+        rest = [x[zero] for x in c[:k]]
         inv = inverses(p)[c[k]]
-        idx = reduce_mod(c[0] * inv, p)
+        idx = reduce_mod(np.multiply(c[0], inv, out=c[0]), p)
         for j in range(1, k):
-            term = reduce_mod(c[j] * inv, p)
+            term = reduce_mod(np.multiply(c[j], inv, out=c[j]), p)
             term *= p ** j
             idx += term
-        zero = c[k] == 0
-        total += int(table[idx].sum())
-        total -= int(np.count_nonzero(zero))
-        c = [x[zero] for x in c[:k]]
+        total += int(table[idx].sum()) - int(np.count_nonzero(zero))
+        c = rest
     return total + p * int(np.count_nonzero(c[0] == 0))
 
 
@@ -372,19 +385,19 @@ def _root_table(k, p):
     F_p of x^k + a_{k-1} x^(k-1) + ... + a_0, as p^k uint8 entries (at most
     k roots).  One bincount over x and a_1..a_{k-1}, each on an axis of its
     own of _grid(p, [None] * k): each such tuple is a root of exactly the
-    a_0 = -(x^k + ... + a_1 x), evaluated by _eval_mono_list.  Tables
+    a_0 = -(x^k + ... + a_1 x), evaluated by _eval_mono_list, to which the
+    index of a_1..a_{k-1} is added in place, below p^k.  Tables
     beyond _MAX_SLAB_CELLS entries are refused, and the cache holds at
     most 8 of them, 32 MB at that bound."""
     if p ** k > _MAX_SLAB_CELLS:
         raise ValidationError(f"root table of degree {k} at p={p}: "
                               f"{p ** k} entries, over {_MAX_SLAB_CELLS}")
-    # x on axis 0 and a_j on axis k - j, so that high = a_1 + a_2 p + ...
+    # x on axis 0 and a_j on axis k - j, so a_1 p + a_2 p^2 + ... is a range
     a0 = _eval_mono_list([Monomial(-1, (j,) + tuple(int(i == k - j)
                                                     for i in range(1, k)))
                           for j in range(1, k + 1)], _grid(p, [None] * k), p)
-    high = np.arange(p ** (k - 1), dtype=np.int64).reshape([1] + [p] * (k - 1))
-    return np.bincount((a0 + high * p).ravel(),
-                       minlength=p ** k).astype(np.uint8)
+    a0 += np.arange(0, p ** k, p, dtype=np.int64).reshape([1] + [p] * (k - 1))
+    return np.bincount(a0.ravel(), minlength=p ** k).astype(np.uint8)
 
 
 # ------------------------------------------------------ two-group kernel
@@ -472,10 +485,15 @@ def _orbit_convolution(r1, m1, r2, m2, c, k, hr2, blocks, p):
     entry, in O(n^2 p log p): no p^2-cell array.  The 3 n (G + n + 6) Q
     bins of the rows, 72k for schoen_y at 1999, are refused beyond
     _MAX_ORBIT_BINS before any is allocated; only degrees far beyond the
-    catalog's reach it.  Each entry counts cells, at most p^2 < 2^22;
-    FrobtraceError is raised unless every value lies within 1/4 of an
-    integer and each block's histograms total its cells, by an if that
-    python -O keeps."""
+    catalog's reach it.  Each entry counts cells, at most p^2 < 2^22, so
+    squared norms stay below p^4 < 2^44.  FrobtraceError is raised before
+    any transform when a summed row's a priori rounding bound, _FFT_C eps
+    log2 Q sum_r |conv_r|_2 |table_r|_2 with eps = 2^-53, reaches
+    _FFT_SLACK = 1/4 (it reads 4.5e-10 at 1999; radix 2 gives about 13
+    eps log2 N |a|_2 |b|_2, Percival, Math. Comp. 72, 2003, and 32 covers
+    pocketfft's other radices), and after them unless every value lies
+    within 1/4 of an integer and each block's histograms total its cells,
+    by ifs that python -O keeps."""
     exp, log = log_tables(p)
     q = p - 1
     (v1, D1), (u1, delta), (v2, D), (u2, d) = r1, m1, r2, m2
@@ -562,9 +580,15 @@ def _orbit_convolution(r1, m1, r2, m2, c, k, hr2, blocks, p):
     # only rows with an entry and a base with values are transformed; each
     # sums into its block, level and side
     rows = np.flatnonzero(conv.any(axis=1) & np.tile(table.any(axis=1), 3 * n))
+    side = rows // nb * 2 + (rows % nb >= G + 3)
+    nc, nt = (np.sqrt(np.einsum("ij,ij->i", x, x)) for x in (conv, table))
+    err = np.bincount(side, nc[rows] * nt[rows % nb])
+    err *= _FFT_C * 2.0 ** -53 * np.log2(max(Q, 2))
+    if err.max(initial=0) >= _FFT_SLACK:
+        raise FrobtraceError(f"orbit convolution at p={p}: its rounding "
+                             f"bound {err.max()} is not below {_FFT_SLACK}")
     spec = rfft(conv[rows].astype(np.float64))
     spec *= rfft(table)[rows % nb]
-    side = rows // nb * 2 + (rows % nb >= G + 3)
     first = np.flatnonzero(np.concatenate([[True], side[1:] != side[:-1]]))
     total = np.zeros((6 * n, Q // 2 + 1), dtype=complex)
     total[side[first]] = np.add.reduceat(spec, first)
@@ -577,7 +601,7 @@ def _orbit_convolution(r1, m1, r2, m2, c, k, hr2, blocks, p):
                                      at0[..., G + 3:].sum(axis=2)])
     both = np.concatenate([got, at0[..., None]], axis=3)
     cells = np.bincount(blocks, minlength=3) * p
-    if np.abs(out - got).max() >= 0.25 or \
+    if np.abs(out - got).max() >= _FFT_SLACK or \
             np.any(row0.sum(axis=1) + both[0].sum(axis=(1, 2)) != cells) or \
             np.any(got[1].sum(axis=2) * (q // Q) + at0[1] != cells[:, None]):
         raise FrobtraceError(f"orbit convolution at p={p} is not exact")

@@ -4,7 +4,8 @@ The torus counts run on the catalog's polynomial evaluator, which
 counting.count_torus does not use.  _percent_pass is the two-group pass
 before the discrete-log tables, on a character (_chi) and powers (_power)
 of its own, and _double_cover_reference multiplies the branch forms on
-every cell of the full grid.  The q-series arithmetic is the dense
+every cell of the full grid, as full_grid counts a one-equation chart
+loop with no coordinate eliminated.  The q-series arithmetic is the dense
 one, coefficient by coefficient in Python ints, that qexp's sparse eta
 products replace.  Import them with tests/ on the path: pytest puts it
 there for the test modules, and a script sets PYTHONPATH=src:tests.
@@ -43,10 +44,20 @@ def torus_eliminated(a, t, p):
         coords[i] = np.delete(coords[i], 0, axis=i)
     c = [_eval_mono_list(q, coords, p)
          for q in _by_degree(_torus_equation(a, t), 3, 2)]
-    return _count_roots(c, p) - int(np.count_nonzero(c[0] == 0))
+    at_zero = int(np.count_nonzero(c[0] == 0))   # _count_roots consumes c
+    return _count_roots(c, p) - at_zero
 
 
 # ------------------------------------------------ dense counts
+
+def full_grid(spec, p, eqs=None):
+    """The full-grid count of a one-equation chart loop: every chunk of
+    _charts on the evaluator, no coordinate eliminated; the oracle of the
+    elimination path."""
+    return sum(int(np.count_nonzero(_zeros(eqs or spec.equations,
+                                           _grid(p, f), p)))
+               for f in catalog._charts(p, spec.ambient.nvars))
+
 
 def _chi(p):
     """The quadratic character of F_p as a table, from kronecker."""

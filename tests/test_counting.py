@@ -23,7 +23,7 @@ from frobtrace.errors import FrobtraceError, RefusalError, ValidationError
 from frobtrace.ffield import is_prime, log_tables, nonresidue
 from frobtrace.lefschetz import declared_curve, nodal_curve
 from oracles import (TORUS_AT, _double_cover_reference, _percent_pass,
-                     torus_dense, torus_eliminated)
+                     full_grid, torus_dense, torus_eliminated)
 
 CAT = load_catalog()
 
@@ -583,6 +583,20 @@ def test_orbit_convolution_is_checked(monkeypatch):
         assert counting._block_pass.cache_info().currsize == 0
         monkeypatch.undo()
     assert count_projective(sy, 421).count == SCHOEN_Y_LARGE[421][0]
+    # the a priori bound, 2.2e-11 at 151, refuses a slack below it before
+    # either transform runs and before any pass is cached
+
+    def unreached(*args):
+        raise AssertionError("a transform ran")
+
+    counting._block_pass.cache_clear()
+    monkeypatch.setattr(counting, "rfft", unreached)
+    monkeypatch.setattr(counting, "irfft", unreached)
+    monkeypatch.setattr(counting, "_FFT_SLACK", 1e-12)
+    with pytest.raises(FrobtraceError, match="p=151: its rounding bound "
+                       "[0-9.e-]+ is not below 1e-12$"):
+        count_projective(sy, 151)
+    assert counting._block_pass.cache_info().currsize == 0
 
 
 def test_twisted_counts():
@@ -1199,15 +1213,6 @@ def test_slabs_do_not_change_counts(monkeypatch):
     assert singular_points(CAT.variety("schoen_x"), 11) == nodes
 
 
-def full_grid(spec, p, eqs=None):
-    """The full-grid count of a one-equation chart loop: every chunk of
-    _charts on the evaluator, no coordinate eliminated; the oracle of the
-    elimination path."""
-    return sum(int(np.count_nonzero(_zeros(eqs or spec.equations,
-                                           _grid(p, f), p)))
-               for f in catalog._charts(p, spec.ambient.nvars))
-
-
 def eliminated_chunks(monkeypatch):
     """The degrees of the chunks counted by _count_roots from here on."""
     seen, run = [], counting._count_roots
@@ -1221,9 +1226,10 @@ def eliminated_chunks(monkeypatch):
 
 
 def test_elimination_matches_full_grid(monkeypatch):
-    # hm_quintic has no count model: its chart x0 = 1 eliminates a
-    # coordinate of degree 3, and the full grid agrees at every prime to
-    # 23 and at 47, where that chart is cut into 47 slabs sharing a table
+    # hm_quintic has no count model: its charts x0 = 1 and x0 = 0, x1 = 1
+    # eliminate a coordinate of degree 3, and the full grid agrees at every
+    # prime to 23 and at 47, where the chart x0 = 1 is cut into 47 slabs;
+    # all 48 chunks of degree 3 share one table
     hm = CAT.variety("hm_quintic")
     seen = eliminated_chunks(monkeypatch)
     for p in [2] + SMALL_PRIMES + [47]:
@@ -1232,7 +1238,7 @@ def test_elimination_matches_full_grid(monkeypatch):
         assert rec.count == full_grid(hm, p), p
         assert 3 in seen, p
         assert rec.chunk_count == len(catalog._charts(p, 5)), p
-    assert seen.count(3) == 47
+    assert seen.count(3) == 48
     assert count_projective(hm, 41).count == 70666
 
 
@@ -1246,15 +1252,18 @@ def test_elimination_is_chosen_by_degrees(monkeypatch):
     for p in (7, 11):
         assert count_projective(copy, p).count == HM_N[p]
     assert seen and max(seen) == 3
-    # degrees are read on each chart: x0 = 1 eliminates x1 (degree 3 in
-    # every coordinate, p^3 <= p^4 / p); on x0 = x1 = x2 = 0, x3 = 1 no
-    # monomial left reads x4, which goes with degree 0
+    # degrees are read on each chart against one bound per count, p^d at
+    # most the largest chart's p^4 cells over p: x0 = 1 eliminates x1 and
+    # x0 = 0, x1 = 1 eliminates x2, both of degree 3 in every coordinate,
+    # on one table; x0 = x1 = 0, x2 = 1 eliminates x4 with degree 2; on
+    # x0 = x1 = x2 = 0, x3 = 1 no monomial left reads x4, which goes with
+    # degree 0
     plans = [counting._elimination(copy.equations[0], f.index(1), 5,
                                    tuple(i for i, x in enumerate(f)
                                          if x is None), 41)
              for f in catalog._charts(41, 5)]
     assert [plan and (plan[0], len(plan[1]) - 1) for plan in plans] == \
-        [(1, 3), None, None, (4, 0), None]
+        [(1, 3), (2, 3), (4, 2), (4, 0), None]
     seen.clear()
     for p in SMALL_PRIMES:
         assert count_projective(dense("schoen_x"), p).chunk_count == 5
@@ -1299,12 +1308,42 @@ def _low_degree_hypersurface(draw):
           13))
 # x1^2 - x0 x2 on P^3: constant in x3, eliminated with degree 0
 @example((_spec(4, [(1, (0, 2, 0, 0)), (-1, (1, 0, 1, 0))]), 11))
+# x2 on P^3: degree 0 in x1 on the chart x0 = 1, where c_0 = x2 does not
+# read x3 and still weighs all p cells of it: 7 points
+@example((_spec(4, [(1, (0, 0, 1, 0))]), 2))
 def test_elimination_random_hypersurfaces(case):
     spec, p = case
     nv = spec.ambient.nvars
     assert counting._elimination(spec.equations[0], 0, nv,
                                  tuple(range(1, nv)), p) is not None
     assert count_projective(spec, p).count == full_grid(spec, p)
+
+
+def test_elimination_memory():
+    # cold, hm_quintic's chart x0 = 1 holds c_0, c_1 and c_2 on its p^3
+    # cells, consumed in place, and c_3 = x2 - x3^2 on p^2, after the root
+    # tables are built: the peak stays below 4 p^3 int64 (8.4 before); the
+    # degree-3 table adds its index in place to the one p^3 array of a_0
+    # (3.03 p^3 int64 before)
+    hm = CAT.variety("hm_quintic")
+    for p, want in ((41, 70666), (43, 80996)):
+        counting._root_table.cache_clear()
+        counting._elimination.cache_clear()
+        tracemalloc.start()
+        try:
+            assert count_projective(hm, p).count == want
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.0 * p ** 3 * 8, (p, peak / (p ** 3 * 8))
+    counting._root_table.cache_clear()
+    tracemalloc.start()
+    try:
+        counting._root_table(3, 41)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.4 * 41 ** 3 * 8, peak / (41 ** 3 * 8)
 
 
 def test_root_tables_match_brute_force():
