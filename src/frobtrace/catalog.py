@@ -1,9 +1,10 @@
-"""Variety catalog: dataclasses, JSON (de)serialization, evaluation, the
+"""Variety catalog: dataclasses, the JSON reader, evaluation, the
 dense evaluator, and the node search.
 
 A variety is a list of equations over an ambient space; each equation is a
-list of integer monomials.  The shipped catalog lives in data/catalog.json
-and round-trips through save_catalog byte-exactly.
+list of integer monomials.  The shipped catalog lives in data/catalog.json;
+the JSON format is known only to catalog_from_json, which reads it, and no
+code writes a catalog.
 
 A variety may declare a count_model: its equations as two variable groups
 joined by a shared variable (CountModel), or a linear map onto another
@@ -48,7 +49,6 @@ read it.
 from __future__ import annotations
 
 import json
-from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from importlib import resources
@@ -247,14 +247,6 @@ class Catalog:
 
 # ----------------------------------------------------------- serialization
 
-def _ambient_to_json(a):
-    if a.kind == "projective" or a.kind == "torus":
-        return {"kind": a.kind, "n": a.n}
-    if a.kind == "weighted_projective":
-        return {"kind": a.kind, "weights": list(a.weights)}
-    return {"kind": a.kind}
-
-
 def _ambient_from_json(d):
     kind = d["kind"]
     if kind in ("projective", "torus"):
@@ -264,45 +256,8 @@ def _ambient_from_json(d):
     return Ambient(kind)
 
 
-def _poly_to_json(eq):
-    return [[m.coefficient, list(m.exponents)] for m in eq]
-
-
 def _poly_from_json(eq):
     return tuple(Monomial(int(c), tuple(int(e) for e in exps)) for c, exps in eq)
-
-
-def _model_to_json(m):
-    if m.onto is not None:
-        return {"map": [list(row) for row in m.map], "onto": m.onto}
-    d = {"coupling": m.coupling, "shared": m.shared,
-         "groups": [{"vars": list(g.vars), "r": _poly_to_json(g.r),
-                     "m": _poly_to_json(g.m)} for g in m.groups]}
-    if m.chi is not None:
-        d["chi"] = m.chi
-    return d
-
-
-def _variety_to_json(v):
-    d = {
-        "id": v.id,
-        "ambient": _ambient_to_json(v.ambient),
-        "dimension": v.dimension,
-        "equations": [_poly_to_json(eq) for eq in v.equations],
-        "bad_primes": sorted(v.bad_primes),
-        "known": _thawed(v.known),
-        "provenance": v.provenance,
-    }
-    if v.count_model is not None:
-        d["count_model"] = _model_to_json(v.count_model)
-    if v.normalization is not None:
-        n = v.normalization
-        d["normalization"] = {
-            "weierstrass": list(n.weierstrass),
-            "nodes": {"order": n.nodes.order,
-                      "exponents": [list(a) for a in n.nodes.exponents]},
-            "splitting_discriminant": n.splitting_discriminant}
-    return d
 
 
 def _frozen(x):
@@ -312,15 +267,6 @@ def _frozen(x):
         return MappingProxyType({k: _frozen(y) for k, y in x.items()})
     if isinstance(x, list):
         return tuple(_frozen(y) for y in x)
-    return x
-
-
-def _thawed(x):
-    """A fresh copy of a _frozen value as JSON dicts and lists."""
-    if isinstance(x, Mapping):
-        return {k: _thawed(y) for k, y in x.items()}
-    if isinstance(x, tuple):
-        return [_thawed(y) for y in x]
     return x
 
 
@@ -508,57 +454,61 @@ def _declared_normalization(spec, d):
 
 
 def catalog_from_json(doc):
-    vs = {}
-    for d in doc["varieties"]:
-        v = _variety_from_json(d)
-        if v.id in vs:
-            raise ValidationError(f"duplicate variety id {v.id!r}")
-        disc = (v.known or {}).get("splitting_discriminant", 0)
-        if type(disc) is not int:
-            raise ValidationError(f"{v.id}: splitting_discriminant {disc!r} "
-                                  "is not an integer")
-        vs[v.id] = v
-    decls = {d["id"]: d["count_model"] for d in doc["varieties"]
-             if "count_model" in d}
-    for vid, d in decls.items():
-        if "onto" not in d:
-            vs[vid] = replace(
-                vs[vid], count_model=_declared_model(vs[vid], d))
-    for vid, d in decls.items():
-        if "onto" in d:
+    """The Catalog a parsed catalog document declares.  A key an entry
+    lacks, or a value of the wrong type or form, is a ValidationError that
+    names the entry, by its id or else its index, and that key or value."""
+    entry = "catalog"
+    try:
+        vs = {}
+        for i, d in enumerate(doc["varieties"]):
+            entry = f"varieties[{i}]"           # until its id is read
+            entry = f"variety {d['id']!r}"
+            v = _variety_from_json(d)
+            if v.id in vs:
+                raise ValidationError(f"duplicate variety id {v.id!r}")
+            disc = (v.known or {}).get("splitting_discriminant", 0)
+            if type(disc) is not int:
+                raise ValidationError(f"{v.id}: splitting_discriminant "
+                                      f"{disc!r} is not an integer")
+            if "count_model" in d and "onto" not in d["count_model"]:
+                v = replace(v, count_model=_declared_model(v, d["count_model"]))
+            if "normalization" in d:
+                v = replace(v, normalization=_declared_normalization(
+                    v, d["normalization"]))
+            vs[v.id] = v
+        # a model mapped onto another variety's is read once all are
+        mapped = {d["id"]: d["count_model"] for d in doc["varieties"]
+                  if "onto" in d.get("count_model", ())}
+        for vid, d in mapped.items():
+            entry = f"variety {vid!r}"
             if d["onto"] not in vs:
                 raise ValidationError(f"{vid}: count_model maps onto unknown "
                                       f"variety {d['onto']!r}")
             vs[vid] = replace(
                 vs[vid], count_model=_mapped_model(vs[vid], d, vs[d["onto"]]))
-    for d in doc["varieties"]:
-        if "normalization" in d:
-            v = vs[d["id"]]
-            vs[v.id] = replace(v, normalization=_declared_normalization(
-                v, d["normalization"]))
-    invs = {}
-    for d in doc.get("involutions", []):
-        inv = InvolutionSpec(d["id"], d["variety_id"],
-                             tuple(tuple(int(x) for x in row) for row in d["matrix"]))
-        if inv.variety_id not in vs:
-            raise ValidationError(f"involution {inv.id!r} references unknown variety")
-        invs[inv.id] = inv
+        invs = {}
+        for i, d in enumerate(doc.get("involutions", [])):
+            entry = f"involutions[{i}]"
+            inv = InvolutionSpec(d["id"], d["variety_id"], tuple(
+                tuple(int(x) for x in row) for row in d["matrix"]))
+            if inv.variety_id not in vs:
+                raise ValidationError(f"involution {inv.id!r} references unknown variety")
+            invs[inv.id] = inv
+    except KeyError as e:
+        raise ValidationError(f"{entry}: no key {e}") from None
+    except (AttributeError, TypeError, ValueError) as e:
+        raise ValidationError(f"{entry}: {e}") from None
     return Catalog(MappingProxyType(vs), MappingProxyType(invs))
 
 
-def catalog_to_json(cat):
-    return {
-        "varieties": [_variety_to_json(v) for _, v in sorted(cat.varieties.items())],
-        "involutions": [{"id": i.id, "variety_id": i.variety_id,
-                         "matrix": [list(r) for r in i.matrix]}
-                        for _, i in sorted(cat.involutions.items())],
-    }
-
-
-def save_catalog(cat, path):
-    text = json.dumps(catalog_to_json(cat), indent=1, sort_keys=True)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+def _catalog_doc(path=None):
+    """The stored catalog document as json parses it: the shipped
+    data/catalog.json, or the file at path.  Each call parses anew."""
+    if path is None:
+        return json.loads(resources.files("frobtrace").joinpath(
+            "data/catalog.json").read_text())
+    with open(path) as fh:
+        return json.load(fh)
 
 
 def load_catalog(path=None):
@@ -567,14 +517,12 @@ def load_catalog(path=None):
     blocks are read-only, since every caller shares the shipped one."""
     if path is None:
         return _shipped_catalog()
-    with open(path) as fh:
-        return catalog_from_json(json.load(fh))
+    return catalog_from_json(_catalog_doc(path))
 
 
 @lru_cache(maxsize=1)
 def _shipped_catalog():
-    text = resources.files("frobtrace").joinpath("data/catalog.json").read_text()
-    return catalog_from_json(json.loads(text))
+    return catalog_from_json(_catalog_doc())
 
 
 # -------------------------------------------------------------- evaluation

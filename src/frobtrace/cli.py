@@ -490,9 +490,9 @@ def _int_list(text, flag):
 def _cmd_catalog(args):
     cat = load_catalog(args.path)
     if args.id:
-        from .catalog import _variety_to_json
-        print(json.dumps(_variety_to_json(cat.variety(args.id)), indent=1,
-                         sort_keys=True))
+        from .catalog import _catalog_doc      # the entry as stored
+        doc = {v["id"]: v for v in _catalog_doc(args.path)["varieties"]}
+        print(json.dumps(doc[cat.variety(args.id).id], indent=1, sort_keys=True))
     else:
         for vid, v in sorted(cat.varieties.items()):
             print(f"{vid}: {v.ambient.kind}, dim {v.dimension}, "

@@ -6,8 +6,8 @@ indices, as Python ints or int64 arrays, and chi_table, log_tables,
 inverses and scaling are numpy tables on them.  The catalog module
 evaluates Weil restrictions on the pairs (a, b) instead.
 
-One cache rule: the tables built by a Python walk, exp and log, are
-cached per (p, degree), at most 8; those numpy makes in O(q) are not, so
+One cache rule: exp, log, and the inverses over F_p are cached per (p,
+degree), at most 8; the O(q) character and scaling tables are not, so
 no 32 MB character table is held at the Weierstrass a_p budget's edge.
 Over F_p a product is of two residues, below p^2 < 2^62 as p < 2^31;
 over F_{p^2} of three, and _order refuses p^3 >= 2^62 before any table
@@ -192,10 +192,13 @@ def log_tables(p, degree=1):
     return exp, log
 
 
+@functools.lru_cache(maxsize=8)
 def inverses(p):
     """x^-1 in F_p at each x, 0 at 0, read from the logs: E[-L[x]]."""
     exp, log = log_tables(p)
-    return np.where(log < p - 1, exp[-log % (p - 1)], 0)
+    inv = np.where(log < p - 1, exp[-log % (p - 1)], 0)
+    inv.flags.writeable = False
+    return inv
 
 
 def scaling(D, d, alpha, p, degree=1):

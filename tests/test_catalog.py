@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from frobtrace import catalog, cli
 from frobtrace.catalog import (Ambient, InvolutionSpec, Monomial, VarietySpec,
                                _charts, _eval_mono_list, _grid, _restrict,
-                               catalog_from_json, catalog_to_json, evaluate,
-                               load_catalog, save_catalog, singular_points)
+                               catalog_from_json, evaluate, load_catalog,
+                               singular_points)
 from frobtrace.errors import RefusalError, ValidationError
 from frobtrace.ffield import kronecker, nonresidue
 
@@ -38,22 +38,15 @@ def test_catalog_contents():
         CAT.involution("no_such_thing")
 
 
-def test_round_trip_byte_exact(tmp_path):
-    shipped = resources.files("frobtrace").joinpath("data/catalog.json").read_bytes()
-    out = tmp_path / "copy.json"
-    save_catalog(CAT, out)
-    assert out.read_bytes() == shipped
-
-
 SHIPPED = json.loads(resources.files("frobtrace").joinpath(
     "data/catalog.json").read_text())
 MODELS = {"schoen_x", "schoen_y", "schoen_quotient", "consani_scholten"}
 
 
 def test_round_trip_keeps_count_models():
-    doc = catalog_to_json(CAT)
-    assert {v["id"] for v in doc["varieties"] if "count_model" in v} == MODELS
-    back = catalog_from_json(doc)
+    assert {v["id"] for v in SHIPPED["varieties"]
+            if "count_model" in v} == MODELS
+    back = catalog_from_json(SHIPPED)
     assert back == CAT
     for vid in MODELS:
         assert back.variety(vid).count_model == CAT.variety(vid).count_model
@@ -112,7 +105,7 @@ def test_normalization_discriminant():
     assert (b2, b4, b6) == (5, -5, 5)
     assert delta == -800 == -2 ** 5 * 5 ** 2 == norm.discriminant()
     assert norm.b_invariants() == (b2, b4, b6, b8)
-    assert catalog_from_json(catalog_to_json(CAT)).variety(
+    assert catalog_from_json(SHIPPED).variety(
         "e_plane").normalization == norm
 
 
@@ -227,31 +220,39 @@ def test_loader_refusals():
 
 def test_the_shipped_catalog_is_parsed_once_and_not_aliased(tmp_path):
     # load_catalog() parses and validates catalog.json once per process,
-    # read-only; its exported doc is a copy, so editing it, known blocks included,
-    # leaves the shared catalog as it was.  An explicit path is read anew
+    # read-only; the stored document is parsed anew on each read, so
+    # editing one, known blocks included, leaves the shared catalog as it
+    # was.  An explicit path is read anew
     assert load_catalog() is load_catalog()
-    before = copy.deepcopy(catalog_to_json(load_catalog()))
-    doc = catalog_to_json(load_catalog())
+    fresh = catalog_from_json(catalog._catalog_doc())
+    assert fresh is not load_catalog()
+
+    def known(cat):          # known has compare=False: compared as dicts
+        return {vid: v.known for vid, v in cat.varieties.items()}
+
+    doc = catalog._catalog_doc()
     for v in doc["varieties"]:
         if v["known"]:
             v["known"].clear()
-    assert catalog_to_json(load_catalog()) == before
+    assert catalog._catalog_doc() == SHIPPED != doc
+    assert load_catalog() == fresh and known(load_catalog()) == known(fresh)
     assert load_catalog().variety("schoen_quotient").known["resolved_b2"] == 85
     # and the shared catalog itself is read-only
-    known = load_catalog().variety("schoen_quotient").known
+    known_block = load_catalog().variety("schoen_quotient").known
     with pytest.raises(TypeError):
-        known["resolved_b2"] = 0
+        known_block["resolved_b2"] = 0
     with pytest.raises(TypeError):
         del load_catalog().varieties["schoen_quotient"]
     with pytest.raises(TypeError):
         load_catalog().involutions["iota_z"] = None
     with pytest.raises(AttributeError):
-        known["forms"].append("f9")
-    assert catalog_to_json(load_catalog()) == before
+        known_block["forms"].append("f9")
+    assert load_catalog() == fresh and known(load_catalog()) == known(fresh)
     path = tmp_path / "catalog.json"
-    save_catalog(load_catalog(), path)
+    path.write_text(json.dumps(SHIPPED))
     assert load_catalog(path) is not load_catalog(path)
-    assert catalog_to_json(load_catalog(path)) == before
+    assert load_catalog(path) == fresh and known(load_catalog(path)) == \
+        known(fresh)
 
 
 def test_model_maps_onto_declared_model():

@@ -127,7 +127,7 @@ def test_a_wrong_declared_discriminant_fails_the_matches():
     # D = -2 is a catalog edit that still calibrates at 11, with 24 and 12
     # gated classes; the rows where kronecker(-2, p) != kronecker(5, p) at
     # a rational node then disagree with f25
-    doc = catalog.catalog_to_json(catalog.load_catalog())
+    doc = catalog._catalog_doc()          # a fresh parse to edit
     for v in doc["varieties"]:
         if v["id"] in cli._MODELS:
             v["known"]["splitting_discriminant"] = -2
@@ -147,7 +147,7 @@ def test_a_missing_declared_discriminant_is_a_validation_error():
     # the matches and the Betti count read D through one helper, which
     # names the variety and the key when D is absent or known is null,
     # before any count is made
-    doc = catalog.catalog_to_json(catalog.load_catalog())
+    doc = catalog._catalog_doc()          # a fresh parse to edit
     for v in doc["varieties"]:
         if v["id"] == "schoen_x":
             del v["known"]["splitting_discriminant"]
@@ -168,7 +168,7 @@ def test_a_missing_declared_discriminant_is_a_validation_error():
 def test_a_missing_resolved_b2_is_a_validation_error(monkeypatch):
     # the adjusted Betti count reads schoen_quotient's resolved_b2 through
     # the same helper as D, before any count; the unadjusted one reads none
-    doc = catalog.catalog_to_json(catalog.load_catalog())
+    doc = catalog._catalog_doc()          # a fresh parse to edit
     quotient = next(v for v in doc["varieties"]
                     if v["id"] == "schoen_quotient")
     for value in (None, True):
@@ -625,20 +625,62 @@ def test_count_out_appends_records(capsys, tmp_path):
 
 
 def test_catalog_command_id_and_path(capsys, tmp_path):
+    # --id prints the entry as catalog.json stores it
+    for entry in catalog._catalog_doc()["varieties"]:
+        assert main(["catalog", "--id", entry["id"]]) == 0
+        assert capsys.readouterr().out == \
+            json.dumps(entry, indent=1, sort_keys=True) + "\n"
     assert main(["catalog", "--id", "e_plane"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["id"] == "e_plane"
     assert doc["normalization"]["weierstrass"] == [1, 1, 1, -3, 1]
-    # --path reads the catalog it names: here a copy without hm_quintic
-    shipped = catalog.catalog_to_json(catalog.load_catalog())
+    # --path reads the catalog it names: here a copy without hm_quintic,
+    # whose e_plane lists its bad primes out of order
+    shipped = catalog._catalog_doc()
     shipped["varieties"] = [v for v in shipped["varieties"]
                             if v["id"] != "hm_quintic"]
+    e_plane = next(v for v in shipped["varieties"] if v["id"] == "e_plane")
+    e_plane["bad_primes"] = [5, 2]
     path = tmp_path / "catalog.json"
     path.write_text(json.dumps(shipped))
     assert main(["catalog", "--path", str(path)]) == 0
     out = capsys.readouterr().out
     assert "schoen_x: projective" in out and "hm_quintic" not in out
+    assert "e_plane: projective, dim 1, bad primes [2, 5]" in out
+    # an entry prints as written, not in a canonical form
+    assert main(["catalog", "--path", str(path), "--id", "e_plane"]) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(e_plane, indent=1, sort_keys=True) + "\n"
+    assert json.loads(out)["bad_primes"] == [5, 2]
+    # an unknown id is a ValidationError of the loaded catalog
     assert main(["catalog", "--path", str(path), "--id", "hm_quintic"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown variety 'hm_quintic'\n"
+
+
+def test_a_malformed_catalog_exits_1_with_a_message(capsys, tmp_path):
+    # a document with no varieties, an entry with no ambient and one whose
+    # dimension is no integer: each is a ValidationError naming the entry
+    # and the key or value, not a KeyError or ValueError traceback
+    no_ambient, word = catalog._catalog_doc(), catalog._catalog_doc()
+    del next(v for v in no_ambient["varieties"]
+             if v["id"] == "schoen_x")["ambient"]
+    next(v for v in word["varieties"]
+         if v["id"] == "e_plane")["dimension"] = "one"
+    path = tmp_path / "catalog.json"
+    for doc, why in (({}, "catalog: no key 'varieties'"),
+                     (no_ambient, "variety 'schoen_x': no key 'ambient'"),
+                     (word, "variety 'e_plane': invalid literal for int() "
+                            "with base 10: 'one'")):
+        path.write_text(json.dumps(doc))
+        for argv in (["catalog", "--path", str(path)],
+                     ["catalog", "--path", str(path), "--id", "e_plane"]):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: ")
+            assert "Traceback" not in captured.err
+            assert captured.err == f"error: {why}\n" and captured.out == ""
 
 
 def test_manifest_ops_and_verdicts(tmp_path, capsys):

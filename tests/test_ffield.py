@@ -179,6 +179,23 @@ def test_inverses_invert():
         assert inv[0] == 0 and np.all(x[1:] * inv[1:] % p == 1), p
 
 
+def test_inverses_are_cached_and_read_only():
+    # one table per prime, shared by every chunk of a count, so no caller
+    # may write it; the chart elimination of hm_quintic at 101, which reads
+    # it 308 times, builds it once
+    from frobtrace.catalog import load_catalog
+    from frobtrace.counting import count_projective
+    assert inverses(101) is inverses(101)
+    with pytest.raises(ValueError):
+        inverses(101)[1] = 0
+    with pytest.raises(ValueError):
+        inverses(101)[1:][0] = 0
+    hm = load_catalog().variety("hm_quintic")
+    inverses.cache_clear()
+    assert count_projective(hm, 101).count == 1043771
+    assert inverses.cache_info().misses == 1
+
+
 def test_reduce_mod_is_remainder_in_place():
     # np.remainder below 2^16 cells, blocks of a - (a // p) p from there:
     # each side of the threshold and a partial last block, negatives
